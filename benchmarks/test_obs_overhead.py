@@ -82,7 +82,7 @@ def _update_bench(payload: dict) -> None:
 
 def _gate_graph():
     graph = gnm_random(GATE_N, GATE_D, seed=GATE_SEED)
-    graph.csr().edge_list  # warm the memoised view, as a stationary run would
+    graph.csr()  # warm the memoised view, as a stationary run would
     return graph
 
 

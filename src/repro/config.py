@@ -98,14 +98,18 @@ class RunConfig:
         Allocation clamp range; ``m_min=None`` keeps each controller's
         own default.
     engine:
-        ``"reference"`` / ``"fast"`` kernel path, or ``None`` to defer
-        to the ``REPRO_ENGINE`` environment variable.
+        ``None`` (the default) defers to the ``REPRO_ENGINE``
+        environment variable and, unset, runs ``"fast"``: array kernels
+        where they beat the per-task walk, the walk everywhere else.
+        ``"reference"`` always walks — the oracle the differential suite
+        compares against, not a production setting.
     select:
-        Registered selection-backend name for the work-set
-        (``"workset"`` for the reference sampler, ``"incremental"`` for
-        the dense active set — both bit-identical under the same seed),
-        or ``None`` to defer to the ``REPRO_SELECT`` environment
-        variable.  Third-party names registered under
+        Registered selection-backend name for the work-set, or ``None``
+        (the default) to defer to the ``REPRO_SELECT`` environment
+        variable and, unset, use ``"incremental"`` (the dense active
+        set).  ``"workset"`` is the scalar reference sampler, kept as
+        the differential suite's oracle; both are bit-identical under
+        the same seed.  Third-party names registered under
         ``"select-backend"`` are accepted too.  Only meaningful for
         unordered runs: priority/arrival commit orders bring their own
         work-set, so combining them with an explicit ``select`` is a

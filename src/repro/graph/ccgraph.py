@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -96,9 +97,8 @@ class GraphSnapshot:
     def edge_list(self) -> tuple[np.ndarray, np.ndarray]:
         """``(u, v)`` index pairs, one row per undirected edge, ``u < v``.
 
-        Built once per snapshot from the CSR arrays; the engine's fast
-        path projects these onto each batch's commit slots instead of
-        slicing per-node adjacency.
+        Built once per snapshot from the CSR arrays, for consumers that
+        scan every edge (the partitioner, :class:`ConflictDeltaView`).
         """
         src = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
         keep = src < self.indices
@@ -354,29 +354,29 @@ class CCGraph:
 
     def snapshot(self) -> GraphSnapshot:
         """Freeze the current topology into a CSR :class:`GraphSnapshot`."""
-        node_ids = np.fromiter(self._adj.keys(), dtype=np.int64, count=len(self._adj))
-        index_of = {int(nid): i for i, nid in enumerate(node_ids)}
-        degrees = np.fromiter(
-            (len(self._adj[int(nid)]) for nid in node_ids),
-            dtype=np.int64,
-            count=node_ids.shape[0],
-        )
-        indptr = np.zeros(node_ids.shape[0] + 1, dtype=np.int64)
+        adj = self._adj
+        n = len(adj)
+        node_ids = np.fromiter(adj.keys(), dtype=np.int64, count=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        degrees = np.fromiter(map(len, adj.values()), dtype=np.int64, count=n)
         np.cumsum(degrees, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        for i, nid in enumerate(node_ids):
-            neigh = self._adj[int(nid)]
-            start = indptr[i]
-            for j, v in enumerate(neigh):
-                indices[start + j] = index_of[v]
+        # neighbour *ids*, all rows in one pass
+        indices = np.fromiter(
+            chain.from_iterable(adj.values()), dtype=np.int64, count=int(indptr[-1])
+        )
+        if not np.array_equal(node_ids, np.arange(n, dtype=np.int64)):
+            # ids with holes (or out of order): translate to row indices
+            order = np.argsort(node_ids, kind="stable")
+            indices = order[np.searchsorted(node_ids, indices, sorter=order)]
         return GraphSnapshot(node_ids=node_ids, indptr=indptr, indices=indices)
 
     def csr(self) -> GraphSnapshot:
         """Memoised CSR view, rebuilt only after a structural mutation.
 
-        The engine's fast path calls this every step; on stationary
-        workloads (no graph morphs between steps) it is a version check
-        plus a cache hit, so the CSR build cost amortises to zero.
+        The engine's fast path calls this on every step whose graph is
+        unchanged since the step before: a version check plus a cache
+        hit, so on stationary workloads the CSR build cost amortises to
+        zero, and a graph that morphs every step never pays it.
         """
         cached = self._csr
         if cached is not None and cached[0] == self._version:

@@ -1,4 +1,4 @@
-"""Incremental active-set selection backend (``select="incremental"``).
+"""Incremental active-set selection backend (``select="incremental"``, the default).
 
 ``BENCH_obs.json`` showed ``select`` eating ~73% of step wall-clock: the
 fast kernels had already won ``resolve``/``commit``, but the reference
@@ -23,10 +23,8 @@ bookkeeping made O(delta):
   :meth:`take` (k dict deletions would cost more than one rebuild
   amortised over a batch).
 
-The class attribute ``incremental = True`` is the capability flag the
-workloads read to switch the conflict policy onto memoised CSR deltas
-(:meth:`repro.graph.ccgraph.CCGraph.conflict_view`) and the commit-order
-policy onto the batched apply path.
+The unordered commit-order policy takes its batched apply path whenever
+the work-set offers :meth:`ActiveSet.add_batch`.
 
 **Invariant** (fuzzed in ``tests/test_fuzz.py``): after any sequence of
 ``add`` / ``add_batch`` / ``take`` / ``discard``, the slot list and the
@@ -47,9 +45,13 @@ import numpy as np
 from repro.errors import WorksetEmptyError
 from repro.runtime.kernels import sample_prefix_draws
 from repro.runtime.task import Task
-from repro.runtime.workset import Workset
+from repro.runtime.workset import Workset, swap_pop_sample
 
 __all__ = ["ActiveSet"]
+
+#: below this many draws, scalar ``rng.integers`` calls beat one
+#: :func:`sample_prefix_draws` call (whose array set-up is ~10 scalar draws)
+_SCALAR_TAKE_BELOW = 16
 
 
 class ActiveSet(Workset):
@@ -57,14 +59,10 @@ class ActiveSet(Workset):
 
     Drop-in replacement for :class:`~repro.runtime.workset.RandomWorkset`
     — same uniform m-out-of-n ``π_m`` prefix distribution, bit-identical
-    batches under the same seed — selected via ``select="incremental"``
-    (or the ``REPRO_SELECT`` environment variable).
+    batches under the same seed.  The default selection backend;
+    ``select="workset"`` (or ``REPRO_SELECT=workset``) swaps the
+    reference sampler back in.
     """
-
-    #: capability flag: workloads route conflict resolution through the
-    #: memoised CSR delta view and policies through the batched apply
-    #: path when the work-set advertises incremental maintenance.
-    incremental = True
 
     def __init__(self) -> None:
         self._items: list[Task] = []
@@ -98,6 +96,10 @@ class ActiveSet(Workset):
         swap loop then replays the reference sampler's partial
         Fisher–Yates walk with the pops deferred — the selected tasks
         end up (reversed) in the tail, which is sliced off in one go.
+        Below :data:`_SCALAR_TAKE_BELOW` draws the kernel's array set-up
+        costs more than the draws, so the reference loop itself runs —
+        same values and generator state by the parity contract of
+        :func:`~repro.runtime.kernels.sample_prefix_draws`.
         """
         items = self._items
         if not items:
@@ -108,14 +110,17 @@ class ActiveSet(Workset):
         k = min(count, n)
         if k == 0:
             return []
-        draws = sample_prefix_draws(n, k, rng)
-        last = n - 1
-        for j in draws.tolist():
-            items[j], items[last] = items[last], items[j]
-            last -= 1
-        batch = items[n - k:]
-        batch.reverse()
-        del items[n - k:]
+        if k < _SCALAR_TAKE_BELOW:
+            batch = swap_pop_sample(items, k, rng)
+        else:
+            draws = sample_prefix_draws(n, k, rng)
+            last = n - 1
+            for j in draws.tolist():
+                items[j], items[last] = items[last], items[j]
+                last -= 1
+            batch = items[n - k:]
+            batch.reverse()
+            del items[n - k:]
         if self._slot_of is not None:
             self._slot_of = None  # wholesale invalidation beats k deletions
         return batch

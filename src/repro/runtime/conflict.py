@@ -16,14 +16,16 @@ Two policies cover the two ways conflicts are specified:
   explicit :class:`~repro.graph.CCGraph` whose nodes are the task payloads
   (used by synthetic CC-graph workloads and by the analytic experiments).
 
-Each policy also exposes :meth:`~ConflictPolicy.resolve_fast`, the
-array-form resolution used when an engine runs with ``engine="fast"``: the
-batch's commit/abort partition is computed by the vectorised kernels of
-:mod:`repro.runtime.kernels` instead of per-task neighbour scans.  The
-fast path is bit-identical to :meth:`~ConflictPolicy.resolve` (the
-differential test suite enforces it); the base-class default simply falls
-back to the reference walk so custom policies stay correct under either
-engine mode.
+Each policy also exposes :meth:`~ConflictPolicy.resolve_fast`, the entry
+point the default ``engine="fast"`` mode calls: it computes the batch's
+commit/abort partition with the vectorised kernels of
+:mod:`repro.runtime.kernels` where those beat the per-task walk, and is
+bit-identical to :meth:`~ConflictPolicy.resolve` (the differential test
+suite enforces it).  Only :class:`ExplicitGraphPolicy` has an array form
+that wins anywhere — item locks gather neighbourhoods through the scalar
+operator API either way, and the array kernel lost to the walk at every
+measured batch size — so :class:`ItemLockPolicy` and custom policies
+inherit the base-class fallback to the walk.
 """
 
 from __future__ import annotations
@@ -36,7 +38,11 @@ import numpy as np
 
 from repro.errors import ConflictDetectionError
 from repro.graph.ccgraph import CCGraph
-from repro.runtime.kernels import greedy_commit_mask_from_slots, greedy_lock_mask
+from repro.runtime.kernels import (
+    GATHER_MIN_BATCH,
+    csr_conflict_pairs,
+    greedy_commit_mask_from_slots,
+)
 from repro.runtime.task import Operator, Task
 
 __all__ = ["ConflictPolicy", "ItemLockPolicy", "ExplicitGraphPolicy", "BatchOutcome"]
@@ -164,29 +170,6 @@ class ItemLockPolicy(ConflictPolicy):
                 aborted.append(task)
         return BatchOutcome(committed, aborted)
 
-    def resolve_fast(self, batch: Sequence[Task], operator: Operator) -> BatchOutcome:
-        """Array-form lock resolution via :func:`greedy_lock_mask`.
-
-        Neighbourhoods are still gathered per task (the operator API is
-        inherently scalar), but items are densified once and the whole
-        commit/abort partition falls out of one fixed-point iteration.
-        """
-        codes: dict = {}
-        flat: list[int] = []
-        ptr = np.zeros(len(batch) + 1, dtype=np.int64)
-        seen: set[int] = set()
-        for i, task in enumerate(batch):
-            if task.uid in seen:
-                raise ConflictDetectionError(f"task {task.uid} appears twice in batch")
-            seen.add(task.uid)
-            for item in set(operator.neighborhood(task)):
-                flat.append(codes.setdefault(item, len(codes)))
-            ptr[i + 1] = len(flat)
-        mask = greedy_lock_mask(
-            ptr, np.asarray(flat, dtype=np.int64), num_items=len(codes)
-        )
-        return self._split_by_mask(batch, mask)
-
 
 class ExplicitGraphPolicy(ConflictPolicy):
     """Conflicts given by edges of an explicit CC graph over payloads.
@@ -194,21 +177,15 @@ class ExplicitGraphPolicy(ConflictPolicy):
     Task payloads must be node ids of *graph*.  A task commits iff none of
     its graph neighbours belongs to an earlier committed task of the batch
     — the definition of §2.1 verbatim.
-
-    ``csr_deltas=True`` switches the fast path from the memoised
-    full-snapshot CSR (:meth:`CCGraph.csr`, invalidated by any mutation)
-    to the incrementally-maintained
-    :class:`~repro.graph.ccgraph.ConflictDeltaView`, which absorbs the
-    morphs of commits and new work in O(delta).  Resolution results are
-    identical either way; the flag only moves where the projection state
-    comes from.  Workloads set it when their work-set advertises
-    ``incremental`` maintenance (see
-    :class:`~repro.runtime.active_set.ActiveSet`).
     """
 
-    def __init__(self, graph: CCGraph, *, csr_deltas: bool = False):
+    def __init__(self, graph: CCGraph):
         self._graph = graph
-        self._csr_deltas = bool(csr_deltas)
+        #: graph version at the last gather-sized :meth:`resolve_fast`; the
+        #: CSR view is only worth building once the graph has held still
+        self._seen_version: "int | None" = None
+        #: node index -> batch slot scratch for the gather, -1 between calls
+        self._pos = np.empty(0, dtype=np.int64)
 
     @property
     def graph(self) -> CCGraph:
@@ -236,24 +213,32 @@ class ExplicitGraphPolicy(ConflictPolicy):
         return BatchOutcome(committed, aborted)
 
     def resolve_fast(self, batch: Sequence[Task], operator: Operator) -> BatchOutcome:
-        """Vectorised resolution via :func:`greedy_commit_mask_from_slots`.
+        """Array-form resolution where it beats the walk, else the walk.
 
-        Uses the graph's memoised CSR view (:meth:`CCGraph.csr`) and its
-        cached edge list, so on stationary workloads no per-step graph
-        indexing happens at all: validate payloads in bulk, project the
-        edge endpoints onto commit slots, run the kernel.
+        On a batch of at least :data:`~repro.runtime.kernels.GATHER_MIN_BATCH`
+        tasks over a graph that has not changed since the previous such
+        batch, the batch's own rows of the memoised CSR view
+        (:meth:`CCGraph.csr`) are gathered into conflicting slot pairs
+        (:func:`~repro.runtime.kernels.csr_conflict_pairs`) and resolved
+        by :func:`~repro.runtime.kernels.greedy_commit_mask_from_slots` —
+        O(Σ deg(batch)) per step, no per-step graph indexing.  Smaller
+        batches and graphs that morph between steps (whose CSR would be
+        rebuilt for every single use) take :meth:`resolve`.
 
-        Degenerate batches — non-int payloads, dead nodes, duplicate
-        payloads (hence duplicate tasks; uids are process-unique) — fall
-        back to the reference walk, which reproduces the reference
-        behaviour exactly, errors included.
+        So do degenerate batches — non-int payloads, dead nodes,
+        duplicate payloads (hence duplicate tasks; uids are
+        process-unique) — which reproduces the reference behaviour
+        exactly, errors included.
         """
         m = len(batch)
-        if m == 0:
-            return BatchOutcome([], [])
-        if self._csr_deltas:
-            return self._resolve_fast_delta(batch, operator)
-        snapshot = self._graph.csr()
+        if m < GATHER_MIN_BATCH:
+            return self.resolve(batch, operator)
+        graph = self._graph
+        version = graph.version
+        if version != self._seen_version:
+            self._seen_version = version
+            return self.resolve(batch, operator)
+        snapshot = graph.csr()
         n = snapshot.num_nodes
         payloads = np.asarray([task.payload for task in batch])
         if payloads.dtype.kind != "i":  # floats/bools/objects: let resolve() rule
@@ -270,53 +255,16 @@ class ExplicitGraphPolicy(ConflictPolicy):
                 )
             except KeyError:
                 return self.resolve(batch, operator)
-        pos = np.full(n, -1, dtype=np.int64)
-        pos[idx] = np.arange(m, dtype=np.int64)
-        if int(np.count_nonzero(pos >= 0)) != m:
-            return self.resolve(batch, operator)  # duplicate payload nodes
-        u, v = snapshot.edge_list
-        pu = pos[u]
-        pv = pos[v]
-        if m != n:  # full-graph batches have every edge in play: skip filter
-            both = np.flatnonzero((pu >= 0) & (pv >= 0))
-            pu = pu[both]
-            pv = pv[both]
-        mask = greedy_commit_mask_from_slots(
-            np.maximum(pu, pv), np.minimum(pu, pv), m, checked=False
-        )
-        return self._split_by_mask(batch, mask)
-
-    def _resolve_fast_delta(self, batch: Sequence[Task], operator: Operator) -> BatchOutcome:
-        """Fast resolution over the incremental conflict view.
-
-        Identical to the snapshot-based fast path except the id → slot
-        projection and edge arrays come from
-        :meth:`CCGraph.conflict_view`, so a morphing graph costs O(delta)
-        per step instead of a snapshot rebuild.  The same degenerate
-        batches (non-int payloads, dead nodes, duplicates) fall back to
-        the reference walk; stale edges are filtered out by the live-slot
-        mask exactly like out-of-batch edges.
-        """
-        m = len(batch)
-        view = self._graph.conflict_view()
-        payloads = np.asarray([task.payload for task in batch])
-        if payloads.dtype.kind != "i":  # floats/bools/objects: let resolve() rule
-            return self.resolve(batch, operator)
-        idx = view.project(payloads)
-        if idx is None:
-            return self.resolve(batch, operator)  # dead/unknown node: exact error
-        n = view.num_slots
-        pos = np.full(n, -1, dtype=np.int64)
-        pos[idx] = np.arange(m, dtype=np.int64)
-        if int(np.count_nonzero(pos >= 0)) != m:
-            return self.resolve(batch, operator)  # duplicate payload nodes
-        u, v = view.edge_arrays()
-        pu = pos[u]
-        pv = pos[v]
-        both = np.flatnonzero((pu >= 0) & (pv >= 0))
-        pu = pu[both]
-        pv = pv[both]
-        mask = greedy_commit_mask_from_slots(
-            np.maximum(pu, pv), np.minimum(pu, pv), m, checked=False
-        )
+        pos = self._pos
+        if pos.shape[0] != n:
+            pos = self._pos = np.full(n, -1, dtype=np.int64)
+        slots = np.arange(m, dtype=np.int64)
+        pos[idx] = slots
+        try:
+            if not np.array_equal(pos[idx], slots):
+                return self.resolve(batch, operator)  # duplicate payload nodes
+            own, nbr = csr_conflict_pairs(snapshot.indptr, snapshot.indices, idx, pos)
+        finally:
+            pos[idx] = -1
+        mask = greedy_commit_mask_from_slots(own, nbr, m, checked=False)
         return self._split_by_mask(batch, mask)

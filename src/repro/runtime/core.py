@@ -70,13 +70,16 @@ _SELECT_MODES = ("workset", "incremental")
 def resolve_engine_mode(engine: "str | None") -> str:
     """Normalise an ``engine=`` argument against the ``REPRO_ENGINE`` env var.
 
-    ``None`` defers to the environment (default ``"reference"``); anything
-    else must be ``"reference"`` or ``"fast"``.  Both engines accept the
-    same workloads and produce bit-identical results — ``"fast"`` resolves
-    conflicts with the vectorised kernels of :mod:`repro.runtime.kernels`.
+    ``None`` defers to the environment (default ``"fast"``); anything
+    else must be ``"fast"`` or ``"reference"``.  ``"fast"`` resolves
+    conflicts through :meth:`ConflictPolicy.resolve_fast
+    <repro.runtime.conflict.ConflictPolicy.resolve_fast>` — the array
+    kernels of :mod:`repro.runtime.kernels` where they beat the per-task
+    walk, the walk everywhere else.  ``"reference"`` always walks; it is
+    the oracle the differential suite holds ``"fast"`` to, bit for bit.
     """
-    mode = engine if engine is not None else os.environ.get(ENGINE_ENV_VAR, "reference")
-    mode = str(mode).strip().lower() or "reference"
+    mode = engine if engine is not None else os.environ.get(ENGINE_ENV_VAR, "fast")
+    mode = str(mode).strip().lower() or "fast"
     if mode not in _ENGINE_MODES:
         raise RuntimeEngineError(
             f"unknown engine mode {mode!r}; expected one of {_ENGINE_MODES}"
@@ -87,19 +90,19 @@ def resolve_engine_mode(engine: "str | None") -> str:
 def resolve_select_backend(select: "str | None") -> str:
     """Normalise a ``select=`` argument against the ``REPRO_SELECT`` env var.
 
-    ``None`` defers to the environment (default ``"workset"``); anything
-    else must be ``"workset"`` (the reference
-    :class:`~repro.runtime.workset.RandomWorkset`) or ``"incremental"``
-    (the dense :class:`~repro.runtime.active_set.ActiveSet`).  Both
-    backends draw the same uniform ``π_m`` prefixes and are bit-identical
-    under the same seed, so either may serve any workload on either
-    engine mode.  Third-party backends registered under
-    ``"select-backend"`` in :mod:`repro.registry` are addressed by their
-    registry name through :class:`repro.config.RunConfig` instead of this
-    resolver.
+    ``None`` defers to the environment (default ``"incremental"``);
+    anything else must be ``"incremental"`` (the dense
+    :class:`~repro.runtime.active_set.ActiveSet`) or ``"workset"`` (the
+    scalar :class:`~repro.runtime.workset.RandomWorkset`, kept as the
+    oracle of the differential suite).  Both backends draw the same
+    uniform ``π_m`` prefixes and are bit-identical under the same seed,
+    so either may serve any workload on either engine mode.  Third-party
+    backends registered under ``"select-backend"`` in
+    :mod:`repro.registry` are addressed by their registry name through
+    :class:`repro.config.RunConfig` instead of this resolver.
     """
-    mode = select if select is not None else os.environ.get(SELECT_ENV_VAR, "workset")
-    mode = str(mode).strip().lower() or "workset"
+    mode = select if select is not None else os.environ.get(SELECT_ENV_VAR, "incremental")
+    mode = str(mode).strip().lower() or "incremental"
     if mode not in _SELECT_MODES:
         raise RuntimeEngineError(
             f"unknown select backend {mode!r}; expected one of {_SELECT_MODES}"
@@ -226,11 +229,12 @@ class Engine:
         :func:`repro.obs.recording`, :func:`repro.obs.profiling`), else
         records nothing.
     engine:
-        ``"reference"`` (per-task Python walk) or ``"fast"`` (vectorised
-        kernels, see :mod:`repro.runtime.kernels`).  ``None`` defers to
-        the ``REPRO_ENGINE`` environment variable.  The two paths are
-        bit-identical — same seeds give the same commits, aborts, and
-        observability traces.
+        ``"fast"`` (vectorised kernels where they win, see
+        :func:`resolve_engine_mode`) or ``"reference"`` (always the
+        per-task Python walk; the test oracle).  ``None`` defers to the
+        ``REPRO_ENGINE`` environment variable, default ``"fast"``.  The
+        two paths are bit-identical — same seeds give the same commits,
+        aborts, and observability traces.
     """
 
     def __init__(

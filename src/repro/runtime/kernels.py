@@ -7,8 +7,8 @@ over a *frozen* adjacency structure is exactly the kind of irregular
 computation that Atos/GRAPHOPT-style batched array formulations turn into
 a handful of NumPy segment operations.
 
-Four kernels live here; all reproduce the reference semantics **bit for
-bit** (the differential suite in ``tests/runtime`` enforces this):
+The kernels below all reproduce the reference semantics **bit for bit**
+(the differential suite in ``tests/runtime`` enforces this):
 
 * :func:`greedy_commit_mask` — one batch over a CSR graph: walking the
   prefix in commit order, a slot commits iff no *earlier committed* slot
@@ -20,10 +20,8 @@ bit** (the differential suite in ``tests/runtime`` enforces this):
 * :func:`greedy_commit_mask_from_slots` — the engine's hot path: the
   caller pre-projects its batch onto commit slots and hands over only
   the conflicting pairs, skipping all per-call graph indexing.
-* :func:`greedy_lock_mask` — the item-lock (Galois neighbourhood)
-  variant used by :class:`~repro.runtime.conflict.ItemLockPolicy` and
-  the ordered engine: a slot commits iff none of its abstract data items
-  is touched by an earlier committed slot.
+* :func:`csr_conflict_pairs` — that projection: one CSR neighbour gather
+  over the batch's own rows, O(Σ deg(batch)) whatever the graph's size.
 * :func:`sample_prefix_draws` — the selection-side kernel: the bounded
   draws of the m-out-of-n swap-removal sampler
   (:class:`~repro.runtime.workset.RandomWorkset`'s ``π_m`` prefix) as a
@@ -53,28 +51,41 @@ __all__ = [
     "greedy_commit_mask",
     "greedy_commit_mask_batch",
     "greedy_commit_mask_from_slots",
-    "greedy_lock_mask",
+    "csr_conflict_pairs",
     "sample_prefix_draws",
     "sample_window_draws",
 ]
 
 
+_active_profiler = None
+
+
+def _profiler():
+    """The active span profiler, or ``None``.
+
+    ``repro.obs`` transitively pulls in the control package, so importing
+    it at module top would close the runtime<->control cycle; the lookup
+    is resolved on the first kernel call instead and kept.
+    """
+    global _active_profiler
+    if _active_profiler is None:
+        from repro.obs.spans import active_profiler
+
+        _active_profiler = active_profiler
+    return _active_profiler()
+
+
 def _timed(span_name: str):
     """Attribute a kernel's run time to *span_name* in the active profiler.
 
-    The import is deferred to call time: ``repro.obs`` transitively pulls
-    in the control package, and importing it at module top would close
-    the runtime<->control cycle.  When no profiler is active the wrapper
-    costs one function call and one attribute test per kernel invocation
-    (the kernels do array work orders of magnitude above that).
+    When no profiler is active the wrapper costs two function calls and
+    one ``None`` test per kernel invocation.
     """
 
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            from repro.obs.spans import active_profiler
-
-            prof = active_profiler()
+            prof = _profiler()
             if prof is None:
                 return fn(*args, **kwargs)
             with prof.span(span_name):
@@ -87,14 +98,14 @@ def _timed(span_name: str):
 
 def _segment_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Flatten ``[starts[i], starts[i]+counts[i])`` ranges into one index array."""
-    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    seg_starts = np.repeat(starts, counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-    )
-    return seg_starts + within
+    # element k of segment i sits at flat offset ends[i]-counts[i]+k
+    flat = np.repeat(starts - (ends - counts), counts)
+    flat += np.arange(total, dtype=np.int64)
+    return flat
 
 
 def _segment_sum(values: np.ndarray, seg_ptr: np.ndarray) -> np.ndarray:
@@ -193,6 +204,11 @@ def greedy_commit_mask(
 
 #: below this many live pairs, array rounds cost more than a Python walk
 _SEQUENTIAL_TAIL = 512
+
+#: below this batch size the per-task set walk resolves an explicit-graph
+#: batch faster than gather + kernel (gnm_random(10000, 8): walk 33/76/186 us
+#: vs gather 61/72/94 us at m = 64/128/256)
+GATHER_MIN_BATCH = 128
 
 
 def _finish_sequentially(
@@ -299,6 +315,29 @@ def greedy_commit_mask_from_slots(
     return state == 1
 
 
+@_timed("kernel.csr_conflict_pairs")
+def csr_conflict_pairs(
+    indptr: np.ndarray, indices: np.ndarray, idx: np.ndarray, pos: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Conflicting slot pairs of one batch, gathered from its own CSR rows.
+
+    ``idx`` is ``int64[m]`` CSR row indices in commit order, without
+    duplicates; ``pos`` is an ``int64[n]`` scratch array the caller keeps
+    at ``-1`` everywhere except ``pos[idx] = arange(m)``.  Returns
+    ``(own_slot, nbr_slot)`` with ``0 <= nbr_slot < own_slot < m``, one
+    pair per graph edge inside the batch — exactly the input
+    :func:`greedy_commit_mask_from_slots` takes.  Work is
+    O(Σ deg(batch)): rows outside the batch are never read.
+    """
+    starts = indptr[idx]
+    counts = indptr[idx + 1] - starts
+    nbr = pos[indices[_segment_ranges(starts, counts)]]
+    own = np.repeat(np.arange(idx.shape[0], dtype=np.int64), counts)
+    # 0 <= nbr < own in one comparison: as uint64, -1 exceeds every slot
+    keep = np.flatnonzero(nbr.view(np.uint64) < own.view(np.uint64))
+    return own[keep], nbr[keep]
+
+
 @_timed("kernel.sample_prefix")
 def sample_prefix_draws(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorised bounded draws of the m-out-of-n swap-removal sampler.
@@ -372,73 +411,3 @@ def sample_window_draws(
         return np.empty(0, dtype=np.int64)
     highs = np.minimum(window, np.arange(n, n - k, -1, dtype=np.int64))
     return rng.integers(0, highs, dtype=np.int64)
-
-
-@_timed("kernel.lock_mask")
-def greedy_lock_mask(
-    item_ptr: np.ndarray, item_codes: np.ndarray, num_items: "int | None" = None
-) -> np.ndarray:
-    """Item-lock greedy resolution: commit iff no earlier committed toucher.
-
-    Parameters
-    ----------
-    item_ptr:
-        ``int64[T+1]`` CSR pointer: task ``t`` touches
-        ``item_codes[item_ptr[t]:item_ptr[t+1]]``.  Tasks are in commit
-        order; items within a task must be unique.
-    item_codes:
-        ``int64[nnz]`` dense item codes (``0..num_items-1``).
-    num_items:
-        Size of the item universe; inferred from ``item_codes`` if omitted.
-
-    Returns
-    -------
-    ``bool[T]`` — ``True`` where the task commits, i.e. none of its items
-    is touched by an earlier *committed* task (an earlier toucher that
-    itself aborted does not block).
-    """
-    item_ptr = np.ascontiguousarray(item_ptr, dtype=np.int64)
-    item_codes = np.ascontiguousarray(item_codes, dtype=np.int64)
-    num_tasks = int(item_ptr.shape[0]) - 1
-    if num_tasks < 0:
-        raise ValueError("item_ptr must have at least one entry")
-    if num_tasks == 0:
-        return np.zeros(0, dtype=bool)
-    if num_items is None:
-        num_items = int(item_codes.max()) + 1 if item_codes.shape[0] else 0
-    if item_codes.shape[0] and (item_codes.min() < 0 or item_codes.max() >= num_items):
-        raise ValueError("item code outside the item universe")
-
-    counts = np.diff(item_ptr)
-    owner = np.repeat(np.arange(num_tasks, dtype=np.int64), counts)
-    sentinel = num_tasks  # strictly beyond any commit slot
-
-    state = np.zeros(num_tasks, dtype=np.int8)  # 0 undecided, 1 committed, 2 aborted
-    undecided = np.ones(num_tasks, dtype=bool)
-    # itemless tasks conflict with nothing: they commit immediately
-    trivial = counts == 0
-    state[trivial] = 1
-    undecided[trivial] = False
-
-    while undecided.any():
-        committed_edge = state[owner] == 1
-        undecided_edge = undecided[owner]
-        # earliest committed / undecided toucher per item (sentinel = none)
-        min_committed = np.full(num_items, sentinel, dtype=np.int64)
-        np.minimum.at(min_committed, item_codes[committed_edge], owner[committed_edge])
-        min_undecided = np.full(num_items, sentinel, dtype=np.int64)
-        np.minimum.at(min_undecided, item_codes[undecided_edge], owner[undecided_edge])
-        # a task aborts if any item has an earlier committed toucher, and
-        # commits once additionally no earlier toucher is still undecided
-        blocked_edge = (min_committed[item_codes] < owner).astype(np.int64)
-        waiting_edge = (min_undecided[item_codes] < owner).astype(np.int64)
-        has_blocked = _segment_sum(blocked_edge, item_ptr) > 0
-        has_waiting = _segment_sum(waiting_edge, item_ptr) > 0
-        newly_aborted = undecided & has_blocked
-        newly_committed = undecided & ~has_blocked & ~has_waiting
-        if not (newly_aborted.any() or newly_committed.any()):
-            raise ValueError("lock fixed-point stalled (cycle of undecided tasks)")
-        state[newly_aborted] = 2
-        state[newly_committed] = 1
-        undecided &= ~(newly_aborted | newly_committed)
-    return state == 1

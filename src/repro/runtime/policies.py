@@ -24,9 +24,10 @@ et al.'s relaxed schedulers; Atos-style async GPU scheduling):
   arrival order subject to a bounded-staleness window, over an
   :class:`~repro.runtime.workset.ArrivalWorkset`.
 
-Both policies plug into :class:`repro.runtime.core.Engine`; the
-fast/reference kernel dispatch honours the engine's ``engine_mode`` so
-byte-identical traces hold across both kernel paths.  The historical
+Both policies plug into :class:`repro.runtime.core.Engine`; conflict
+policies are dispatched by the engine's ``engine_mode``
+(``resolve_fast`` vs the ``resolve`` oracle), and byte-identical traces
+hold across both.  The historical
 :class:`~repro.runtime.ordered.PriorityWorkset` and
 :class:`~repro.runtime.ordered.OrderedBatchOutcome` types live here now
 (``repro.runtime.ordered`` re-exports them).
@@ -47,7 +48,7 @@ from repro.graph.partition import (
     two_phase_commit_mask_fast,
 )
 from repro.runtime.core import OrderPolicy
-from repro.runtime.kernels import greedy_lock_mask, sample_window_draws
+from repro.runtime.kernels import sample_window_draws
 from repro.runtime.task import Operator
 from repro.utils.rng import ensure_rng, substream
 
@@ -237,11 +238,28 @@ class UnorderedCommitOrder(OrderPolicy):
                 return self.conflict_policy.resolve_fast(batch, eng.operator)
             return self.conflict_policy.resolve(batch, eng.operator)
 
+    def bind(self, engine) -> None:
+        """Attach to *engine*; the operator is fixed for its lifetime, so
+        what :meth:`apply` needs to know about it is looked up here once,
+        not on each of a run's thousands of steps."""
+        super().bind(engine)
+        operator = engine.operator
+        #: ``None`` for duck-typed operators (for_each accepts any object
+        #: with neighborhood/apply)
+        self._apply_batch = getattr(operator, "apply_batch", None)
+        # getattr, not attribute access: duck-typed operators without
+        # on_abort fail at the call in apply() (like the reference walk
+        # would), not at this skip-the-default-no-op check
+        self._calls_on_abort = (
+            getattr(type(operator), "on_abort", None) is not Operator.on_abort
+        )
+
     def apply(self, outcome) -> None:
         # runs inside the core's "commit" span (commit_span_name default)
         eng = self.engine
         workset = eng.workset
         operator = eng.operator
+        # per step, not at bind(): phase schedules swap engine.workset
         add_batch = getattr(workset, "add_batch", None)
         if add_batch is None:
             # reference work-sets: the historical per-task walk, verbatim
@@ -260,13 +278,11 @@ class UnorderedCommitOrder(OrderPolicy):
         # would have — the differential suite holds this to the bit.
         committed = outcome.committed
         if committed:
-            apply_batch = getattr(operator, "apply_batch", None)
-            if apply_batch is not None:
-                new_tasks = apply_batch(committed)
+            if self._apply_batch is not None:
+                new_tasks = self._apply_batch(committed)
             else:
-                # duck-typed operators (for_each accepts any object with
-                # neighborhood/apply) — same concatenation order as the
-                # default apply_batch, so slots stay bit-identical
+                # same concatenation order as the default apply_batch,
+                # so slots stay bit-identical
                 new_tasks = []
                 for task in committed:
                     created = operator.apply(task)
@@ -276,10 +292,7 @@ class UnorderedCommitOrder(OrderPolicy):
                 add_batch(new_tasks)
         aborted = outcome.aborted
         if aborted:
-            # getattr, not attribute access: duck-typed operators without
-            # on_abort fail at the call below (like the reference walk
-            # would), not at this skip-the-default-no-op check
-            if getattr(type(operator), "on_abort", None) is not Operator.on_abort:
+            if self._calls_on_abort:
                 for task in aborted:
                     operator.on_abort(task)
             add_batch(aborted)  # rolled back, retried later
@@ -426,20 +439,6 @@ class OrderedCommitOrder(OrderPolicy):
             committed_uids = {task.uid for task in outcome.committed}
             survivors = [entry for entry in batch if entry[1].uid in committed_uids]
             aborted = [entry for entry in batch if entry[1].uid not in committed_uids]
-            return survivors, aborted
-        if eng.engine_mode == "fast":
-            codes: dict = {}
-            flat: list[int] = []
-            ptr = np.zeros(len(batch) + 1, dtype=np.int64)
-            for i, (_, task) in enumerate(batch):
-                for item in set(eng.operator.neighborhood(task)):
-                    flat.append(codes.setdefault(item, len(codes)))
-                ptr[i + 1] = len(flat)
-            mask = greedy_lock_mask(
-                ptr, np.asarray(flat, dtype=np.int64), num_items=len(codes)
-            )
-            survivors = [entry for entry, ok in zip(batch, mask) if ok]
-            aborted = [entry for entry, ok in zip(batch, mask) if not ok]
             return survivors, aborted
         held: set = set()
         survivors = []

@@ -647,9 +647,7 @@ class TraceReplayWorkload:
                     if u != v:
                         graph.add_edge(u, v)
         self.graph = graph
-        self.policy = ExplicitGraphPolicy(
-            graph, csr_deltas=bool(getattr(workset, "incremental", False))
-        )
+        self.policy = ExplicitGraphPolicy(graph)
 
         self._items = {rec["id"]: tuple(rec["items"]) for rec in trace.tasks}
         self._priorities = {rec["id"]: rec["priority"] for rec in trace.tasks}

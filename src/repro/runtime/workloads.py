@@ -68,15 +68,14 @@ class GraphWorkloadBase:
     """Common plumbing: graph, work-set, explicit-graph conflict policy.
 
     The work-set comes from the selection backend: ``select=`` names a
-    built-in backend (``"workset"`` for the reference
-    :class:`~repro.runtime.workset.RandomWorkset`, ``"incremental"`` for
-    the dense :class:`~repro.runtime.active_set.ActiveSet`; ``None``
-    defers to the ``REPRO_SELECT`` environment variable), or pass a
-    ready-made instance via ``workset=`` (how registry-named third-party
-    backends arrive).  Backends advertising ``incremental`` maintenance
-    also switch the conflict policy onto memoised CSR deltas.  Both
-    built-ins are bit-identical under the same seed, so the choice is
-    purely a performance knob.
+    built-in backend (``"incremental"`` for the dense
+    :class:`~repro.runtime.active_set.ActiveSet`, the default;
+    ``"workset"`` for the reference
+    :class:`~repro.runtime.workset.RandomWorkset` the differential suite
+    uses as its oracle; ``None`` defers to the ``REPRO_SELECT``
+    environment variable), or pass a ready-made instance via ``workset=``
+    (how registry-named third-party backends arrive).  Both built-ins
+    are bit-identical under the same seed.
     """
 
     def __init__(
@@ -93,9 +92,7 @@ class GraphWorkloadBase:
             workset = ActiveSet() if mode == "incremental" else RandomWorkset()
         self.graph = graph
         self.operator: Operator = _GraphOperator(self)
-        self.policy: ConflictPolicy = ExplicitGraphPolicy(
-            graph, csr_deltas=bool(getattr(workset, "incremental", False))
-        )
+        self.policy: ConflictPolicy = ExplicitGraphPolicy(graph)
         self.workset: Workset = workset
         tasks = [Task(payload=node) for node in graph.nodes()]
         if hasattr(workset, "take_earliest"):

@@ -53,6 +53,20 @@ class Workset(abc.ABC):
         return len(self) > 0
 
 
+def swap_pop_sample(items: list, k: int, rng: np.random.Generator) -> list:
+    """Remove and return *k* uniform draws from *items*, in draw order.
+
+    The reference ``π_m`` sampler: a partial Fisher–Yates walk of one
+    scalar bounded draw, one swap with the tail and one pop per task.
+    """
+    batch = []
+    for _ in range(k):
+        j = int(rng.integers(0, len(items)))
+        items[j], items[-1] = items[-1], items[j]
+        batch.append(items.pop())
+    return batch
+
+
 class RandomWorkset(Workset):
     """Uniformly random batched removal (the paper's scheduler model).
 
@@ -72,13 +86,7 @@ class RandomWorkset(Workset):
             raise WorksetEmptyError("take() from empty work-set")
         if count < 0:
             raise ValueError(f"cannot take {count} tasks")
-        batch: list[Task] = []
-        items = self._items
-        for _ in range(min(count, len(items))):
-            j = int(rng.integers(0, len(items)))
-            items[j], items[-1] = items[-1], items[j]
-            batch.append(items.pop())
-        return batch
+        return swap_pop_sample(self._items, min(count, len(self._items)), rng)
 
     def __len__(self) -> int:
         return len(self._items)

@@ -144,6 +144,26 @@ class TestDerivedStructures:
             neigh = {int(snap.node_ids[j]) for j in snap.neighbors(index_of[u])}
             assert neigh == set(g.neighbors(u))
 
+    @pytest.mark.parametrize("shape", ["dense", "holed", "unordered"])
+    def test_snapshot_equals_per_node_build(self, medium_random_graph, shape):
+        g = medium_random_graph
+        if shape == "holed":  # removed ids leave holes, new ids go past them
+            for u in (0, 5, 17):
+                g.remove_node(u)
+            g.add_edge(g.add_node(), 3)
+        elif shape == "unordered":  # set-ordered ids: not even ascending
+            g = g.induced_subgraph(set(g.nodes()[::2]))
+        snap = g.snapshot()
+        ids = g.nodes()
+        index_of = {u: i for i, u in enumerate(ids)}
+        assert snap.node_ids.tolist() == ids
+        assert snap.indptr.tolist() == np.cumsum([0] + [g.degree(u) for u in ids]).tolist()
+        for i, u in enumerate(ids):
+            row = snap.neighbors(i).tolist()
+            assert len(row) == g.degree(u)
+            assert set(row) == {index_of[v] for v in g.neighbors(u)}
+        assert snap.ids_dense == (shape == "dense")
+
     def test_snapshot_degrees(self, small_graph):
         snap = small_graph.snapshot()
         degs = {int(n): int(d) for n, d in zip(snap.node_ids, snap.degrees)}

@@ -198,14 +198,17 @@ class TestActivePlumbing:
 
 
 class TestEngineIntegration:
-    def test_engine_steps_open_phase_spans(self):
+    def test_engine_steps_open_phase_spans(self, monkeypatch):
         from repro.control.fixed import FixedController
         from repro.graph.generators import gnm_random
         from repro.runtime.workloads import ReplayGraphWorkload
 
-        wl = ReplayGraphWorkload(gnm_random(60, 4, seed=1))
+        # default engine/select; batches big enough for the array paths
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_SELECT", raising=False)
+        wl = ReplayGraphWorkload(gnm_random(400, 4, seed=1))
         with profiling() as prof:
-            engine = wl.build_engine(FixedController(8), seed=2, engine="fast")
+            engine = wl.build_engine(FixedController(160), seed=2)
             for _ in range(5):
                 engine.step()
         stats = prof.stats()
@@ -218,8 +221,11 @@ class TestEngineIntegration:
             "step/controller.update",
         ):
             assert stats[phase].count == 5, phase
-        # the fast path's kernel span nests under resolve
-        assert any(p.startswith("step/resolve/kernel.") for p in stats)
+        # kernel spans nest under their phase; the first resolve walks
+        # (no CSR for a graph not yet seen unchanged), the rest gather
+        assert stats["step/select/kernel.sample_prefix"].count == 5
+        assert stats["step/resolve/kernel.csr_conflict_pairs"].count == 4
+        assert stats["step/resolve/kernel.commit_mask_from_slots"].count == 4
 
     def test_disabled_engine_records_nothing(self):
         from repro.control.fixed import FixedController

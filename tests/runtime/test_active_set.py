@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorksetEmptyError
-from repro.runtime.active_set import ActiveSet
+from repro.runtime.active_set import _SCALAR_TAKE_BELOW, ActiveSet
 from repro.runtime.task import Task
 from repro.runtime.workset import RandomWorkset
 
@@ -147,7 +147,9 @@ class TestBitParityWithRandomWorkset:
 
     @pytest.mark.parametrize("seed", [0, 1, 2011, 99991])
     def test_single_take_parity(self, seed):
-        for n, k in [(1, 1), (5, 2), (17, 17), (64, 1), (100, 37)]:
+        # k on both sides of, and at, the scalar/vectorised cutoff
+        assert _SCALAR_TAKE_BELOW == 16
+        for n, k in [(1, 1), (5, 2), (17, 17), (64, 1), (100, 37), (40, 15), (40, 16)]:
             a, b = ActiveSet(), RandomWorkset()
             a.add_all([Task(payload=i) for i in range(n)])
             b.add_all([Task(payload=i) for i in range(n)])
@@ -181,3 +183,23 @@ class TestBitParityWithRandomWorkset:
                     b.add(t)
             assert len(a) == len(b)
         assert ra.bit_generator.state == rb.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [5, 2011])
+    def test_alternating_scalar_and_vectorised_takes(self, seed):
+        # one generator carried across takes that alternate between the
+        # scalar small-k loop and the vectorised kernel: batches and
+        # generator state must agree after every single take
+        a, b = ActiveSet(), RandomWorkset()
+        tasks = [Task(payload=i) for i in range(300)]
+        a.add_all(tasks)
+        b.add_all(tasks)
+        ra = np.random.default_rng(seed)
+        rb = np.random.default_rng(seed)
+        for k in [3, 40, 15, 16, 1, 17, 2, 64, 5]:
+            ba = a.take(k, ra)
+            bb = b.take(k, rb)
+            assert [t.payload for t in ba] == [t.payload for t in bb]
+            assert ra.bit_generator.state == rb.bit_generator.state
+            a.add_batch(ba)  # re-enqueue, as aborts and replay commits do
+            b.add_all(bb)
+            assert [t.payload for t in a.tasks()] == [t.payload for t in b._items]

@@ -9,6 +9,7 @@ from repro.errors import ConflictDetectionError
 from repro.graph.generators import gnm_random
 from repro.model.permutation import committed_set
 from repro.runtime.conflict import BatchOutcome, ExplicitGraphPolicy, ItemLockPolicy
+from repro.runtime.kernels import GATHER_MIN_BATCH
 from repro.runtime.task import CallbackOperator, Task
 
 
@@ -98,6 +99,115 @@ class TestExplicitGraphPolicy:
         t = Task(payload=0)
         with pytest.raises(ConflictDetectionError):
             policy.resolve([t, t], op)
+
+
+class TestExplicitResolveFast:
+    """``resolve_fast`` == ``resolve``, whichever of walk and gather runs.
+
+    The walk returns no slot lists and the gather does, which is how the
+    tests tell the two apart.
+    """
+
+    N = 300
+
+    @staticmethod
+    def _batch(nodes, m, rng):
+        return [Task(payload=int(u)) for u in rng.permutation(nodes)[:m]]
+
+    @staticmethod
+    def _assert_same(fast, ref, batch):
+        assert [t.uid for t in fast.committed] == [t.uid for t in ref.committed]
+        assert [t.uid for t in fast.aborted] == [t.uid for t in ref.aborted]
+        if fast.commit_slots is not None:
+            position = {t.uid: i for i, t in enumerate(batch)}
+            assert fast.commit_slots == [position[t.uid] for t in ref.committed]
+            assert fast.abort_slots == [position[t.uid] for t in ref.aborted]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        # both sides of the cut-over, the cut-over itself, the full graph
+        st.one_of(
+            st.integers(1, N),
+            st.sampled_from([GATHER_MIN_BATCH - 1, GATHER_MIN_BATCH, N]),
+        ),
+        st.booleans(),
+    )
+    def test_equals_reference_across_the_cutover(self, seed, m, holes):
+        g = gnm_random(self.N, 6, seed=seed)
+        rng = np.random.default_rng(seed)
+        if holes:  # non-dense id space: CSR index != node id
+            for u in rng.choice(g.nodes(), size=25, replace=False):
+                g.remove_node(int(u))
+        nodes = g.nodes()
+        m = min(m, len(nodes))
+        policy = ExplicitGraphPolicy(g)
+        for call in range(3):
+            batch = self._batch(nodes, m, rng)
+            fast = policy.resolve_fast(batch, None)
+            self._assert_same(fast, policy.resolve(batch, None), batch)
+            # the first big batch meets a graph version not seen before
+            gathered = fast.commit_slots is not None
+            assert gathered == (call > 0 and m >= GATHER_MIN_BATCH)
+
+    def test_mutation_walks_once_then_gathers_again(self):
+        g = gnm_random(self.N, 6, seed=4)
+        rng = np.random.default_rng(4)
+        policy = ExplicitGraphPolicy(g)
+        batch = self._batch(g.nodes(), 200, rng)
+        policy.resolve_fast(batch, None)
+        before = policy.resolve_fast(batch, None)
+        assert before.commit_slots is not None
+        # an edge between the first two commits changes the answer
+        u, v = (t.payload for t in before.committed[:2])
+        g.add_edge(u, v)
+        walked = policy.resolve_fast(batch, None)
+        gathered = policy.resolve_fast(batch, None)
+        assert walked.commit_slots is None and gathered.commit_slots is not None
+        ref = policy.resolve(batch, None)
+        self._assert_same(walked, ref, batch)
+        self._assert_same(gathered, ref, batch)
+        assert [t.uid for t in ref.committed] != [t.uid for t in before.committed]
+        # a commit that removes its node: the survivors still resolve alike
+        g.remove_node(u)
+        rest = [t for t in batch if t.payload != u]
+        for _ in range(2):
+            self._assert_same(
+                policy.resolve_fast(rest, None), policy.resolve(rest, None), rest
+            )
+
+    @pytest.mark.parametrize("holes", [False, True])
+    def test_degenerate_batches_fall_back_with_reference_errors(self, holes):
+        g = gnm_random(self.N, 6, seed=9)
+        if holes:
+            g.remove_node(7)
+        rng = np.random.default_rng(9)
+        policy = ExplicitGraphPolicy(g)
+        good = self._batch(g.nodes(), 150, rng)
+        policy.resolve_fast(good, None)
+        assert policy.resolve_fast(good, None).commit_slots is not None  # warm
+
+        def outcome(resolve, batch):
+            try:
+                out = resolve(batch, None)
+            except ConflictDetectionError as exc:
+                return str(exc)
+            return [t.uid for t in out.committed], [t.uid for t in out.aborted]
+
+        for bad in (
+            good + [good[3]],  # the same task twice
+            good + [Task(payload=good[3].payload)],  # two tasks, one node
+            good + [Task(payload=7 if holes else 10**6)],  # removed / never existed
+            good + [Task(payload=-1)],
+            good + [Task(payload="zero")],
+            good + [Task(payload=2.0)],
+            good + [Task(payload=True)],
+        ):
+            assert outcome(policy.resolve_fast, bad) == outcome(policy.resolve, bad)
+        # the scratch array survived every fallback: a clean batch gathers
+        again = policy.resolve_fast(good, None)
+        assert again.commit_slots is not None
+        self._assert_same(again, policy.resolve(good, None), good)
 
 
 class TestEquivalenceOfPolicies:

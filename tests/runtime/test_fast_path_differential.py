@@ -47,6 +47,16 @@ N = 120
 SEED = 2011
 MAX_STEPS = 35
 
+
+@pytest.fixture(autouse=True)
+def _gather_at_every_batch_size(monkeypatch):
+    """The suite's graphs are far below the size where the explicit-graph
+    array path takes over from the walk; drop the cut-over so that
+    ``engine="fast"`` really runs the gather kernel here (on the
+    stationary workloads — morphing ones still walk, by graph version).
+    ``tests/runtime/test_conflict.py`` covers the cut-over itself."""
+    monkeypatch.setattr("repro.runtime.conflict.GATHER_MIN_BATCH", 1)
+
 WORKLOADS = {
     "gnm_replay": lambda select=None: ReplayGraphWorkload(
         gnm_random(N, 8, seed=SEED), select=select
@@ -108,9 +118,9 @@ class TestUnorderedDifferential:
 class TestIncrementalSelectDifferential:
     """The incremental selection backend must be invisible in every trace.
 
-    ``select="incremental"`` swaps the work-set onto :class:`ActiveSet`
-    and the conflict policy onto memoised CSR deltas; byte-identical
-    observability traces against the reference backend are the hard gate.
+    ``select="incremental"`` (the default) puts the work-set on
+    :class:`ActiveSet`; byte-identical observability traces against the
+    ``"workset"`` oracle are the hard gate.
     """
 
     @pytest.mark.parametrize("workload_key", sorted(WORKLOADS))
@@ -142,10 +152,10 @@ class TestSelectBackendSelection:
         from repro.runtime.core import resolve_select_backend
 
         monkeypatch.delenv("REPRO_SELECT", raising=False)
-        assert resolve_select_backend(None) == "workset"
-        monkeypatch.setenv("REPRO_SELECT", "incremental")
         assert resolve_select_backend(None) == "incremental"
-        assert resolve_select_backend("workset") == "workset"  # explicit wins
+        monkeypatch.setenv("REPRO_SELECT", "workset")
+        assert resolve_select_backend(None) == "workset"
+        assert resolve_select_backend("incremental") == "incremental"  # explicit wins
 
     def test_workload_builds_active_set_from_env(self, monkeypatch):
         from repro.runtime.active_set import ActiveSet
@@ -357,10 +367,10 @@ class TestEngineModeSelection:
 
     def test_env_var_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine_mode(None) == "reference"
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
         assert resolve_engine_mode(None) == "fast"
-        assert resolve_engine_mode("reference") == "reference"  # explicit wins
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
+        assert resolve_engine_mode(None) == "reference"
+        assert resolve_engine_mode("fast") == "fast"  # explicit wins
 
     def test_engine_records_mode(self):
         workload = ReplayGraphWorkload(gnm_random(20, 2, seed=0))

@@ -6,8 +6,7 @@ maximal-independent-set semantics exactly:
 * structural invariants on arbitrary (Hypothesis-generated) graphs and
   commit orders — the committed set is independent, and a slot aborts iff
   it has an earlier *committed* neighbour;
-* bit-equality with a transparent sequential reference walk, for both the
-  CC-graph kernel and the item-lock kernel;
+* bit-equality with a transparent sequential reference walk;
 * agreement with the paper's closed forms on ``K_d^n``: exactly one
   commit per touched clique, and Monte-Carlo means within a CI of
   :func:`repro.model.turan.em_kdn`.
@@ -27,9 +26,10 @@ from repro.graph.ccgraph import CCGraph
 from repro.graph.generators import gnm_random, union_of_cliques
 from repro.model.turan import em_kdn
 from repro.runtime.kernels import (
+    csr_conflict_pairs,
     greedy_commit_mask,
     greedy_commit_mask_batch,
-    greedy_lock_mask,
+    greedy_commit_mask_from_slots,
 )
 
 # ---------------------------------------------------------------------------
@@ -150,52 +150,30 @@ class TestGreedyCommitMask:
 
 
 # ---------------------------------------------------------------------------
-# greedy_lock_mask
+# csr_conflict_pairs
 # ---------------------------------------------------------------------------
 
 
-def reference_lock_mask(item_lists) -> np.ndarray:
-    held: set[int] = set()
-    mask = np.zeros(len(item_lists), dtype=bool)
-    for slot, items in enumerate(item_lists):
-        if not (set(items) & held):
-            held.update(items)
-            mask[slot] = True
-    return mask
-
-
-class TestGreedyLockMask:
+class TestCsrConflictPairs:
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.lists(
-                st.integers(min_value=0, max_value=15), max_size=5, unique=True
-            ),
-            max_size=20,
+    @given(graph_and_prefix())
+    def test_pairs_are_the_edges_inside_the_batch(self, case):
+        n, edges, prefix = case
+        indptr, indices = csr_from_edges(n, edges)
+        m = len(prefix)
+        pos = np.full(n, -1, dtype=np.int64)
+        pos[prefix] = np.arange(m, dtype=np.int64)
+        own, nbr = csr_conflict_pairs(indptr, indices, prefix, pos)
+        slot = {int(node): i for i, node in enumerate(prefix)}
+        want = sorted(
+            (max(slot[u], slot[v]), min(slot[u], slot[v]))
+            for u, v in edges
+            if u in slot and v in slot
         )
-    )
-    def test_matches_sequential_reference(self, item_lists):
-        flat = [code for items in item_lists for code in items]
-        item_ptr = np.zeros(len(item_lists) + 1, dtype=np.int64)
-        for i, items in enumerate(item_lists):
-            item_ptr[i + 1] = item_ptr[i] + len(items)
-        fast = greedy_lock_mask(
-            item_ptr, np.asarray(flat, dtype=np.int64), num_items=16
-        )
-        assert np.array_equal(fast, reference_lock_mask(item_lists))
-
-    def test_itemless_tasks_always_commit(self):
-        item_ptr = np.array([0, 0, 1, 1], dtype=np.int64)
-        codes = np.array([0], dtype=np.int64)
-        assert greedy_lock_mask(item_ptr, codes).tolist() == [True, True, True]
-
-    def test_rejects_bad_codes(self):
-        with pytest.raises(ValueError):
-            greedy_lock_mask(
-                np.array([0, 1], dtype=np.int64),
-                np.array([5], dtype=np.int64),
-                num_items=3,
-            )
+        assert sorted(zip(own.tolist(), nbr.tolist())) == want
+        # and they are what the slot-space kernel needs
+        mask = greedy_commit_mask_from_slots(own, nbr, m)
+        assert np.array_equal(mask, reference_commit_mask(edges, prefix))
 
 
 # ---------------------------------------------------------------------------

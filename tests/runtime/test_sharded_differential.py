@@ -209,6 +209,25 @@ class TestProcessBackedRuntime:
         api_run(config, graph=_graph(), seed=ENGINE_SEED, recorder=local_rec)
         assert pool_rec.to_jsonl() == local_rec.to_jsonl()
 
+    def test_run_sharded_defaults_to_config_seed(self):
+        # api.run(config) is seeded by config.seed; so is the pool
+        config = RunConfig(
+            workload="consuming",
+            rho=0.25,
+            m_max=64,
+            order="sharded:2",
+            max_steps=15,
+            seed=ENGINE_SEED,
+        )
+
+        def signature(**kwargs):
+            result = run_sharded(config, _graph(), **kwargs)
+            return len(result), result.total_committed, result.total_aborted
+
+        assert signature() == signature()
+        assert signature() == signature(seed=ENGINE_SEED)
+        assert signature(seed=ENGINE_SEED + 1) != signature()  # explicit seed= wins
+
     def test_one_shard_run_sharded_matches_unordered(self):
         config = RunConfig(
             workload="consuming",

@@ -5,6 +5,8 @@ random inputs and check only the *invariants* — the statements that must
 hold regardless of what the environment throws at them.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,23 +183,38 @@ class TestActiveSetMatchesModel:
         assert rng_ws.bit_generator.state == rng_model.bit_generator.state
 
 
-class TestConflictDeltaViewMatchesReference:
-    """Memoised CSR deltas == full reference resolution under morphs.
+class TestExplicitResolveFastUnderMorphs:
+    """Explicit-graph fast resolution == reference resolution under morphs.
 
     Arbitrary add_node / add_edge / remove_node / remove_edge sequences
-    interleaved with conflict resolutions: the delta-backed fast path
-    must partition every batch exactly like the reference walk.
+    interleaved with conflict resolutions: ``resolve_fast`` must
+    partition every batch exactly like the reference walk, whether the
+    morph before it sent it to the walk or the graph held still and it
+    gathered from the memoised CSR (the cut-over is dropped to 1 so the
+    small fuzz graphs reach the gather at all).
     """
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6), st.data())
-    def test_delta_resolution_equals_reference(self, seed, data):
+    def test_fast_resolution_equals_reference(self, seed, data):
         from repro.runtime.conflict import ExplicitGraphPolicy
 
         g = gnm_random(12, 3, seed=seed)
-        policy = ExplicitGraphPolicy(g, csr_deltas=True)
+        policy = ExplicitGraphPolicy(g)
         reference = ExplicitGraphPolicy(g)
         rng = np.random.default_rng(seed)
+        gathers = 0
+
+        def check(batch):
+            nonlocal gathers
+            ref = reference.resolve(batch, operator=None)
+            # twice: the call after a morph walks, the next one gathers
+            for _ in range(2):
+                fast = policy.resolve_fast(batch, operator=None)
+                gathers += fast.commit_slots is not None
+                assert [t.uid for t in fast.committed] == [t.uid for t in ref.committed]
+                assert [t.uid for t in fast.aborted] == [t.uid for t in ref.aborted]
+
         ops = data.draw(
             st.lists(
                 st.sampled_from(
@@ -207,40 +224,30 @@ class TestConflictDeltaViewMatchesReference:
                 max_size=50,
             )
         )
-        for op in ops:
-            nodes = list(g.nodes())
-            if op == "add_node":
-                new = g.add_node()
-                if nodes and data.draw(st.booleans()):
-                    g.add_edge(new, int(rng.choice(nodes)))
-            elif op == "add_edge" and len(nodes) >= 2:
-                u, v = rng.choice(nodes, size=2, replace=False)
-                g.add_edge(int(u), int(v))
-            elif op == "remove_node" and len(nodes) > 2:
-                g.remove_node(int(rng.choice(nodes)))
-            elif op == "remove_edge":
-                edges = [(u, v) for u in nodes for v in g.neighbors(u) if u < v]
-                if edges:
-                    u, v = edges[int(rng.integers(0, len(edges)))]
-                    g.remove_edge(u, v)
-            else:  # resolve on a random batch of distinct live nodes
-                if not nodes:
-                    continue
-                m = int(rng.integers(1, len(nodes) + 1))
-                picks = rng.choice(nodes, size=m, replace=False)
-                batch = [Task(payload=int(p)) for p in picks]
-                fast = policy.resolve_fast(batch, operator=None)
-                ref = reference.resolve(batch, operator=None)
-                assert [t.uid for t in fast.committed] == [t.uid for t in ref.committed]
-                assert [t.uid for t in fast.aborted] == [t.uid for t in ref.aborted]
-        # one final resolution so op mixes ending in morphs are covered too
-        nodes = list(g.nodes())
-        if nodes:
-            batch = [Task(payload=int(p)) for p in nodes]
-            fast = policy.resolve_fast(batch, operator=None)
-            ref = reference.resolve(batch, operator=None)
-            assert [t.uid for t in fast.committed] == [t.uid for t in ref.committed]
-            assert [t.uid for t in fast.aborted] == [t.uid for t in ref.aborted]
+        with mock.patch("repro.runtime.conflict.GATHER_MIN_BATCH", 1):
+            for op in ops:
+                nodes = list(g.nodes())
+                if op == "add_node":
+                    new = g.add_node()
+                    if nodes and data.draw(st.booleans()):
+                        g.add_edge(new, int(rng.choice(nodes)))
+                elif op == "add_edge" and len(nodes) >= 2:
+                    u, v = rng.choice(nodes, size=2, replace=False)
+                    g.add_edge(int(u), int(v))
+                elif op == "remove_node" and len(nodes) > 2:
+                    g.remove_node(int(rng.choice(nodes)))
+                elif op == "remove_edge":
+                    edges = [(u, v) for u in nodes for v in g.neighbors(u) if u < v]
+                    if edges:
+                        u, v = edges[int(rng.integers(0, len(edges)))]
+                        g.remove_edge(u, v)
+                elif nodes:  # resolve a random batch of distinct live nodes
+                    m = int(rng.integers(1, len(nodes) + 1))
+                    picks = rng.choice(nodes, size=m, replace=False)
+                    check([Task(payload=int(p)) for p in picks])
+            # one final resolution so op mixes ending in morphs are covered too
+            check([Task(payload=int(p)) for p in g.nodes()])
+        assert gathers  # the array path really ran
 
 
 class TestWindowedTakeMatchesModel:
