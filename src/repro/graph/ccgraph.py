@@ -308,7 +308,15 @@ class CCGraph:
         return frozenset(neigh)
 
     def nodes(self) -> list[int]:
-        """Current node ids (insertion order)."""
+        """Current node ids, in insertion order.
+
+        Removing a node keeps the order of the rest and :meth:`add_node`
+        appends, so — ids being handed out by a counter and never
+        reused — insertion order is ascending-id order for every graph
+        built through :meth:`add_node` (all generators, :meth:`from_edges`,
+        :meth:`copy`).  The one exception is :meth:`induced_subgraph`,
+        which keeps the ids but lists them in a set's order.
+        """
         return list(self._adj)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -340,7 +348,7 @@ class CCGraph:
         return g
 
     def induced_subgraph(self, nodes: Iterable[int]) -> "CCGraph":
-        """Subgraph induced by *nodes*; ids are preserved."""
+        """Subgraph induced by *nodes*; ids are preserved, :meth:`nodes` order is not."""
         keep = set(nodes)
         missing = keep - self._adj.keys()
         if missing:

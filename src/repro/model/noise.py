@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.stats import norm
-
 from repro.errors import ModelError
 
 __all__ = [
@@ -67,6 +65,8 @@ def false_trigger_probability(
     sigma = window_std(rho, m, period)
     if sigma == 0.0:
         return 0.0
+    from scipy.stats import norm  # deferred: costs 0.75 s that run() never needs
+
     return float(2.0 * norm.cdf(-alpha * rho / sigma))
 
 
@@ -78,6 +78,8 @@ def suggest_deadband(rho: float, m: int, period: int, trigger_rate: float = 0.1)
     if not 0.0 < trigger_rate < 1.0:
         raise ModelError(f"trigger rate must be in (0,1), got {trigger_rate}")
     sigma = window_std(rho, m, period)
+    from scipy.stats import norm  # deferred, see false_trigger_probability
+
     z = float(norm.ppf(1.0 - trigger_rate / 2.0))
     return z * sigma / rho
 
@@ -94,6 +96,8 @@ def suggest_period(
         raise ModelError(f"max dead-band must be positive, got {max_deadband}")
     if not 0.0 < trigger_rate < 1.0:
         raise ModelError(f"trigger rate must be in (0,1), got {trigger_rate}")
+    from scipy.stats import norm  # deferred, see false_trigger_probability
+
     z = float(norm.ppf(1.0 - trigger_rate / 2.0))
     t = (z / (max_deadband * rho)) ** 2 * rho * (1.0 - rho) / max(m, 1)
     return min(max(math.ceil(t), 1), 64)

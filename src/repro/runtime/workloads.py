@@ -23,6 +23,9 @@ Each workload exposes ``workset``, ``operator`` and ``policy`` and a
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import islice
+from operator import lt
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -195,6 +198,28 @@ class RegeneratingGraphWorkload(GraphWorkloadBase):
     The committed node is removed and a new node inserted with edges to
     ``target_degree`` uniformly random survivors, so both ``n`` and the
     average degree stay approximately constant while the topology churns.
+
+    **Cost per commit.**  The survivors a fresh node may attach to are
+    ``graph.nodes()`` minus the node itself, indexed by one
+    ``rng.choice(len(survivors), size=k, replace=False)`` draw.  The
+    workload keeps that list itself instead of asking the graph for it:
+    a commit deletes the committed id (``bisect`` + ``del``: O(log n)
+    comparisons and a C ``memmove`` of the tail) and appends the fresh
+    one, so its Python-level work is O(log n + target_degree) where a
+    ``graph.nodes()`` scan is O(n).
+
+    **Order contract.**  This relies on :meth:`CCGraph.nodes` returning
+    insertion order, on removal keeping the order of the rest, and on
+    ``add_node`` appending an id larger than every id before it.  The
+    list is trusted only while ``graph.version`` is the value this
+    workload left it at; any other writer (a step hook, a test, a second
+    workload on the same graph) makes the next commit rebuild it from
+    ``graph.nodes()``.  ``bisect`` is used only when the rebuild found
+    the ids ascending — true for every generator and ``add_node``-built
+    graph, not for :meth:`CCGraph.induced_subgraph`, whose order is a
+    set's — otherwise the committed id is located by an exact scan.
+    Either way the picks, the graph and the generator state after every
+    commit are those of the ``graph.nodes()`` scan.
     """
 
     def __init__(
@@ -211,15 +236,29 @@ class RegeneratingGraphWorkload(GraphWorkloadBase):
         super().__init__(graph, select=select, workset=workset)
         self.target_degree = target_degree
         self._rng: np.random.Generator = ensure_rng(seed)
+        # graph.nodes() as of graph version _live_version (built on the
+        # first commit; no version is negative)
+        self._live: list[int] = []
+        self._live_ascending = False
+        self._live_version = -1
 
     def on_commit(self, task: Task) -> list[Task]:
         g = self.graph
-        g.remove_node(task.payload)
+        if self._live_version != g.version:
+            self._live = live = g.nodes()
+            self._live_ascending = all(map(lt, live, islice(live, 1, None)))
+        else:
+            live = self._live
+        old = task.payload
+        g.remove_node(old)
+        at = bisect_left(live, old) if self._live_ascending else live.index(old)
+        del live[at]
         new = g.add_node()
-        candidates = [u for u in g.nodes() if u != new]
-        if candidates:
-            k = min(self.target_degree, len(candidates))
-            picks = self._rng.choice(len(candidates), size=k, replace=False)
-            for i in picks:
-                g.add_edge(new, candidates[int(i)])
+        if live:
+            k = min(self.target_degree, len(live))
+            picks = self._rng.choice(len(live), size=k, replace=False)
+            for i in picks.tolist():
+                g.add_edge(new, live[i])
+        live.append(new)
+        self._live_version = g.version
         return [Task(payload=new)]

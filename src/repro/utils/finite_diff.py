@@ -15,10 +15,10 @@ which the tests cross-check against the recursive definition.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
-from scipy.special import comb
 
 __all__ = [
     "forward_difference",
@@ -65,7 +65,7 @@ def binomial_difference(f: Callable[[int], float], k: int, order: int = 1) -> fl
         raise ValueError(f"difference order must be >= 0, got {order}")
     total = 0.0
     for j in range(order + 1):
-        total += (-1) ** (order - j) * comb(order, j, exact=True) * f(k + j)
+        total += (-1) ** (order - j) * math.comb(order, j) * f(k + j)
     return float(total)
 
 

@@ -132,6 +132,30 @@ class TestDerivedStructures:
         with pytest.raises(NodeNotFoundError):
             small_graph.induced_subgraph([0, 99])
 
+    def test_nodes_order_is_ascending_under_add_and_remove(self, medium_random_graph):
+        """The contract ``RegeneratingGraphWorkload`` keeps its id list by:
+        removal keeps the order of the rest, ``add_node`` appends the
+        largest id so far, ``copy`` keeps the order."""
+        g = medium_random_graph
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            ids = g.nodes()
+            gone = int(rng.choice(ids))
+            g.remove_node(gone)
+            ids.remove(gone)
+            assert g.nodes() == ids
+            new = g.add_node()
+            assert new > max(ids)
+            assert g.nodes() == ids + [new] == sorted(g.nodes()) == g.copy().nodes()
+
+    def test_induced_subgraph_keeps_ids_and_the_id_counter(self, medium_random_graph):
+        """Only the *set* of ids is promised: they come out in a set's
+        order, ascending by accident if at all."""
+        keep = set(medium_random_graph.nodes()[::3])
+        sub = medium_random_graph.induced_subgraph(keep)
+        assert set(sub.nodes()) == keep
+        assert sub.add_node() == medium_random_graph.add_node()  # ids still never reused
+
     def test_snapshot_matches_graph(self, medium_random_graph):
         g = medium_random_graph
         snap = g.snapshot()

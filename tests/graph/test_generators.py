@@ -189,3 +189,30 @@ class TestRandomFamilies:
         d = min(d, n - 1)
         g = gnm_random(n, d, seed=0)
         assert g.num_edges == int(round(n * d / 2))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        empty_graph(7),
+        complete_graph(6),
+        path_graph(9),
+        cycle_graph(9),
+        grid_graph(3, 4),
+        union_of_cliques(3, 4),
+        kdn_worst_case(12, 3),
+        clique_plus_isolated(4, 5),
+        gnm_random(30, 4, seed=1),
+        gnp_random(30, 0.2, seed=2),
+        random_regular(20, 3, seed=3),
+        random_geometric(30, 0.3, seed=4),
+        powerlaw_graph(30, 2, seed=5),
+    ],
+    ids=[
+        "empty", "complete", "path", "cycle", "grid", "cliques", "kdn",
+        "clique_plus_isolated", "gnm", "gnp", "regular", "geometric", "powerlaw",
+    ],
+)
+def test_every_generator_lists_nodes_in_ascending_id_order(graph):
+    """``CCGraph.nodes()`` contract: insertion order == ascending ids."""
+    assert graph.nodes() == list(range(graph.num_nodes))

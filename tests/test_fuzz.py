@@ -382,6 +382,34 @@ class TestRelaxedOrderOnMorphingGraphs:
         assert trace("fast") == trace("reference")
 
 
+class TestRegeneratingCommitMatchesScanUnderMorphs:
+    """Morph fuzz for the regenerating workload's live-id list.
+
+    Arbitrary interleavings of commits and outside mutations, on graphs
+    with ascending and with set-ordered ids: after every commit the
+    graph, the new task and the generator state equal the O(n)
+    ``graph.nodes()`` scan's (``tests/runtime/test_workloads.py``).
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(0, 12),
+        st.booleans(),
+        st.lists(st.integers(0, 3), min_size=1, max_size=60),
+    )
+    def test_equal_after_every_commit(self, seed, target_degree, unordered, script):
+        from tests.runtime.test_workloads import ScanDifferential, unordered_graph
+
+        graph = unordered_graph(seed=seed % 50) if unordered else gnm_random(12, 3, seed=seed)
+        diff = ScanDifferential(graph, target_degree, seed=seed)
+        rng = np.random.default_rng(seed)
+        for mutations in script:
+            for _ in range(mutations):
+                diff.mutate(rng)
+            diff.commit(int(rng.choice(diff.graph.nodes())))
+
+
 class TestAnalyticKernelStability:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 50), st.floats(0.0, 5.0), st.integers(0, 10**6))

@@ -1,0 +1,46 @@
+"""Start-up cost guard: scipy must stay off the import and run() paths.
+
+``import scipy.stats`` is ~0.75 s of what used to be a 1 s ``import
+repro`` (and ~130 MiB of RSS); the two call sites that need scipy
+(``model.noise``'s normal quantiles, the max-flow oracle) import it where
+they use it.  Each case runs in a fresh interpreter, because this test
+process has long since imported scipy through other tests.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+RUN = """
+from repro import RunConfig
+from repro.api import run
+from repro.graph.generators import gnm_random
+result = run(RunConfig(workload={workload!r}, controller="hybrid", m_max=32,
+                       max_steps=20, seed=1), graph={graph})
+assert result.total_committed > 0
+"""
+
+CASES = {
+    "import": "",
+    "replay": RUN.format(workload="replay", graph="gnm_random(200, 4, seed=1)"),
+    "regenerating": RUN.format(workload="regenerating", graph="gnm_random(200, 4, seed=1)"),
+    "maxflow": RUN.format(workload="maxflow:40", graph="None"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_scipy_is_not_imported(case):
+    code = "import sys, repro\n" + CASES[case] + "sys.exit('scipy' in sys.modules)\n"
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), inherited]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, (
+        f"scipy was imported (or the run failed) in case {case!r}:\n{done.stderr}"
+    )
