@@ -25,7 +25,7 @@ def apps_result():
 def _boruvka_run():
     g = random_weighted_graph(400, 8, seed=11)
     app = BoruvkaMST(g)
-    app.build_engine(HybridController(0.25), seed=12).run(max_steps=6000)
+    app.make_engine(HybridController(0.25), seed=12).run(max_steps=6000)
     return app
 
 

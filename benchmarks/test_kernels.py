@@ -13,6 +13,7 @@ from repro.control.hybrid import HybridController
 from repro.graph.generators import gnm_random
 from repro.model.permutation import PrefixSampler
 from repro.runtime.workloads import ReplayGraphWorkload
+from repro.testing.oracles import reference_paths
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +68,7 @@ def test_boruvka_throughput(benchmark):
 
     def run():
         app = BoruvkaMST(random_weighted_graph(500, 8, seed=5))
-        app.build_engine(FixedController(32), seed=6).run(max_steps=10**5)
+        app.make_engine(FixedController(32), seed=6).run(max_steps=10**5)
         return app
 
     app = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -82,7 +83,7 @@ def test_ordered_engine_throughput(benchmark):
 
     def run():
         sim = DiscreteEventSimulation(net, num_jobs=40, end_time=15.0, seed=8)
-        return sim.build_engine(FixedController(8), seed=9).run(max_steps=10**6)
+        return sim.make_engine(FixedController(8), seed=9).run(max_steps=10**6)
 
     res = benchmark.pedantic(run, rounds=3, iterations=1)
     assert res.total_committed > 0
@@ -257,15 +258,16 @@ def test_resolve_reference_throughput(benchmark):
 
 
 def test_full_engine_fast_vs_reference_step():
-    """End-to-end sanity: one fast engine step is never slower than 1x ref."""
+    """End-to-end sanity: one default step is never slower than a reference-walk step."""
     graph = gnm_random(5000, 8, seed=21)
 
-    def steps(mode):
+    def steps():
         wl = ReplayGraphWorkload(graph.copy())
-        engine = wl.build_engine(FixedController(2500), seed=3, engine=mode)
+        engine = wl.build_engine(FixedController(2500), seed=3)
         engine.step()  # warm caches and JIT-able paths
         return _best_of(lambda: engine.step(), repeats=3)
 
-    t_ref = steps("reference")
-    t_fast = steps("fast")
+    with reference_paths():
+        t_ref = steps()
+    t_fast = steps()
     assert t_fast <= t_ref  # the full step includes shared overhead

@@ -87,7 +87,7 @@ def _gate_graph():
 
 
 def _build_engine(graph, instrumented: bool, profiler=None):
-    """A fast engine over *graph*; the instrumented one binds all channels.
+    """An engine over *graph*; the instrumented one binds all channels.
 
     Engines capture the active recorder/registry/profiler at construction,
     so the channels only need to be globally active while this runs.
@@ -98,7 +98,7 @@ def _build_engine(graph, instrumented: bool, profiler=None):
         activate_profiler(profiler)
     try:
         wl = ReplayGraphWorkload(graph.copy())
-        return wl.build_engine(FixedController(GATE_M), seed=3, engine="fast")
+        return wl.build_engine(FixedController(GATE_M), seed=3)
     finally:
         if instrumented:
             deactivate()
@@ -278,7 +278,7 @@ def test_sampled_profiling_cuts_span_cost():
     graph = gnm_random(1000, 8, seed=5)
     with profiling(sample_every=10) as profiler:
         wl = ReplayGraphWorkload(graph.copy())
-        engine = wl.build_engine(FixedController(200), seed=3, engine="fast")
+        engine = wl.build_engine(FixedController(200), seed=3)
         for _ in range(100):
             engine.step()
     report = profile_report(profiler)

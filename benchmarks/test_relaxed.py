@@ -77,7 +77,6 @@ def _loop_case(order: str):
         controller=FixedController(LOOP_M),
         order=_order_policy(order),
         seed=ENGINE_SEED,
-        engine="fast",
     )
     times = []
     for _ in range(LOOP_STEPS):
@@ -155,7 +154,6 @@ def _graph_case(order: str):
         controller=FixedController(GRAPH_M),
         order=_order_policy(order, conflict_policy=workload.policy),
         seed=ENGINE_SEED,
-        engine="fast",
         profiler=profiler,
     )
     result = engine.run(max_steps=GRAPH_STEPS)

@@ -19,10 +19,9 @@ smaller boxes — including single-core dev containers — still run
 everything and record ``gate_enforced: false``, so the artifact is
 always produced.
 
-Both legs run ``engine="reference"`` — the per-node Python walk is the
-single-worker engine the pool's workers actually parallelise; the fast
-vectorised kernels are a different (in-process) answer to the same
-problem and are benchmarked by ``benchmarks/test_kernels.py``.
+Both legs run the default path: the single-worker baseline resolves with
+the in-process array kernels, which is the engine the pool has to beat
+(ROADMAP: "Sharding: measure it honestly", step 1).
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ def _config(shards: int) -> RunConfig:
         m=FIXED_M,
         order=f"sharded:{shards}",
         max_steps=STEPS,
-        engine="reference",
     )
 
 

@@ -2,13 +2,13 @@
 
 ``BENCH_obs.json`` attributed ~73% of step wall-clock to ``select``: the
 kernels had won ``resolve``/``commit``, but every step still paid a
-per-task Python loop of scalar RNG draws.  The incremental backend
-(``select="incremental"``, the default) batches the draws through one
-vectorised kernel call (:class:`~repro.runtime.active_set.ActiveSet`).
+per-task Python loop of scalar RNG draws.  The incremental work-set
+(:class:`~repro.runtime.active_set.ActiveSet`, every workload's default)
+batches the draws through one vectorised kernel call.
 
 This gate runs the BENCH_obs case (gnm_random(5000, d=8), m=2500, 120
-replay steps) three ways — reference engine + reference work-set, fast
-engine + reference work-set, fast engine + incremental backend — checks
+replay steps) three ways — ``reference_paths()`` + ``RandomWorkset``,
+default resolution + ``RandomWorkset``, and the default path — checks
 the three step-stat sequences are *identical* (bit-parity is the
 precondition for comparing their clocks), writes per-phase medians to
 ``BENCH_steps.json`` at the repo root, and fails if the end-to-end median
@@ -16,7 +16,7 @@ step speedup of the incremental backend over the full reference path
 drops below :data:`GATE_MIN_STEP_SPEEDUP`.
 
 A second, ungated case runs a morphing (regenerating) workload on both
-backends and checks that the fast engine never builds a CSR view of a
+work-sets and checks that the engine never builds a CSR view of a
 graph that changes every step: such a view would be rebuilt for every
 single use, so those steps resolve with the per-task walk.  The workload's
 own commit is O(log n + d) (it keeps its survivor list instead of scanning
@@ -33,6 +33,8 @@ from pathlib import Path
 from repro.control.fixed import FixedController
 from repro.graph.generators import gnm_random
 from repro.runtime.workloads import RegeneratingGraphWorkload, ReplayGraphWorkload
+from repro.runtime.workset import RandomWorkset
+from repro.testing.oracles import reference_paths
 
 #: end-to-end floor: median reference step time / median incremental step
 #: time on the BENCH_obs case; the select rework targets >= 5x
@@ -45,12 +47,12 @@ GRAPH_SEED, ENGINE_SEED = 17, 3
 MORPH_N, MORPH_D, MORPH_M, MORPH_STEPS = 2000, 8, 500, 60
 
 
-def _replay_case(engine_mode: str, select: str):
+def _replay_case(oracle_workset: bool):
     graph = gnm_random(GATE_N, GATE_D, seed=GRAPH_SEED)
-    workload = ReplayGraphWorkload(graph, select=select)
-    engine = workload.build_engine(
-        FixedController(GATE_M), seed=ENGINE_SEED, engine=engine_mode
+    workload = ReplayGraphWorkload(
+        graph, workset=RandomWorkset() if oracle_workset else None
     )
+    engine = workload.build_engine(FixedController(GATE_M), seed=ENGINE_SEED)
     times = []
     for _ in range(GATE_STEPS):
         t0 = time.perf_counter()
@@ -59,7 +61,7 @@ def _replay_case(engine_mode: str, select: str):
     return times, [s.as_dict() for s in engine.result.steps]
 
 
-def _best_median(engine_mode: str, select: str, repeats: int = 2):
+def _best_median(oracle_workset: bool, repeats: int = 2):
     """Least-noise estimate: the best median over *repeats* full runs.
 
     The runs are seeded identically, so repeats are byte-for-byte the
@@ -68,7 +70,7 @@ def _best_median(engine_mode: str, select: str, repeats: int = 2):
     """
     best, steps = float("inf"), None
     for _ in range(repeats):
-        times, run_steps = _replay_case(engine_mode, select)
+        times, run_steps = _replay_case(oracle_workset)
         assert steps is None or run_steps == steps  # repeats are identical
         steps = run_steps
         best = min(best, statistics.median(times))
@@ -77,9 +79,10 @@ def _best_median(engine_mode: str, select: str, repeats: int = 2):
 
 def test_step_speedup_gate():
     """incremental >= 5x reference per median step; bit-parity enforced."""
-    med_ref, ref_steps = _best_median("reference", "workset")
-    med_fast, fast_steps = _best_median("fast", "workset")
-    med_inc, inc_steps = _best_median("fast", "incremental")
+    with reference_paths():
+        med_ref, ref_steps = _best_median(oracle_workset=True)
+    med_fast, fast_steps = _best_median(oracle_workset=True)
+    med_inc, inc_steps = _best_median(oracle_workset=False)
 
     # bit-parity precondition: all three paths ran the same computation
     assert fast_steps == ref_steps
@@ -120,16 +123,14 @@ def test_step_speedup_gate():
 
 
 def test_morphing_workload_builds_no_csr():
-    """On a graph that morphs every step the fast engine walks; no CSR."""
+    """On a graph that morphs every step the engine walks; no CSR."""
 
-    def run(select):
+    def run(workset):
         graph = gnm_random(MORPH_N, MORPH_D, seed=GRAPH_SEED)
         workload = RegeneratingGraphWorkload(
-            graph, target_degree=MORPH_D, seed=7, select=select
+            graph, target_degree=MORPH_D, seed=7, workset=workset
         )
-        engine = workload.build_engine(
-            FixedController(MORPH_M), seed=ENGINE_SEED, engine="fast"
-        )
+        engine = workload.build_engine(FixedController(MORPH_M), seed=ENGINE_SEED)
         times = []
         for _ in range(MORPH_STEPS):
             t0 = time.perf_counter()
@@ -137,8 +138,8 @@ def test_morphing_workload_builds_no_csr():
             times.append(time.perf_counter() - t0)
         return times, [s.as_dict() for s in engine.result.steps], graph
 
-    ref_times, ref_steps, _ = run("workset")
-    inc_times, inc_steps, graph = run("incremental")
+    ref_times, ref_steps, _ = run(RandomWorkset())
+    inc_times, inc_steps, graph = run(None)
     assert inc_steps == ref_steps  # backend invisible on morphing graphs too
 
     # any mutation invalidates a snapshot, so one built here would have

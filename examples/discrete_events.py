@@ -35,7 +35,7 @@ def main() -> None:
         ("hybrid (rho=30%)", HybridController(0.30)),
     ]:
         sim = DiscreteEventSimulation(network, num_jobs=60, end_time=30.0, seed=SEED + 1)
-        engine = sim.build_engine(controller, seed=SEED + 2)
+        engine = sim.make_engine(controller, seed=SEED + 2)
         result = engine.run(max_steps=10**7)
         assert sim.history == reference, "optimistic run diverged from the oracle!"
         rows.append(

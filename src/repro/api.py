@@ -20,7 +20,6 @@ thin wrappers over :func:`run`.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Iterable
 
 from repro.config import RunConfig
@@ -36,11 +35,11 @@ from repro.registry import (
     order_family,
     parse_order_spec,
     parse_workload_spec,
-    select_backend_for,
     workload_is_self_building,
     workset_for,
 )
 from repro.runtime.core import Engine
+from repro.runtime.engine import OptimisticEngine
 from repro.runtime.ordered import OrderedEngine, PriorityWorkset
 from repro.runtime.stats import RunResult
 from repro.runtime.task import Operator, Task
@@ -55,39 +54,16 @@ def _wrap_tasks(items: Iterable[object]) -> list[Task]:
 def _coerce_config(config) -> RunConfig:
     if isinstance(config, RunConfig):
         return config
-    if isinstance(config, str):
-        warnings.warn(
-            "passing a bare experiment name to repro.api.run is deprecated; "
-            f"use run(RunConfig(experiment={config!r}))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return RunConfig(experiment=config)
     if isinstance(config, dict):
         return RunConfig.from_dict(config)
     raise ConfigError(
-        f"run() takes a RunConfig, a config dict, or an experiment name, "
-        f"got {type(config).__name__}"
+        f"run() takes a RunConfig or a config dict, got {type(config).__name__}"
     )
 
 
 def _controller_for(config: RunConfig, controller: "Controller | None") -> Controller:
     return controller if controller is not None else CONTROLLERS.create(
         config.controller, config
-    )
-
-
-def _order_engine(config, order, workset, operator, controller, seed, recorder, metrics):
-    """Core :class:`Engine` over an explicit commit-order policy."""
-    return Engine(
-        workset=workset,
-        operator=operator,
-        controller=controller,
-        order=order,
-        seed=seed,
-        recorder=recorder,
-        metrics=metrics,
-        engine=config.engine,
     )
 
 
@@ -142,9 +118,8 @@ def run(
     third party has :func:`repro.register`-ed is accepted.  An explicit
     *controller* instance overrides ``config.controller``; an explicit
     *seed* (which, unlike ``config.seed``, may be a
-    ``numpy.random.Generator``) overrides ``config.seed``.  For backward
-    compatibility *config* may be a bare experiment-name string
-    (deprecated) or a config dict.
+    ``numpy.random.Generator``) overrides ``config.seed``.  *config* may
+    also be a config dict (:meth:`RunConfig.from_dict` input).
     """
     config = _coerce_config(config)
     seed = seed if seed is not None else config.seed
@@ -201,27 +176,21 @@ def run(
             order = ORDER_POLICIES.create(
                 name, conflict_policy=workload.policy, **kwargs
             )
-            engine = _order_engine(
-                config,
-                order,
-                workload.workset,
-                workload.operator,
-                _controller_for(config, controller),
-                seed,
-                recorder,
-                metrics,
+            engine = Engine(
+                workset=workload.workset,
+                operator=workload.operator,
+                controller=_controller_for(config, controller),
+                order=order,
+                seed=seed,
+                recorder=recorder,
+                metrics=metrics,
             )
         else:
-            # make_engine is the non-deprecated workload protocol; fall
-            # back to build_engine for third-party workloads predating it
-            make = getattr(workload, "make_engine", None)
-            builder = make if make is not None else workload.build_engine
-            engine = builder(
+            engine = workload.make_engine(
                 _controller_for(config, controller),
                 seed=seed,
                 recorder=recorder,
                 metrics=metrics,
-                engine=config.engine,
             )
         result = engine.run(max_steps=config.max_steps)
         if record_workload is not None:
@@ -248,6 +217,14 @@ def run(
             for prio, item in pairs:
                 task = item if isinstance(item, Task) else Task(payload=item)
                 workset.add(task, float(prio))
+            common = dict(
+                workset=workset,
+                operator=operator,
+                controller=_controller_for(config, controller),
+                seed=seed,
+                recorder=recorder,
+                metrics=metrics,
+            )
             if order_spec is not None:
                 # conflict_policy stays None: task loops keep the
                 # historical greedy item-lock over operator
@@ -256,69 +233,36 @@ def run(
                 order = ORDER_POLICIES.create(
                     order_name, priority_of=priority_of, **order_kwargs
                 )
-                engine = _order_engine(
-                    config,
-                    order,
-                    workset,
-                    operator,
-                    _controller_for(config, controller),
-                    seed,
-                    recorder,
-                    metrics,
-                )
+                engine = Engine(order=order, **common)
             else:
-                engine = OrderedEngine(
-                    workset=workset,
-                    operator=operator,
-                    controller=_controller_for(config, controller),
-                    priority_of=priority_of,
-                    seed=seed,
-                    recorder=recorder,
-                    metrics=metrics,
-                    engine=config.engine,
-                )
+                engine = OrderedEngine(priority_of=priority_of, **common)
             return engine.run(max_steps=config.max_steps)
         tasks = _wrap_tasks(initial)
         if not tasks:
             raise ReproError("for_each needs at least one initial task")
-        if order_spec is not None:
-            if family == "priority":
-                raise ConfigError(
-                    f"order={order_spec!r} ranks tasks by priority; pass "
-                    "priority_of= and (priority, payload) initial pairs"
-                )
-            workset = workset_for(config)
-            workset.add_all(tasks)
-            order = ORDER_POLICIES.create(
-                order_name,
-                conflict_policy=CONFLICT_POLICIES.create(config.conflict, config),
-                **order_kwargs,
+        if order_spec is not None and family == "priority":
+            raise ConfigError(
+                f"order={order_spec!r} ranks tasks by priority; pass "
+                "priority_of= and (priority, payload) initial pairs"
             )
-            engine = _order_engine(
-                config,
-                order,
-                workset,
-                operator,
-                _controller_for(config, controller),
-                seed,
-                recorder,
-                metrics,
-            )
-            return engine.run(max_steps=config.max_steps)
-        workset = select_backend_for(config)
+        workset = workset_for(config)
         workset.add_all(tasks)
-        from repro.runtime.engine import OptimisticEngine
-
-        engine = OptimisticEngine(
+        conflict = CONFLICT_POLICIES.create(config.conflict, config)
+        common = dict(
             workset=workset,
             operator=operator,
-            policy=CONFLICT_POLICIES.create(config.conflict, config),
             controller=_controller_for(config, controller),
             seed=seed,
             recorder=recorder,
             metrics=metrics,
-            engine=config.engine,
         )
+        if order_spec is not None:
+            order = ORDER_POLICIES.create(
+                order_name, conflict_policy=conflict, **order_kwargs
+            )
+            engine = Engine(order=order, **common)
+        else:
+            engine = OptimisticEngine(policy=conflict, **common)
         return engine.run(max_steps=config.max_steps)
 
     raise ConfigError(

@@ -27,9 +27,9 @@ import numpy as np
 from repro.errors import ApplicationError
 from repro.graph.ccgraph import CCGraph
 from repro.graph.generators import union_of_cliques
+from repro.runtime.active_set import ActiveSet
 from repro.runtime.conflict import BatchOutcome, ConflictPolicy
 from repro.runtime.task import Operator, Task
-from repro.runtime.workset import RandomWorkset
 
 from typing import TYPE_CHECKING
 
@@ -193,12 +193,11 @@ class ScheduledReplayWorkload:
         self.graph = self.phases[0].graph
         self.operator: Operator = _ReplayOperator(self)
         self.policy: ConflictPolicy = _DelegatingGraphPolicy(self)
-        self.workset = RandomWorkset()
         self.transitions: list[int] = []  # engine steps where phases switched
         self._fill_workset()
 
     def _fill_workset(self) -> None:
-        self.workset = RandomWorkset()
+        self.workset = ActiveSet()
         for node in self.graph.nodes():
             self.workset.add(Task(payload=node))
 
@@ -224,13 +223,6 @@ class ScheduledReplayWorkload:
 
     def build_engine(self, controller, seed=None) -> "OptimisticEngine":
         """Engine whose work-set and conflicts follow the schedule."""
-        from repro.runtime.engine import OptimisticEngine
+        from repro.runtime.engine import make_engine
 
-        return OptimisticEngine(
-            workset=self.workset,
-            operator=self.operator,
-            policy=self.policy,
-            controller=controller,
-            seed=seed,
-            step_hook=self._advance,
-        )
+        return make_engine(self, controller, seed=seed, step_hook=self._advance)

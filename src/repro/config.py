@@ -33,8 +33,9 @@ from repro.utils.rng import derive_seed
 
 __all__ = ["RunConfig", "SweepConfig"]
 
-#: engine modes a config may pin (``None`` defers to ``REPRO_ENGINE``)
-_ENGINE_MODES = ("reference", "fast")
+#: removed fields that older serialised configs still carry; a ``null``
+#: value loads (it meant "the default path"), anything else raises
+_REMOVED_FIELDS = ("engine", "select")
 #: config payload layout version (bump on incompatible change)
 CONFIG_SCHEMA = 1
 
@@ -97,23 +98,6 @@ class RunConfig:
     m_min, m_max:
         Allocation clamp range; ``m_min=None`` keeps each controller's
         own default.
-    engine:
-        ``None`` (the default) defers to the ``REPRO_ENGINE``
-        environment variable and, unset, runs ``"fast"``: array kernels
-        where they beat the per-task walk, the walk everywhere else.
-        ``"reference"`` always walks — the oracle the differential suite
-        compares against, not a production setting.
-    select:
-        Registered selection-backend name for the work-set, or ``None``
-        (the default) to defer to the ``REPRO_SELECT`` environment
-        variable and, unset, use ``"incremental"`` (the dense active
-        set).  ``"workset"`` is the scalar reference sampler, kept as
-        the differential suite's oracle; both are bit-identical under
-        the same seed.  Third-party names registered under
-        ``"select-backend"`` are accepted too.  Only meaningful for
-        unordered runs: priority/arrival commit orders bring their own
-        work-set, so combining them with an explicit ``select`` is a
-        :class:`~repro.errors.ConfigError`.
     order:
         Commit-order policy spec: ``"unordered"`` (the §2 uniform-draw
         model), ``"ordered"`` (strict priority order with
@@ -147,8 +131,6 @@ class RunConfig:
     m: "int | None" = None
     m_min: "int | None" = None
     m_max: int = 1024
-    engine: "str | None" = None
-    select: "str | None" = None
     order: "str | None" = None
     shards: "int | None" = None
     max_steps: "int | None" = None
@@ -173,6 +155,13 @@ class RunConfig:
         object.__setattr__(self, "rho", float(self.rho))
         object.__setattr__(self, "quick", bool(self.quick))
         _opt_int(self.m, "m", minimum=1)
+        # missing, m would only fail inside run(); elsewhere it is ignored
+        _require(
+            (self.controller == "fixed") == (self.m is not None),
+            f'controller="fixed" needs an explicit m and no other controller '
+            f"reads one (m_min/m_max clamp those); got "
+            f"controller={self.controller!r}, m={self.m!r}",
+        )
         _opt_int(self.m_min, "m_min", minimum=1)
         _require(
             isinstance(self.m_max, int) and not isinstance(self.m_max, bool)
@@ -183,18 +172,6 @@ class RunConfig:
             _require(
                 self.m_min <= self.m_max,
                 f"empty allocation range [{self.m_min}, {self.m_max}]",
-            )
-        if self.engine is not None:
-            _require(
-                self.engine in _ENGINE_MODES,
-                f"engine must be one of {_ENGINE_MODES} or None, got {self.engine!r}",
-            )
-        if self.select is not None:
-            # any registry name is allowed here; the "select-backend"
-            # registry rejects unknown ones with the available list
-            _require(
-                isinstance(self.select, str) and bool(self.select),
-                f"select must be a non-empty backend name or None, got {self.select!r}",
             )
         if self.order is not None:
             _require(
@@ -207,15 +184,10 @@ class RunConfig:
             # import is function-level — config sits below the registry
             # layer, and that is the sanctioned way to reach up at call
             # time (tools/check_layers.py exempts it).
-            from repro.registry import ORDER_POLICIES, order_family, parse_order_spec
+            from repro.registry import ORDER_POLICIES, parse_order_spec
 
             name, _ = parse_order_spec(self.order)
             ORDER_POLICIES.get(name)
-            if self.select is not None and order_family(name) != "unordered":
-                raise ConfigError(
-                    f"order={self.order!r} brings its own work-set; "
-                    f"it cannot be combined with select={self.select!r}"
-                )
         # eager workload-spec validation, mirroring the order check
         # above: malformed specs ("trace:" without a path, "boruvka:x"
         # without an integer scale) and ordered-only apps combined with
@@ -272,9 +244,22 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        """Rebuild a config from :meth:`to_dict` output; rejects unknown keys."""
+        """Rebuild a config from :meth:`to_dict` output; rejects unknown keys.
+
+        Payloads written before the ``engine``/``select`` fields were
+        removed still load while those keys are ``null``.
+        """
         if not isinstance(payload, dict):
             raise ConfigError(f"RunConfig payload must be a dict, got {type(payload).__name__}")
+        payload = dict(payload)
+        for name in _REMOVED_FIELDS:
+            value = payload.pop(name, None)
+            if value is not None:
+                raise ConfigError(
+                    f"RunConfig field {name}={value!r} was removed: every run takes "
+                    "the default path (array kernels where they win, chosen from "
+                    "batch size and graph version); drop the key"
+                )
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:

@@ -1,6 +1,6 @@
 """Plugin registry: named factories for every pluggable layer.
 
-One :class:`Registry` per extension point — engines, order policies,
+One :class:`Registry` per extension point — order policies,
 controllers, conflict policies, workloads, experiments — each mapping a
 stable string name to a factory callable.  The built-in entries populate
 lazily on first lookup (keeping this module import-light and cycle-free);
@@ -24,9 +24,7 @@ registry                  factory signature
 ``"controller"``          ``factory(config: RunConfig) -> Controller``
 ``"conflict-policy"``     ``factory(config: RunConfig) -> ConflictPolicy``
 ``"workload"``            ``factory(graph, config: RunConfig) -> workload``
-``"select-backend"``      ``factory(config: RunConfig) -> Workset``
 ``"order-policy"``        ``factory(**kwargs) -> OrderPolicy``
-``"engine"``              ``factory(...) -> Engine`` (constructor passthrough)
 ========================  ==================================================
 
 Lookup failures are actionable: an unknown name raises
@@ -45,17 +43,14 @@ __all__ = [
     "Registry",
     "register",
     "registry",
-    "select_backend_for",
     "parse_order_spec",
     "parse_workload_spec",
     "workload_is_self_building",
     "order_family",
     "workset_for",
-    "ENGINES",
     "ORDER_POLICIES",
     "CONTROLLERS",
     "CONFLICT_POLICIES",
-    "SELECT_BACKENDS",
     "WORKLOADS",
     "EXPERIMENTS",
 ]
@@ -173,14 +168,6 @@ class Registry:
 # ----------------------------------------------------------------------
 # built-in entries (imports deferred into the populate hooks)
 # ----------------------------------------------------------------------
-def _populate_engines(reg: Registry) -> None:
-    from repro.runtime.engine import OptimisticEngine
-    from repro.runtime.ordered import OrderedEngine
-
-    reg.register("optimistic", OptimisticEngine)
-    reg.register("ordered", OrderedEngine)
-
-
 def _populate_order_policies(reg: Registry) -> None:
     from repro.runtime.policies import (
         AsyncCommitOrder,
@@ -318,18 +305,17 @@ def order_family(name: str) -> str:
 
 
 def workset_for(config) -> "object":
-    """Work-set instance matching ``config.order`` (and ``config.select``).
+    """Fresh work-set instance matching ``config.order``.
 
-    Unordered-family orders (including ``order=None``) resolve through
-    :func:`select_backend_for`; priority-family orders get a fresh
-    :class:`~repro.runtime.policies.PriorityWorkset` and arrival-family
-    orders an :class:`~repro.runtime.workset.ArrivalWorkset`.
+    The one config-driven chooser of the bag a run draws from:
+    priority-family orders get a
+    :class:`~repro.runtime.policies.PriorityWorkset`, arrival-family
+    orders an :class:`~repro.runtime.workset.ArrivalWorkset`, and
+    everything else (including ``order=None``) the dense
+    :class:`~repro.runtime.active_set.ActiveSet`.
     """
     order = getattr(config, "order", None)
-    if order is None:
-        return select_backend_for(config)
-    name, _ = parse_order_spec(order)
-    family = order_family(name)
+    family = "unordered" if order is None else order_family(parse_order_spec(order)[0])
     if family == "priority":
         from repro.runtime.policies import PriorityWorkset
 
@@ -338,7 +324,9 @@ def workset_for(config) -> "object":
         from repro.runtime.workset import ArrivalWorkset
 
         return ArrivalWorkset()
-    return select_backend_for(config)
+    from repro.runtime.active_set import ActiveSet
+
+    return ActiveSet()
 
 
 def _populate_controllers(reg: Registry) -> None:
@@ -399,30 +387,6 @@ def _populate_conflict_policies(reg: Registry) -> None:
     reg.register("explicit-graph", lambda config: ExplicitGraphPolicy())
 
 
-def _populate_select_backends(reg: Registry) -> None:
-    from repro.runtime.active_set import ActiveSet
-    from repro.runtime.workset import RandomWorkset
-
-    reg.register("workset", lambda config: RandomWorkset())
-    reg.register("incremental", lambda config: ActiveSet())
-
-
-def select_backend_for(config) -> "object":
-    """Work-set instance for ``config.select``.
-
-    ``None`` defers to the ``REPRO_SELECT`` environment variable (via
-    :func:`repro.runtime.core.resolve_select_backend`); explicit names —
-    built-in or third-party — resolve through the ``"select-backend"``
-    registry, whose unknown-name error lists every available backend.
-    """
-    name = config.select
-    if name is None:
-        from repro.runtime.core import resolve_select_backend
-
-        name = resolve_select_backend(None)
-    return SELECT_BACKENDS.create(name, config)
-
-
 def _populate_workloads(reg: Registry) -> None:
     from repro.runtime.workloads import (
         ConsumingGraphWorkload,
@@ -431,8 +395,8 @@ def _populate_workloads(reg: Registry) -> None:
     )
 
     # workset_for matches the work-set to config.order (PriorityWorkset
-    # for ordered/relaxed runs, ArrivalWorkset for async, the selection
-    # backend otherwise); the workload seeds it accordingly
+    # for ordered/relaxed runs, ArrivalWorkset for async, ActiveSet
+    # otherwise); the workload seeds it accordingly
     reg.register(
         "replay",
         lambda graph, config: ReplayGraphWorkload(graph, workset=workset_for(config)),
@@ -459,7 +423,7 @@ def _populate_workloads(reg: Registry) -> None:
 
     # the application workloads: factory source may be None (the app
     # synthesises a seeded input), and the work-set again follows
-    # config.order / config.select via workset_for
+    # config.order via workset_for
     from repro.apps.catalog import APP_WORKLOADS
 
     def _app_factory(app_name):
@@ -468,7 +432,7 @@ def _populate_workloads(reg: Registry) -> None:
 
             # ordered-only apps run on the historical OrderedEngine when
             # no explicit order= is configured — their own priority
-            # work-set, not the unordered selection backend
+            # work-set, not the unordered bag
             if app_name in ORDERED_APPS and getattr(config, "order", None) is None:
                 workset = None
             else:
@@ -499,7 +463,7 @@ def _populate_workloads(reg: Registry) -> None:
         trace = WorkloadTrace.load(path)
         # an ordered recording replayed without an explicit order= runs
         # on the OrderedEngine, which needs the replay's own priority
-        # work-set rather than the unordered selection backend
+        # work-set rather than the unordered bag
         if trace.requires_order and getattr(config, "order", None) is None:
             workset = None
         else:
@@ -518,20 +482,16 @@ def _populate_experiments(reg: Registry) -> None:
         reg.register(name, factory)
 
 
-ENGINES = Registry("engine", _populate_engines)
 ORDER_POLICIES = Registry("order policy", _populate_order_policies)
 CONTROLLERS = Registry("controller", _populate_controllers)
 CONFLICT_POLICIES = Registry("conflict policy", _populate_conflict_policies)
-SELECT_BACKENDS = Registry("select backend", _populate_select_backends)
 WORKLOADS = Registry("workload", _populate_workloads)
 EXPERIMENTS = Registry("experiment", _populate_experiments)
 
 _REGISTRIES: dict[str, Registry] = {
-    "engine": ENGINES,
     "order-policy": ORDER_POLICIES,
     "controller": CONTROLLERS,
     "conflict-policy": CONFLICT_POLICIES,
-    "select-backend": SELECT_BACKENDS,
     "workload": WORKLOADS,
     "experiment": EXPERIMENTS,
 }

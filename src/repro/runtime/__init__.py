@@ -13,13 +13,8 @@ from repro.runtime.costs import (
     ScaledAbortCostModel,
     UnitCostModel,
 )
-from repro.runtime.core import (
-    Engine,
-    OrderPolicy,
-    resolve_engine_mode,
-    resolve_select_backend,
-)
-from repro.runtime.engine import CCEngine, OptimisticEngine
+from repro.runtime.core import Engine, OrderPolicy
+from repro.runtime.engine import OptimisticEngine, make_engine
 from repro.runtime.ordered import OrderedBatchOutcome, OrderedEngine, PriorityWorkset
 from repro.runtime.policies import (
     ASYNC_DEFAULT_WINDOW,
@@ -29,7 +24,6 @@ from repro.runtime.policies import (
     ShardedCommitOrder,
     UnorderedCommitOrder,
 )
-from repro.runtime.recording import RunRecorder, diff_runs, load_run, save_run
 from repro.runtime.sharded import ShardPool, run_sharded
 from repro.runtime.supervise import PersistentWorker, SupervisedProcess, mp_context
 from repro.runtime.stats import RunResult, StepStats
@@ -66,10 +60,8 @@ __all__ = [
     "ItemLockPolicy",
     "Engine",
     "OrderPolicy",
-    "resolve_engine_mode",
-    "resolve_select_backend",
-    "CCEngine",
     "OptimisticEngine",
+    "make_engine",
     "OrderedBatchOutcome",
     "OrderedCommitOrder",
     "OrderedEngine",
@@ -84,10 +76,6 @@ __all__ = [
     "PersistentWorker",
     "SupervisedProcess",
     "mp_context",
-    "RunRecorder",
-    "diff_runs",
-    "load_run",
-    "save_run",
     "RunResult",
     "StepStats",
     "CallbackOperator",

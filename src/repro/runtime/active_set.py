@@ -1,4 +1,4 @@
-"""Incremental active-set selection backend (``select="incremental"``, the default).
+"""Incremental active-set work-set: the default bag of every unordered run.
 
 ``BENCH_obs.json`` showed ``select`` eating ~73% of step wall-clock: the
 fast kernels had already won ``resolve``/``commit``, but the reference
@@ -59,9 +59,9 @@ class ActiveSet(Workset):
 
     Drop-in replacement for :class:`~repro.runtime.workset.RandomWorkset`
     — same uniform m-out-of-n ``π_m`` prefix distribution, bit-identical
-    batches under the same seed.  The default selection backend;
-    ``select="workset"`` (or ``REPRO_SELECT=workset``) swaps the
-    reference sampler back in.
+    batches under the same seed.  Every workload defaults to it; pass
+    ``workset=RandomWorkset()`` to a workload constructor to run on the
+    reference sampler instead (what the differential tests do).
     """
 
     def __init__(self) -> None:

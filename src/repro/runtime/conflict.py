@@ -17,7 +17,7 @@ Two policies cover the two ways conflicts are specified:
   (used by synthetic CC-graph workloads and by the analytic experiments).
 
 Each policy also exposes :meth:`~ConflictPolicy.resolve_fast`, the entry
-point the default ``engine="fast"`` mode calls: it computes the batch's
+point every commit order calls: it computes the batch's
 commit/abort partition with the vectorised kernels of
 :mod:`repro.runtime.kernels` where those beat the per-task walk, and is
 bit-identical to :meth:`~ConflictPolicy.resolve` (the differential test
@@ -116,7 +116,7 @@ class ConflictPolicy(abc.ABC):
         """Vectorised resolution; must equal :meth:`resolve` bit for bit.
 
         Policies without an array formulation inherit this fallback to the
-        reference walk, so ``engine="fast"`` is always safe to request.
+        reference walk.
         """
         return self.resolve(batch, operator)
 

@@ -37,7 +37,6 @@ its own ``controller.update`` span.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from collections import Counter
 from typing import TYPE_CHECKING
@@ -49,73 +48,15 @@ if TYPE_CHECKING:  # avoid runtime<->control import cycle; core only types it
     from repro.control.base import Controller
     from repro.runtime.task import Task
 
-__all__ = [
-    "Engine",
-    "OrderPolicy",
-    "resolve_engine_mode",
-    "resolve_select_backend",
-    "ENGINE_ENV_VAR",
-    "SELECT_ENV_VAR",
-]
-
-#: environment variable selecting the default conflict-resolution path
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-_ENGINE_MODES = ("reference", "fast")
-
-#: environment variable selecting the default work-set selection backend
-SELECT_ENV_VAR = "REPRO_SELECT"
-_SELECT_MODES = ("workset", "incremental")
-
-
-def resolve_engine_mode(engine: "str | None") -> str:
-    """Normalise an ``engine=`` argument against the ``REPRO_ENGINE`` env var.
-
-    ``None`` defers to the environment (default ``"fast"``); anything
-    else must be ``"fast"`` or ``"reference"``.  ``"fast"`` resolves
-    conflicts through :meth:`ConflictPolicy.resolve_fast
-    <repro.runtime.conflict.ConflictPolicy.resolve_fast>` — the array
-    kernels of :mod:`repro.runtime.kernels` where they beat the per-task
-    walk, the walk everywhere else.  ``"reference"`` always walks; it is
-    the oracle the differential suite holds ``"fast"`` to, bit for bit.
-    """
-    mode = engine if engine is not None else os.environ.get(ENGINE_ENV_VAR, "fast")
-    mode = str(mode).strip().lower() or "fast"
-    if mode not in _ENGINE_MODES:
-        raise RuntimeEngineError(
-            f"unknown engine mode {mode!r}; expected one of {_ENGINE_MODES}"
-        )
-    return mode
-
-
-def resolve_select_backend(select: "str | None") -> str:
-    """Normalise a ``select=`` argument against the ``REPRO_SELECT`` env var.
-
-    ``None`` defers to the environment (default ``"incremental"``);
-    anything else must be ``"incremental"`` (the dense
-    :class:`~repro.runtime.active_set.ActiveSet`) or ``"workset"`` (the
-    scalar :class:`~repro.runtime.workset.RandomWorkset`, kept as the
-    oracle of the differential suite).  Both backends draw the same
-    uniform ``π_m`` prefixes and are bit-identical under the same seed,
-    so either may serve any workload on either engine mode.  Third-party
-    backends registered under ``"select-backend"`` in
-    :mod:`repro.registry` are addressed by their registry name through
-    :class:`repro.config.RunConfig` instead of this resolver.
-    """
-    mode = select if select is not None else os.environ.get(SELECT_ENV_VAR, "incremental")
-    mode = str(mode).strip().lower() or "incremental"
-    if mode not in _SELECT_MODES:
-        raise RuntimeEngineError(
-            f"unknown select backend {mode!r}; expected one of {_SELECT_MODES}"
-        )
-    return mode
+__all__ = ["Engine", "OrderPolicy"]
 
 
 class OrderPolicy(ABC):
     """Commit-order plugin: everything engine variants disagree about.
 
     A policy is bound to exactly one :class:`Engine` (:meth:`bind`) and
-    from then on reaches the work-set, operator, RNG, profiler and
-    engine mode through ``self.engine``.  The core calls the hooks in a
+    from then on reaches the work-set, operator, RNG and profiler
+    through ``self.engine``.  The core calls the hooks in a
     fixed sequence per step::
 
         begin_step -> select -> execute -> apply
@@ -228,13 +169,6 @@ class Engine:
         attaches to the process-wide active ones if set (see
         :func:`repro.obs.recording`, :func:`repro.obs.profiling`), else
         records nothing.
-    engine:
-        ``"fast"`` (vectorised kernels where they win, see
-        :func:`resolve_engine_mode`) or ``"reference"`` (always the
-        per-task Python walk; the test oracle).  ``None`` defers to the
-        ``REPRO_ENGINE`` environment variable, default ``"fast"``.  The
-        two paths are bit-identical — same seeds give the same commits,
-        aborts, and observability traces.
     """
 
     def __init__(
@@ -250,7 +184,6 @@ class Engine:
         recorder=None,
         metrics=None,
         profiler=None,
-        engine: "str | None" = None,
     ) -> None:
         from repro.obs.metrics import active_metrics
         from repro.obs.recorder import active_recorder, describe_seed
@@ -265,7 +198,6 @@ class Engine:
         self.operator = operator
         self.controller = controller
         self.order = order
-        self.engine_mode = resolve_engine_mode(engine)
         self.step_hook = step_hook
         self.cost_model = cost_model or UnitCostModel()
         self.costs = CostTotals()

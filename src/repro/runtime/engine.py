@@ -23,12 +23,12 @@ policy, keeping its historical constructor signature.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.runtime.conflict import ConflictPolicy
-from repro.runtime.core import ENGINE_ENV_VAR, Engine, resolve_engine_mode
+from repro.runtime.core import Engine
+from repro.runtime.ordered import OrderedEngine
 from repro.runtime.policies import UnorderedCommitOrder
 from repro.runtime.stats import StepStats
 from repro.runtime.task import Operator
@@ -37,7 +37,7 @@ from repro.runtime.workset import Workset
 if TYPE_CHECKING:  # avoid runtime<->control import cycle; engine only types it
     from repro.control.base import Controller
 
-__all__ = ["OptimisticEngine", "CCEngine", "resolve_engine_mode", "ENGINE_ENV_VAR"]
+__all__ = ["OptimisticEngine", "make_engine"]
 
 
 class OptimisticEngine(Engine):
@@ -68,12 +68,6 @@ class OptimisticEngine(Engine):
         attaches to the process-wide active recorder/registry/profiler if
         one is set (see :func:`repro.obs.recording`,
         :func:`repro.obs.profiling`), else records nothing.
-    engine:
-        ``"reference"`` (per-task Python walk) or ``"fast"`` (vectorised
-        kernels, see :mod:`repro.runtime.kernels`).  ``None`` defers to
-        the ``REPRO_ENGINE`` environment variable.  The two paths are
-        bit-identical — same seeds give the same commits, aborts, and
-        observability traces.
     """
 
     def __init__(
@@ -88,7 +82,6 @@ class OptimisticEngine(Engine):
         recorder=None,
         metrics=None,
         profiler=None,
-        engine: "str | None" = None,
     ) -> None:
         self.policy = policy
         super().__init__(
@@ -102,24 +95,37 @@ class OptimisticEngine(Engine):
             recorder=recorder,
             metrics=metrics,
             profiler=profiler,
-            engine=engine,
         )
 
 
-class CCEngine(OptimisticEngine):
-    """Deprecated pre-rename alias of :class:`OptimisticEngine`.
+def make_engine(
+    workload,
+    controller: "Controller",
+    *,
+    seed=None,
+    step_hook=None,
+    cost_model=None,
+    recorder=None,
+    metrics=None,
+) -> Engine:
+    """Wire *workload* and *controller* into the engine family it needs.
 
-    Kept so code written against the original class name keeps running;
-    instantiation raises a :class:`DeprecationWarning`.  New code should
-    construct :class:`OptimisticEngine` (or go through
-    :func:`repro.api.run` with a :class:`repro.config.RunConfig`).
+    *workload* speaks the workload protocol: ``workset`` / ``operator``
+    / ``policy``, plus ``priority_of`` when it sets ``requires_order``
+    (then the run is an :class:`~repro.runtime.ordered.OrderedEngine`
+    over its priority work-set).  Every workload family's own
+    ``make_engine`` delegates here.
     """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "CCEngine is deprecated; use OptimisticEngine "
-            "(or repro.api.run with a RunConfig)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
+    common = dict(
+        workset=workload.workset,
+        operator=workload.operator,
+        controller=controller,
+        seed=seed,
+        step_hook=step_hook,
+        cost_model=cost_model,
+        recorder=recorder,
+        metrics=metrics,
+    )
+    if getattr(workload, "requires_order", False):
+        return OrderedEngine(priority_of=workload.priority_of, **common)
+    return OptimisticEngine(policy=workload.policy, **common)

@@ -1,6 +1,6 @@
 """Vectorised conflict-resolution kernels (the engine's fast path).
 
-The reference engine resolves every speculative batch with a per-task
+The reference path resolves every speculative batch with a per-task
 Python walk (:mod:`repro.runtime.conflict`).  That walk is semantically
 the greedy maximal-independent-set construction of §2.1 — and greedy MIS
 over a *frozen* adjacency structure is exactly the kind of irregular

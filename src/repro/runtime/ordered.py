@@ -52,10 +52,10 @@ __all__ = ["PriorityWorkset", "OrderedBatchOutcome", "OrderedEngine"]
 class OrderedEngine(Engine):
     """Speculative engine for priority-ordered work.
 
-    Parameters mirror :class:`~repro.runtime.engine.OptimisticEngine`
-    (including the ``engine="reference"|"fast"`` switch); the operator's
-    ``apply`` must return new tasks whose priorities the *priority_of*
-    callable reports: new tasks are enqueued at ``priority_of(new_task)``.
+    Parameters mirror :class:`~repro.runtime.engine.OptimisticEngine`;
+    the operator's ``apply`` must return new tasks whose priorities the
+    *priority_of* callable reports: new tasks are enqueued at
+    ``priority_of(new_task)``.
 
     The commit rules (conflict phase, barrier, horizon) and the per-step
     RNG substream scheme are documented on
@@ -73,7 +73,6 @@ class OrderedEngine(Engine):
         recorder=None,
         metrics=None,
         profiler=None,
-        engine: "str | None" = None,
         step_hook=None,
         cost_model=None,
     ) -> None:
@@ -90,7 +89,6 @@ class OrderedEngine(Engine):
             recorder=recorder,
             metrics=metrics,
             profiler=profiler,
-            engine=engine,
         )
 
     # ------------------------------------------------------------------

@@ -24,10 +24,9 @@ et al.'s relaxed schedulers; Atos-style async GPU scheduling):
   arrival order subject to a bounded-staleness window, over an
   :class:`~repro.runtime.workset.ArrivalWorkset`.
 
-Both policies plug into :class:`repro.runtime.core.Engine`; conflict
-policies are dispatched by the engine's ``engine_mode``
-(``resolve_fast`` vs the ``resolve`` oracle), and byte-identical traces
-hold across both.  The historical
+Both policies plug into :class:`repro.runtime.core.Engine`; conflicts
+always resolve through ``ConflictPolicy.resolve_fast``, which falls back
+to the ``resolve`` walk on its own.  The historical
 :class:`~repro.runtime.ordered.PriorityWorkset` and
 :class:`~repro.runtime.ordered.OrderedBatchOutcome` types live here now
 (``repro.runtime.ordered`` re-exports them).
@@ -234,9 +233,7 @@ class UnorderedCommitOrder(OrderPolicy):
     def execute(self, batch: "list[Task]"):
         eng = self.engine
         with eng.phase_span("resolve"):
-            if eng.engine_mode == "fast":
-                return self.conflict_policy.resolve_fast(batch, eng.operator)
-            return self.conflict_policy.resolve(batch, eng.operator)
+            return self.conflict_policy.resolve_fast(batch, eng.operator)
 
     def bind(self, engine) -> None:
         """Attach to *engine*; the operator is fixed for its lifetime, so
@@ -428,10 +425,7 @@ class OrderedCommitOrder(OrderPolicy):
             # graph runs); positions map straight back because resolve
             # slots are ascending within the walked order
             tasks = [task for _, task in batch]
-            if eng.engine_mode == "fast":
-                outcome = self.conflict_policy.resolve_fast(tasks, eng.operator)
-            else:
-                outcome = self.conflict_policy.resolve(tasks, eng.operator)
+            outcome = self.conflict_policy.resolve_fast(tasks, eng.operator)
             if outcome.commit_slots is not None:
                 survivors = [batch[i] for i in outcome.commit_slots]
                 aborted = [batch[i] for i in outcome.abort_slots]
@@ -759,7 +753,7 @@ class ShardedCommitOrder(UnorderedCommitOrder):
                 final, local = self.pool.resolve(
                     step, batch, part, graph, seq=seq
                 )
-            elif eng.engine_mode == "fast" and batch:
+            elif batch:
                 payloads = np.asarray([task.payload for task in batch])
                 masks = two_phase_commit_mask_fast(
                     graph.conflict_view(), part, payloads

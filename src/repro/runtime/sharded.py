@@ -67,6 +67,7 @@ import numpy as np
 
 from repro.errors import ConfigError, RuntimeEngineError
 from repro.graph.partition import local_greedy_positions
+from repro.runtime.core import Engine
 from repro.runtime.supervise import PersistentWorker, mp_context
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -538,7 +539,7 @@ def run_sharded(
     in :func:`repro.api.run`.  Returns the engine's run result.
     """
     # call-time up-reach into api/registry (sanctioned; see config.py)
-    from repro.api import _controller_for, _order_engine
+    from repro.api import _controller_for
     from repro.errors import ReproError
     from repro.registry import WORKLOADS, parse_order_spec
     from repro.runtime.policies import ShardedCommitOrder
@@ -607,15 +608,14 @@ def run_sharded(
             pool.bind_flight(FlightRecorder(flight_dir, run_id, shards))
         if trace_dir is not None:
             order.trace_ctx = TraceContext(run_id)
-    engine = _order_engine(
-        config,
-        order,
-        workload.workset,
-        workload.operator,
-        _controller_for(config, controller),
-        seed,
-        recorder,
-        metrics,
+    engine = Engine(
+        workset=workload.workset,
+        operator=workload.operator,
+        controller=_controller_for(config, controller),
+        order=order,
+        seed=seed,
+        recorder=recorder,
+        metrics=metrics,
     )
     try:
         return engine.run(max_steps=config.max_steps)

@@ -8,7 +8,7 @@ The trace is then a **workload in its own right**:
 :class:`TraceReplayWorkload` re-executes the recorded morph sequence
 deterministically through any engine configuration, which is what makes
 cross-cutting equivalence claims testable — the same recorded Boruvka
-run replayed under ``select="workset"`` vs ``select="incremental"``, or
+run replayed over a ``RandomWorkset`` vs an ``ActiveSet``, or under
 ``shards=1`` vs ``shards=2``, must commit the same work.
 
 Three layers:
@@ -64,7 +64,10 @@ import numpy as np
 
 from repro.errors import ObservabilityError, ReplayMismatchError
 from repro.graph.ccgraph import CCGraph
+from repro.runtime.active_set import ActiveSet
 from repro.runtime.conflict import ExplicitGraphPolicy, ItemLockPolicy
+from repro.runtime.engine import make_engine as _make_engine
+from repro.runtime.policies import PriorityWorkset
 from repro.runtime.task import Operator, Task
 
 __all__ = ["WorkloadTrace", "WorkloadCapture", "TraceReplayWorkload"]
@@ -488,47 +491,8 @@ class WorkloadCapture:
             return inner(task)
         return float(task.payload)
 
-    def make_engine(
-        self,
-        controller,
-        *,
-        seed=None,
-        step_hook=None,
-        cost_model=None,
-        recorder=None,
-        metrics=None,
-        engine=None,
-    ):
-        """Wire the capture into the engine family the workload needs."""
-        if self.requires_order:
-            from repro.runtime.ordered import OrderedEngine
-
-            return OrderedEngine(
-                workset=self.workset,
-                operator=self.operator,
-                controller=controller,
-                priority_of=self.priority_of,
-                seed=seed,
-                step_hook=step_hook,
-                cost_model=cost_model,
-                recorder=recorder,
-                metrics=metrics,
-                engine=engine,
-            )
-        from repro.runtime.engine import OptimisticEngine
-
-        return OptimisticEngine(
-            workset=self.workset,
-            operator=self.operator,
-            policy=self.policy,
-            controller=controller,
-            seed=seed,
-            step_hook=step_hook,
-            cost_model=cost_model,
-            recorder=recorder,
-            metrics=metrics,
-            engine=engine,
-        )
+    #: workload protocol: the shared wiring, bound as a method
+    make_engine = _make_engine
 
     # ------------------------------------------------------------------
     def finalize(self) -> WorkloadTrace:
@@ -622,14 +586,7 @@ class TraceReplayWorkload:
         self.trace = trace
         self.requires_order = bool(trace.requires_order)
         if workset is None:
-            if self.requires_order:
-                from repro.runtime.policies import PriorityWorkset
-
-                workset = PriorityWorkset()
-            else:
-                from repro.runtime.workset import RandomWorkset
-
-                workset = RandomWorkset()
+            workset = PriorityWorkset() if self.requires_order else ActiveSet()
         self.workset = workset
         self._priority_seeding = hasattr(workset, "take_earliest")
 
@@ -677,47 +634,8 @@ class TraceReplayWorkload:
         priority = self._priorities.get(task.payload)
         return float(priority) if priority is not None else float(task.payload)
 
-    def make_engine(
-        self,
-        controller,
-        *,
-        seed=None,
-        step_hook=None,
-        cost_model=None,
-        recorder=None,
-        metrics=None,
-        engine=None,
-    ):
-        """Wire the replay into the engine family the trace requires."""
-        if self.requires_order:
-            from repro.runtime.ordered import OrderedEngine
-
-            return OrderedEngine(
-                workset=self.workset,
-                operator=self.operator,
-                controller=controller,
-                priority_of=self.priority_of,
-                seed=seed,
-                step_hook=step_hook,
-                cost_model=cost_model,
-                recorder=recorder,
-                metrics=metrics,
-                engine=engine,
-            )
-        from repro.runtime.engine import OptimisticEngine
-
-        return OptimisticEngine(
-            workset=self.workset,
-            operator=self.operator,
-            policy=self.policy,
-            controller=controller,
-            seed=seed,
-            step_hook=step_hook,
-            cost_model=cost_model,
-            recorder=recorder,
-            metrics=metrics,
-            engine=engine,
-        )
+    #: workload protocol: the shared wiring, bound as a method
+    make_engine = _make_engine
 
     # ------------------------------------------------------------------
     def replay_complete(self) -> bool:

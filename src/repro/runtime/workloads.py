@@ -37,10 +37,9 @@ if TYPE_CHECKING:  # avoid runtime<->control import cycle
 from repro.graph.ccgraph import CCGraph
 from repro.runtime.active_set import ActiveSet
 from repro.runtime.conflict import ConflictPolicy, ExplicitGraphPolicy
-from repro.runtime.core import resolve_select_backend
-from repro.runtime.engine import OptimisticEngine
+from repro.runtime.engine import OptimisticEngine, make_engine
 from repro.runtime.task import Operator, Task
-from repro.runtime.workset import RandomWorkset, Workset
+from repro.runtime.workset import Workset
 from repro.utils.rng import ensure_rng
 
 __all__ = [
@@ -70,29 +69,16 @@ class _GraphOperator(Operator):
 class GraphWorkloadBase:
     """Common plumbing: graph, work-set, explicit-graph conflict policy.
 
-    The work-set comes from the selection backend: ``select=`` names a
-    built-in backend (``"incremental"`` for the dense
-    :class:`~repro.runtime.active_set.ActiveSet`, the default;
-    ``"workset"`` for the reference
-    :class:`~repro.runtime.workset.RandomWorkset` the differential suite
-    uses as its oracle; ``None`` defers to the ``REPRO_SELECT``
-    environment variable), or pass a ready-made instance via ``workset=``
-    (how registry-named third-party backends arrive).  Both built-ins
-    are bit-identical under the same seed.
+    The work-set is a dense :class:`~repro.runtime.active_set.ActiveSet`
+    unless a ready-made instance arrives via ``workset=`` — how
+    ``repro.api.run`` hands over the work-set matching ``config.order``,
+    and how tests inject the bit-identical reference
+    :class:`~repro.runtime.workset.RandomWorkset`.
     """
 
-    def __init__(
-        self,
-        graph: CCGraph,
-        *,
-        select: "str | None" = None,
-        workset: "Workset | None" = None,
-    ):
-        if workset is not None and select is not None:
-            raise RuntimeEngineError("pass select= or workset=, not both")
+    def __init__(self, graph: CCGraph, *, workset: "Workset | None" = None):
         if workset is None:
-            mode = resolve_select_backend(select)
-            workset = ActiveSet() if mode == "incremental" else RandomWorkset()
+            workset = ActiveSet()
         self.graph = graph
         self.operator: Operator = _GraphOperator(self)
         self.policy: ConflictPolicy = ExplicitGraphPolicy(graph)
@@ -123,29 +109,6 @@ class GraphWorkloadBase:
                 new_tasks.extend(created)
         return new_tasks
 
-    def make_engine(
-        self,
-        controller: "Controller",
-        *,
-        seed=None,
-        step_hook=None,
-        cost_model=None,
-        recorder=None,
-        metrics=None,
-        engine: "str | None" = None,
-    ) -> OptimisticEngine:
-        """Alias of :meth:`build_engine` matching the workload protocol
-        the app layer speaks (``repro.apps.base.AppWorkload``)."""
-        return self.build_engine(
-            controller,
-            seed=seed,
-            step_hook=step_hook,
-            cost_model=cost_model,
-            recorder=recorder,
-            metrics=metrics,
-            engine=engine,
-        )
-
     def build_engine(
         self,
         controller: "Controller",
@@ -154,21 +117,20 @@ class GraphWorkloadBase:
         cost_model=None,
         recorder=None,
         metrics=None,
-        engine: "str | None" = None,
     ) -> OptimisticEngine:
         """Wire this workload and *controller* into an engine."""
-        return OptimisticEngine(
-            workset=self.workset,
-            operator=self.operator,
-            policy=self.policy,
-            controller=controller,
+        return make_engine(
+            self,
+            controller,
             seed=seed,
             step_hook=step_hook,
             cost_model=cost_model,
             recorder=recorder,
             metrics=metrics,
-            engine=engine,
         )
+
+    #: the workload-protocol spelling (``repro.apps.base.AppWorkload``)
+    make_engine = build_engine
 
 
 class ReplayGraphWorkload(GraphWorkloadBase):
@@ -228,12 +190,11 @@ class RegeneratingGraphWorkload(GraphWorkloadBase):
         target_degree: int,
         seed=None,
         *,
-        select: "str | None" = None,
         workset: "Workset | None" = None,
     ):
         if target_degree < 0:
             raise RuntimeEngineError(f"target degree must be >= 0, got {target_degree}")
-        super().__init__(graph, select=select, workset=workset)
+        super().__init__(graph, workset=workset)
         self.target_degree = target_degree
         self._rng: np.random.Generator = ensure_rng(seed)
         # graph.nodes() as of graph version _live_version (built on the

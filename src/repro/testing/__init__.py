@@ -7,7 +7,8 @@ n-th attempt, hang past the timeout, hard-kill the worker, corrupt a
 cache entry — usable from unit tests and from the experiments CLI via
 ``--inject-faults``.  It lives under :mod:`repro` (not ``tests/``) so
 that worker processes can import it and so users can fault-test their
-own deployment wiring.
+own deployment wiring.  :mod:`repro.testing.oracles` pins the reference
+resolution walks for differential tests.
 """
 
 from repro.testing.faults import PARENT_KINDS, WORKER_KINDS, FaultPlan, FaultSpec

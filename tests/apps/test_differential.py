@@ -1,15 +1,14 @@
-"""Differential suite: legacy app wiring vs the unified registry path.
+"""Differential suite: hand-wired apps on the oracles vs the registry path.
 
-Every application used to be driven by hand — build the input, build the
-workload, call ``build_engine`` with an explicitly constructed
-controller.  That spelling is now a deprecation shim over the same
-pipeline the registry uses, and this suite proves the collapse lossless:
-for each app, the legacy spelling and ``run(RunConfig(workload=...))``
-must produce **byte-identical** observability traces, not merely equal
-summary statistics.
+Every application can be driven by hand — build the input, build the
+workload, call ``make_engine`` with an explicitly constructed
+controller — or by name through ``run(RunConfig(workload=...))``.  The
+hand-wired leg here injects the reference ``RandomWorkset`` and runs
+under ``reference_paths()``, so for each app the two legs differ in
+sampler, commit branch and resolution path, and must still produce
+**byte-identical** observability traces, not merely equal summary
+statistics.
 """
-
-import warnings
 
 import pytest
 
@@ -18,6 +17,8 @@ from repro.api import run
 from repro.apps import build_app_input, workload_from_input
 from repro.obs import TraceRecorder
 from repro.registry import CONTROLLERS
+from repro.runtime.workset import RandomWorkset
+from repro.testing.oracles import reference_paths
 from repro.utils.rng import derive_seed
 
 SEED = 23
@@ -36,25 +37,23 @@ SCALES = {
 
 
 def _legacy_trace(name, cfg):
-    """The pre-registry spelling, exactly as historical callers wrote it."""
+    """Direct construction, on the oracle work-set and resolution walks."""
     seed_in = derive_seed(SEED, "workload", name)
     source = build_app_input(name, SCALES[name], seed_in)
-    app = workload_from_input(name, source, seed=seed_in)
+    # ordered-only apps bring their own priority work-set: nothing to inject
+    workset = None if name == "des" else RandomWorkset()
+    app = workload_from_input(name, source, seed=seed_in, workset=workset)
     controller = CONTROLLERS.create(cfg.controller, cfg)
     rec = TraceRecorder()
-    with pytest.warns(DeprecationWarning, match="make_engine"):
-        engine = app.build_engine(
-            controller, seed=SEED, recorder=rec, engine=cfg.engine
-        )
-    engine.run()
+    engine = app.make_engine(controller, seed=SEED, recorder=rec)
+    with reference_paths():
+        engine.run()
     return rec.to_jsonl()
 
 
 def _registry_trace(name, cfg):
     rec = TraceRecorder()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        run(cfg, recorder=rec)
+    run(cfg, recorder=rec)
     return rec.to_jsonl()
 
 

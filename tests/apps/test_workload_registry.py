@@ -103,11 +103,6 @@ class TestOrderComposition:
         res = run(RunConfig(workload="boruvka:40", seed=5, order=order))
         assert res.total_committed > 0
 
-    def test_select_backend_composes(self):
-        r1 = run(RunConfig(workload="coloring:40", seed=5, select="workset"))
-        r2 = run(RunConfig(workload="coloring:40", seed=5, select="incremental"))
-        assert r1.total_committed == r2.total_committed == 40
-
     def test_ordered_app_runs_under_priority_order(self):
         res = run(RunConfig(workload="des:4", seed=2, order="ordered"))
         assert res.total_committed > 0

@@ -22,6 +22,7 @@ or a semantic change broke the bridge.
 """
 
 from collections import Counter
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from repro.runtime.kernels import sample_prefix_draws, sample_window_draws
 from repro.runtime.policies import PriorityWorkset
 from repro.runtime.task import CallbackOperator, Task
 from repro.runtime.workset import ArrivalWorkset
+from repro.testing.oracles import reference_paths
 from repro.utils.rng import derive_seed
 
 BASE = 20110613  # fixed — the suite must pass deterministically
@@ -45,18 +47,12 @@ def seed(*key) -> int:
     return derive_seed(BASE, "relaxed", *key)
 
 
-def _trace(order, *, engine=None, graph_seed=3, run_seed=7, max_steps=12):
+def _trace(order, *, graph_seed=3, run_seed=7, max_steps=12):
     """One recorded graph run; returns its canonical JSONL lines."""
     graph = gnp_random(60, 0.05, seed=graph_seed)
     recorder = TraceRecorder()
     run(
-        RunConfig(
-            workload="consuming",
-            rho=0.25,
-            max_steps=max_steps,
-            order=order,
-            engine=engine,
-        ),
+        RunConfig(workload="consuming", rho=0.25, max_steps=max_steps, order=order),
         graph=graph,
         seed=run_seed,
         recorder=recorder,
@@ -71,9 +67,12 @@ class TestDepthOneIsOrdered:
     def test_graph_traces_byte_identical(self):
         assert _trace("relaxed:1") == _trace("ordered")
 
-    @pytest.mark.parametrize("engine", ["reference", "fast"])
-    def test_byte_identical_on_both_kernel_paths(self, engine):
-        assert _trace("relaxed:1", engine=engine) == _trace("ordered", engine=engine)
+    @pytest.mark.parametrize(
+        "paths", [reference_paths, nullcontext], ids=["reference", "fast"]
+    )
+    def test_byte_identical_on_both_kernel_paths(self, paths):
+        with paths():
+            assert _trace("relaxed:1") == _trace("ordered")
 
     def test_rng_trajectory_identical_not_just_events(self):
         # same seeds, different graph/run: identity must hold pointwise,

@@ -27,6 +27,7 @@ matches the select-distribution suite.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from repro.config import RunConfig
 from repro.graph.generators import gnm_random
 from repro.graph.partition import partition_graph
 from repro.obs import ORDER_DECISION, TraceRecorder
+from repro.testing.oracles import reference_paths
 from repro.utils.rng import derive_seed
 
 BASE_SEED = int(os.environ.get("REPRO_TEST_SEED", "0"))
@@ -140,8 +142,10 @@ class TestCommitHomogeneity:
 
 
 class TestAllCutDegeneracy:
-    @pytest.mark.parametrize("engine", ["reference", "fast"])
-    def test_shards_ge_n_equals_unordered_step_stats(self, engine):
+    @pytest.mark.parametrize(
+        "paths", [reference_paths, nullcontext], ids=["reference", "fast"]
+    )
+    def test_shards_ge_n_equals_unordered_step_stats(self, paths):
         # every edge cut -> phase 2 is the global greedy walk: exact, not
         # statistical, agreement in the per-step commit/abort sequence
         def steps(order):
@@ -153,7 +157,6 @@ class TestAllCutDegeneracy:
                     m_max=64,
                     order=order,
                     max_steps=30,
-                    engine=engine,
                 ),
                 graph=gnm_random(60, 6, seed=GRAPH_SEED),
                 seed=seed("degenerate"),
@@ -161,4 +164,5 @@ class TestAllCutDegeneracy:
             )
             return [ev.data for ev in recorder.events if ev.kind == "step"]
 
-        assert steps("sharded:60") == steps("unordered")
+        with paths():
+            assert steps("sharded:60") == steps("unordered")

@@ -76,7 +76,7 @@ class TestProfileReport:
 
         wl = ReplayGraphWorkload(gnm_random(500, 8, seed=4))
         with profiling() as prof:
-            engine = wl.build_engine(FixedController(250), seed=3, engine="fast")
+            engine = wl.build_engine(FixedController(250), seed=3)
             for _ in range(30):
                 engine.step()
         report = profile_report(prof)

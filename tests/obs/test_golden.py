@@ -21,6 +21,8 @@ from repro.control import HybridController
 from repro.graph.generators import gnm_random
 from repro.obs import TraceRecorder, load_jsonl, trajectory, verify_trace
 from repro.runtime.workloads import ConsumingGraphWorkload
+from repro.runtime.workset import RandomWorkset
+from repro.testing.oracles import reference_paths
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_hybrid_gnm200_d8.jsonl"
 
@@ -29,10 +31,12 @@ ENGINE_SEED = 8
 MAX_STEPS = 60
 
 
-def golden_trace() -> TraceRecorder:
+def golden_trace(workset=None) -> TraceRecorder:
     """The reference run: Algorithm 1 on gnm_random(200, d=8)."""
     rec = TraceRecorder()
-    workload = ConsumingGraphWorkload(gnm_random(200, 8, seed=GRAPH_SEED))
+    workload = ConsumingGraphWorkload(
+        gnm_random(200, 8, seed=GRAPH_SEED), workset=workset
+    )
     controller = HybridController(0.25, m_max=64)
     engine = workload.build_engine(controller, seed=ENGINE_SEED, recorder=rec)
     engine.run(max_steps=MAX_STEPS)
@@ -55,6 +59,12 @@ class TestGoldenTrace:
             "golden trace drifted: engine/controller/serialisation semantics "
             "changed; if intentional, regenerate the fixture"
         )
+
+    def test_rerun_on_the_oracle_paths_is_byte_identical(self):
+        # reference sampler + per-task commit branch + reference walk
+        with reference_paths():
+            fresh = golden_trace(RandomWorkset()).to_jsonl()
+        assert fresh == FIXTURE.read_text(encoding="utf-8")
 
     def test_fixture_replays_deterministically(self):
         events = load_jsonl(FIXTURE)

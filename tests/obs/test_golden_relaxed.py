@@ -22,6 +22,7 @@ from repro.api import run
 from repro.config import RunConfig
 from repro.graph.generators import gnm_random
 from repro.obs import ORDER_DECISION, TraceRecorder, load_jsonl, trajectory, verify_trace
+from repro.testing.oracles import reference_paths
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_relaxed2_gnm200_d8.jsonl"
 
@@ -65,6 +66,11 @@ class TestGoldenRelaxedTrace:
             "golden relaxed trace drifted: relaxation/draw/serialisation "
             "semantics changed; if intentional, regenerate the fixture"
         )
+
+    def test_rerun_on_the_reference_walk_is_byte_identical(self):
+        with reference_paths():
+            fresh = golden_trace().to_jsonl()
+        assert fresh == FIXTURE.read_text(encoding="utf-8")
 
     def test_fixture_replays_deterministically(self):
         events = load_jsonl(FIXTURE)

@@ -18,6 +18,8 @@ from pathlib import Path
 from repro.control import HybridController
 from repro.obs import TraceRecorder
 from repro.runtime.wktrace import TraceReplayWorkload, WorkloadCapture, WorkloadTrace
+from repro.runtime.workset import RandomWorkset
+from repro.testing.oracles import reference_paths
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_boruvka_n60.wktrace"
 
@@ -26,12 +28,12 @@ GRAPH_SEED = 2011  # SPAA 2011
 ENGINE_SEED = 8
 
 
-def golden_trace() -> WorkloadTrace:
+def golden_trace(workset=None) -> WorkloadTrace:
     """Record the reference run: Boruvka MST at scale 60 under Algorithm 1."""
     from repro.apps import build_app_input, workload_from_input
 
     source = build_app_input("boruvka", SCALE, seed=GRAPH_SEED)
-    app = workload_from_input("boruvka", source, seed=GRAPH_SEED)
+    app = workload_from_input("boruvka", source, seed=GRAPH_SEED, workset=workset)
     capture = WorkloadCapture(app, label="boruvka")
     capture.make_engine(HybridController(0.25, m_max=64), seed=ENGINE_SEED).run()
     return capture.finalize()
@@ -55,6 +57,11 @@ class TestGoldenWorkloadTrace:
             "regenerate the fixture"
         )
 
+    def test_rerecording_on_the_oracle_paths_is_byte_identical(self):
+        with reference_paths():
+            fresh = golden_trace(RandomWorkset()).to_jsonl()
+        assert fresh == FIXTURE.read_text(encoding="utf-8")
+
     def test_fixture_loads_and_fingerprint_verifies(self):
         trace = WorkloadTrace.load(FIXTURE)  # load() re-checks the fingerprint
         assert trace.label == "boruvka"
@@ -71,12 +78,14 @@ class TestGoldenWorkloadTrace:
         from repro import RunConfig
         from repro.api import run
 
-        def leg(select):
-            rec = TraceRecorder()
-            run(
-                RunConfig(workload=f"trace:{FIXTURE}", seed=5, select=select),
-                recorder=rec,
-            )
-            return rec.to_jsonl()
+        default = TraceRecorder()
+        run(RunConfig(workload=f"trace:{FIXTURE}", seed=5), recorder=default)
 
-        assert leg("workset") == leg("incremental")
+        oracle = TraceRecorder()
+        workload = TraceReplayWorkload.load(FIXTURE, workset=RandomWorkset())
+        engine = workload.make_engine(
+            HybridController(0.25, m_max=1024), seed=5, recorder=oracle
+        )
+        with reference_paths():
+            engine.run()
+        assert oracle.to_jsonl() == default.to_jsonl()

@@ -198,14 +198,12 @@ class TestActivePlumbing:
 
 
 class TestEngineIntegration:
-    def test_engine_steps_open_phase_spans(self, monkeypatch):
+    def test_engine_steps_open_phase_spans(self):
         from repro.control.fixed import FixedController
         from repro.graph.generators import gnm_random
         from repro.runtime.workloads import ReplayGraphWorkload
 
-        # default engine/select; batches big enough for the array paths
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_SELECT", raising=False)
+        # batches big enough for the array paths
         wl = ReplayGraphWorkload(gnm_random(400, 4, seed=1))
         with profiling() as prof:
             engine = wl.build_engine(FixedController(160), seed=2)

@@ -1,9 +1,11 @@
-"""Differential suite: the fast engine path must equal the reference path.
+"""Differential suite: the default path must equal the reference paths.
 
 The correctness contract of the vectorised kernels
 (:mod:`repro.runtime.kernels`) is *bit-identity*: for any seeded workload
-and any controller, ``engine="fast"`` must produce exactly the commits,
-aborts, step stats, and observability trace of ``engine="reference"``.
+and any controller, the default run must produce exactly the commits,
+aborts, step stats, and observability trace of the same run pinned to
+the reference walks (:func:`repro.testing.oracles.reference_paths`) and,
+on the selection side, to ``workset=RandomWorkset()``.
 These tests enforce that contract across:
 
 * workload shapes — stationary gnm replay, draining gnm, draining clique
@@ -14,6 +16,8 @@ These tests enforce that contract across:
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -30,11 +34,11 @@ from repro.control import (
     RecurrenceAController,
     RecurrenceBController,
 )
-from repro.errors import RuntimeEngineError
 from repro.graph.generators import gnm_random, union_of_cliques
 from repro.obs import TraceRecorder
 from repro.runtime.conflict import ItemLockPolicy
-from repro.runtime.engine import OptimisticEngine, resolve_engine_mode
+from repro.runtime.active_set import ActiveSet
+from repro.runtime.engine import OptimisticEngine
 from repro.runtime.task import Operator, Task
 from repro.runtime.workloads import (
     ConsumingGraphWorkload,
@@ -42,6 +46,7 @@ from repro.runtime.workloads import (
     ReplayGraphWorkload,
 )
 from repro.runtime.workset import RandomWorkset
+from repro.testing.oracles import reference_paths
 
 N = 120
 SEED = 2011
@@ -51,26 +56,29 @@ MAX_STEPS = 35
 @pytest.fixture(autouse=True)
 def _gather_at_every_batch_size(monkeypatch):
     """The suite's graphs are far below the size where the explicit-graph
-    array path takes over from the walk; drop the cut-over so that
-    ``engine="fast"`` really runs the gather kernel here (on the
-    stationary workloads — morphing ones still walk, by graph version).
+    array path takes over from the walk; drop the cut-over so that the
+    default leg really runs the gather kernel here (on the stationary
+    workloads — morphing ones still walk, by graph version).
     ``tests/runtime/test_conflict.py`` covers the cut-over itself."""
     monkeypatch.setattr("repro.runtime.conflict.GATHER_MIN_BATCH", 1)
 
 WORKLOADS = {
-    "gnm_replay": lambda select=None: ReplayGraphWorkload(
-        gnm_random(N, 8, seed=SEED), select=select
+    "gnm_replay": lambda workset=None: ReplayGraphWorkload(
+        gnm_random(N, 8, seed=SEED), workset=workset
     ),
-    "gnm_consuming": lambda select=None: ConsumingGraphWorkload(
-        gnm_random(N, 8, seed=SEED), select=select
+    "gnm_consuming": lambda workset=None: ConsumingGraphWorkload(
+        gnm_random(N, 8, seed=SEED), workset=workset
     ),
-    "clique_consuming": lambda select=None: ConsumingGraphWorkload(
-        union_of_cliques(20, 6), select=select
+    "clique_consuming": lambda workset=None: ConsumingGraphWorkload(
+        union_of_cliques(20, 6), workset=workset
     ),
-    "morphing": lambda select=None: RegeneratingGraphWorkload(
-        gnm_random(N, 6, seed=SEED), target_degree=6, seed=7, select=select
+    "morphing": lambda workset=None: RegeneratingGraphWorkload(
+        gnm_random(N, 6, seed=SEED), target_degree=6, seed=7, workset=workset
     ),
 }
+
+#: how each leg resolves conflicts: pinned to the walks, or left to the code
+RESOLVE = {"reference": reference_paths, "fast": nullcontext}
 
 CONTROLLERS = {
     "fixed": lambda: FixedController(12),
@@ -87,15 +95,14 @@ CONTROLLERS = {
 }
 
 
-def _run(workload_key: str, controller_key: str, mode: str, select: "str | None" = None):
+def _run(workload_key: str, controller_key: str, mode: str, workset=None):
     """One seeded run; returns (jsonl trace, step-stat dicts)."""
     recorder = TraceRecorder()
-    workload = WORKLOADS[workload_key](select=select)
+    workload = WORKLOADS[workload_key](workset=workset)
     controller = CONTROLLERS[controller_key]()
-    engine = workload.build_engine(
-        controller, seed=SEED, recorder=recorder, engine=mode
-    )
-    engine.run(max_steps=MAX_STEPS)
+    engine = workload.build_engine(controller, seed=SEED, recorder=recorder)
+    with RESOLVE[mode]():
+        engine.run(max_steps=MAX_STEPS)
     return recorder.to_jsonl(), [s.as_dict() for s in engine.result.steps]
 
 
@@ -116,82 +123,43 @@ class TestUnorderedDifferential:
 
 
 class TestIncrementalSelectDifferential:
-    """The incremental selection backend must be invisible in every trace.
+    """The incremental work-set must be invisible in every trace.
 
-    ``select="incremental"`` (the default) puts the work-set on
-    :class:`ActiveSet`; byte-identical observability traces against the
-    ``"workset"`` oracle are the hard gate.
+    Workloads default to :class:`ActiveSet`; byte-identical
+    observability traces against an injected :class:`RandomWorkset` (the
+    oracle, which also puts the commit phase on its per-task branch) are
+    the hard gate.
     """
 
     @pytest.mark.parametrize("workload_key", sorted(WORKLOADS))
     @pytest.mark.parametrize("mode", ["reference", "fast"])
     def test_incremental_equals_workset(self, workload_key, mode):
-        ref_trace, ref_steps = _run(workload_key, "hybrid", mode, select="workset")
-        inc_trace, inc_steps = _run(workload_key, "hybrid", mode, select="incremental")
+        ref_trace, ref_steps = _run(workload_key, "hybrid", mode, RandomWorkset())
+        inc_trace, inc_steps = _run(workload_key, "hybrid", mode)
         assert inc_steps == ref_steps
         assert inc_trace == ref_trace  # byte-identical obs traces
 
     @pytest.mark.parametrize("controller_key", sorted(CONTROLLERS))
     def test_all_controllers_on_morphing_graph(self, controller_key):
-        ref_trace, ref_steps = _run("morphing", controller_key, "fast", select="workset")
-        inc_trace, inc_steps = _run(
-            "morphing", controller_key, "fast", select="incremental"
-        )
+        ref_trace, ref_steps = _run("morphing", controller_key, "fast", RandomWorkset())
+        inc_trace, inc_steps = _run("morphing", controller_key, "fast")
         assert inc_steps == ref_steps
         assert inc_trace == ref_trace
 
 
 class TestSelectBackendSelection:
-    def test_unknown_backend_rejected(self):
-        from repro.runtime.core import resolve_select_backend
-
-        with pytest.raises(RuntimeEngineError):
-            resolve_select_backend("quantum")
-
-    def test_env_var_default(self, monkeypatch):
-        from repro.runtime.core import resolve_select_backend
-
-        monkeypatch.delenv("REPRO_SELECT", raising=False)
-        assert resolve_select_backend(None) == "incremental"
-        monkeypatch.setenv("REPRO_SELECT", "workset")
-        assert resolve_select_backend(None) == "workset"
-        assert resolve_select_backend("incremental") == "incremental"  # explicit wins
-
-    def test_workload_builds_active_set_from_env(self, monkeypatch):
-        from repro.runtime.active_set import ActiveSet
-
-        monkeypatch.setenv("REPRO_SELECT", "incremental")
+    def test_workload_builds_active_set_unless_injected(self):
         workload = ReplayGraphWorkload(gnm_random(20, 2, seed=0))
         assert isinstance(workload.workset, ActiveSet)
-        monkeypatch.setenv("REPRO_SELECT", "workset")
-        workload = ReplayGraphWorkload(gnm_random(20, 2, seed=0))
-        assert isinstance(workload.workset, RandomWorkset)
+        oracle = RandomWorkset()
+        workload = ReplayGraphWorkload(gnm_random(20, 2, seed=0), workset=oracle)
+        assert workload.workset is oracle
 
-    def test_select_and_workset_are_exclusive(self):
-        with pytest.raises(RuntimeEngineError):
-            ReplayGraphWorkload(
-                gnm_random(20, 2, seed=0),
-                select="incremental",
-                workset=RandomWorkset(),
-            )
-
-    def test_api_run_honours_config_select(self):
-        from repro import RunConfig
-        from repro.api import run
-
-        def result(select):
-            res = run(
-                RunConfig(workload="consuming", seed=5, max_steps=30, select=select),
-                graph=gnm_random(80, 6, seed=3),
-            )
-            return [s.as_dict() for s in res.steps]
-
-        assert result("incremental") == result("workset")
-
-    def test_duck_typed_operator_without_apply_batch(self, monkeypatch):
+    def test_duck_typed_operator_without_apply_batch(self):
         # for_each accepts any object with neighborhood/apply — the
         # batched commit path must fall back to the per-task walk for
-        # operators that define neither apply_batch nor on_abort
+        # operators that define neither apply_batch nor on_abort, and
+        # land on the steps of the reference work-set's per-task branch
         from repro.api import for_each
 
         class DuckOp:
@@ -204,14 +172,23 @@ class TestSelectBackendSelection:
             def on_abort(self, task):
                 pass
 
-        def trace(select):
-            monkeypatch.setenv("REPRO_SELECT", select)
-            res = for_each(range(50), DuckOp(), max_steps=400, seed=11)
-            return [s.as_dict() for s in res.steps]
+        res = for_each(range(50), DuckOp(), max_steps=400, seed=11)
+        workset = RandomWorkset()
+        workset.add_all([Task(payload=i) for i in range(50)])
+        oracle = OptimisticEngine(
+            workset=workset,
+            operator=DuckOp(),
+            policy=ItemLockPolicy(),
+            controller=HybridController(0.25, m_max=1024),
+            seed=11,
+        )
+        oracle.run(max_steps=400)
+        assert [s.as_dict() for s in res.steps] == [
+            s.as_dict() for s in oracle.result.steps
+        ]
+        assert res.total_aborted > 0
 
-        assert trace("incremental") == trace("workset")
-
-    def test_duck_typed_operator_without_on_abort(self, monkeypatch):
+    def test_duck_typed_operator_without_on_abort(self):
         # no on_abort and no aborts (empty neighbourhoods): both the
         # commit fallback and the abort-override check must tolerate it
         from repro.api import for_each
@@ -223,20 +200,8 @@ class TestSelectBackendSelection:
             def apply(self, task):
                 return []
 
-        monkeypatch.setenv("REPRO_SELECT", "incremental")
         res = for_each(range(30), MinimalOp(), max_steps=100, seed=2)
         assert res.total_committed == 30
-
-    def test_registry_rejects_unknown_select_name(self):
-        from repro import RunConfig
-        from repro.api import run
-        from repro.errors import RegistryError
-
-        with pytest.raises(RegistryError):
-            run(
-                RunConfig(workload="consuming", select="quantum"),
-                graph=gnm_random(10, 2, seed=0),
-            )
 
 
 class TestItemLockDifferential:
@@ -249,8 +214,7 @@ class TestItemLockDifferential:
         def apply(self, task):
             return []
 
-    def _run(self, mode: str):
-        workset = RandomWorkset()
+    def _run(self, workset):
         for i in range(80):
             workset.add(Task(payload=3 * i))  # windows overlap neighbours
         engine = OptimisticEngine(
@@ -259,13 +223,14 @@ class TestItemLockDifferential:
             policy=ItemLockPolicy(),
             controller=FixedController(16),
             seed=5,
-            engine=mode,
         )
         engine.run(max_steps=25)
         return [s.as_dict() for s in engine.result.steps]
 
     def test_fast_equals_reference(self):
-        assert self._run("fast") == self._run("reference")
+        # item locks always walk; what differs is the work-set and with
+        # it the batched vs per-task commit branch
+        assert self._run(ActiveSet()) == self._run(RandomWorkset())
 
 
 class TestOrderedDifferential:
@@ -277,10 +242,9 @@ class TestOrderedDifferential:
 
         def run(mode):
             sim = DiscreteEventSimulation(network, num_jobs=25, end_time=12.0, seed=5)
-            engine = sim.build_engine(
-                CONTROLLERS[controller_key](), seed=9, engine=mode
-            )
-            result = engine.run(max_steps=10**5)
+            engine = sim.make_engine(CONTROLLERS[controller_key](), seed=9)
+            with RESOLVE[mode]():
+                result = engine.run(max_steps=10**5)
             return sim.history, [s.as_dict() for s in result.steps]
 
         ref_history, ref_steps = run("reference")
@@ -305,18 +269,18 @@ class TestRelaxedDifferential:
             "clique_consuming": lambda: union_of_cliques(20, 6),
         }
         recorder = TraceRecorder()
-        run(
-            RunConfig(
-                workload="replay" if workload == "gnm_replay" else "consuming",
-                rho=0.25,
-                order=order,
-                max_steps=MAX_STEPS,
-                engine=mode,
-            ),
-            graph=graphs[workload](),
-            seed=SEED,
-            recorder=recorder,
-        )
+        with RESOLVE[mode]():
+            run(
+                RunConfig(
+                    workload="replay" if workload == "gnm_replay" else "consuming",
+                    rho=0.25,
+                    order=order,
+                    max_steps=MAX_STEPS,
+                ),
+                graph=graphs[workload](),
+                seed=SEED,
+                recorder=recorder,
+            )
         return recorder.to_jsonl()
 
     @pytest.mark.parametrize(
@@ -358,21 +322,3 @@ class TestRelaxedDifferential:
             assert fields(asynchronous, kind) == fields(unordered, kind)
         extra = {e["kind"] for e in asynchronous} - {e["kind"] for e in unordered}
         assert extra <= {"order_decision"}
-
-
-class TestEngineModeSelection:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(RuntimeEngineError):
-            resolve_engine_mode("turbo")
-
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine_mode(None) == "fast"
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert resolve_engine_mode(None) == "reference"
-        assert resolve_engine_mode("fast") == "fast"  # explicit wins
-
-    def test_engine_records_mode(self):
-        workload = ReplayGraphWorkload(gnm_random(20, 2, seed=0))
-        engine = workload.build_engine(FixedController(4), seed=0, engine="fast")
-        assert engine.engine_mode == "fast"

@@ -5,7 +5,8 @@ The sharded policy's correctness contract has two halves:
 * **Degenerate exactness** — ``shards=1`` is not "approximately" the
   unordered policy, it *is* the unordered policy: byte-identical traces
   (including the engine RNG's final generator state) on the golden
-  corpus, on both engine modes, against the checked-in golden fixture.
+  corpus, on the default and the reference paths, against the
+  checked-in golden fixture.
 * **Multi-shard conflict-serializability** — with any shard count, the
   set of nodes committed in one round must be pairwise non-adjacent in
   the graph as it stood *at that round*.  A trace validator replays the
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from itertools import combinations
 from pathlib import Path
 
@@ -32,6 +34,11 @@ from repro.runtime.core import Engine
 from repro.runtime.policies import ShardedCommitOrder, UnorderedCommitOrder
 from repro.runtime.sharded import run_sharded
 from repro.runtime.workloads import ConsumingGraphWorkload
+from repro.runtime.workset import RandomWorkset
+from repro.testing.oracles import reference_paths
+
+#: how each leg resolves conflicts: pinned to the walks, or left to the code
+RESOLVE = {"reference": reference_paths, "fast": nullcontext, None: nullcontext}
 
 # golden-corpus settings (tests/obs/test_golden.py) with a CI-rotatable
 # engine seed: the flaky-hunter varies REPRO_TEST_SEED to shake out
@@ -62,21 +69,25 @@ def _api_trace(order, *, workload="consuming", mode=None, shards=None, seed=None
         order=order,
         shards=shards,
         max_steps=MAX_STEPS,
-        engine=mode,
     )
-    res = api_run(
-        config,
-        graph=_graph(),
-        seed=ENGINE_SEED if seed is None else seed,
-        recorder=recorder,
-    )
+    with RESOLVE[mode]():
+        res = api_run(
+            config,
+            graph=_graph(),
+            seed=ENGINE_SEED if seed is None else seed,
+            recorder=recorder,
+        )
     return recorder, res
 
 
 def _engine_run(order_cls, mode, **order_kwargs):
-    """One manually wired engine run; returns (recorder, engine)."""
+    """One manually wired engine run; returns (recorder, engine).
+
+    The reference leg also draws from the oracle work-set."""
     recorder = TraceRecorder()
-    workload = ConsumingGraphWorkload(_graph())
+    workload = ConsumingGraphWorkload(
+        _graph(), workset=RandomWorkset() if mode == "reference" else None
+    )
     order = order_cls(workload.policy, **order_kwargs)
     engine = Engine(
         workset=workload.workset,
@@ -85,9 +96,9 @@ def _engine_run(order_cls, mode, **order_kwargs):
         order=order,
         seed=ENGINE_SEED,
         recorder=recorder,
-        engine=mode,
     )
-    engine.run(max_steps=MAX_STEPS)
+    with RESOLVE[mode]():
+        engine.run(max_steps=MAX_STEPS)
     return recorder, engine
 
 

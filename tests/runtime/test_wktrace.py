@@ -4,7 +4,7 @@ Covers the three layers — :class:`WorkloadTrace` serialisation and
 integrity checking, :class:`WorkloadCapture` recording through live
 engine runs, :class:`TraceReplayWorkload` deterministic re-execution —
 plus the two cross-cutting equivalence gates the substrate exists for:
-a recorded trace replays *byte-identically* across selection backends,
+a recorded trace replays *byte-identically* on the default and the oracle paths,
 and commits the *same work* under ``shards=1`` vs ``shards=2``.
 """
 
@@ -12,6 +12,7 @@ import pytest
 
 from repro import RunConfig
 from repro.api import run
+from repro.control import HybridController
 from repro.control.fixed import FixedController
 from repro.errors import ConfigError, ObservabilityError, ReplayMismatchError
 from repro.graph.generators import gnm_random
@@ -22,6 +23,8 @@ from repro.runtime.wktrace import (
     WorkloadTrace,
 )
 from repro.runtime.workloads import ConsumingGraphWorkload
+from repro.runtime.workset import RandomWorkset
+from repro.testing.oracles import reference_paths
 
 SEED = 17
 
@@ -157,15 +160,17 @@ class TestReplayEquivalenceGates:
     def test_select_backends_replay_byte_identically(self, tmp_path):
         path = self._trace_path(tmp_path)
 
-        def leg(select):
-            rec = TraceRecorder()
-            run(
-                RunConfig(workload=f"trace:{path}", seed=11, select=select),
-                recorder=rec,
-            )
-            return rec.to_jsonl()
+        default = TraceRecorder()
+        run(RunConfig(workload=f"trace:{path}", seed=11), recorder=default)
 
-        assert leg("workset") == leg("incremental")
+        oracle = TraceRecorder()
+        workload = TraceReplayWorkload.load(path, workset=RandomWorkset())
+        engine = workload.make_engine(
+            HybridController(0.25, m_max=1024), seed=11, recorder=oracle
+        )
+        with reference_paths():
+            engine.run()
+        assert oracle.to_jsonl() == default.to_jsonl()
 
     def test_sharded_replay_commits_the_same_work(self, tmp_path):
         path = self._trace_path(tmp_path)

@@ -39,7 +39,6 @@ class TestRunConfigValidation:
         ("m_min", 0),
         ("m_max", 0),
         ("max_steps", -1),
-        ("engine", "turbo"),
         ("experiment", ""),
         ("workload", ""),
         ("controller", None),
@@ -48,6 +47,15 @@ class TestRunConfigValidation:
     def test_bad_field_values_rejected(self, field, value):
         with pytest.raises(ConfigError):
             RunConfig(**{field: value})
+
+    def test_fixed_controller_needs_m_at_construction(self):
+        with pytest.raises(ConfigError, match="needs an explicit m.*m=None"):
+            RunConfig(controller="fixed")
+        assert RunConfig(controller="fixed", m=8).m == 8
+
+    def test_m_rejected_where_it_would_be_ignored(self):
+        with pytest.raises(ConfigError, match="no other controller reads one.*m=7"):
+            RunConfig(controller="hybrid", m=7)
 
     def test_positional_experiment_compat(self):
         # the historical parallel.RunConfig("fig1", seed=1, quick=True) shape
@@ -108,14 +116,6 @@ class TestRunConfigOrderValidation:
         with pytest.raises(ConfigError):
             RunConfig(order=order)
 
-    def test_priority_order_incompatible_with_select_backend(self):
-        with pytest.raises(ConfigError, match="work-set"):
-            RunConfig(order="relaxed:4", select="incremental")
-
-    def test_unordered_order_composes_with_select_backend(self):
-        cfg = RunConfig(order="unordered", select="incremental")
-        assert (cfg.order, cfg.select) == ("unordered", "incremental")
-
     def test_order_round_trips_through_dict_and_json(self):
         cfg = RunConfig(workload="consuming", order="relaxed:8", seed=3)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
@@ -128,7 +128,7 @@ class TestRunConfigSerialisation:
         cfg = RunConfig(
             "fig3", seed=11, quick=True, workload="consuming",
             controller="aimd", conflict="explicit-graph", rho=0.4,
-            m_min=2, m_max=256, engine="fast", max_steps=50, order="async:8",
+            m_min=2, m_max=256, max_steps=50, order="async:8",
         )
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
         assert RunConfig.from_json(cfg.to_json()) == cfg
@@ -140,6 +140,37 @@ class TestRunConfigSerialisation:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown RunConfig field"):
             RunConfig.from_dict({"experiment": "fig1", "warp_factor": 9})
+
+    #: RunConfig(workload="consuming", order="relaxed:8", seed=3).to_json()
+    #: as PR 13 wrote it, with the since-removed engine/select fields
+    PR13_JSON = (
+        '{"conflict":"item-lock","controller":"hybrid","engine":null,'
+        '"experiment":null,"m":null,"m_max":1024,"m_min":null,"max_steps":null,'
+        '"order":"relaxed:8","quick":false,"rho":0.25,"seed":3,"select":null,'
+        '"shards":null,"workload":"consuming"}'
+    )
+
+    def test_configs_written_before_the_field_removal_still_load(self):
+        cfg = RunConfig.from_json(self.PR13_JSON)
+        assert cfg == RunConfig(workload="consuming", order="relaxed:8", seed=3)
+        assert "engine" not in cfg.to_dict() and "select" not in cfg.to_dict()
+
+    @pytest.mark.parametrize(
+        "field,value", [("engine", "reference"), ("select", "workset")]
+    )
+    def test_pinned_removed_fields_name_the_removal(self, field, value):
+        payload = json.loads(self.PR13_JSON)
+        payload[field] = value
+        with pytest.raises(ConfigError, match=f"{field}='{value}' was removed"):
+            RunConfig.from_dict(payload)
+
+    def test_sweep_journal_run_lists_survive_the_removal(self):
+        old = json.loads(self.PR13_JSON)
+        sweep = SweepConfig.from_dict({"runs": [old, "fig1"], "base_seed": 4})
+        assert sweep.runs[0] == RunConfig.from_json(self.PR13_JSON)
+        old["engine"] = "reference"
+        with pytest.raises(ConfigError, match="was removed"):
+            SweepConfig.from_dict({"runs": [old]})
 
     def test_bad_payload_types_rejected(self):
         with pytest.raises(ConfigError):

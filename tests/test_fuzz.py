@@ -25,6 +25,7 @@ from repro.control import (
 from repro.graph.generators import gnm_random
 from repro.runtime.ordered import OrderedEngine, PriorityWorkset
 from repro.runtime.task import CallbackOperator, Task
+from repro.testing.oracles import reference_paths
 from repro.control.fixed import FixedController
 
 
@@ -360,7 +361,7 @@ class TestRelaxedOrderOnMorphingGraphs:
         from repro.api import run as api_run
         from repro.obs import TraceRecorder
 
-        def trace(mode):
+        def trace():
             recorder = TraceRecorder()
             # seed goes through the config: the regenerating workload
             # draws its replacement edges from config.seed
@@ -372,14 +373,15 @@ class TestRelaxedOrderOnMorphingGraphs:
                     order=order,
                     max_steps=15,
                     seed=seed,
-                    engine=mode,
                 ),
                 graph=gnm_random(30, 4, seed=seed),
                 recorder=recorder,
             )
             return recorder.to_jsonl()
 
-        assert trace("fast") == trace("reference")
+        fast = trace()
+        with reference_paths():
+            assert fast == trace()
 
 
 class TestRegeneratingCommitMatchesScanUnderMorphs:

@@ -94,7 +94,11 @@ class TestBuiltinRegistries:
         assert "unordered" in registry("order-policy")
         assert "item-lock" in registry("conflict-policy")
         assert "replay" in registry("workload")
-        assert "optimistic" in registry("engine")
+
+    @pytest.mark.parametrize("kind", ["engine", "select-backend"])
+    def test_removed_registries_are_gone(self, kind):
+        with pytest.raises(RegistryError, match="unknown registry kind"):
+            registry(kind)
 
     def test_lazy_population_repr(self):
         reg = Registry("widget", populate=lambda r: r.register("a", lambda: 1))

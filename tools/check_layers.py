@@ -74,8 +74,8 @@ LAYERS: dict[str, int] = {
     # the step pipeline, then the order policies plugged into it
     "repro.runtime.core": 5,
     "repro.runtime.policies": 6,
-    # the rest of the runtime (engine/ordered shims, workloads,
-    # recording, the process-backed shard runtime)
+    # the rest of the runtime (engine/ordered shims, workloads, the
+    # process-backed shard runtime)
     "repro.runtime": 7,
     "repro.runtime.sharded": 7,
     "repro.control": 8,
