@@ -204,19 +204,16 @@ def test_sharded_tracing_overhead_gate(tmp_path):
     from repro.graph.partition import partition_graph
     from repro.obs.distributed import TelemetryBus
     from repro.runtime.sharded import ShardPool
-    from repro.runtime.task import Task
 
     gc.collect()  # don't let the per-step gate's garbage bill this one
     graph = gnm_random(SHARD_N, SHARD_D, seed=GATE_SEED)
     part = partition_graph(graph, SHARD_COUNT)
     rng = np.random.default_rng(3)
-    batches = [
-        [
-            Task(payload=int(p))
-            for p in rng.choice(SHARD_N, size=SHARD_M, replace=False)
-        ]
+    draws = [
+        rng.choice(SHARD_N, size=SHARD_M, replace=False)
         for _ in range(SHARD_WARMUP + SHARD_ROUNDS)
     ]
+    batches = [(nodes, part.shard_of_array(nodes)) for nodes in draws]
 
     base_pool = ShardPool(SHARD_COUNT)
     traced_pool = ShardPool(SHARD_COUNT)
@@ -227,18 +224,18 @@ def test_sharded_tracing_overhead_gate(tmp_path):
     base_times, traced_times = [], []
     try:
         for r, batch in enumerate(batches[:SHARD_WARMUP]):
-            base_pool.resolve(r, batch, part, graph)
-            traced_pool.resolve(r, batch, part, graph, seq=r)
+            base_pool.resolve(r, *batch, part, graph)
+            traced_pool.resolve(r, *batch, part, graph, seq=r)
         for r, batch in enumerate(batches[SHARD_WARMUP:]):
             base_first = r % 2 == 0
             for side in (0, 1):
                 if (side == 0) == base_first:
                     t0 = time.perf_counter()
-                    base_pool.resolve(r, batch, part, graph)
+                    base_pool.resolve(r, *batch, part, graph)
                     base_times.append(time.perf_counter() - t0)
                 else:
                     t0 = time.perf_counter()
-                    traced_pool.resolve(r, batch, part, graph, seq=r)
+                    traced_pool.resolve(r, *batch, part, graph, seq=r)
                     traced_times.append(time.perf_counter() - t0)
     finally:
         base_pool.close()

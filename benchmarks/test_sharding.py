@@ -149,7 +149,6 @@ def test_shard_speedup_gate():
                     "m": FIXED_M,
                     "steps": STEPS,
                     "workload": "replay",
-                    "engine": "reference",
                 },
                 "cpu_count": cpus,
                 "gate_enforced": gate_enforced,

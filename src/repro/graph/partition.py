@@ -55,7 +55,6 @@ __all__ = [
     "partition_graph",
     "two_phase_commit_mask",
     "two_phase_commit_mask_fast",
-    "local_greedy_positions",
 ]
 
 
@@ -299,24 +298,3 @@ def two_phase_commit_mask_fast(
     final[committed_pos[sub]] = True
     return final, local
 
-
-def local_greedy_positions(
-    adjacency: "dict[int, set[int]]", sub_batch: "list[tuple[int, int]]"
-) -> "list[int]":
-    """Phase-1 greedy walk of one shard's batch slice, in worker form.
-
-    ``adjacency`` holds the shard's *intra-shard* edges only;
-    ``sub_batch`` is the shard's ``(position, node)`` pairs sorted by
-    global batch position.  Returns the positions that commit locally.
-    Stale adjacency entries pointing at removed nodes are harmless: a
-    removed node never reappears in a batch, so its edges never fire —
-    the same staleness argument the incremental CSR view relies on.
-    """
-    committed: set[int] = set()
-    out: "list[int]" = []
-    empty: "set[int]" = set()
-    for pos, node in sub_batch:
-        if committed.isdisjoint(adjacency.get(node, empty)):
-            committed.add(node)
-            out.append(pos)
-    return out

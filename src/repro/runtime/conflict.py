@@ -38,11 +38,7 @@ import numpy as np
 
 from repro.errors import ConflictDetectionError
 from repro.graph.ccgraph import CCGraph
-from repro.runtime.kernels import (
-    GATHER_MIN_BATCH,
-    csr_conflict_pairs,
-    greedy_commit_mask_from_slots,
-)
+from repro.runtime.kernels import GATHER_MIN_BATCH, csr_greedy_commit_mask
 from repro.runtime.task import Operator, Task
 
 __all__ = ["ConflictPolicy", "ItemLockPolicy", "ExplicitGraphPolicy", "BatchOutcome"]
@@ -258,13 +254,7 @@ class ExplicitGraphPolicy(ConflictPolicy):
         pos = self._pos
         if pos.shape[0] != n:
             pos = self._pos = np.full(n, -1, dtype=np.int64)
-        slots = np.arange(m, dtype=np.int64)
-        pos[idx] = slots
-        try:
-            if not np.array_equal(pos[idx], slots):
-                return self.resolve(batch, operator)  # duplicate payload nodes
-            own, nbr = csr_conflict_pairs(snapshot.indptr, snapshot.indices, idx, pos)
-        finally:
-            pos[idx] = -1
-        mask = greedy_commit_mask_from_slots(own, nbr, m, checked=False)
+        mask = csr_greedy_commit_mask(snapshot.indptr, snapshot.indices, idx, pos)
+        if mask is None:
+            return self.resolve(batch, operator)  # duplicate payload nodes
         return self._split_by_mask(batch, mask)

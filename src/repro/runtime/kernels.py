@@ -22,6 +22,9 @@ The kernels below all reproduce the reference semantics **bit for bit**
   the conflicting pairs, skipping all per-call graph indexing.
 * :func:`csr_conflict_pairs` — that projection: one CSR neighbour gather
   over the batch's own rows, O(Σ deg(batch)) whatever the graph's size.
+* :func:`csr_greedy_commit_mask` — scatter + gather + kernel in one call:
+  the explicit-graph gather path, every shard worker's phase 1 and the
+  shard supervisor's phase 2, each over its own CSR.
 * :func:`sample_prefix_draws` — the selection-side kernel: the bounded
   draws of the m-out-of-n swap-removal sampler
   (:class:`~repro.runtime.workset.RandomWorkset`'s ``π_m`` prefix) as a
@@ -52,6 +55,7 @@ __all__ = [
     "greedy_commit_mask_batch",
     "greedy_commit_mask_from_slots",
     "csr_conflict_pairs",
+    "csr_greedy_commit_mask",
     "sample_prefix_draws",
     "sample_window_draws",
 ]
@@ -336,6 +340,28 @@ def csr_conflict_pairs(
     # 0 <= nbr < own in one comparison: as uint64, -1 exceeds every slot
     keep = np.flatnonzero(nbr.view(np.uint64) < own.view(np.uint64))
     return own[keep], nbr[keep]
+
+
+def csr_greedy_commit_mask(
+    indptr: np.ndarray, indices: np.ndarray, idx: np.ndarray, pos: np.ndarray
+) -> "np.ndarray | None":
+    """Greedy commit mask of one batch over a CSR: scatter, gather, resolve.
+
+    ``idx`` is ``int64[m]`` CSR rows in commit order, all ``< len(pos)``;
+    ``pos`` is the caller-kept ``int64`` scratch array, ``-1`` everywhere
+    on entry and again on return.  Returns ``bool[m]``, or ``None`` when
+    ``idx`` repeats a row (an error or a reference-path case: the
+    caller's call).
+    """
+    slots = np.arange(idx.shape[0], dtype=np.int64)
+    pos[idx] = slots
+    try:
+        if not np.array_equal(pos[idx], slots):
+            return None
+        own, nbr = csr_conflict_pairs(indptr, indices, idx, pos)
+    finally:
+        pos[idx] = -1
+    return greedy_commit_mask_from_slots(own, nbr, slots.shape[0], checked=False)
 
 
 @_timed("kernel.sample_prefix")

@@ -747,34 +747,32 @@ class ShardedCommitOrder(UnorderedCommitOrder):
         with eng.phase_span("resolve"):
             part = self.partition
             graph = self.conflict_policy.graph
-            step = eng.steps_executed
-            final = local = None
-            if self.pool is not None:
-                final, local = self.pool.resolve(
-                    step, batch, part, graph, seq=seq
-                )
-            elif batch:
-                payloads = np.asarray([task.payload for task in batch])
-                masks = two_phase_commit_mask_fast(
-                    graph.conflict_view(), part, payloads
-                )
-                if masks is not None:
-                    final, local = masks
-            if final is None:
-                final, local = two_phase_commit_mask(
-                    graph, part, [task.payload for task in batch]
-                )
+            nodes = [task.payload for task in batch]
+            payloads = np.asarray(nodes)
+            masks = None
+            if payloads.dtype.kind == "i":
+                payloads = payloads.astype(np.int64, copy=False)
+                shard_by_pos = part.shard_of_array(payloads)
+                if self.pool is not None:
+                    masks = self.pool.resolve(
+                        eng.steps_executed, payloads, shard_by_pos, part, graph, seq=seq
+                    )
+                else:
+                    masks = two_phase_commit_mask_fast(
+                        graph.conflict_view(), part, payloads
+                    )
+            if masks is None:  # empty or degenerate batch: the walk rules
+                masks = two_phase_commit_mask(graph, part, nodes)
+                payloads = np.asarray(nodes or [], dtype=np.int64)
+                shard_by_pos = part.shard_of_array(payloads)
+            final, local = masks
             outcome = self.conflict_policy._split_by_mask(batch, final)
-        self._note_round(batch, part, final, local, seq=seq)
+        self._note_round(payloads, shard_by_pos, final, local, seq=seq)
         return outcome
 
-    def _note_round(self, batch, part, final, local, seq=None) -> None:
+    def _note_round(self, payloads, shard_by_pos, final, local, seq=None) -> None:
         """Account one multi-shard round and emit its trace events."""
         eng = self.engine
-        payloads = np.asarray(
-            [task.payload for task in batch] or [], dtype=np.int64
-        )
-        shard_by_pos = part.shard_of_array(payloads)
         launched = np.bincount(shard_by_pos, minlength=self.shards)
         committed = np.bincount(shard_by_pos[final], minlength=self.shards)
         halo_aborts = int(np.count_nonzero(local & ~final))

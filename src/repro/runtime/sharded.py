@@ -14,16 +14,26 @@ Design
 ======
 
 * The **supervisor owns all authoritative state** — graph, work-set,
-  controller, RNG, journal.  Workers are pure functions: each holds its
-  shard's intra-shard adjacency (shipped once at spawn) and answers
-  "which of these batch positions commit locally?" per round via
-  :func:`repro.graph.partition.local_greedy_positions`.
-* **No mutation sync.**  Worker adjacency is never updated: a committed
-  node of a consuming workload leaves the work-set forever, so its stale
-  edges can never fire again — the same staleness argument the
+  controller, RNG, journal.  Workers are pure functions of the round:
+  each holds its shard's intra-shard edges as a CSR over node-id space,
+  shipped **once** in the spawn payload (copy-on-write under ``fork``,
+  one ndarray pickle under ``spawn``), and a ``-1`` scratch array.
+* **Rounds are array work.**  Each non-empty shard gets one message,
+  ``{"step", "seq", "sub"}`` with ``sub`` its slice of the batch's node
+  ids (int64 ndarray, commit order), and answers with that slice's bool
+  commit mask (phase 1).  The supervisor validates and scatters the
+  masks, then runs the *same* kernel
+  (:func:`~repro.runtime.kernels.csr_greedy_commit_mask`) over the
+  cut-edge CSR on the locally committed nodes (phase 2, the halo
+  exchange).  :func:`repro.graph.partition.two_phase_commit_mask` is
+  the reference rule both are held to.
+* **No mutation sync.**  The CSRs are never updated: a committed node
+  of a consuming workload leaves the work-set forever, so its stale
+  rows can never fire again — the same staleness argument the
   incremental CSR view (:class:`~repro.graph.ccgraph.ConflictDeltaView`)
-  rests on.  Workloads that *add* edges (``regenerating``) are rejected
-  up front; use the in-process policy for those.
+  rests on.  Workloads that *add* nodes or edges (``regenerating``) are
+  rejected up front, and a batch node beyond the spawn-time table
+  raises; use the in-process policy for those.
 * **Fault tolerance.**  Worker processes fire the run's
   :class:`~repro.testing.FaultPlan` with the shard identity
   ``"shard:<i>"`` and their incarnation index as the attempt, so
@@ -60,14 +70,15 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigError, RuntimeEngineError
-from repro.graph.partition import local_greedy_positions
 from repro.runtime.core import Engine
+from repro.runtime.kernels import csr_greedy_commit_mask
 from repro.runtime.supervise import PersistentWorker, mp_context
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,6 +93,37 @@ DEFAULT_SHARD_JOURNAL = "shard-journal.jsonl"
 #: workloads the process runtime supports: their morphs never *add*
 #: edges, so spawn-time worker adjacency stays sound (see module doc)
 _SUPPORTED_WORKLOADS = frozenset({"replay", "consuming"})
+
+
+def _node_csr(pairs: np.ndarray, n: int) -> "tuple[np.ndarray, np.ndarray]":
+    """Symmetric CSR over node ids ``0..n-1`` of an ``(e, 2)`` edge array."""
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.argsort(src, kind="stable")]
+
+
+def _check_in_table(nodes: np.ndarray, n: int) -> None:
+    """Reject batch nodes the spawn-time CSRs have no row for (rows of
+    nodes *removed* since are merely stale: a removed node is in no batch)."""
+    if nodes.size and not 0 <= nodes.min() <= nodes.max() < n:
+        bad = int(nodes[(nodes < 0) | (nodes >= n)][0])
+        raise RuntimeEngineError(
+            f"batch node {bad} is outside the spawn-time adjacency table "
+            f"(size {n}): the graph grew under the shard pool, which "
+            f"supports workloads {sorted(_SUPPORTED_WORKLOADS)} only"
+        )
+
+
+def _greedy_mask(csr, pos: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Greedy commit mask of *nodes* (commit order) over a spawn-time CSR:
+    worker phase 1 (intra CSR) and supervisor phase 2 (cut CSR) alike."""
+    _check_in_table(nodes, pos.shape[0])
+    mask = csr_greedy_commit_mask(*csr, nodes, pos)
+    if mask is None:
+        raise RuntimeEngineError("a node appears twice in one batch")
+    return mask
 
 
 def _flight_write(file, record: dict, fsync: bool = False) -> None:
@@ -109,10 +151,8 @@ def _shard_worker_main(conns, payload: dict) -> None:
     is byte-identical to the uninstrumented worker.
     """
     recv_conn, send_conn = conns
-    adjacency: "dict[int, set[int]]" = {}
-    for u, v in payload["edges"]:
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
+    csr = payload["csr"]
+    pos = np.full(csr[0].shape[0] - 1, -1, dtype=np.int64)
     plan = payload.get("faults")
     fired = plan is None
     shard = payload["shard"]
@@ -122,7 +162,7 @@ def _shard_worker_main(conns, payload: dict) -> None:
     flight = payload.get("flight")
     if telem_events or telem_spans or flight is not None:
         # one up-call import per incarnation; the default path never
-        # touches repro.obs at all
+        # touches repro.obs.distributed at all
         from repro.obs import distributed as _dist
         from repro.obs.spans import SpanProfiler
     flight_file = None
@@ -157,12 +197,10 @@ def _shard_worker_main(conns, payload: dict) -> None:
 
                     FaultPlan.from_dict(plan).fire(f"shard:{shard}", attempt)
                 profiler = SpanProfiler() if telem_spans else None
-                if profiler is not None:
-                    with profiler.span("shard.round"):
-                        positions = local_greedy_positions(adjacency, sub)
-                else:
-                    positions = local_greedy_positions(adjacency, sub)
-                reply: dict = {"ok": True, "positions": positions}
+                with profiler.span("shard.round") if profiler else nullcontext():
+                    mask = _greedy_mask(csr, pos, sub)
+                committed = int(np.count_nonzero(mask))
+                reply: dict = {"ok": True, "mask": mask}
                 spans = None if profiler is None else profiler.snapshot()
                 if telem_events or spans is not None:
                     telem: dict = {}
@@ -175,7 +213,7 @@ def _shard_worker_main(conns, payload: dict) -> None:
                                     "src": f"shard:{shard}",
                                     "seq": seq,
                                     "launched": len(sub),
-                                    "committed": len(positions),
+                                    "committed": committed,
                                     "attempt": attempt,
                                 },
                             }
@@ -187,9 +225,7 @@ def _shard_worker_main(conns, payload: dict) -> None:
                 if flight_file is not None:
                     _flight_write(
                         flight_file,
-                        _dist.flight_round_end(
-                            step, len(sub), len(positions), spans
-                        ),
+                        _dist.flight_round_end(step, len(sub), committed, spans),
                     )
             except BaseException as exc:  # noqa: BLE001 - workers never re-raise
                 try:
@@ -298,7 +334,10 @@ class ShardPool:
         self._attempts = [0] * shards
         self._ctx = mp_context()
         self._workers: "dict[int, PersistentWorker]" = {}
-        self._edges: "dict[int, list] | None" = None
+        #: intra-edge CSR per shard, cut-edge CSR, phase-2 scratch (first round)
+        self._edges: "dict[int, tuple[np.ndarray, np.ndarray]] | None" = None
+        self._cut: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._pos = np.empty(0, dtype=np.int64)
         self._journal = (
             _RoundJournal(journal, shards, resume) if journal is not None else None
         )
@@ -330,16 +369,18 @@ class ShardPool:
     # -- worker lifecycle ------------------------------------------------
     def _ensure_edges(self, partition, graph) -> None:
         if self._edges is None:
-            intra, _ = partition.edge_split(graph)
-            self._edges = {
-                s: pairs.tolist() for s, pairs in intra.items()
-            }
+            intra, cut = partition.edge_split(graph)
+            ids = graph.csr().node_ids
+            n = int(ids.max()) + 1 if ids.size else 0
+            self._edges = {s: _node_csr(pairs, n) for s, pairs in intra.items()}
+            self._cut = _node_csr(cut, n)
+            self._pos = np.full(n, -1, dtype=np.int64)
 
     def _spawn(self, shard: int) -> PersistentWorker:
         payload = {
             "shard": shard,
             "attempt": self._attempts[shard],
-            "edges": self._edges[shard],
+            "csr": self._edges[shard],
             "faults": self.faults,
         }
         if self._bus is not None:
@@ -351,10 +392,6 @@ class ShardPool:
         worker = PersistentWorker(_shard_worker_main, payload, self._ctx)
         self._workers[shard] = worker
         return worker
-
-    def _worker(self, shard: int) -> PersistentWorker:
-        worker = self._workers.get(shard)
-        return worker if worker is not None else self._spawn(shard)
 
     def _respawn(self, shard: int, why: str) -> PersistentWorker:
         self.respawns += 1
@@ -368,16 +405,19 @@ class ShardPool:
         return self._spawn(shard)
 
     # -- one round -------------------------------------------------------
-    def resolve(self, step, batch, partition, graph, *, seq=None):
+    def resolve(self, step, payloads, shard_by_pos, partition, graph, *, seq=None):
         """Two-phase masks for one round, worker-backed and journaled.
 
-        *seq* is the round's halo-exchange sequence number when
-        distributed tracing is on (threaded through the round message so
-        workers stamp it on their telemetry); ``None`` otherwise.
-        Journal-replayed rounds return before any worker or telemetry
-        involvement — a resumed run re-derives masks, not observability.
+        *payloads* is the batch's int64 node ids in commit order and
+        *shard_by_pos* their shards under *partition* (the commit order
+        projects both once per round).  *seq* is the round's halo-exchange
+        sequence number when distributed tracing is on (threaded through
+        the round message so workers stamp it on their telemetry);
+        ``None`` otherwise.  Journal-replayed rounds return before any
+        worker or telemetry involvement — a resumed run re-derives masks,
+        not observability.
         """
-        m = len(batch)
+        m = len(payloads)
         record = self._journal.lookup(step) if self._journal is not None else None
         if record is not None:
             final = np.zeros(m, dtype=bool)
@@ -387,30 +427,24 @@ class ShardPool:
             return final, local
         self._ensure_edges(partition, graph)
         t_round = time.perf_counter()
-        payloads = np.asarray(
-            [task.payload for task in batch] or [], dtype=np.int64
-        )
-        shard_by_pos = partition.shard_of_array(payloads)
-        subs: "dict[int, list[tuple[int, int]]]" = {}
-        for pos in range(m):
-            subs.setdefault(int(shard_by_pos[pos]), []).append(
-                (pos, int(payloads[pos]))
-            )
+        _check_in_table(payloads, self._pos.shape[0])  # before any worker sees it
         local = np.zeros(m, dtype=bool)
-        message = {"step": int(step), "seq": seq}
         pending = []
-        for shard, sub in sorted(subs.items()):
-            msg = {**message, "sub": sub}
-            self._worker(shard).post(msg)
-            pending.append((shard, msg))
-        first_reply = last_reply = None
-        for shard, msg in pending:
-            local[self._collect(shard, msg)] = True
-            now = time.perf_counter()
-            if first_reply is None:
-                first_reply = now
-            last_reply = now
-        final = self._halo_exchange(graph, partition, payloads, shard_by_pos, local)
+        for shard in range(self.shards):
+            where = np.flatnonzero(shard_by_pos == shard)
+            if where.size:
+                msg = {"step": int(step), "seq": seq, "sub": payloads[where]}
+                (self._workers.get(shard) or self._spawn(shard)).post(msg)
+                pending.append((shard, where, msg))
+        replied = []
+        for shard, where, msg in pending:
+            local[where] = self._collect(shard, msg)
+            replied.append(time.perf_counter())
+        # phase 2, the halo exchange: the same greedy rule over the cut
+        # CSR, on the locally committed tasks in batch order
+        held = np.flatnonzero(local)
+        final = np.zeros(m, dtype=bool)
+        final[held[_greedy_mask(self._cut, self._pos, payloads[held])]] = True
         if self._journal is not None:
             self._journal.record(step, final, local)
         if self._bus is not None:
@@ -423,32 +457,39 @@ class ShardPool:
                     "halo_aborts": int(np.count_nonzero(local & ~final)),
                 },
                 # how long the first finished shard waited for the last
-                halo_wait_seconds=(
-                    last_reply - first_reply if first_reply is not None else None
-                ),
+                halo_wait_seconds=replied[-1] - replied[0] if replied else None,
                 round_seconds=time.perf_counter() - t_round,
             )
         return final, local
 
-    def _collect(self, shard: int, message: dict) -> "list[int]":
-        """One shard's phase-1 reply, respawning and retrying on failure.
+    def _collect(self, shard: int, message: dict) -> np.ndarray:
+        """One shard's phase-1 commit mask, respawning and retrying on failure.
 
         Respawned workers get the *full* round message back (step and
         sequence number included), so a recovered round is
         indistinguishable from an undisturbed one on both channels.
-        A failure first salvages the dead incarnation's flight spill
-        (when a recorder is bound) — the attempt index recorded is the
-        incarnation that died, not its replacement.
+        A reply that is not a bool mask of the slice's length fails like
+        an ``{"ok": False}`` one.  A failure first salvages the dead
+        incarnation's flight spill (when a recorder is bound) — the
+        attempt index recorded is the incarnation that died, not its
+        replacement.
         """
         worker = self._workers[shard]
+        shape = message["sub"].shape
         while True:
             status, reply = worker.collect(self.timeout)
-            if status == "ok" and reply.get("ok"):
-                if self._bus is not None:
-                    self._bus.ingest(shard, reply.get("telem"))
-                return reply["positions"]
             if status == "ok":
-                why = f"error: {reply.get('error', 'worker error')}"
+                reply = reply if isinstance(reply, dict) else {}
+                mask = reply.get("mask") if reply.get("ok") else None
+                if (
+                    isinstance(mask, np.ndarray)
+                    and mask.dtype == np.bool_
+                    and mask.shape == shape
+                ):
+                    if self._bus is not None:
+                        self._bus.ingest(shard, reply.get("telem"))
+                    return mask
+                why = f"error: {reply.get('error', 'malformed worker reply')}"
                 worker.close()  # erroring worker: its loop already exited
             else:
                 why = f"{status}: {reply}"
@@ -457,29 +498,7 @@ class ShardPool:
                     shard, reason=why, attempt=self._attempts[shard]
                 )
             worker = self._respawn(shard, why)
-            if not worker.post(message):  # pragma: no cover - instant death
-                continue
-
-    @staticmethod
-    def _halo_exchange(graph, partition, payloads, shard_by_pos, local):
-        """Phase 2, supervisor-side: cut-edge greedy over local commits.
-
-        Identical to the reference rule in
-        :func:`repro.graph.partition.two_phase_commit_mask`: walk the
-        locally committed tasks in batch order; survive iff no earlier
-        *surviving* cross-shard neighbour committed.
-        """
-        final = np.zeros(len(payloads), dtype=bool)
-        survivors: "dict[int, int]" = {}
-        for pos in np.flatnonzero(local):
-            node = int(payloads[pos])
-            shard = int(shard_by_pos[pos])
-            if all(
-                survivors.get(b, shard) == shard for b in graph.neighbors(node)
-            ):
-                final[pos] = True
-                survivors[node] = shard
-        return final
+            worker.post(message)  # a dead pipe reads as a crash in collect()
 
     def close(self) -> None:
         for worker in self._workers.values():

@@ -101,9 +101,9 @@ class PersistentWorker:
 
     ``target(conn, payload)`` runs in the child with a duplex-by-pairs
     connection: it should loop ``recv() → handle → send()`` until EOF or
-    a sentinel command.  Parent-side, :meth:`request` implements one
-    round with crash (EOF) and deadline detection; the caller decides
-    whether to respawn on failure.
+    a sentinel command.  Parent-side, :meth:`post` then :meth:`collect`
+    make one round with crash (EOF) and deadline detection; the caller
+    decides whether to respawn on failure.
     """
 
     def __init__(self, target, payload, ctx=None):
@@ -151,15 +151,6 @@ class PersistentWorker:
             if deadline is not None and time.monotonic() >= deadline:
                 self.close()
                 return "timeout", f"no reply within {timeout:g}s"
-
-    def request(
-        self, message, timeout: "float | None" = None
-    ) -> "tuple[str, object]":
-        """One command round-trip: :meth:`post` then :meth:`collect`."""
-        if not self.post(message):
-            self.close()
-            return "crash", f"worker died (exit code {self.proc.exitcode})"
-        return self.collect(timeout)
 
     def close(self) -> None:
         """Terminate the worker (escalating) and drop both pipe ends."""

@@ -27,6 +27,7 @@ from repro.graph.generators import gnm_random, union_of_cliques
 from repro.model.turan import em_kdn
 from repro.runtime.kernels import (
     csr_conflict_pairs,
+    csr_greedy_commit_mask,
     greedy_commit_mask,
     greedy_commit_mask_batch,
     greedy_commit_mask_from_slots,
@@ -174,6 +175,25 @@ class TestCsrConflictPairs:
         # and they are what the slot-space kernel needs
         mask = greedy_commit_mask_from_slots(own, nbr, m)
         assert np.array_equal(mask, reference_commit_mask(edges, prefix))
+
+
+class TestCsrGreedyCommitMask:
+    @settings(max_examples=200, deadline=None)
+    @given(graph_and_prefix())
+    def test_equals_the_walk_and_leaves_the_scratch_clean(self, case):
+        n, edges, prefix = case
+        indptr, indices = csr_from_edges(n, edges)
+        pos = np.full(n, -1, dtype=np.int64)
+        mask = csr_greedy_commit_mask(indptr, indices, prefix, pos)
+        assert np.array_equal(mask, reference_commit_mask(edges, prefix))
+        assert (pos == -1).all()
+
+    def test_repeated_row_returns_none_with_a_clean_scratch(self):
+        indptr, indices = csr_from_edges(4, [(0, 1), (2, 3)])
+        pos = np.full(4, -1, dtype=np.int64)
+        idx = np.array([2, 0, 2], dtype=np.int64)
+        assert csr_greedy_commit_mask(indptr, indices, idx, pos) is None
+        assert (pos == -1).all()
 
 
 # ---------------------------------------------------------------------------

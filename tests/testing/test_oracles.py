@@ -46,7 +46,7 @@ def _sharded_steps():
 
 
 def test_gather_kernel_runs_outside_the_block_and_never_inside(monkeypatch):
-    calls = _count_calls(monkeypatch, conflict, "csr_conflict_pairs")
+    calls = _count_calls(monkeypatch, conflict, "csr_greedy_commit_mask")
     default = _replay_steps()
     assert len(calls) > 0  # the default run is on the array path
     del calls[:]
