@@ -142,23 +142,35 @@ def workload_from_input(name: str, source, *, seed=None, workset=None):
     raise _unknown(name)
 
 
-def check_order_combination(name: str, order: "str | None") -> None:
-    """Reject unordered commit orders for ``requires_order`` apps.
+def check_order_combination(
+    name: str, order: "str | None", shards: "int | None" = None
+) -> None:
+    """Reject commit orders an app workload cannot run under.
 
+    ``requires_order`` apps need a priority-family order; every app
+    detects conflicts with item locks, so a multi-shard ``sharded``
+    order — which partitions an explicit CC graph — has nothing to cut
+    (*shards* is ``RunConfig.shards``, for specs without a ``:k``).
     ``order=None`` is always fine — the workload then builds its own
     historical engine (ordered for DES) via ``make_engine``.
     """
-    if name not in ORDERED_APPS or order is None:
+    if name not in APP_WORKLOADS or order is None:
         return
     # function-level up-reach into the registry layer, the sanctioned
     # pattern (see RunConfig.__post_init__)
     from repro.registry import order_family, parse_order_spec
 
-    order_name, _ = parse_order_spec(order)
-    if order_family(order_name) != "priority":
+    order_name, kwargs = parse_order_spec(order)
+    if name in ORDERED_APPS and order_family(order_name) != "priority":
         raise ConfigError(
             f"workload {name!r} requires in-order commits "
             f'(order="ordered" or "relaxed:k"), got order={order!r}'
+        )
+    if order_name == "sharded" and (kwargs.get("shards") or shards or 1) > 1:
+        raise ConfigError(
+            f"workload {name!r} detects conflicts with item locks; a "
+            f"multi-shard order={order!r} needs an explicit-graph workload "
+            '("replay", "consuming", "regenerating")'
         )
 
 
@@ -170,7 +182,9 @@ def make_app_workload(name: str, source, config, *, scale=None, workset=None):
     ``run(RunConfig(workload="boruvka", seed=7))`` is self-contained and
     reproducible.
     """
-    check_order_combination(name, getattr(config, "order", None))
+    check_order_combination(
+        name, getattr(config, "order", None), getattr(config, "shards", None)
+    )
     seed = derive_seed(getattr(config, "seed", None) or 0, "workload", name)
     if source is None:
         source = build_app_input(

@@ -195,11 +195,11 @@ class RunConfig:
         from repro.registry import parse_workload_spec
 
         workload_name, _ = parse_workload_spec(self.workload)
+        _opt_int(self.shards, "shards", minimum=1)
         if self.order is not None:
             from repro.apps.catalog import check_order_combination
 
-            check_order_combination(workload_name, self.order)
-        _opt_int(self.shards, "shards", minimum=1)
+            check_order_combination(workload_name, self.order, self.shards)
         if self.shards is not None:
             # shards only means something to the sharded commit order;
             # anywhere else a silently ignored count would be a footgun

@@ -170,10 +170,7 @@ class OrderDiagnostics:
     Covers the two shapes an ``order_decision`` event takes — windowed
     draws from the relaxed/async policies (``window``/``draws`` fields)
     and sharded rounds (``shards``/per-shard ``launched``/``committed``
-    lists) — plus the sharded runtime's ``halo_exchange`` supervisor
-    events and, in a *merged* distributed trace
-    (:func:`repro.obs.merge_traces`), the per-worker ``shard_round``
-    stream.
+    lists) — plus the sharded policy's ``halo_exchange`` events.
     """
 
     policies: tuple[str, ...]
@@ -185,7 +182,6 @@ class OrderDiagnostics:
     committed_by_shard: tuple[int, ...]
     halo_exchanges: int
     halo_aborts: int
-    worker_rounds: int
 
     def render(self) -> str:
         lines = [f"  order policies: {', '.join(self.policies) or 'none'}"]
@@ -209,10 +205,6 @@ class OrderDiagnostics:
                 f"  halo: {self.halo_exchanges} exchanges, "
                 f"{self.halo_aborts} aborts"
             )
-        if self.worker_rounds:
-            lines.append(
-                f"  worker shard_round events (merged stream): {self.worker_rounds}"
-            )
         return "\n".join(lines)
 
 
@@ -223,8 +215,8 @@ class TraceDiagnostics:
     ``sweep`` is populated when the segment interleaves sweep-harness
     lifecycle events with the engine/controller ones; ``None`` for a
     plain engine trace.  ``order`` is populated when the segment carries
-    commit-order policy events (``order_decision``, ``halo_exchange``,
-    ``shard_round``); ``None`` for plain unordered runs.
+    commit-order policy events (``order_decision``, ``halo_exchange``);
+    ``None`` for plain unordered runs.
     """
 
     controller_type: str
@@ -276,15 +268,13 @@ def diagnose_trace(events) -> TraceDiagnostics:
     :attr:`TraceDiagnostics.sweep` field; a sweep-only trace (no
     ``run_start`` at all) yields a diagnostics object with zero engine
     steps rather than an error.  Commit-order events (``order_decision``,
-    ``halo_exchange``, and — in merged distributed traces — the workers'
-    ``shard_round`` stream) land in :attr:`TraceDiagnostics.order`.
+    ``halo_exchange``) land in :attr:`TraceDiagnostics.order`.
     """
     # deferred: repro.obs's package __init__ transitively imports the
     # control package, so a top-level import here would close the cycle
     from repro.obs.events import (
         HALO_EXCHANGE,
         ORDER_DECISION,
-        SHARD_ROUND,
         SWEEP_START,
         SWEEP_TASK_COMPLETE,
         SWEEP_TASK_FAILED,
@@ -322,7 +312,6 @@ def diagnose_trace(events) -> TraceDiagnostics:
     committed_by_shard: list[int] = []
     halo_exchanges = 0
     halo_aborts = 0
-    worker_rounds = 0
 
     def _tally(totals: "list[int]", counts) -> None:
         while len(totals) < len(counts):
@@ -357,7 +346,7 @@ def diagnose_trace(events) -> TraceDiagnostics:
                 sweep_cached += int(bool(event.get("cached")))
                 sweep_reseeded += int(bool(event.get("reseeded")))
             continue
-        if event.kind in (ORDER_DECISION, HALO_EXCHANGE, SHARD_ROUND):
+        if event.kind in (ORDER_DECISION, HALO_EXCHANGE):
             saw_order = True
             if event.kind == ORDER_DECISION:
                 order_decisions += 1
@@ -369,11 +358,9 @@ def diagnose_trace(events) -> TraceDiagnostics:
                     order_shards = max(order_shards, int(event.data["shards"]))
                     _tally(launched_by_shard, event.get("launched", ()))
                     _tally(committed_by_shard, event.get("committed", ()))
-            elif event.kind == HALO_EXCHANGE:
+            else:
                 halo_exchanges += 1
                 halo_aborts += int(event.get("halo_aborts", 0))
-            else:
-                worker_rounds += 1
             continue
         if event.kind == "run_start":
             if saw_run:
@@ -421,7 +408,6 @@ def diagnose_trace(events) -> TraceDiagnostics:
             committed_by_shard=tuple(committed_by_shard),
             halo_exchanges=halo_exchanges,
             halo_aborts=halo_aborts,
-            worker_rounds=worker_rounds,
         )
     sweep_diag = None
     if saw_sweep:

@@ -150,10 +150,8 @@ def _halo_aborts(events) -> int:
 def _commit_rate_skew(events) -> float:
     """Max − min cumulative per-shard commit rate over one run's events.
 
-    The same skew statistic the distributed telemetry bus publishes live
-    (``shard.commit_rate_max``/``min``), recomputed post-hoc from the
-    recorded ``order_decision`` per-shard stats so the experiment reads
-    it off any replayable trace.
+    Computed from the recorded ``order_decision`` per-shard stats, so
+    the experiment reads it off any replayable trace.
     """
     launched: "list[int]" = []
     committed: "list[int]" = []

@@ -20,8 +20,7 @@ distributed graph processing:
   projected from the memoised CSR snapshot.
 
 Finally it implements the two-phase commit rule used by
-``ShardedCommitOrder`` (:mod:`repro.runtime.policies`) and the
-process-backed shard runtime (:mod:`repro.runtime.sharded`):
+``ShardedCommitOrder`` (:mod:`repro.runtime.policies`):
 
 * **phase 1 (local)** — each shard resolves its slice of the batch with
   the usual greedy walk, consulting only intra-shard edges;

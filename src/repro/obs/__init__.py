@@ -22,14 +22,7 @@ On top of the channels:
   a lossless JSON snapshot of the metrics registry;
 * **analysis** (:mod:`repro.obs.analysis`) — span-based profiling
   reports, controller-convergence reports from traces, and a live sweep
-  progress monitor;
-* **distributed** (:mod:`repro.obs.distributed`) — cross-process
-  observability for the sharded runtime: ``run_id``-tagged per-shard
-  trace streams merged into one causally ordered trace
-  (:func:`merge_traces`), a supervisor-side :class:`TelemetryBus` with
-  per-shard labelled metrics and a :class:`ShardProgress` live line,
-  and a crash :class:`FlightRecorder` with :func:`diagnose_crash`
-  post-mortems.
+  progress monitor.
 
 Everything is opt-in: engines built without a recorder/registry/profiler
 (and with no active one) skip all instrumentation at the cost of one
@@ -44,22 +37,6 @@ from repro.obs.analysis import (
     convergence_report,
     profile_report,
 )
-from repro.obs.distributed import (
-    MERGED_SOURCE,
-    SUPERVISOR_SOURCE,
-    CrashReport,
-    FlightRecorder,
-    ShardProgress,
-    TelemetryBus,
-    TraceContext,
-    diagnose_crash,
-    merge_trace_files,
-    merge_traces,
-    new_run_id,
-    parse_shard_source,
-    shard_source,
-    write_trace,
-)
 from repro.obs.events import (
     CLAMP,
     DECISION,
@@ -68,7 +45,6 @@ from repro.obs.events import (
     RUN_END,
     RUN_START,
     SELECT,
-    SHARD_ROUND,
     STEP,
     SWEEP_END,
     SWEEP_KINDS,
@@ -92,7 +68,6 @@ from repro.obs.metrics import (
     active_metrics,
     collecting_metrics,
     deactivate_metrics,
-    labelled,
 )
 from repro.obs.export import (
     render_openmetrics,
@@ -140,7 +115,6 @@ __all__ = [
     "STEP",
     "HALO_EXCHANGE",
     "ORDER_DECISION",
-    "SHARD_ROUND",
     "DECISION",
     "CLAMP",
     "RUN_END",
@@ -198,19 +172,4 @@ __all__ = [
     "ConvergenceReport",
     "convergence_report",
     "SweepProgress",
-    "labelled",
-    "SUPERVISOR_SOURCE",
-    "MERGED_SOURCE",
-    "new_run_id",
-    "shard_source",
-    "parse_shard_source",
-    "TraceContext",
-    "merge_traces",
-    "merge_trace_files",
-    "write_trace",
-    "ShardProgress",
-    "TelemetryBus",
-    "FlightRecorder",
-    "CrashReport",
-    "diagnose_crash",
 ]

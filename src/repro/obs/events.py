@@ -38,14 +38,6 @@ Event kinds emitted by the runtime:
     validator checks.  Single-shard runs emit nothing (byte-identity
     with the unordered engine); the replayer treats the kind as
     informational.
-``shard_round``
-    One shard worker's view of one partitioned round, shipped over the
-    telemetry bus (:mod:`repro.obs.distributed`): the worker's
-    ``shard:<i>`` source tag, the round's halo-exchange sequence number,
-    and the local launch/commit counts.  Only present in per-shard trace
-    streams and in merged distributed traces; the supervisor's own trace
-    never contains it, and the replayer treats the kind as
-    informational.
 ``decision``
     A controller window closed and a rule fired (or explicitly held):
     windowed ``r``, the branch taken, old and new ``m``.
@@ -105,7 +97,6 @@ __all__ = [
     "STEP",
     "ORDER_DECISION",
     "HALO_EXCHANGE",
-    "SHARD_ROUND",
     "DECISION",
     "CLAMP",
     "RUN_END",
@@ -128,7 +119,6 @@ SELECT = "select"
 STEP = "step"
 ORDER_DECISION = "order_decision"
 HALO_EXCHANGE = "halo_exchange"
-SHARD_ROUND = "shard_round"
 DECISION = "decision"
 CLAMP = "clamp"
 RUN_END = "run_end"
@@ -158,7 +148,7 @@ SWEEP_KINDS = frozenset(
 
 _KNOWN_KINDS = (
     frozenset(
-        {RUN_START, SELECT, STEP, ORDER_DECISION, HALO_EXCHANGE, SHARD_ROUND,
+        {RUN_START, SELECT, STEP, ORDER_DECISION, HALO_EXCHANGE,
          DECISION, CLAMP, RUN_END, WORKLOAD_CAPTURE, WORKLOAD_REPLAY}
     )
     | SWEEP_KINDS

@@ -54,26 +54,6 @@ def _metric_name(name: str) -> str:
     return out
 
 
-def _split_labels(name: str) -> "tuple[str, str]":
-    """Split a registry name into ``(base, label_suffix)``.
-
-    Labelled names (see :func:`repro.obs.metrics.labelled`) carry an
-    OpenMetrics label set inline — ``shard.launched{shard="2"}`` — which
-    must survive exposition verbatim while only the *base* is sanitised.
-    """
-    if name.endswith("}") and "{" in name:
-        base, _, rest = name.partition("{")
-        return base, "{" + rest
-    return name, ""
-
-
-def _with_label(labels: str, extra: str) -> str:
-    """Merge one ``k="v"`` pair into an existing label suffix."""
-    if not labels:
-        return "{" + extra + "}"
-    return labels[:-1] + "," + extra + "}"
-
-
 def _fmt(value: float) -> str:
     """OpenMetrics sample-value formatting (NaN / +Inf / -Inf spelled out)."""
     if isinstance(value, int):
@@ -112,53 +92,33 @@ def render_openmetrics(registry: MetricsRegistry) -> str:
     Histogram bucket series are cumulative ``le`` counts; empty buckets
     below the first observation are elided (the series stays monotone,
     and the mandatory ``+Inf`` bucket always closes it).
-
-    Labelled series (``name{shard="2"}``, see
-    :func:`repro.obs.metrics.labelled`) share one ``# TYPE`` header per
-    base name; the sorted registry walk keeps the variants adjacent, so
-    the exposition stays grouped and diffable.
     """
     lines: list[str] = []
-    typed: dict[str, str] = {}
     for name in registry.names():
         metric = registry._metrics[name]  # registry-internal walk, same package
-        base, labels = _split_labels(name)
-        om = _metric_name(base)
+        om = _metric_name(name)
         if isinstance(metric, Counter):
-            kind = "counter"
+            lines.append(f"# TYPE {om} counter")
+            lines.append(f"{om}_total {metric.value}")
         elif isinstance(metric, Gauge):
-            kind = "gauge"
+            lines.append(f"# TYPE {om} gauge")
+            lines.append(f"{om} {_fmt(metric.value)}")
         elif isinstance(metric, Histogram):
-            kind = "histogram"
-        else:  # pragma: no cover - registry only stores the three kinds
-            raise ObservabilityError(
-                f"cannot export metric {name!r} of type {type(metric).__name__}"
-            )
-        first = om not in typed
-        if typed.setdefault(om, kind) != kind:
-            raise ObservabilityError(
-                f"metric {base!r} exported as both {typed[om]} and {kind}; "
-                "labelled variants of one name must share a kind"
-            )
-        if first:  # one header per base name; labelled variants share it
-            lines.append(f"# TYPE {om} {kind}")
-        if kind == "counter":
-            lines.append(f"{om}_total{labels} {metric.value}")
-        elif kind == "gauge":
-            lines.append(f"{om}{labels} {_fmt(metric.value)}")
-        else:
+            lines.append(f"# TYPE {om} histogram")
             cumulative = 0
             for bound, count in metric.buckets():
                 if math.isinf(bound):
                     continue  # folded into +Inf below
                 cumulative += count
-                le = _with_label(labels, f'le="{_fmt(bound)}"')
-                lines.append(f"{om}_bucket{le} {cumulative}")
-            inf = _with_label(labels, 'le="+Inf"')
-            lines.append(f"{om}_bucket{inf} {metric.count}")
+                lines.append(f'{om}_bucket{{le="{_fmt(bound)}"}} {cumulative}')
+            lines.append(f'{om}_bucket{{le="+Inf"}} {metric.count}')
             total = metric.mean * metric.count if metric.count else 0.0
-            lines.append(f"{om}_sum{labels} {_fmt(total)}")
-            lines.append(f"{om}_count{labels} {metric.count}")
+            lines.append(f"{om}_sum {_fmt(total)}")
+            lines.append(f"{om}_count {metric.count}")
+        else:  # pragma: no cover - registry only stores the three kinds
+            raise ObservabilityError(
+                f"cannot export metric {name!r} of type {type(metric).__name__}"
+            )
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 

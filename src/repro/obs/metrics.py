@@ -21,7 +21,6 @@ switch metrics on for code that builds engines internally.
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_left
 from contextlib import contextmanager
 
@@ -35,44 +34,11 @@ __all__ = [
     "MetricsRegistry",
     "MetricsScope",
     "DEFAULT_BUCKETS",
-    "labelled",
     "active_metrics",
     "activate_metrics",
     "deactivate_metrics",
     "collecting_metrics",
 ]
-
-
-def labelled(name: str, **labels) -> str:
-    """Suffix a metric name with a canonical OpenMetrics label set.
-
-    Registry names are opaque strings, so per-shard (or otherwise
-    dimensioned) series are just names carrying their labels inline::
-
-        labelled("shard.launched", shard=2)  ->  'shard.launched{shard="2"}'
-
-    Labels are sorted by key and values are escaped per the OpenMetrics
-    text format, so the same label set always produces the same name —
-    the property the registry's get-or-create semantics and the export
-    layer's grouping both rely on.
-    """
-    if not labels:
-        return str(name)
-    parts = []
-    for key in sorted(labels):
-        if not _LABEL_KEY_OK.match(key):
-            raise ObservabilityError(
-                f"bad metric label name {key!r} (want [a-zA-Z_][a-zA-Z0-9_]*)"
-            )
-        value = str(labels[key])
-        value = (
-            value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        )
-        parts.append(f'{key}="{value}"')
-    return f"{name}{{{','.join(parts)}}}"
-
-
-_LABEL_KEY_OK = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 
 def _geometric_125_ladder(lo_decade: int, hi_decade: int) -> tuple[float, ...]:

@@ -24,11 +24,9 @@ from repro.runtime.policies import (
     ShardedCommitOrder,
     UnorderedCommitOrder,
 )
-from repro.runtime.sharded import ShardPool, run_sharded
-from repro.runtime.supervise import PersistentWorker, SupervisedProcess, mp_context
+from repro.runtime.sharded import run_sharded
 from repro.runtime.stats import RunResult, StepStats
 from repro.runtime.task import CallbackOperator, Operator, Task
-from repro.runtime.threads import ThreadedSpeculativeExecutor
 from repro.runtime.wktrace import (
     TraceReplayWorkload,
     WorkloadCapture,
@@ -71,17 +69,12 @@ __all__ = [
     "ASYNC_DEFAULT_WINDOW",
     "ShardedCommitOrder",
     "UnorderedCommitOrder",
-    "ShardPool",
     "run_sharded",
-    "PersistentWorker",
-    "SupervisedProcess",
-    "mp_context",
     "RunResult",
     "StepStats",
     "CallbackOperator",
     "Operator",
     "Task",
-    "ThreadedSpeculativeExecutor",
     "TraceReplayWorkload",
     "WorkloadCapture",
     "WorkloadTrace",

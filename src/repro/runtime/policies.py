@@ -688,36 +688,19 @@ class ShardedCommitOrder(UnorderedCommitOrder):
     ``order_decision`` event (per-shard launch/commit counts) and a
     ``halo_exchange`` event (committed nodes with their shards, halo
     aborts) so a trace alone certifies the serializability claim.
-
-    An optional ``pool`` (see :mod:`repro.runtime.sharded`) offloads
-    phase 1 to supervised per-shard worker processes; the policy's own
-    in-process resolution is the byte-for-byte specification the pool is
-    held to.
     """
 
-    def __init__(
-        self,
-        conflict_policy: "ConflictPolicy",
-        shards: int = 1,
-        pool=None,
-    ) -> None:
+    def __init__(self, conflict_policy: "ConflictPolicy", shards: int = 1) -> None:
         if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
             raise RuntimeEngineError(
                 f"shard count must be an int >= 1, got {shards!r}"
             )
         super().__init__(conflict_policy)
         self.shards = shards
-        self.pool = pool
         self._partition = None
         self.halo_aborts_total = 0
         #: per-shard launched/committed counts of the most recent round
         self.last_shard_stats: "dict | None" = None
-        #: distributed-tracing context (duck-typed
-        #: :class:`repro.obs.distributed.TraceContext`); when set, every
-        #: multi-shard round draws one halo-exchange sequence number and
-        #: stamps ``run_id``/``seq`` on its order events — strictly
-        #: additive fields, absent (and byte-invisible) when unset
-        self.trace_ctx = None
 
     def label(self) -> str:
         # one shard IS the unordered policy — label it as such so
@@ -743,7 +726,6 @@ class ShardedCommitOrder(UnorderedCommitOrder):
         if self.shards == 1:
             return super().execute(batch)
         eng = self.engine
-        seq = None if self.trace_ctx is None else self.trace_ctx.next_seq()
         with eng.phase_span("resolve"):
             part = self.partition
             graph = self.conflict_policy.graph
@@ -753,24 +735,19 @@ class ShardedCommitOrder(UnorderedCommitOrder):
             if payloads.dtype.kind == "i":
                 payloads = payloads.astype(np.int64, copy=False)
                 shard_by_pos = part.shard_of_array(payloads)
-                if self.pool is not None:
-                    masks = self.pool.resolve(
-                        eng.steps_executed, payloads, shard_by_pos, part, graph, seq=seq
-                    )
-                else:
-                    masks = two_phase_commit_mask_fast(
-                        graph.conflict_view(), part, payloads
-                    )
+                masks = two_phase_commit_mask_fast(
+                    graph.conflict_view(), part, payloads
+                )
             if masks is None:  # empty or degenerate batch: the walk rules
                 masks = two_phase_commit_mask(graph, part, nodes)
                 payloads = np.asarray(nodes or [], dtype=np.int64)
                 shard_by_pos = part.shard_of_array(payloads)
             final, local = masks
             outcome = self.conflict_policy._split_by_mask(batch, final)
-        self._note_round(payloads, shard_by_pos, final, local, seq=seq)
+        self._note_round(payloads, shard_by_pos, final, local)
         return outcome
 
-    def _note_round(self, payloads, shard_by_pos, final, local, seq=None) -> None:
+    def _note_round(self, payloads, shard_by_pos, final, local) -> None:
         """Account one multi-shard round and emit its trace events."""
         eng = self.engine
         launched = np.bincount(shard_by_pos, minlength=self.shards)
@@ -784,12 +761,6 @@ class ShardedCommitOrder(UnorderedCommitOrder):
         }
         if eng.recorder is not None:
             step = eng.steps_executed
-            causal = {}
-            if self.trace_ctx is not None:
-                if self.trace_ctx.run_id is not None:
-                    causal["run_id"] = self.trace_ctx.run_id
-                if seq is not None:
-                    causal["seq"] = int(seq)
             eng.recorder.emit(
                 "order_decision",
                 step=step,
@@ -797,7 +768,6 @@ class ShardedCommitOrder(UnorderedCommitOrder):
                 shards=self.shards,
                 launched=self.last_shard_stats["launched"],
                 committed=self.last_shard_stats["committed"],
-                **causal,
             )
             eng.recorder.emit(
                 "halo_exchange",
@@ -807,7 +777,6 @@ class ShardedCommitOrder(UnorderedCommitOrder):
                 halo_aborts=halo_aborts,
                 committed_nodes=[int(p) for p in payloads[final]],
                 committed_shards=[int(s) for s in shard_by_pos[final]],
-                **causal,
             )
 
     def step_metrics(self, metrics, outcome) -> None:

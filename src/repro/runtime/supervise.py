@@ -1,19 +1,12 @@
 """Supervised child processes: spawn, watch, harvest, escalate.
 
-The process-supervision primitives that used to live inside the sweep
-harness (:mod:`repro.experiments.parallel`), extracted so the sharded
-runtime (:mod:`repro.runtime.sharded`) can reuse them without reaching
-up the layer stack.  Two shapes are provided:
+:class:`SupervisedProcess` is a **one-shot** worker: spawn, run one
+payload, report once over a pipe, exit.  The sweep harness
+(:mod:`repro.experiments.parallel`) runs every isolated attempt through
+one of these.
 
-* :class:`SupervisedProcess` — a **one-shot** worker: spawn, run one
-  payload, report once over a pipe, exit.  The sweep harness runs every
-  isolated attempt through one of these.
-* :class:`PersistentWorker` — a **long-lived** request/response worker:
-  the parent sends one command per round and waits (with an optional
-  deadline) for the reply.  The shard runtime keeps one per shard.
-
-Both share the same liveness contract: the parent holds only the read
-end of the child→parent pipe, so a worker that dies without reporting —
+Liveness contract: the parent holds only the read end of the
+child→parent pipe, so a worker that dies without reporting —
 ``os._exit``, SIGKILL, OOM — surfaces as EOF rather than a hang, and
 :meth:`terminate` escalates ``terminate → kill`` for stubborn children.
 Workers are daemonic: an abandoned supervisor never leaks processes.
@@ -24,7 +17,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 
-__all__ = ["mp_context", "SupervisedProcess", "PersistentWorker"]
+__all__ = ["mp_context", "SupervisedProcess"]
 
 
 def mp_context():
@@ -94,69 +87,3 @@ class SupervisedProcess:
         if message.get("ok"):
             return "ok", message["result"], spans
         return "error", str(message.get("error", "unknown worker error")), spans
-
-
-class PersistentWorker:
-    """One supervised long-lived worker serving request/response rounds.
-
-    ``target(conn, payload)`` runs in the child with a duplex-by-pairs
-    connection: it should loop ``recv() → handle → send()`` until EOF or
-    a sentinel command.  Parent-side, :meth:`post` then :meth:`collect`
-    make one round with crash (EOF) and deadline detection; the caller
-    decides whether to respawn on failure.
-    """
-
-    def __init__(self, target, payload, ctx=None):
-        ctx = ctx or mp_context()
-        self._ctx = ctx
-        up_recv, up_send = ctx.Pipe(duplex=False)  # child -> parent
-        down_recv, down_send = ctx.Pipe(duplex=False)  # parent -> child
-        self.proc = ctx.Process(
-            target=target, args=((down_recv, up_send), payload), daemon=True
-        )
-        self.proc.start()
-        # parent drops the child-held ends: child death then reads as EOF
-        up_send.close()
-        down_recv.close()
-        self._recv = up_recv
-        self._send = down_send
-
-    def post(self, message) -> bool:
-        """Send one command without waiting; ``False`` if the pipe is dead."""
-        try:
-            self._send.send(message)
-            return True
-        except (BrokenPipeError, OSError):
-            return False
-
-    def collect(self, timeout: "float | None" = None) -> "tuple[str, object]":
-        """Wait for one reply: returns (status, reply|description).
-
-        ``status`` is ``"ok"`` (reply received), ``"crash"`` (the worker
-        died before replying) or ``"timeout"`` (no reply inside
-        *timeout* seconds).  On crash/timeout the worker is terminated
-        and this handle must not be reused.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
-            if self._recv.poll(wait):
-                try:
-                    return "ok", self._recv.recv()
-                except (EOFError, OSError):
-                    self.proc.join(5.0)
-                    code = self.proc.exitcode
-                    self.close()
-                    return "crash", f"worker died before replying (exit code {code})"
-            if deadline is not None and time.monotonic() >= deadline:
-                self.close()
-                return "timeout", f"no reply within {timeout:g}s"
-
-    def close(self) -> None:
-        """Terminate the worker (escalating) and drop both pipe ends."""
-        _terminate(self.proc)
-        for conn in (self._recv, self._send):
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass

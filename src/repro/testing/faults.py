@@ -38,14 +38,7 @@ indices::
     --inject-faults "exit:fig3:0;raise:*:0,1"
 
 kills the first-ever ``fig3`` attempt and raises on every config's first
-two attempts.  Targets whose *names* contain ``:`` — the sharded
-runtime's ``shard:<i>`` worker identities — cannot ride the colon form;
-for those the equivalent ``kind@target[@attempts]`` spelling exists::
-
-    --inject-faults "kill@shard:2"
-
-kills shard 2's first worker incarnation.  The two forms may be mixed
-across ``;``-separated specs but not within one spec.
+two attempts.
 """
 
 from __future__ import annotations
@@ -213,10 +206,7 @@ class FaultPlan:
 
         A leading ``{`` switches to JSON (the :meth:`to_json` form), so
         scripted callers can pass full-fidelity plans through the same
-        flag.  A chunk containing ``@`` uses the alternative
-        ``kind@target[@attempts]`` spelling, whose *target* field may
-        itself contain ``:`` — the only way to address the sharded
-        runtime's ``shard:<i>`` worker identities (``kill@shard:2``).
+        flag.
         """
         text = text.strip()
         if not text:
@@ -228,21 +218,12 @@ class FaultPlan:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            if "@" in chunk:
-                parts = chunk.split("@")
-                if len(parts) > 3:
-                    raise FaultInjectionError(
-                        f"fault spec {chunk!r} has too many '@' fields "
-                        "(want kind@target[@attempts])"
-                    )
-            else:
-                parts = chunk.split(":")
-                if len(parts) > 3:
-                    raise FaultInjectionError(
-                        f"fault spec {chunk!r} has too many ':' fields "
-                        "(want kind[:experiment[:attempts]]; targets whose "
-                        "names contain ':' need kind@target[@attempts])"
-                    )
+            parts = chunk.split(":")
+            if len(parts) > 3:
+                raise FaultInjectionError(
+                    f"fault spec {chunk!r} has too many ':' fields "
+                    "(want kind[:experiment[:attempts]])"
+                )
             kind = parts[0].strip()
             experiment: "str | None" = None
             attempts: "tuple[int, ...] | None" = (0,)
@@ -263,18 +244,12 @@ class FaultPlan:
         return cls(tuple(specs))
 
     def describe(self) -> str:
-        """Human-readable one-liner for logs and sweep reports.
-
-        Round-trips through :meth:`parse`: specs whose target contains
-        ``:`` (shard identities) come out in the ``@`` spelling, all
-        others in the classic colon form.
-        """
+        """Human-readable one-liner for logs and sweep reports."""
         if not self.specs:
             return "no faults"
         parts = []
         for spec in self.specs:
             exp = spec.experiment or "*"
             att = "*" if spec.attempts is None else ",".join(map(str, spec.attempts))
-            sep = "@" if ":" in exp else ":"
-            parts.append(sep.join((spec.kind, exp, att)))
+            parts.append(f"{spec.kind}:{exp}:{att}")
         return ";".join(parts)

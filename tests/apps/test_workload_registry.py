@@ -120,6 +120,21 @@ class TestOrderComposition:
         with pytest.raises(ConfigError, match="in-order commits"):
             run(cfg)
 
+    @pytest.mark.parametrize(
+        "name", ["boruvka", "maxflow", "coloring", "sp", "clustering", "components"]
+    )
+    def test_item_lock_app_rejects_multi_shard_order_before_any_step(self, name):
+        from repro.obs import TraceRecorder
+
+        recorder = TraceRecorder()
+        config = {"workload": f"{name}:{QUICK[name]}", "seed": 1, "max_steps": 2}
+        for multi in ({"order": "sharded:2"}, {"order": "sharded", "shards": 2}):
+            with pytest.raises(ConfigError, match=f"{name!r}.*explicit-graph workload"):
+                run({**config, **multi}, recorder=recorder)
+        assert recorder.events == []  # rejected at config time: nothing ran
+        # one shard *is* the unordered policy, on every app
+        assert len(run({**config, "order": "sharded:1"}, recorder=recorder)) == 2
+
     def test_unknown_app_lists_the_catalog(self):
         from repro.errors import RegistryError
         from repro.graph.generators import gnm_random

@@ -8,6 +8,12 @@ semantics, the controller's decision rules, the event schema, or the
 canonical serialisation shows up as a diff here.  The fixture must also
 keep replaying deterministically after reload.
 
+A second fixture pins the same workload under ``order="sharded:2"``
+(partition, two-phase masks, ``order_decision``/``halo_exchange``
+events).  It was recorded at the last commit that had the
+process-backed shard pool and shown there to equal the pool's trace
+byte for byte, so it also carries that runtime's behaviour forward.
+
 Regenerate (only after an intentional semantic change!) with::
 
     PYTHONPATH=src python -c "from tests.obs.test_golden import regenerate; regenerate()"
@@ -17,14 +23,17 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api import run
+from repro.config import RunConfig
 from repro.control import HybridController
 from repro.graph.generators import gnm_random
-from repro.obs import TraceRecorder, load_jsonl, trajectory, verify_trace
+from repro.obs import HALO_EXCHANGE, TraceRecorder, load_jsonl, trajectory, verify_trace
 from repro.runtime.workloads import ConsumingGraphWorkload
 from repro.runtime.workset import RandomWorkset
 from repro.testing.oracles import reference_paths
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_hybrid_gnm200_d8.jsonl"
+SHARDED_FIXTURE = Path(__file__).parent / "fixtures" / "golden_sharded2_gnm200_d8.jsonl"
 
 GRAPH_SEED = 2011  # SPAA 2011
 ENGINE_SEED = 8
@@ -43,10 +52,29 @@ def golden_trace(workset=None) -> TraceRecorder:
     return rec
 
 
+def golden_sharded_trace() -> TraceRecorder:
+    """The same workload through ``run()`` under the 2-shard commit order."""
+    rec = TraceRecorder()
+    run(
+        RunConfig(
+            workload="consuming",
+            rho=0.25,
+            m_max=64,
+            order="sharded:2",
+            max_steps=MAX_STEPS,
+        ),
+        graph=gnm_random(200, 8, seed=GRAPH_SEED),
+        seed=ENGINE_SEED,
+        recorder=rec,
+    )
+    return rec
+
+
 def regenerate() -> None:
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
     golden_trace().save_jsonl(FIXTURE)
-    print(f"wrote {FIXTURE}")
+    golden_sharded_trace().save_jsonl(SHARDED_FIXTURE)
+    print(f"wrote {FIXTURE} and {SHARDED_FIXTURE}")
 
 
 class TestGoldenTrace:
@@ -89,3 +117,24 @@ class TestGoldenTrace:
         steps = [e for e in events if e.kind == "step"]
         total_committed = sum(e.data["committed"] for e in steps)
         assert total_committed == 200  # the whole workload drained
+
+
+class TestGoldenShardedTrace:
+    def test_rerun_is_byte_identical(self):
+        assert golden_sharded_trace().to_jsonl() == SHARDED_FIXTURE.read_text(
+            encoding="utf-8"
+        ), "golden sharded trace drifted: partition/two-phase/event semantics changed"
+
+    def test_rerun_on_the_oracle_paths_is_byte_identical(self):
+        # reference two_phase_commit_mask walk instead of the array kernel
+        with reference_paths():
+            fresh = golden_sharded_trace().to_jsonl()
+        assert fresh == SHARDED_FIXTURE.read_text(encoding="utf-8")
+
+    def test_fixture_exercises_the_halo_exchange(self):
+        events = load_jsonl(SHARDED_FIXTURE)
+        assert events[0].data["policy"] == "sharded:2"
+        halo = [e for e in events if e.kind == HALO_EXCHANGE]
+        assert len(halo) == sum(e.kind == "step" for e in events)
+        assert sum(e.data["halo_aborts"] for e in halo) > 0
+        assert len(verify_trace(events)) == 1

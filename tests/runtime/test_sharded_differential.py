@@ -11,9 +11,8 @@ The sharded policy's correctness contract has two halves:
   set of nodes committed in one round must be pairwise non-adjacent in
   the graph as it stood *at that round*.  A trace validator replays the
   ``halo_exchange`` events against an independently mutated graph copy
-  to enforce it; the fast path, the reference path, and the
-  process-backed :func:`repro.runtime.run_sharded` must all agree
-  byte-for-byte.
+  to enforce it; the fast path, the reference path, and
+  :func:`repro.runtime.run_sharded` must all agree byte-for-byte.
 """
 
 from __future__ import annotations
@@ -202,26 +201,35 @@ class TestConflictSerializability:
 
 
 class TestProcessBackedRuntime:
-    @pytest.mark.parametrize("workload", ["consuming", "replay"])
-    def test_run_sharded_matches_in_process(self, workload):
+    """``run_sharded`` — once a worker-process pool — is ``api.run``."""
+
+    def test_run_sharded_runs_morphing_workloads(self):
+        # the pool rejected "regenerating" (its morphs add edges that
+        # spawn-time worker adjacency could not see)
         config = RunConfig(
-            workload=workload,
+            workload="regenerating",
             rho=0.25,
             m_max=64,
             order="sharded:3",
             max_steps=25,
+            seed=ENGINE_SEED,  # also seeds the workload's rewiring
         )
-        pool_rec = TraceRecorder()
-        run_sharded(config, _graph(), seed=ENGINE_SEED, recorder=pool_rec)
+        rec = TraceRecorder()
+        run_sharded(config, _graph(), recorder=rec)
 
         from repro.api import run as api_run
 
         local_rec = TraceRecorder()
-        api_run(config, graph=_graph(), seed=ENGINE_SEED, recorder=local_rec)
-        assert pool_rec.to_jsonl() == local_rec.to_jsonl()
+        api_run(config, graph=_graph(), recorder=local_rec)
+        assert rec.to_jsonl() == local_rec.to_jsonl()
+
+    def test_pool_keywords_are_gone(self, tmp_path):
+        config = RunConfig(workload="consuming", order="sharded:2", max_steps=5)
+        with pytest.raises(TypeError, match="journal"):
+            run_sharded(config, _graph(), journal=tmp_path / "j.jsonl")
 
     def test_run_sharded_defaults_to_config_seed(self):
-        # api.run(config) is seeded by config.seed; so is the pool
+        # api.run(config) is seeded by config.seed; so is run_sharded
         config = RunConfig(
             workload="consuming",
             rho=0.25,

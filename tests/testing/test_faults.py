@@ -124,41 +124,12 @@ class TestFaultPlanDSL:
         with pytest.raises(FaultInjectionError):
             FaultPlan.parse("warp:fig1")
 
+    def test_removed_at_spelling_is_a_malformed_spec(self):
+        # "kill@shard:2" addressed shard-pool workers; with the pool gone
+        # it must not parse into a plan with a "kill@shard" kind
+        with pytest.raises(FaultInjectionError, match="unknown fault kind"):
+            FaultPlan.parse("kill@shard:2")
+
     def test_describe_roundtrips_through_parse(self):
         plan = FaultPlan.parse("exit:fig3:0;raise:*:0,1;hang:fig2:*")
-        assert FaultPlan.parse(plan.describe()) == plan
-
-
-class TestFaultPlanAtDSL:
-    """The ``kind@target[@attempts]`` form for targets containing ':'."""
-
-    def test_parse_shard_target(self):
-        (spec,) = FaultPlan.parse("kill@shard:2").specs
-        assert spec == FaultSpec("kill", experiment="shard:2", attempts=(0,))
-
-    def test_parse_attempts_and_wildcards(self):
-        plan = FaultPlan.parse("raise@*@0,1;hang@shard:0@*")
-        assert plan.specs == (
-            FaultSpec("raise", experiment=None, attempts=(0, 1)),
-            FaultSpec("hang", experiment="shard:0", attempts=None),
-        )
-
-    def test_mixes_with_colon_chunks(self):
-        plan = FaultPlan.parse("exit:fig3:0;kill@shard:1@1")
-        assert plan.specs == (
-            FaultSpec("exit", experiment="fig3", attempts=(0,)),
-            FaultSpec("kill", experiment="shard:1", attempts=(1,)),
-        )
-
-    def test_too_many_at_fields_rejected(self):
-        with pytest.raises(FaultInjectionError, match="too many '@'"):
-            FaultPlan.parse("kill@shard:1@0@9")
-
-    def test_colon_overflow_error_points_at_the_at_form(self):
-        with pytest.raises(FaultInjectionError, match="kind@target"):
-            FaultPlan.parse("kill:shard:1:0")
-
-    def test_describe_picks_at_form_for_colon_targets(self):
-        plan = FaultPlan.parse("kill@shard:2")
-        assert "@shard:2@" in plan.describe()
         assert FaultPlan.parse(plan.describe()) == plan

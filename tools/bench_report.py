@@ -5,8 +5,7 @@ Every benchmark gate in CI writes a ``BENCH_<name>.json`` at the repo
 root (uploaded as a ``bench-<name>`` artifact).  This tool folds
 whichever of them are present into a single report — one row per gated
 metric: which benchmark, the gate it is held to, the measured value,
-whether it passes (or ``not run``, when the runner could not enforce it),
-and the PR that introduced it — as a markdown table
+whether it passes, and the PR that introduced it — as a markdown table
 (``--md``) and/or a machine-readable JSON summary (``--json``).  The CI
 ``bench-report`` job downloads all ``bench-*`` artifacts into one
 directory and uploads the combined report.
@@ -29,12 +28,10 @@ BENCH_FILES = (
     "BENCH_obs.json",
     "BENCH_steps.json",
     "BENCH_relaxed.json",
-    "BENCH_shard.json",
 )
 
 
 def _row(bench, metric, gate, measured, ok, pr):
-    """One gate row; *ok* is ``None`` for a gate that was not enforced."""
     return {
         "bench": bench,
         "metric": metric,
@@ -78,16 +75,6 @@ def _extract_obs(data: dict) -> "list[dict]":
         _row("obs", "span coverage of step wall-clock",
              f">= {cov_gate:.0%}", f"{coverage:.2%}", coverage >= cov_gate, 4)
     )
-    sharded = data.get("sharded")
-    if sharded:
-        gate = float(sharded["gate_max_overhead"])
-        overhead = float(sharded["overhead_fraction"])
-        rows.append(
-            _row("obs",
-                 f"distributed tracing overhead (median/round, "
-                 f"{sharded.get('shards', '?')} shards)",
-                 f"< {gate:.0%}", f"{overhead:.2%}", overhead < gate, 9)
-        )
     return rows
 
 
@@ -117,23 +104,11 @@ def _extract_relaxed(data: dict) -> "list[dict]":
     ]
 
 
-def _extract_shard(data: dict) -> "list[dict]":
-    gate = float(data["gate_min_speedup"])
-    speedup = float(data["speedup"])
-    enforced = bool(data.get("gate_enforced", True))
-    label = f">= {gate}x" + ("" if enforced else " (not enforced: <4 CPUs)")
-    return [
-        _row("shard", "pool speedup at 4 shards vs single worker",
-             label, f"{speedup:.2f}x", speedup >= gate if enforced else None, 8)
-    ]
-
-
 EXTRACTORS = {
     "BENCH_kernels.json": _extract_kernels,
     "BENCH_obs.json": _extract_obs,
     "BENCH_steps.json": _extract_steps,
     "BENCH_relaxed.json": _extract_relaxed,
-    "BENCH_shard.json": _extract_shard,
 }
 
 
@@ -166,7 +141,7 @@ def render_markdown(rows: "list[dict]", missing: "list[str]") -> str:
         "|---|---|---|---|---|---|",
     ]
     for r in rows:
-        mark = {True: "yes", False: "**NO**", None: "not run"}[r["pass"]]
+        mark = "yes" if r["pass"] else "**NO**"
         lines.append(
             f"| {r['bench']} | {r['metric']} | {r['gate']} "
             f"| {r['measured']} | {mark} | {r['pr']} |"

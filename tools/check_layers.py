@@ -61,21 +61,20 @@ LAYERS: dict[str, int] = {
     # call-time only), so it shares the graph layer
     "repro.graph.partition": 2,
     # runtime primitives every runtime module builds on; supervised
-    # child processes are such a primitive (extracted from the sweep
-    # harness so the shard runtime can use them without an up-reach)
+    # child processes are such a primitive (the sweep harness uses them)
     "repro.runtime.task": 4,
     "repro.runtime.stats": 4,
     "repro.runtime.workset": 4,
     "repro.runtime.active_set": 4,
     "repro.runtime.costs": 4,
     "repro.runtime.conflict": 4,
-    "repro.runtime.threads": 4,
     "repro.runtime.supervise": 4,
     # the step pipeline, then the order policies plugged into it
     "repro.runtime.core": 5,
     "repro.runtime.policies": 6,
     # the rest of the runtime (engine/ordered shims, workloads, the
-    # process-backed shard runtime)
+    # run_sharded alias, whose call-time import of repro.api is the
+    # sanctioned up-reach)
     "repro.runtime": 7,
     "repro.runtime.sharded": 7,
     "repro.control": 8,
