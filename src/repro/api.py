@@ -21,6 +21,7 @@ thin wrappers over :func:`run`.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from dataclasses import replace
 
 from repro.config import RunConfig
 from repro.control.base import Controller
@@ -117,12 +118,20 @@ def run(
     ``experiment``) resolve through :mod:`repro.registry`, so anything a
     third party has :func:`repro.register`-ed is accepted.  An explicit
     *controller* instance overrides ``config.controller``; an explicit
-    *seed* (which, unlike ``config.seed``, may be a
-    ``numpy.random.Generator``) overrides ``config.seed``.  *config* may
-    also be a config dict (:meth:`RunConfig.from_dict` input).
+    int *seed* overrides ``config.seed`` everywhere — engine draws and
+    whatever the workload factory seeds from the config — so the same
+    ``(config, seed=)`` always reproduces the same run.  Unlike
+    ``config.seed``, *seed* may also be a ``numpy.random.Generator``: it
+    then drives the engine only, and the workload keeps ``config.seed``.
+    *config* may also be a config dict (:meth:`RunConfig.from_dict` input).
     """
     config = _coerce_config(config)
-    seed = seed if seed is not None else config.seed
+    if seed is None:
+        seed = config.seed
+    elif isinstance(seed, int) and not isinstance(seed, bool) and seed != config.seed:
+        # workload factories seed their own RNGs (rewiring, synthetic
+        # inputs) from the config: hand them the seed this run really uses
+        config = replace(config, seed=seed)
     if config.experiment is not None:
         return EXPERIMENTS.create(config.experiment, seed, config.quick)
 

@@ -131,9 +131,6 @@ class PreflowPush(AppWorkload, Operator):
             self._enqueue(v)
 
     # ------------------------------------------------------------------
-    def _residual(self, u: int, v: int) -> int:
-        return self.net.capacity[u].get(v, 0) - self.flow[u].get(v, 0)
-
     def _push(self, u: int, v: int, amount: int) -> None:
         self.flow[u][v] = self.flow[u].get(v, 0) + amount
         self.flow[v][u] = self.flow[v].get(u, 0) - amount
@@ -160,57 +157,82 @@ class PreflowPush(AppWorkload, Operator):
     # ------------------------------------------------------------------
     # Operator interface
     # ------------------------------------------------------------------
+    # Both run once per launched / committed task — tens of thousands of
+    # times at batches of ~5 — so they read the tables through locals and
+    # spell _is_active, _push and the residual ``cap - flow`` out in place.
     def neighborhood(self, task: Task):
         u = task.payload
-        if not self._is_active(u):
+        net = self.net
+        if self.excess[u] <= 0 or u == net.source or u == net.sink or u in self._frozen:
             return ()
-        return {u} | set(self.net.capacity[u].keys())
+        items = set(net.capacity[u])
+        items.add(u)
+        return items
 
     def apply(self, task: Task) -> list[Task]:
         u = task.payload
-        self._enqueued.discard(u)
-        if not self._is_active(u):
+        enqueued = self._enqueued
+        enqueued.discard(u)
+        net = self.net
+        source, sink = net.source, net.sink
+        excess = self.excess
+        frozen = self._frozen
+        remaining = excess[u]
+        if remaining <= 0 or u == source or u == sink or u in frozen:
             return []
         self.discharges += 1
+        height = self.height
+        flow = self.flow
+        cap_u = net.capacity[u]
+        flow_u = flow[u]
         touched: set[int] = set()
-        guard = 0
-        limit = 4 * len(self.net.capacity[u]) + 8
-        while self.excess[u] > 0 and guard < limit:
-            guard += 1
+        for _ in range(4 * len(cap_u) + 8):  # remaining > 0 at every entry
             pushed = False
-            for v in self.net.capacity[u]:
-                res = self._residual(u, v)
-                if res > 0 and self.height[u] == self.height[v] + 1:
-                    amount = min(self.excess[u], res)
-                    self._push(u, v, amount)
+            h_u = height[u]
+            # lowest residual neighbour: the relabel target if this scan
+            # finds nothing to push (no flow changes during such a scan,
+            # so the minimum is taken over exactly the residual arcs)
+            lowest = None
+            for v, cap in cap_u.items():
+                res = cap - flow_u.get(v, 0)
+                if res <= 0:
+                    continue
+                h_v = height[v]
+                if h_u == h_v + 1:
+                    amount = remaining if remaining < res else res
+                    flow_u[v] = flow_u.get(v, 0) + amount
+                    flow_v = flow[v]
+                    flow_v[u] = flow_v.get(u, 0) - amount
+                    remaining -= amount
+                    excess[v] += amount
                     touched.add(v)
                     pushed = True
-                    if self.excess[u] == 0:
+                    if remaining == 0:
                         break
-            if self.excess[u] == 0:
+                elif lowest is None or h_v < lowest:
+                    lowest = h_v
+            if remaining == 0:
                 break
             if not pushed:
                 # relabel: one above the lowest reachable residual neighbour
-                candidates = [
-                    self.height[v]
-                    for v in self.net.capacity[u]
-                    if self._residual(u, v) > 0
-                ]
-                if not candidates:
-                    self._frozen.add(u)  # cannot happen for consistent flows
+                if lowest is None:
+                    frozen.add(u)  # cannot happen for consistent flows
                     break
-                self.height[u] = 1 + min(candidates)
+                height[u] = 1 + lowest
                 self.relabels += 1
-                if self.height[u] > 2 * self.net.num_nodes:
-                    self._frozen.add(u)  # defensive guard; valid runs stay < 2n
+                if height[u] > 2 * net.num_nodes:
+                    frozen.add(u)  # defensive guard; valid runs stay < 2n
                     break
+        excess[u] = remaining
         out: list[Task] = []
         for v in touched:
-            if self._is_active(v) and v not in self._enqueued:
-                self._enqueued.add(v)
+            if excess[v] > 0 and v != source and v != sink and not (
+                v in frozen or v in enqueued
+            ):
+                enqueued.add(v)
                 out.append(Task(payload=v))
-        if self._is_active(u) and u not in self._enqueued:
-            self._enqueued.add(u)
+        if remaining > 0 and u not in frozen and u not in enqueued:
+            enqueued.add(u)
             out.append(Task(payload=u))
         return out
 

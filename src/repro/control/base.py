@@ -75,6 +75,8 @@ class Controller(abc.ABC):
         self._awaiting_observation = False
         self._sink = None  # duck-typed: anything with .emit(kind, step, **data)
         self._metrics = None
+        #: observe()'s three metrics, looked up on the first observation
+        self._observe_handles = None
         self.clamp_hits = 0
 
     # -- observability ---------------------------------------------------
@@ -88,6 +90,7 @@ class Controller(abc.ABC):
         """
         self._sink = sink
         self._metrics = metrics
+        self._observe_handles = None
 
     def describe(self) -> dict:
         """Replay-sufficient configuration of this controller.
@@ -172,10 +175,19 @@ class Controller(abc.ABC):
         self.trace.observations.append(float(r))
         self.trace.launched.append(int(launched))
         self._awaiting_observation = False
-        if self._metrics is not None:
-            self._metrics.counter("observations").inc()
-            self._metrics.histogram("r").observe(r)
-            self._metrics.gauge("m").set(self.trace.proposals[-1])
+        metrics = self._metrics
+        if metrics is not None:
+            handles = self._observe_handles
+            if handles is None:
+                handles = self._observe_handles = (
+                    metrics.counter("observations"),
+                    metrics.histogram("r"),
+                    metrics.gauge("m"),
+                )
+            observations, ratio, m = handles
+            observations.inc()
+            ratio.observe(r)
+            m.set(self.trace.proposals[-1])
         self._ingest(float(r), int(launched))
 
     def reset(self) -> None:

@@ -50,8 +50,11 @@ from repro.runtime.workset import Workset, swap_pop_sample
 __all__ = ["ActiveSet"]
 
 #: below this many draws, scalar ``rng.integers`` calls beat one
-#: :func:`sample_prefix_draws` call (whose array set-up is ~10 scalar draws)
-_SCALAR_TAKE_BELOW = 16
+#: :func:`sample_prefix_draws` call.  Measured crossover: a scalar bounded
+#: draw costs ~1.5 µs, the vector call ~7 µs flat whatever ``k``, so a
+#: whole ``take`` reads 8.1 vs 9.1 µs at k = 5, 9.7 vs 9.1 at k = 6 and
+#: 12.5 vs 9.1 at k = 8 (scalar vs vector)
+_SCALAR_TAKE_BELOW = 6
 
 
 class ActiveSet(Workset):

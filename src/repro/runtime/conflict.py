@@ -16,16 +16,15 @@ Two policies cover the two ways conflicts are specified:
   explicit :class:`~repro.graph.CCGraph` whose nodes are the task payloads
   (used by synthetic CC-graph workloads and by the analytic experiments).
 
-Each policy also exposes :meth:`~ConflictPolicy.resolve_fast`, the entry
-point every commit order calls: it computes the batch's
-commit/abort partition with the vectorised kernels of
-:mod:`repro.runtime.kernels` where those beat the per-task walk, and is
-bit-identical to :meth:`~ConflictPolicy.resolve` (the differential test
-suite enforces it).  Only :class:`ExplicitGraphPolicy` has an array form
-that wins anywhere — item locks gather neighbourhoods through the scalar
-operator API either way, and the array kernel lost to the walk at every
-measured batch size — so :class:`ItemLockPolicy` and custom policies
-inherit the base-class fallback to the walk.
+Every commit order calls :meth:`~ConflictPolicy.resolve_fast`, which must
+equal :meth:`~ConflictPolicy.resolve` bit for bit (the differential
+suites enforce it) and by default *is* that walk.  Only
+:class:`ExplicitGraphPolicy` overrides it, with a CSR gather that wins
+on large batches over a graph that held still.  Item locks have no array
+form — neighbourhoods come through the scalar operator API either way —
+so their walk, :func:`item_lock_walk`, is what every app runs; it is
+shared with the ordered policies' default conflict phase and copies a
+neighbourhood only when the operator did not already hand it a set.
 """
 
 from __future__ import annotations
@@ -140,6 +139,32 @@ class ConflictPolicy(abc.ABC):
         )
 
 
+def item_lock_walk(entries: Sequence, tasks: Sequence[Task], neighborhood):
+    """Commit-order lock acquisition: split *entries* into (kept, dropped).
+
+    ``tasks[i]`` is the task behind ``entries[i]`` (the same list for bare
+    batches; the ordered policies pass ``(priority, task)`` entries).  A
+    task takes every item of ``neighborhood(task)`` unless a task kept
+    earlier holds one of them; a dropped task holds nothing.  A ``set`` /
+    ``frozenset`` neighbourhood is read in place — unioned *into* the
+    held set, never aliased or mutated: it is the operator's object —
+    and any other iterable is walked exactly once into a set.
+    """
+    held: set = set()
+    kept: list = []
+    dropped: list = []
+    for entry, task in zip(entries, tasks):
+        items = neighborhood(task)
+        if not isinstance(items, (set, frozenset)):
+            items = set(items)
+        if held.isdisjoint(items):
+            held.update(items)
+            kept.append(entry)
+        else:
+            dropped.append(entry)
+    return kept, dropped
+
+
 class ItemLockPolicy(ConflictPolicy):
     """Commit-order acquisition of abstract data-item locks.
 
@@ -150,21 +175,12 @@ class ItemLockPolicy(ConflictPolicy):
     """
 
     def resolve(self, batch: Sequence[Task], operator: Operator) -> BatchOutcome:
-        held: set = set()
-        committed: list[Task] = []
-        aborted: list[Task] = []
-        seen: set[int] = set()
-        for task in batch:
-            if task.uid in seen:
-                raise ConflictDetectionError(f"task {task.uid} appears twice in batch")
-            seen.add(task.uid)
-            items = set(operator.neighborhood(task))
-            if held.isdisjoint(items):
-                held |= items
-                committed.append(task)
-            else:
-                aborted.append(task)
-        return BatchOutcome(committed, aborted)
+        uids = [task.uid for task in batch]
+        if len(set(uids)) != len(uids):
+            seen: set[int] = set()
+            first = next(uid for uid in uids if uid in seen or seen.add(uid))
+            raise ConflictDetectionError(f"task {first} appears twice in batch")
+        return BatchOutcome(*item_lock_walk(batch, batch, operator.neighborhood))
 
 
 class ExplicitGraphPolicy(ConflictPolicy):

@@ -1,38 +1,34 @@
-"""The single step-pipeline core shared by every engine.
+"""The step-pipeline core: one loop, pluggable commit order.
 
 The paper's model is one discrete-time loop — the controller proposes an
 allocation ``m_t``, a batch is drawn from the work-set, conflicts are
 resolved, survivors commit, and the controller observes the realised
-conflict ratio ``r_t``.  Historically that loop existed twice
-(``runtime/engine.py`` and ``runtime/ordered.py``) and the two copies had
-to be edited in lockstep.  This module is the one copy:
+conflict ratio ``r_t``.  :class:`Engine` is that loop; *what order the
+batch is drawn and committed in* is the one thing a run varies, behind
+the :class:`OrderPolicy` seam (concrete policies:
+:mod:`repro.runtime.policies`).  One ``step()``::
 
-* :class:`Engine` owns the pipeline — phase spans, trace events, metric
-  counters, cost accounting, retry tracking, and the controller
-  hand-shake are emitted here and nowhere else;
-* :class:`OrderPolicy` is the plugin seam — *what order the batch is
-  drawn and committed in* (uniform-random vs priority order with
-  barrier/horizon rules) is the only thing an engine variant supplies.
+    controller.propose -> order.select -> order.execute -> order.apply
+        -> retry / cost / stats bookkeeping -> controller.observe
 
-The concrete policies live in :mod:`repro.runtime.policies`;
-:class:`~repro.runtime.engine.OptimisticEngine` and
-:class:`~repro.runtime.ordered.OrderedEngine` are thin subclasses that
-pick a policy and keep their historical constructor signatures.
+``order.execute`` only *resolves* the batch into an outcome;
+``order.apply`` mutates the work-set (commits applied, aborts rolled
+back).
 
-Pipeline contract (one ``step()``)::
-
-    controller.decide  ->  order.select  ->  order.execute  ->  order.apply
-         (span)              (span)         (policy spans)      + bookkeeping
-                                                               (core-owned span)
-
-``order.execute`` resolves the batch into an outcome and owns the phase
-spans of resolution; ``order.apply`` mutates the work-set (applying
-committed operators or rolling back aborts) and runs — together with
-everything downstream: retry counts, cost model, step stats, the
-``step`` trace event, and metric counters — inside one core-opened span
-named by :meth:`OrderPolicy.commit_span_name`, so timing attribution is
-identical to the pre-core engines.  ``controller.observe`` follows in
-its own ``controller.update`` span.
+**Two step bodies, one test per step.**  Draining runs spend most of
+their steps at tiny ``m`` (Algorithm 1 shrinks the allocation as the
+work-set thins), where per-step set-up, not the work, is the budget.
+:meth:`Engine.step` asks once whether a profiler, recorder or metrics
+registry is attached.  If none is, the *bare* body runs the calls above
+and nothing else.  Otherwise the *observed* body runs the same calls in
+the same order inside the phase spans (``controller.decide``,
+``select``, the policy's resolve spans, the
+:meth:`OrderPolicy.commit_span_name` span around ``apply`` and the
+bookkeeping, ``controller.update``), emits the ``select`` and ``step``
+events and updates the metrics.  Both yield identical stats, costs,
+retry counts, controller traces and RNG trajectories
+(``tests/runtime/test_step_bodies.py``), and because the test is per
+step an observer attached mid-run sees every later step.
 """
 
 from __future__ import annotations
@@ -97,10 +93,10 @@ class OrderPolicy(ABC):
     def execute(self, batch: list):
         """Resolve *batch* into an outcome (no work-set mutation of aborts).
 
-        Opens its own resolution phase spans via
-        ``self.engine.phase_span`` so timing attribution stays identical
-        to the pre-core engines.  Work-set mutation that belongs to the
-        commit/record phase happens in :meth:`apply`.
+        Opens its own resolution phase spans (``self.engine.phase_span``,
+        or nothing at all when ``engine.profiler`` is ``None``).  Work-set
+        mutation that belongs to the commit/record phase happens in
+        :meth:`apply`.
         """
 
     @abstractmethod
@@ -125,7 +121,8 @@ class OrderPolicy(ABC):
 
     @abstractmethod
     def step_event_fields(self, batch: list, outcome) -> dict:
-        """Policy-specific fields of the ``step`` trace event."""
+        """Policy-specific fields of the ``step`` trace event, as a fresh
+        dict (the core adds the step's stats to it)."""
 
     def step_metrics(self, metrics, outcome) -> None:
         """Extra per-step counters (emitted between ``aborts`` and
@@ -211,9 +208,12 @@ class Engine:
         registry = metrics if metrics is not None else active_metrics()
         self.metrics = None if registry is None else registry.scope("engine")
         self.profiler = profiler if profiler is not None else active_profiler()
-        # stashed no-op span: the disabled path costs one None test plus
-        # entering this shared stateless context manager per phase
+        # stashed no-op span for observed steps without a profiler (a
+        # recorder or metrics alone) and for policies' phase_span calls
         self._null_span = NULL_SPAN
+        #: ``(registry scope, *handles)`` of the per-step metrics, resolved
+        #: on the first observed step (see :meth:`_count_step`)
+        self._metric_handles = None
         order.bind(self)
         order.init_rng(seed)
         if self.recorder is not None or self.metrics is not None:
@@ -240,10 +240,62 @@ class Engine:
 
     def step(self) -> StepStats:
         """Execute one temporal step; raises if the work-set is empty."""
+        if self.profiler is None and self.recorder is None and self.metrics is None:
+            return self._bare_step()
+        return self._observed_step()
+
+    def _bare_step(self) -> StepStats:
+        """The pipeline contract and nothing else (nobody is watching)."""
+        before = len(self.workset)
+        if before == 0:
+            raise RuntimeEngineError("cannot step: work-set is empty")
+        order = self.order
+        order.begin_step()
+        requested = int(self.controller.propose())
+        if requested < 1:
+            raise RuntimeEngineError(
+                f"controller proposed m={requested}; allocations must be >= 1"
+            )
+        outcome = order.execute(order.select(requested))
+        order.apply(outcome)
+        stats = self._account(order, outcome, requested, before)
+        self._step += 1
+        self.controller.observe(stats.conflict_ratio, stats.launched)
+        self.result.steps.append(stats)
+        if self.step_hook is not None:
+            self.step_hook(self, stats)
+        return stats
+
+    def _account(self, order, outcome, requested: int, before: int) -> StepStats:
+        """Retry tracking, cost accounting and the step's stats record."""
+        committed = order.committed_tasks(outcome)
+        aborted = order.aborted_tasks(outcome)
+        retries = self.retry_counts
+        if aborted:
+            retries.update([task.uid for task in aborted])
+        if retries:  # nothing tracked: nothing to stop tracking
+            for task in committed:
+                retries.pop(task.uid, None)  # made it; stop tracking
+        self.cost_model.charge(self.costs, committed, aborted)
+        return StepStats(
+            step=self._step,
+            requested=requested,
+            launched=outcome.launched,
+            committed=len(committed),
+            aborted=len(aborted),
+            workset_before=before,
+            workset_after=len(self.workset),
+        )
+
+    def _observed_step(self) -> StepStats:
+        """The same calls in the same order, inside spans, with events
+        and metrics — byte for byte what traces have always carried."""
         before = len(self.workset)
         if before == 0:
             raise RuntimeEngineError("cannot step: work-set is empty")
         prof = self.profiler
+        recorder = self.recorder
+        metrics = self.metrics
         null = self._null_span
         order = self.order
         with prof.step_span(self._step) if prof is not None else null:
@@ -256,8 +308,8 @@ class Engine:
                 )
             with prof.span("select") if prof is not None else null:
                 batch = order.select(requested)
-                if self.recorder is not None:
-                    self.recorder.emit(
+                if recorder is not None:
+                    recorder.emit(
                         "select",
                         step=self._step,
                         requested=requested,
@@ -267,47 +319,43 @@ class Engine:
             outcome = order.execute(batch)  # opens the policy's resolve spans
             with prof.span(order.commit_span_name()) if prof is not None else null:
                 order.apply(outcome)
-                committed = order.committed_tasks(outcome)
-                aborted = order.aborted_tasks(outcome)
-                retries = self.retry_counts
-                if aborted:
-                    retries.update([task.uid for task in aborted])
-                for task in committed:
-                    retries.pop(task.uid, None)  # made it; stop tracking
-                self.cost_model.charge(self.costs, committed, aborted)
-                stats = StepStats(
-                    step=self._step,
-                    requested=requested,
-                    launched=outcome.launched,
-                    committed=len(committed),
-                    aborted=len(aborted),
-                    workset_before=before,
-                    workset_after=len(self.workset),
-                )
-                if self.recorder is not None:
-                    self.recorder.emit(
-                        "step",
-                        **order.step_event_fields(batch, outcome),
-                        **stats.as_dict(),
-                    )
-                if self.metrics is not None:
-                    self.metrics.counter("steps").inc()
-                    self.metrics.counter("commits").inc(stats.committed)
-                    self.metrics.counter("aborts").inc(stats.aborted)
-                    order.step_metrics(self.metrics, outcome)
-                    self.metrics.counter("launched").inc(stats.launched)
-                    self.metrics.histogram("conflict_ratio").observe(
-                        stats.conflict_ratio
-                    )
-                    self.metrics.gauge("workset").set(stats.workset_after)
-                    self.metrics.gauge("m").set(requested)
+                stats = self._account(order, outcome, requested, before)
+                if recorder is not None:
+                    data = order.step_event_fields(batch, outcome)
+                    data.update(stats.as_dict())  # one dict, "step" included
+                    recorder.emit("step", **data)
+                if metrics is not None:
+                    self._count_step(metrics, order, outcome, stats)
             self._step += 1
             with prof.span("controller.update") if prof is not None else null:
-                self.controller.observe(stats.conflict_ratio, outcome.launched)
-        self.result.append(stats)
+                self.controller.observe(stats.conflict_ratio, stats.launched)
+        self.result.steps.append(stats)
         if self.step_hook is not None:
             self.step_hook(self, stats)
         return stats
+
+    def _count_step(self, metrics, order, outcome, stats: StepStats) -> None:
+        """Update the per-step metrics through handles resolved once."""
+        bound = self._metric_handles
+        if bound is None or bound[0] is not metrics:
+            # first step under this registry: resolve the handles in the
+            # historical registration order — the policy's own counters
+            # sit between ``aborts`` and ``launched``
+            head = [metrics.counter(name) for name in ("steps", "commits", "aborts")]
+            order.step_metrics(metrics, outcome)
+            tail = [metrics.counter("launched"), metrics.histogram("conflict_ratio")]
+            tail += [metrics.gauge("workset"), metrics.gauge("m")]
+            bound = self._metric_handles = (metrics, *head, *tail)
+        else:
+            order.step_metrics(metrics, outcome)
+        _, steps, commits, aborts, launched, ratio, workset, m = bound
+        steps.inc()
+        commits.inc(stats.committed)
+        aborts.inc(stats.aborted)
+        launched.inc(stats.launched)
+        ratio.observe(stats.conflict_ratio)
+        workset.set(stats.workset_after)
+        m.set(stats.requested)
 
     def run(self, max_steps: int | None = None) -> RunResult:
         """Step until the work-set drains (or *max_steps* is reached)."""

@@ -46,6 +46,7 @@ from repro.graph.partition import (
     two_phase_commit_mask,
     two_phase_commit_mask_fast,
 )
+from repro.runtime.conflict import item_lock_walk
 from repro.runtime.core import OrderPolicy
 from repro.runtime.kernels import sample_window_draws
 from repro.runtime.task import Operator
@@ -232,7 +233,10 @@ class UnorderedCommitOrder(OrderPolicy):
 
     def execute(self, batch: "list[Task]"):
         eng = self.engine
-        with eng.phase_span("resolve"):
+        prof = eng.profiler
+        if prof is None:
+            return self.conflict_policy.resolve_fast(batch, eng.operator)
+        with prof.span("resolve"):
             return self.conflict_policy.resolve_fast(batch, eng.operator)
 
     def bind(self, engine) -> None:
@@ -434,17 +438,9 @@ class OrderedCommitOrder(OrderPolicy):
             survivors = [entry for entry in batch if entry[1].uid in committed_uids]
             aborted = [entry for entry in batch if entry[1].uid not in committed_uids]
             return survivors, aborted
-        held: set = set()
-        survivors = []
-        aborted = []
-        for prio, task in batch:  # batch is already earliest-first
-            items = set(eng.operator.neighborhood(task))
-            if held.isdisjoint(items):
-                held |= items
-                survivors.append((prio, task))
-            else:
-                aborted.append((prio, task))
-        return survivors, aborted
+        # batch is already earliest-first
+        tasks = [task for _, task in batch]
+        return item_lock_walk(batch, tasks, eng.operator.neighborhood)
 
     def resolve(self, batch: "list[tuple[float, Task]]") -> OrderedBatchOutcome:
         """Conflict phase + barrier/horizon commit walk over *batch*."""

@@ -1,5 +1,6 @@
 """Tests for repro.apps.maxflow — preflow-push under speculation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,23 @@ from repro.apps.maxflow import (
 from repro.control.fixed import FixedController
 from repro.control.hybrid import HybridController
 from repro.errors import ApplicationError
+
+
+def oversupplied_network(n: int, seed: int, extra_arcs: int = 8) -> FlowNetwork:
+    """The catalog's random network plus seeded capacity-20 source arcs.
+
+    Same recipe as ``benchmarks/e2e``'s ``maxflow_tinysteps`` input: the
+    source emits more than the sink absorbs on every seed, so the surplus
+    is relabelled back to the source in ~n² commits of tiny steps.
+    """
+    from repro.apps import build_app_input
+
+    network = build_app_input("maxflow", n, seed=seed)
+    rng = np.random.default_rng([seed, 0x51AC])
+    inner = np.arange(1, n - 1)
+    for v in rng.choice(inner, size=min(extra_arcs, len(inner)), replace=False):
+        network.add_edge(network.source, int(v), 20)
+    return network
 
 
 class TestFlowNetwork:
@@ -109,6 +127,30 @@ class TestAgainstScipyOracle:
         app = PreflowPush(net)
         app.make_engine(FixedController(8), seed=10).run(max_steps=10**6)
         assert not app._frozen
+
+
+class TestOversuppliedNetworks:
+    """The long regime: surplus relabelled back to the source, ~n² commits."""
+
+    #: (discharges, relabels) of the textbook discharge, taken before its
+    #: arc scan was fused with the relabel scan; any change to what a
+    #: discharge pushes, when it relabels or which tasks it creates moves
+    #: the schedule and with it these counts
+    COUNTS = {0: (846, 840), 1: (1002, 994), 2: (993, 1030)}
+
+    @pytest.mark.parametrize("seed", sorted(COUNTS))
+    def test_drains_to_the_max_flow_with_the_recorded_work(self, seed):
+        net = oversupplied_network(40, seed)
+        app = PreflowPush(net)
+        app.make_engine(HybridController(0.25, m_max=64), seed=seed + 10).run(
+            max_steps=10**6
+        )
+        assert len(app.workset) == 0
+        assert app.discharges > 10 * net.num_nodes  # not the ~n-commit regime
+        assert app.flow_value == reference_max_flow(net)
+        assert app.check_conservation()
+        assert not app._frozen
+        assert (app.discharges, app.relabels) == self.COUNTS[seed]
 
 
 class TestParallelStructure:

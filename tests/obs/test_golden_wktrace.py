@@ -8,6 +8,12 @@ the app's task generation, or the engine's commit schedule shows up as a
 diff here — and then replays the fixture to completion, proving the
 recorded artefact stays executable.
 
+A second fixture pins preflow-push the same way, on an *oversupplied*
+network (extra source arcs, so the surplus is relabelled back to the
+source over thousands of tiny steps — the regime ``benchmarks/e2e``'s
+``maxflow_tinysteps`` runs): every discharge's pushes, relabels and task
+creation order are in those bytes.
+
 Regenerate (only after an intentional semantic change!) with::
 
     PYTHONPATH=src python -c "from tests.obs.test_golden_wktrace import regenerate; regenerate()"
@@ -22,6 +28,7 @@ from repro.runtime.workset import RandomWorkset
 from repro.testing.oracles import reference_paths
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_boruvka_n60.wktrace"
+MAXFLOW_FIXTURE = Path(__file__).parent / "fixtures" / "golden_maxflow_n40.wktrace"
 
 SCALE = 60
 GRAPH_SEED = 2011  # SPAA 2011
@@ -39,10 +46,23 @@ def golden_trace(workset=None) -> WorkloadTrace:
     return capture.finalize()
 
 
+def golden_maxflow_trace(workset=None) -> WorkloadTrace:
+    """Record preflow-push on a 40-node oversupplied network."""
+    from repro.apps import workload_from_input
+    from tests.apps.test_maxflow import oversupplied_network
+
+    source = oversupplied_network(40, GRAPH_SEED)
+    app = workload_from_input("maxflow", source, seed=GRAPH_SEED, workset=workset)
+    capture = WorkloadCapture(app, label="maxflow")
+    capture.make_engine(HybridController(0.25, m_max=64), seed=ENGINE_SEED).run()
+    return capture.finalize()
+
+
 def regenerate() -> None:
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE.write_text(golden_trace().to_jsonl(), encoding="utf-8")
-    print(f"wrote {FIXTURE}")
+    for fixture, record in ((FIXTURE, golden_trace), (MAXFLOW_FIXTURE, golden_maxflow_trace)):
+        fixture.write_text(record().to_jsonl(), encoding="utf-8")
+        print(f"wrote {fixture}")
 
 
 class TestGoldenWorkloadTrace:
@@ -89,3 +109,26 @@ class TestGoldenWorkloadTrace:
         with reference_paths():
             engine.run()
         assert oracle.to_jsonl() == default.to_jsonl()
+
+
+class TestGoldenMaxflowTrace:
+    def test_rerecording_is_byte_identical(self):
+        fresh = golden_maxflow_trace().to_jsonl()
+        assert fresh == MAXFLOW_FIXTURE.read_text(encoding="utf-8"), (
+            "golden maxflow trace drifted: the discharge's pushes, relabels "
+            "or task creation order changed"
+        )
+
+    def test_rerecording_on_the_oracle_paths_is_byte_identical(self):
+        with reference_paths():
+            fresh = golden_maxflow_trace(RandomWorkset()).to_jsonl()
+        assert fresh == MAXFLOW_FIXTURE.read_text(encoding="utf-8")
+
+    def test_fixture_is_the_long_regime_and_replays(self):
+        trace = WorkloadTrace.load(MAXFLOW_FIXTURE)
+        assert trace.label == "maxflow"
+        assert len(trace.commits) > 10 * 40  # relabel-to-source, not ~n commits
+        workload = TraceReplayWorkload.load(MAXFLOW_FIXTURE)
+        workload.make_engine(HybridController(0.25, m_max=64), seed=3).run()
+        assert workload.replay_complete()
+        assert workload.unrecorded_commits == 0

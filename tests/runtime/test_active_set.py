@@ -147,9 +147,13 @@ class TestBitParityWithRandomWorkset:
 
     @pytest.mark.parametrize("seed", [0, 1, 2011, 99991])
     def test_single_take_parity(self, seed):
-        # k on both sides of, and at, the scalar/vectorised cutoff
-        assert _SCALAR_TAKE_BELOW == 16
-        for n, k in [(1, 1), (5, 2), (17, 17), (64, 1), (100, 37), (40, 15), (40, 16)]:
+        # k on both sides of, and at, the scalar/vectorised cutoff —
+        # wherever the measured crossover currently puts it
+        cut = _SCALAR_TAKE_BELOW
+        assert cut >= 2
+        cases = [(1, 1), (5, 2), (17, 17), (64, 1), (100, 37)]
+        cases += [(cut + 8, k) for k in (cut - 1, cut, cut + 1)]
+        for n, k in cases:
             a, b = ActiveSet(), RandomWorkset()
             a.add_all([Task(payload=i) for i in range(n)])
             b.add_all([Task(payload=i) for i in range(n)])

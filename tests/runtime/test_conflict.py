@@ -68,6 +68,89 @@ class TestItemLockPolicy:
         assert out.launched == 0
 
 
+class TestItemLockNeighbourhoodShapes:
+    """The walk copies a neighbourhood only when it is not already a set."""
+
+    ITEMS = {0: ["a", "b"], 1: ["b", "c"], 2: ["c"], 3: [], 4: ["d", "d"], 5: ["a"]}
+    SHAPES = {
+        "generator": lambda items: (x for x in items),
+        "list": list,
+        "tuple": tuple,
+        "set": set,
+        "frozenset": frozenset,
+    }
+
+    def resolve_as(self, shape):
+        batch = [Task(payload=i) for i in self.ITEMS]
+        handed = {}
+
+        def neighborhood(task):
+            handed[task.payload] = self.SHAPES[shape](self.ITEMS[task.payload])
+            return handed[task.payload]
+
+        op = CallbackOperator(neighborhood=neighborhood, apply=lambda t: [])
+        out = ItemLockPolicy().resolve(batch, op)
+        partition = (
+            [t.payload for t in out.committed],
+            [t.payload for t in out.aborted],
+        )
+        return partition, handed
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_every_shape_resolves_identically(self, shape):
+        partition, _ = self.resolve_as(shape)
+        # 1 loses "b" to 0, 5 loses "a" to 0; 2 takes "c" (1 held nothing)
+        assert partition == ([0, 2, 3, 4], [1, 5])
+
+    def test_generator_is_consumed_exactly_once(self):
+        _, handed = self.resolve_as("generator")
+        for gen in handed.values():
+            assert next(gen, "spent") == "spent"  # walked to its end, not re-run
+
+    def test_empty_tuple_commits_and_holds_nothing(self):
+        op = CallbackOperator(neighborhood=lambda t: (), apply=lambda t: [])
+        batch = [Task(payload=i) for i in range(3)]
+        out = ItemLockPolicy().resolve(batch, op)
+        assert out.committed == batch and not out.aborted
+
+    @pytest.mark.parametrize("shape", ["set", "frozenset"])
+    def test_operator_sets_are_equal_and_unaliased_afterwards(self, shape):
+        _, handed = self.resolve_as(shape)
+        for payload, items in handed.items():
+            assert items == set(self.ITEMS[payload])  # not grown into `held`
+        kept = [handed[p] for p in (0, 2, 3, 4)]
+        assert len({id(items) for items in kept}) == len(kept)
+
+    def test_duplicate_uid_names_the_first_duplicate(self):
+        op = items_operator({0: {"a"}, 1: {"b"}, 2: {"c"}})
+        t0, t1, t2 = (Task(payload=i) for i in range(3))
+        with pytest.raises(ConflictDetectionError, match=f"task {t1.uid} appears twice"):
+            ItemLockPolicy().resolve([t0, t1, t2, t1, t2], op)
+
+    @pytest.mark.parametrize("shape", ["generator", "list", "tuple"])
+    def test_unhashable_item_is_a_type_error(self, shape):
+        op = CallbackOperator(
+            neighborhood=lambda t: self.SHAPES[shape]([["nested"]]),
+            apply=lambda t: [],
+        )
+        with pytest.raises(TypeError):
+            ItemLockPolicy().resolve([Task(payload=0)], op)
+
+    def test_ordered_conflict_phase_runs_the_same_walk(self):
+        from repro.control.fixed import FixedController
+        from repro.runtime.core import Engine
+        from repro.runtime.policies import OrderedCommitOrder, PriorityWorkset
+
+        op = items_operator({i: set(items) for i, items in self.ITEMS.items()})
+        order = OrderedCommitOrder(priority_of=lambda t: float(t.payload))
+        Engine(PriorityWorkset(), op, FixedController(8), order, seed=0)
+        batch = [(float(i), Task(payload=i)) for i in self.ITEMS]
+        survivors, aborted = order._conflict_phase(batch)
+        assert [t.payload for _, t in survivors] == [0, 2, 3, 4]
+        assert [t.payload for _, t in aborted] == [1, 5]
+        assert all(entry in batch for entry in survivors + aborted)
+
+
 class TestExplicitGraphPolicy:
     def test_matches_model_semantics(self, medium_random_graph):
         """Graph policy must equal the paper's committed_set semantics."""
