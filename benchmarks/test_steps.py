@@ -144,7 +144,7 @@ def test_morphing_workload_builds_no_csr():
 
     # any mutation invalidates a snapshot, so one built here would have
     # served a single step: the policy must not have asked for any
-    assert graph._csr is None and graph._delta is None
+    assert graph._csr is None
 
     payload = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
     payload["morphing_case"] = {

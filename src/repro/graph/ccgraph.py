@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import EdgeNotFoundError, GraphError, NodeNotFoundError
 
-__all__ = ["CCGraph", "GraphSnapshot", "ConflictDeltaView"]
+__all__ = ["CCGraph", "GraphSnapshot"]
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class GraphSnapshot:
         """``(u, v)`` index pairs, one row per undirected edge, ``u < v``.
 
         Built once per snapshot from the CSR arrays, for consumers that
-        scan every edge (the partitioner, :class:`ConflictDeltaView`).
+        scan every edge (the partitioner).
         """
         src = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
         keep = src < self.indices
@@ -120,7 +120,6 @@ class CCGraph:
         "_num_edges",
         "_version",
         "_csr",
-        "_delta",
         "_morph_hook",
     )
 
@@ -134,12 +133,8 @@ class CCGraph:
         # graph does not morph (stationary workloads never rebuild).
         self._version = 0
         self._csr: "tuple[int, GraphSnapshot] | None" = None
-        # incrementally-maintained conflict projection; created on first
-        # conflict_view() call and fed by the mutation hooks below (one
-        # is-None test per mutation when no view exists).
-        self._delta: "ConflictDeltaView | None" = None
-        # optional morph observer (set_morph_hook); same one-is-None-test
-        # cost model as _delta.  The workload-trace recorder uses it to
+        # optional morph observer (set_morph_hook): one is-None test per
+        # mutation when unset.  The workload-trace recorder uses it to
         # attribute graph morphs to the committing task.
         self._morph_hook: "object | None" = None
 
@@ -180,8 +175,6 @@ class CCGraph:
         self._next_id += 1
         self._adj[nid] = set()
         self._version += 1
-        if self._delta is not None:
-            self._delta._record_add_node(nid)
         if self._morph_hook is not None:
             self._morph_hook("add_node", nid)
         if data is not None:
@@ -203,8 +196,6 @@ class CCGraph:
             av.add(u)
             self._num_edges += 1
             self._version += 1
-            if self._delta is not None:
-                self._delta._record_add_edge(u, v)
             if self._morph_hook is not None:
                 self._morph_hook("add_edge", u, v)
 
@@ -222,8 +213,6 @@ class CCGraph:
         av.discard(u)
         self._num_edges -= 1
         self._version += 1
-        if self._delta is not None:
-            self._delta._record_remove_edge()
         if self._morph_hook is not None:
             self._morph_hook("remove_edge", u, v)
 
@@ -232,8 +221,6 @@ class CCGraph:
         neigh = self._adj.get(u)
         if neigh is None:
             raise NodeNotFoundError(u)
-        if self._delta is not None:
-            self._delta._record_remove_node(u, len(neigh))
         for v in neigh:
             self._adj[v].discard(u)
         self._num_edges -= len(neigh)
@@ -393,25 +380,6 @@ class CCGraph:
         self._csr = (self._version, snap)
         return snap
 
-    def conflict_view(self) -> "ConflictDeltaView":
-        """Incrementally-maintained conflict projection of this graph.
-
-        Unlike :meth:`csr`, which throws its snapshot away on *any*
-        mutation, the returned view absorbs the morphs the engine's
-        workloads actually perform — node removals (commits) and node/edge
-        additions (new work) — in O(delta), rebuilding only on edge
-        removals or when compaction pays (see
-        :meth:`ConflictDeltaView.refresh`).  The first call builds the
-        view and registers it with the mutation hooks; later calls
-        refresh and return the same instance.
-        """
-        view = self._delta
-        if view is None:
-            view = ConflictDeltaView(self)
-            self._delta = view
-        view.refresh()
-        return view
-
     def to_networkx(self):
         """Export to :class:`networkx.Graph` (for tests and inspection)."""
         import networkx as nx
@@ -423,156 +391,3 @@ class CCGraph:
 
     def __repr__(self) -> str:
         return f"CCGraph(n={self.num_nodes}, m={self.num_edges}, d={self.average_degree:.3g})"
-
-
-class ConflictDeltaView:
-    """Tombstoned slot projection of a :class:`CCGraph`, updated in O(delta).
-
-    The engine's fast conflict path needs two things per step: a map from
-    task payloads (node ids) to a dense slot universe, and the edge list
-    over those slots.  :meth:`CCGraph.csr` delivers both but rebuilds the
-    whole snapshot after *any* mutation — on morphing workloads that is a
-    full Python adjacency walk every step.  This view keeps both
-    structures alive across morphs instead:
-
-    * ``id → slot`` is one ``int64`` array indexed by node id (ids are
-      never reused, so it only ever grows); removing a node writes a
-      ``-1`` tombstone, adding one appends a fresh slot;
-    * added edges accumulate in pending lists, consolidated into the edge
-      arrays lazily on :meth:`refresh`;
-    * removed nodes leave their incident edges in place as *stale* edges.
-      Staleness is sound because every stale edge has a tombstoned
-      endpoint: batch payloads are live nodes, so a stale edge can never
-      project onto two batch slots and never changes a resolution.  Only
-      :meth:`CCGraph.remove_edge` — which disconnects two *live* nodes —
-      invalidates the edge arrays, and it marks the view dirty for a full
-      rebuild.
-
-    Rebuilds also trigger when compaction pays: once stale edges are the
-    majority of the arrays, or tombstoned slots dominate the slot
-    universe, one rebuild is cheaper than dragging the garbage through
-    every step's projection.  :attr:`rebuilds` counts them — on morphing
-    workloads it grows logarithmically, not per step (the step benchmark
-    asserts this).
-
-    The morph-fuzz suite holds the view to full-snapshot equality after
-    arbitrary mutation sequences.
-    """
-
-    __slots__ = (
-        "_graph",
-        "_id_to_slot",
-        "_edge_u",
-        "_edge_v",
-        "_pending_u",
-        "_pending_v",
-        "num_slots",
-        "_live",
-        "_stale",
-        "_dirty",
-        "rebuilds",
-    )
-
-    def __init__(self, graph: CCGraph):
-        self._graph = graph
-        self._pending_u: list[int] = []
-        self._pending_v: list[int] = []
-        self._dirty = True  # first refresh() builds everything
-        self.rebuilds = 0
-
-    # -- mutation hooks (called by CCGraph, mutation-time state) --------
-    def _record_add_node(self, nid: int) -> None:
-        if self._dirty:
-            return
-        table = self._id_to_slot
-        if nid >= table.shape[0]:
-            grown = np.full(max(2 * table.shape[0], nid + 1), -1, dtype=np.int64)
-            grown[: table.shape[0]] = table
-            self._id_to_slot = table = grown
-        table[nid] = self.num_slots
-        self.num_slots += 1
-        self._live += 1
-
-    def _record_remove_node(self, nid: int, degree: int) -> None:
-        # called *before* the adjacency is torn down, so *degree* counts
-        # the edges that are about to go stale
-        if self._dirty:
-            return
-        self._id_to_slot[nid] = -1
-        self._live -= 1
-        self._stale += degree
-
-    def _record_add_edge(self, u: int, v: int) -> None:
-        # both endpoints are live (CCGraph validated them), so their
-        # slots are current; consolidation into the arrays is deferred
-        if self._dirty:
-            return
-        table = self._id_to_slot
-        self._pending_u.append(int(table[u]))
-        self._pending_v.append(int(table[v]))
-
-    def _record_remove_edge(self) -> None:
-        # the one mutation that can leave a both-endpoints-live edge in
-        # the arrays: no O(delta) story, rebuild on next refresh
-        self._dirty = True
-
-    # -- maintenance ----------------------------------------------------
-    def refresh(self) -> None:
-        """Bring the view up to date: consolidate, compact, or no-op."""
-        if self._dirty:
-            self._rebuild()
-            return
-        total_edges = self._edge_u.shape[0] + len(self._pending_u)
-        if 2 * self._stale > total_edges or self.num_slots > 2 * self._live + 64:
-            self._rebuild()
-            return
-        if self._pending_u:
-            pend_u = np.asarray(self._pending_u, dtype=np.int64)
-            pend_v = np.asarray(self._pending_v, dtype=np.int64)
-            self._edge_u = np.concatenate([self._edge_u, pend_u])
-            self._edge_v = np.concatenate([self._edge_v, pend_v])
-            self._pending_u.clear()
-            self._pending_v.clear()
-
-    def _rebuild(self) -> None:
-        graph = self._graph
-        snap = graph.snapshot()
-        n = snap.num_nodes
-        table = np.full(max(graph._next_id, 1), -1, dtype=np.int64)
-        table[snap.node_ids] = np.arange(n, dtype=np.int64)
-        self._id_to_slot = table
-        self._edge_u, self._edge_v = snap.edge_list
-        self._pending_u.clear()
-        self._pending_v.clear()
-        self.num_slots = n
-        self._live = n
-        self._stale = 0
-        self._dirty = False
-        self.rebuilds += 1
-
-    # -- queries (valid after refresh) ----------------------------------
-    def project(self, payloads: np.ndarray) -> "np.ndarray | None":
-        """Slots of *payloads* (int array of node ids), or ``None``.
-
-        ``None`` means at least one payload is out of range or
-        tombstoned (a dead node) — the caller falls back to the
-        reference walk, which raises the exact domain error.
-        """
-        table = self._id_to_slot
-        if payloads.shape[0] == 0:
-            return payloads.astype(np.int64, copy=False)
-        if int(payloads.min()) < 0 or int(payloads.max()) >= table.shape[0]:
-            return None
-        slots = table[payloads]
-        if int(slots.min()) < 0:
-            return None
-        return slots
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(u, v)`` slot pairs, one per edge, stale edges included.
-
-        Consumers must mask against live batch slots (projection yields
-        ``-1`` for every stale endpoint), exactly as the fast path's
-        batch filter already does.
-        """
-        return self._edge_u, self._edge_v

@@ -4,9 +4,7 @@ A :class:`GraphPartition` assigns every node of a :class:`CCGraph` to
 exactly one of ``k`` shards.  The assignment is a *total function over
 node ids* — ids the partitioner has never seen (nodes added by later
 graph morphs) fall back to a deterministic ``id % k`` rule — so a
-partition built once stays valid while the graph mutates underneath it,
-mirroring how :class:`~repro.graph.ccgraph.ConflictDeltaView` absorbs
-morphs without rebuilding.
+partition built once stays valid while the graph mutates underneath it.
 
 On top of the assignment the module provides the *halo* vocabulary of
 distributed graph processing:
@@ -33,9 +31,11 @@ rules out intra-shard pairs, phase 2 rules out cut pairs), so sharding
 preserves conflict-serializability; it may abort strictly more than the
 global greedy walk — that surplus is the price of bounded cross-shard
 staleness, and ``shards=1`` degenerates to the plain greedy walk with no
-cut edges at all.  Both a reference implementation and a vectorised
-kernel-backed one are provided; the differential suite pins them to each
-other byte-for-byte.
+cut edges at all.  :func:`two_phase_commit_mask` here is the reference
+walk; the array form the sharded order runs on large batches over a
+graph that held still is
+:func:`repro.runtime.kernels.csr_two_phase_commit_mask`, and the
+differential suite pins the two to each other byte-for-byte.
 """
 
 from __future__ import annotations
@@ -47,13 +47,12 @@ import numpy as np
 from repro.errors import GraphError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.graph.ccgraph import CCGraph, ConflictDeltaView
+    from repro.graph.ccgraph import CCGraph
 
 __all__ = [
     "GraphPartition",
     "partition_graph",
     "two_phase_commit_mask",
-    "two_phase_commit_mask_fast",
 ]
 
 
@@ -226,74 +225,3 @@ def two_phase_commit_mask(
             final[i] = True
             survivors[node] = s
     return final, local
-
-
-def two_phase_commit_mask_fast(
-    view: "ConflictDeltaView",
-    partition: GraphPartition,
-    payloads: np.ndarray,
-) -> "tuple[np.ndarray, np.ndarray] | None":
-    """Vectorised two-phase commit rule over the incremental CSR view.
-
-    Mirrors the fast conflict path
-    (:meth:`~repro.runtime.conflict.ExplicitGraphPolicy.resolve_fast`):
-    project batch payloads onto slots, gather the slot-space edge
-    arrays, then run the greedy kernel twice — once on intra-shard pairs
-    over the whole batch (phase 1: shards never interact through these
-    edges, so one call computes every shard's local greedy at once), and
-    once on cut pairs compressed to the locally-committed positions
-    (phase 2).  Returns ``(final, local)`` masks, or ``None`` for
-    degenerate batches (dead/duplicate nodes) which the caller resolves
-    through :func:`two_phase_commit_mask` for exact reference errors.
-    """
-    # imported here, not at module top: repro.graph must stay importable
-    # without dragging in (or cycling through) the runtime package
-    from repro.runtime.kernels import greedy_commit_mask_from_slots
-
-    m = len(payloads)
-    if m == 0:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
-    payloads = np.asarray(payloads)
-    if payloads.dtype.kind != "i":
-        return None
-    idx = view.project(payloads)
-    if idx is None:
-        return None
-    pos = np.full(view.num_slots, -1, dtype=np.int64)
-    pos[idx] = np.arange(m, dtype=np.int64)
-    if int(np.count_nonzero(pos >= 0)) != m:
-        return None  # duplicate payload nodes
-    u, v = view.edge_arrays()
-    pu = pos[u]
-    pv = pos[v]
-    both = np.flatnonzero((pu >= 0) & (pv >= 0))
-    pu = pu[both]
-    pv = pv[both]
-    shard_by_pos = partition.shard_of_array(payloads)
-    intra = shard_by_pos[pu] == shard_by_pos[pv]
-    local = greedy_commit_mask_from_slots(
-        np.maximum(pu[intra], pv[intra]),
-        np.minimum(pu[intra], pv[intra]),
-        m,
-        checked=False,
-    )
-    cu = pu[~intra]
-    cv = pv[~intra]
-    live = local[cu] & local[cv]
-    cu = cu[live]
-    cv = cv[live]
-    committed_pos = np.flatnonzero(local)
-    rank = np.full(m, -1, dtype=np.int64)
-    rank[committed_pos] = np.arange(committed_pos.size, dtype=np.int64)
-    ru = rank[cu]
-    rv = rank[cv]
-    sub = greedy_commit_mask_from_slots(
-        np.maximum(ru, rv),
-        np.minimum(ru, rv),
-        int(committed_pos.size),
-        checked=False,
-    )
-    final = np.zeros(m, dtype=bool)
-    final[committed_pos[sub]] = True
-    return final, local
-

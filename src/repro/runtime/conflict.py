@@ -36,7 +36,7 @@ from operator import itemgetter as _itemgetter
 import numpy as np
 
 from repro.errors import ConflictDetectionError
-from repro.graph.ccgraph import CCGraph
+from repro.graph.ccgraph import CCGraph, GraphSnapshot
 from repro.runtime.kernels import GATHER_MIN_BATCH, csr_greedy_commit_mask
 from repro.runtime.task import Operator, Task
 
@@ -224,40 +224,39 @@ class ExplicitGraphPolicy(ConflictPolicy):
                 aborted.append(task)
         return BatchOutcome(committed, aborted)
 
-    def resolve_fast(self, batch: Sequence[Task], operator: Operator) -> BatchOutcome:
-        """Array-form resolution where it beats the walk, else the walk.
+    def _gather_rows(
+        self, batch: Sequence[Task]
+    ) -> "tuple[GraphSnapshot, np.ndarray] | None":
+        """``(snapshot, idx)`` when gathering *batch* beats the walk, else ``None``.
 
-        On a batch of at least :data:`~repro.runtime.kernels.GATHER_MIN_BATCH`
-        tasks over a graph that has not changed since the previous such
-        batch, the batch's own rows of the memoised CSR view
-        (:meth:`CCGraph.csr`) are gathered into conflicting slot pairs
-        (:func:`~repro.runtime.kernels.csr_conflict_pairs`) and resolved
-        by :func:`~repro.runtime.kernels.greedy_commit_mask_from_slots` —
-        O(Σ deg(batch)) per step, no per-step graph indexing.  Smaller
-        batches and graphs that morph between steps (whose CSR would be
-        rebuilt for every single use) take :meth:`resolve`.
-
-        So do degenerate batches — non-int payloads, dead nodes,
-        duplicate payloads (hence duplicate tasks; uids are
-        process-unique) — which reproduces the reference behaviour
-        exactly, errors included.
+        The one gate of the array paths (:meth:`resolve_fast` and the
+        sharded commit order): at least
+        :data:`~repro.runtime.kernels.GATHER_MIN_BATCH` tasks, over a
+        graph that has not changed since the previous such batch — a
+        graph that morphs between steps would rebuild its CSR for every
+        single use — with int payloads that are all live nodes.  ``idx``
+        holds the batch's rows of the memoised ``snapshot``
+        (:meth:`CCGraph.csr`) in commit order, and :attr:`_pos` is sized
+        to it.  Repeated rows are left for the kernels to report:
+        everything declined here or there takes the reference walk,
+        which rules on it, errors included.
         """
         m = len(batch)
         if m < GATHER_MIN_BATCH:
-            return self.resolve(batch, operator)
+            return None
         graph = self._graph
         version = graph.version
         if version != self._seen_version:
             self._seen_version = version
-            return self.resolve(batch, operator)
+            return None
         snapshot = graph.csr()
         n = snapshot.num_nodes
         payloads = np.asarray([task.payload for task in batch])
-        if payloads.dtype.kind != "i":  # floats/bools/objects: let resolve() rule
-            return self.resolve(batch, operator)
+        if payloads.dtype.kind != "i":  # floats/bools/objects
+            return None
         if snapshot.ids_dense:
             if int(payloads.min()) < 0 or int(payloads.max()) >= n:
-                return self.resolve(batch, operator)  # dead node: exact error
+                return None  # dead node
             idx = payloads.astype(np.int64, copy=False)
         else:
             index = snapshot.index_of
@@ -266,11 +265,31 @@ class ExplicitGraphPolicy(ConflictPolicy):
                     (index[p] for p in payloads.tolist()), dtype=np.int64, count=m
                 )
             except KeyError:
-                return self.resolve(batch, operator)
-        pos = self._pos
-        if pos.shape[0] != n:
-            pos = self._pos = np.full(n, -1, dtype=np.int64)
-        mask = csr_greedy_commit_mask(snapshot.indptr, snapshot.indices, idx, pos)
-        if mask is None:
-            return self.resolve(batch, operator)  # duplicate payload nodes
-        return self._split_by_mask(batch, mask)
+                return None
+        if self._pos.shape[0] != n:
+            self._pos = np.full(n, -1, dtype=np.int64)
+        return snapshot, idx
+
+    def resolve_fast(self, batch: Sequence[Task], operator: Operator) -> BatchOutcome:
+        """Array-form resolution where it beats the walk, else the walk.
+
+        On a batch :meth:`_gather_rows` accepts, the batch's own CSR rows
+        are gathered into conflicting slot pairs
+        (:func:`~repro.runtime.kernels.csr_conflict_pairs`) and resolved
+        by :func:`~repro.runtime.kernels.greedy_commit_mask_from_slots` —
+        O(Σ deg(batch)) per step, no per-step graph indexing.  Every
+        other batch — small, over a morphing graph, or degenerate
+        (non-int payloads, dead nodes, duplicate payloads, hence
+        duplicate tasks; uids are process-unique) — takes
+        :meth:`resolve`, which reproduces the reference behaviour
+        exactly, errors included.
+        """
+        rows = self._gather_rows(batch)
+        if rows is not None:
+            snapshot, idx = rows
+            mask = csr_greedy_commit_mask(
+                snapshot.indptr, snapshot.indices, idx, self._pos
+            )
+            if mask is not None:
+                return self._split_by_mask(batch, mask)
+        return self.resolve(batch, operator)

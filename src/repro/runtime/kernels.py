@@ -23,8 +23,9 @@ The kernels below all reproduce the reference semantics **bit for bit**
 * :func:`csr_conflict_pairs` — that projection: one CSR neighbour gather
   over the batch's own rows, O(Σ deg(batch)) whatever the graph's size.
 * :func:`csr_greedy_commit_mask` — scatter + gather + kernel in one call:
-  the explicit-graph gather path, every shard worker's phase 1 and the
-  shard supervisor's phase 2, each over its own CSR.
+  the explicit-graph gather path.
+* :func:`csr_two_phase_commit_mask` — the same gather split by owning
+  shard: the sharded commit order's local greedy and halo exchange.
 * :func:`sample_prefix_draws` — the selection-side kernel: the bounded
   draws of the m-out-of-n swap-removal sampler
   (:class:`~repro.runtime.workset.RandomWorkset`'s ``π_m`` prefix) as a
@@ -56,6 +57,7 @@ __all__ = [
     "greedy_commit_mask_from_slots",
     "csr_conflict_pairs",
     "csr_greedy_commit_mask",
+    "csr_two_phase_commit_mask",
     "sample_prefix_draws",
     "sample_window_draws",
 ]
@@ -342,6 +344,24 @@ def csr_conflict_pairs(
     return own[keep], nbr[keep]
 
 
+def _batch_conflict_pairs(
+    indptr: np.ndarray, indices: np.ndarray, idx: np.ndarray, pos: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray] | None":
+    """Scatter ``pos[idx] = arange(m)``, gather the pairs, reset ``pos``.
+
+    ``None`` when ``idx`` repeats a row; ``pos`` is ``-1`` everywhere on
+    return either way, also when the gather raises.
+    """
+    slots = np.arange(idx.shape[0], dtype=np.int64)
+    pos[idx] = slots
+    try:
+        if not np.array_equal(pos[idx], slots):
+            return None
+        return csr_conflict_pairs(indptr, indices, idx, pos)
+    finally:
+        pos[idx] = -1
+
+
 def csr_greedy_commit_mask(
     indptr: np.ndarray, indices: np.ndarray, idx: np.ndarray, pos: np.ndarray
 ) -> "np.ndarray | None":
@@ -353,15 +373,43 @@ def csr_greedy_commit_mask(
     ``idx`` repeats a row (an error or a reference-path case: the
     caller's call).
     """
-    slots = np.arange(idx.shape[0], dtype=np.int64)
-    pos[idx] = slots
-    try:
-        if not np.array_equal(pos[idx], slots):
-            return None
-        own, nbr = csr_conflict_pairs(indptr, indices, idx, pos)
-    finally:
-        pos[idx] = -1
-    return greedy_commit_mask_from_slots(own, nbr, slots.shape[0], checked=False)
+    pairs = _batch_conflict_pairs(indptr, indices, idx, pos)
+    if pairs is None:
+        return None
+    return greedy_commit_mask_from_slots(*pairs, idx.shape[0], checked=False)
+
+
+def csr_two_phase_commit_mask(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    idx: np.ndarray,
+    pos: np.ndarray,
+    shard_by_pos: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray] | None":
+    """Two-phase (local greedy + halo exchange) masks of one sharded batch.
+
+    Arguments as for :func:`csr_greedy_commit_mask`, plus the owning
+    shard of every batch slot.  One gather yields the batch's conflict
+    pairs; phase 1 resolves the pairs inside a shard (shards never meet
+    through those, so one call is every shard's local greedy at once),
+    phase 2 the cut pairs between two locally committed slots.  Returns
+    ``(final, local)`` equal to
+    :func:`repro.graph.partition.two_phase_commit_mask`, or ``None``
+    when ``idx`` repeats a row.
+    """
+    pairs = _batch_conflict_pairs(indptr, indices, idx, pos)
+    if pairs is None:
+        return None
+    own, nbr = pairs
+    m = idx.shape[0]
+    intra = shard_by_pos[own] == shard_by_pos[nbr]
+    local = greedy_commit_mask_from_slots(own[intra], nbr[intra], m, checked=False)
+    # slots that lost phase 1 own no pair here, so the kernel lets them
+    # through and the final ``&`` drops them again
+    cut = ~intra & local[own] & local[nbr]
+    final = greedy_commit_mask_from_slots(own[cut], nbr[cut], m, checked=False)
+    final &= local
+    return final, local
 
 
 @_timed("kernel.sample_prefix")

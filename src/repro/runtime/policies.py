@@ -41,14 +41,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import RuntimeEngineError, WorksetEmptyError
-from repro.graph.partition import (
-    partition_graph,
-    two_phase_commit_mask,
-    two_phase_commit_mask_fast,
-)
+from repro.graph.partition import partition_graph, two_phase_commit_mask
 from repro.runtime.conflict import item_lock_walk
 from repro.runtime.core import OrderPolicy
-from repro.runtime.kernels import sample_window_draws
+from repro.runtime.kernels import csr_two_phase_commit_mask, sample_window_draws
 from repro.runtime.task import Operator
 from repro.utils.rng import ensure_rng, substream
 
@@ -719,27 +715,30 @@ class ShardedCommitOrder(UnorderedCommitOrder):
         return self._partition
 
     def execute(self, batch: "list[Task]"):
+        """Resolve *batch* in two phases: one CSR gather where the conflict
+        policy's gate allows it, the reference walk on every other batch."""
         if self.shards == 1:
             return super().execute(batch)
         eng = self.engine
         with eng.phase_span("resolve"):
             part = self.partition
-            graph = self.conflict_policy.graph
-            nodes = [task.payload for task in batch]
-            payloads = np.asarray(nodes)
+            policy = self.conflict_policy
             masks = None
-            if payloads.dtype.kind == "i":
-                payloads = payloads.astype(np.int64, copy=False)
+            rows = policy._gather_rows(batch)
+            if rows is not None:
+                snapshot, idx = rows
+                payloads = snapshot.node_ids[idx]
                 shard_by_pos = part.shard_of_array(payloads)
-                masks = two_phase_commit_mask_fast(
-                    graph.conflict_view(), part, payloads
+                masks = csr_two_phase_commit_mask(
+                    snapshot.indptr, snapshot.indices, idx, policy._pos, shard_by_pos
                 )
-            if masks is None:  # empty or degenerate batch: the walk rules
-                masks = two_phase_commit_mask(graph, part, nodes)
-                payloads = np.asarray(nodes or [], dtype=np.int64)
+            if masks is None:  # small, morphing or degenerate batch: the walk rules
+                nodes = [task.payload for task in batch]
+                masks = two_phase_commit_mask(policy.graph, part, nodes)
+                payloads = np.asarray(nodes, dtype=np.int64)
                 shard_by_pos = part.shard_of_array(payloads)
             final, local = masks
-            outcome = self.conflict_policy._split_by_mask(batch, final)
+            outcome = policy._split_by_mask(batch, final)
         self._note_round(payloads, shard_by_pos, final, local)
         return outcome
 

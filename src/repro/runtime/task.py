@@ -28,12 +28,15 @@ __all__ = ["Task", "Operator", "CallbackOperator"]
 _task_ids = count()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task:
     """One speculative unit of work.
 
     ``uid`` is process-unique and assigned automatically; ``payload`` is the
     application's task state (a graph node id, a triangle, a component, …).
+    Slotted: every per-batch pass reads ``uid`` or ``payload`` of thousands
+    of tasks, and without a ``__dict__`` both sit in the task's own cache
+    line.
     """
 
     payload: object

@@ -20,20 +20,19 @@ __all__ = ["reference_paths"]
 def reference_paths():
     """Inside the block every batch resolves through the reference walks.
 
-    ``ExplicitGraphPolicy.resolve_fast`` sees a gather cut-over no batch
-    can reach and takes ``ConflictPolicy.resolve``; the sharded commit
-    order's ``two_phase_commit_mask_fast`` declines every batch, leaving
-    ``two_phase_commit_mask``.  Both module attributes are restored on
+    ``ExplicitGraphPolicy``'s one gate sees a gather cut-over no batch
+    can reach, so ``resolve_fast`` takes ``ConflictPolicy.resolve`` and
+    the sharded commit order takes ``two_phase_commit_mask``: pinning
+    that single module attribute is all it takes.  It is restored on
     exit, also after an exception.  Process-wide, so not for use around
     code that resolves batches on other threads.
     """
-    # call-time imports: repro.testing sits below the runtime layer
-    from repro.runtime import conflict, policies
+    # call-time import: repro.testing sits below the runtime layer
+    from repro.runtime import conflict
 
-    saved = conflict.GATHER_MIN_BATCH, policies.two_phase_commit_mask_fast
+    saved = conflict.GATHER_MIN_BATCH
     conflict.GATHER_MIN_BATCH = sys.maxsize
-    policies.two_phase_commit_mask_fast = lambda *args, **kwargs: None
     try:
         yield
     finally:
-        conflict.GATHER_MIN_BATCH, policies.two_phase_commit_mask_fast = saved
+        conflict.GATHER_MIN_BATCH = saved

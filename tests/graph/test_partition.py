@@ -8,9 +8,10 @@ orders through three invariant families:
   function over node ids, not a snapshot);
 * **halo vocabulary** — ``boundary``/``halo``/``edge_split`` agree with
   their independently computed set definitions;
-* **two-phase resolution** — the vectorised
-  :func:`two_phase_commit_mask_fast` equals the reference
-  :func:`two_phase_commit_mask` on morphed graphs, the composition never
+* **two-phase resolution** — the array kernel
+  :func:`~repro.runtime.kernels.csr_two_phase_commit_mask` equals the
+  reference :func:`two_phase_commit_mask` on morphed graphs (more of
+  that in ``tests/runtime/test_two_phase_kernel.py``), the composition never
   commits two adjacent batch nodes, and ``shards=1`` collapses to the
   conflict policy's plain greedy walk.
 """
@@ -29,9 +30,9 @@ from repro.graph.partition import (
     GraphPartition,
     partition_graph,
     two_phase_commit_mask,
-    two_phase_commit_mask_fast,
 )
 from repro.runtime.conflict import ExplicitGraphPolicy
+from repro.runtime.kernels import csr_two_phase_commit_mask
 from repro.runtime.task import CallbackOperator, Task
 
 OPERATOR = CallbackOperator(
@@ -162,6 +163,17 @@ class TestMorphStability:
         assert sum(len(p) for p in intra.values()) + len(cut) == graph.num_edges
 
 
+def _kernel_masks(graph, part, batch):
+    """The array kernel's answer for *batch* (node ids), plus its scratch."""
+    snap = graph.csr()
+    index = snap.index_of  # after a morph ids have holes: rows are not ids
+    idx = np.asarray([index[u] for u in batch], dtype=np.int64)
+    pos = np.full(snap.num_nodes, -1, dtype=np.int64)
+    shard_by_pos = part.shard_of_array(np.asarray(batch, dtype=np.int64))
+    masks = csr_two_phase_commit_mask(snap.indptr, snap.indices, idx, pos, shard_by_pos)
+    return masks, pos
+
+
 def _random_batch(graph, rng):
     nodes = graph.nodes()
     m = int(rng.integers(1, max(2, len(nodes) + 1)))
@@ -182,10 +194,8 @@ class TestTwoPhaseResolution:
             return
         batch = _random_batch(graph, rng)
         final, local = two_phase_commit_mask(graph, part, batch)
-        fast = two_phase_commit_mask_fast(
-            graph.conflict_view(), part, np.asarray(batch, dtype=np.int64)
-        )
-        assert fast is not None
+        fast, pos = _kernel_masks(graph, part, batch)
+        assert fast is not None and (pos == -1).all()
         np.testing.assert_array_equal(fast[0], final)
         np.testing.assert_array_equal(fast[1], local)
 

@@ -30,6 +30,7 @@ from repro.control import HybridController
 from repro.graph.generators import gnm_random
 from repro.obs import HALO_EXCHANGE, TraceRecorder
 from repro.runtime.core import Engine
+from repro.runtime.kernels import GATHER_MIN_BATCH
 from repro.runtime.policies import ShardedCommitOrder, UnorderedCommitOrder
 from repro.runtime.sharded import run_sharded
 from repro.runtime.workloads import ConsumingGraphWorkload
@@ -56,12 +57,14 @@ def _graph():
     return gnm_random(200, 8, seed=GRAPH_SEED)
 
 
-def _api_trace(order, *, workload="consuming", mode=None, shards=None, seed=None):
+def _api_trace(
+    order, *, workload="consuming", mode=None, shards=None, seed=None, **overrides
+):
     """One recorded ``api.run`` over the shared corpus; returns (jsonl, result)."""
     from repro.api import run as api_run
 
     recorder = TraceRecorder()
-    config = RunConfig(
+    fields = dict(
         workload=workload,
         rho=0.25,
         m_max=64,
@@ -69,6 +72,7 @@ def _api_trace(order, *, workload="consuming", mode=None, shards=None, seed=None
         shards=shards,
         max_steps=MAX_STEPS,
     )
+    config = RunConfig(**{**fields, **overrides})
     with RESOLVE[mode]():
         res = api_run(
             config,
@@ -150,6 +154,20 @@ class TestMultiShardEquivalence:
         fast, _ = _api_trace(f"sharded:{shards}", workload=workload, mode="fast")
         ref, _ = _api_trace(f"sharded:{shards}", workload=workload, mode="reference")
         assert fast.to_jsonl() == ref.to_jsonl()
+
+    @pytest.mark.parametrize("shards", [2, 3, 4, 8])
+    @pytest.mark.parametrize("workload", ["replay", "consuming", "regenerating"])
+    def test_gather_sized_batches_equal_reference(self, shards, workload):
+        # m_max=64 above never reaches the gather cut-over; here every
+        # replay batch but the first takes the kernel, the morphing
+        # workloads' batches are declined by the gate and walk
+        big = dict(controller="fixed", m=160, m_max=256, max_steps=12)
+        order = f"sharded:{shards}"
+        fast, res = _api_trace(order, workload=workload, mode="fast", **big)
+        ref, _ = _api_trace(order, workload=workload, mode="reference", **big)
+        assert fast.to_jsonl() == ref.to_jsonl()
+        assert res.steps[0].launched == 160 >= GATHER_MIN_BATCH
+        assert res.total_aborted > 0
 
     def test_config_field_equals_spec_param(self):
         spec, _ = _api_trace("sharded:4")

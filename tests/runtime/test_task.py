@@ -1,5 +1,12 @@
 """Tests for repro.runtime.task."""
 
+import copy
+import pickle
+import sys
+from dataclasses import FrozenInstanceError
+
+import pytest
+
 from repro.runtime.task import CallbackOperator, Task
 
 
@@ -16,6 +23,47 @@ class TestTask:
     def test_repr(self):
         t = Task(payload="x")
         assert "x" in repr(t) and str(t.uid) in repr(t)
+
+
+class TestTaskLayout:
+    """A task is two slots and nothing else: no per-instance dict."""
+
+    def test_slotted_without_a_dict(self):
+        t = Task(payload=3)
+        assert Task.__slots__ == ("payload", "uid")
+        assert not hasattr(t, "__dict__")
+        # dict-backed it was 56 bytes plus a ~300-byte dict elsewhere on the heap
+        assert sys.getsizeof(t) <= 48
+
+    @pytest.mark.parametrize("name", ["payload", "uid"])
+    def test_fields_are_frozen(self, name):
+        t = Task(payload=3)
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, name, 4)
+        with pytest.raises(FrozenInstanceError):
+            delattr(t, name)
+
+    def test_no_new_attributes(self):
+        with pytest.raises((AttributeError, TypeError)):
+            Task(payload=3).extra = 1
+
+    def test_copies_keep_payload_and_uid(self):
+        t = Task(payload=("tri", [1, 2]))
+        twins = [copy.copy(t), copy.deepcopy(t)] + [
+            pickle.loads(pickle.dumps(t, protocol=p))
+            for p in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for twin in twins:
+            assert (twin.payload, twin.uid) == (t.payload, t.uid)
+            assert twin == t and type(twin) is Task
+
+    def test_eq_and_hash_are_by_value(self):
+        a = Task(payload=7)
+        same = Task(payload=7, uid=a.uid)
+        assert a == same and hash(a) == hash(same) == hash((7, a.uid))
+        assert a != Task(payload=7)  # fresh uid
+        assert a != Task(payload=8, uid=a.uid)
+        assert len({a, same}) == 1
 
 
 class TestCallbackOperator:

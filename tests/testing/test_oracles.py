@@ -12,7 +12,7 @@ import pytest
 from repro import RunConfig, run
 from repro.control import FixedController
 from repro.graph.generators import gnm_random
-from repro.runtime import conflict, policies
+from repro.runtime import conflict, kernels, policies
 from repro.runtime.workloads import ReplayGraphWorkload
 from repro.testing.oracles import reference_paths
 
@@ -38,10 +38,17 @@ def _replay_steps():
 
 
 def _sharded_steps():
-    result = run(
-        RunConfig(workload="consuming", order="sharded:3", max_steps=8, seed=2),
-        graph=gnm_random(150, 6, seed=4),
+    """The same, sharded: every batch but the first is gathered."""
+    config = RunConfig(
+        workload="replay",
+        order="sharded:3",
+        controller="fixed",
+        m=200,
+        max_steps=6,
+        seed=2,
     )
+    result = run(config, graph=gnm_random(400, 6, seed=4))
+    assert all(s.launched >= kernels.GATHER_MIN_BATCH for s in result.steps)
     return [s.as_dict() for s in result.steps]
 
 
@@ -57,21 +64,23 @@ def test_gather_kernel_runs_outside_the_block_and_never_inside(monkeypatch):
 
 
 def test_two_phase_mask_kernel_declines_inside_the_block(monkeypatch):
-    fast = _count_calls(monkeypatch, policies, "two_phase_commit_mask_fast")
+    fast = _count_calls(monkeypatch, policies, "csr_two_phase_commit_mask")
     walk = _count_calls(monkeypatch, policies, "two_phase_commit_mask")
     default = _sharded_steps()
-    assert len(fast) > 0 and walk == []
-    del fast[:]
+    # the first gather-sized batch over a graph walks, the rest gather
+    assert len(fast) == len(default) - 1 and len(walk) == 1
+    del fast[:], walk[:]
     with reference_paths():
         pinned = _sharded_steps()
-    assert fast == [] and len(walk) > 0
-    assert pinned == default
+    assert fast == [] and len(walk) == len(pinned)
+    assert pinned == default and sum(s["aborted"] for s in pinned) > 0
 
 
 def test_patches_are_restored_also_after_an_exception():
-    before = conflict.GATHER_MIN_BATCH, policies.two_phase_commit_mask_fast
+    # the cut-over is the only attribute the block touches
+    before = conflict.GATHER_MIN_BATCH
     with pytest.raises(ZeroDivisionError):
         with reference_paths():
             assert conflict.GATHER_MIN_BATCH > 10**9
             1 / 0
-    assert (conflict.GATHER_MIN_BATCH, policies.two_phase_commit_mask_fast) == before
+    assert conflict.GATHER_MIN_BATCH == before
