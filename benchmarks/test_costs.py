@@ -17,7 +17,7 @@ def costs_result():
 
 def _one_costed_drain():
     wl = ConsumingGraphWorkload(gnm_random(3000, 16, seed=41))
-    eng = wl.build_engine(
+    eng = wl.make_engine(
         HybridController(0.25, m_max=256), seed=42, cost_model=ScaledAbortCostModel(4.0)
     )
     eng.run(max_steps=10**6)

@@ -44,7 +44,7 @@ def test_graph_generation(benchmark):
 
 def test_engine_step_throughput(benchmark, big_graph):
     wl = ReplayGraphWorkload(big_graph.copy())
-    engine = wl.build_engine(HybridController(0.2), seed=3)
+    engine = wl.make_engine(HybridController(0.2), seed=3)
 
     def hundred_steps():
         for _ in range(100):
@@ -263,7 +263,7 @@ def test_full_engine_fast_vs_reference_step():
 
     def steps():
         wl = ReplayGraphWorkload(graph.copy())
-        engine = wl.build_engine(FixedController(2500), seed=3)
+        engine = wl.make_engine(FixedController(2500), seed=3)
         engine.step()  # warm caches and JIT-able paths
         return _best_of(lambda: engine.step(), repeats=3)
 

@@ -65,7 +65,7 @@ def _build_engine(graph, instrumented: bool, profiler=None):
         activate_profiler(profiler)
     try:
         wl = ReplayGraphWorkload(graph.copy())
-        return wl.build_engine(FixedController(GATE_M), seed=3)
+        return wl.make_engine(FixedController(GATE_M), seed=3)
     finally:
         if instrumented:
             deactivate()
@@ -151,7 +151,7 @@ def test_sampled_profiling_cuts_span_cost():
     graph = gnm_random(1000, 8, seed=5)
     with profiling(sample_every=10) as profiler:
         wl = ReplayGraphWorkload(graph.copy())
-        engine = wl.build_engine(FixedController(200), seed=3)
+        engine = wl.make_engine(FixedController(200), seed=3)
         for _ in range(100):
             engine.step()
     report = profile_report(profiler)

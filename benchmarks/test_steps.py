@@ -52,7 +52,7 @@ def _replay_case(oracle_workset: bool):
     workload = ReplayGraphWorkload(
         graph, workset=RandomWorkset() if oracle_workset else None
     )
-    engine = workload.build_engine(FixedController(GATE_M), seed=ENGINE_SEED)
+    engine = workload.make_engine(FixedController(GATE_M), seed=ENGINE_SEED)
     times = []
     for _ in range(GATE_STEPS):
         t0 = time.perf_counter()
@@ -130,7 +130,7 @@ def test_morphing_workload_builds_no_csr():
         workload = RegeneratingGraphWorkload(
             graph, target_degree=MORPH_D, seed=7, workset=workset
         )
-        engine = workload.build_engine(FixedController(MORPH_M), seed=ENGINE_SEED)
+        engine = workload.make_engine(FixedController(MORPH_M), seed=ENGINE_SEED)
         times = []
         for _ in range(MORPH_STEPS):
             t0 = time.perf_counter()

@@ -26,7 +26,7 @@ Public API highlights
 
 from repro._version import __version__
 from repro.api import for_each, for_each_ordered, run, solve_graph
-from repro.config import RunConfig, SweepConfig
+from repro.config import RunConfig
 from repro.registry import register, registry
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "for_each_ordered",
     "solve_graph",
     "RunConfig",
-    "SweepConfig",
     "register",
     "registry",
 ]

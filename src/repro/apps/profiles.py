@@ -179,7 +179,7 @@ class _ReplayOperator(Operator):
 class ScheduledReplayWorkload:
     """Piecewise-stationary replay over a phase schedule.
 
-    Wire with :meth:`build_engine`; the phase clock advances through the
+    Wire with :meth:`make_engine`; the phase clock advances through the
     engine's ``step_hook``.  After the last phase the schedule holds the
     final graph indefinitely (cap the run with ``max_steps``).
     """
@@ -221,7 +221,7 @@ class ScheduledReplayWorkload:
         engine.workset = self.workset
         self.transitions.append(stats.step + 1)
 
-    def build_engine(self, controller, seed=None) -> "OptimisticEngine":
+    def make_engine(self, controller, seed=None) -> "OptimisticEngine":
         """Engine whose work-set and conflicts follow the schedule."""
         from repro.runtime.engine import make_engine
 

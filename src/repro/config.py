@@ -1,20 +1,18 @@
-"""Typed run/sweep configuration: frozen, validated, JSON round-trippable.
+"""Typed run configuration: frozen, validated, JSON round-trippable.
 
 Before this layer, experiment invocations travelled as ad-hoc strings
 and loose kwargs threaded through ``api.py``, the CLI, and the sweep
-harness.  :class:`RunConfig` and :class:`SweepConfig` replace that:
+harness.  :class:`RunConfig` replaces that:
 
-* **frozen dataclasses** — a config is a value; hash it, compare it,
+* **a frozen dataclass** — a config is a value; hash it, compare it,
   put it in a cache key;
 * **validation at construction** — bad values (``rho`` outside ``(0,1)``,
-  ``m_min > m_max``, negative retries) raise
-  :class:`~repro.errors.ConfigError` immediately, not steps later inside
-  an engine;
+  ``m_min > m_max``) raise :class:`~repro.errors.ConfigError`
+  immediately, not steps later inside an engine;
 * **canonical JSON round-trip** — :meth:`RunConfig.to_dict` /
   :meth:`RunConfig.from_dict` (and the ``to_json``/``from_json``
-  wrappers) are exact inverses, so the sweep journal and the
-  content-addressed result cache serialise the *whole* config instead of
-  a hand-picked field subset.
+  wrappers) are exact inverses, so the content-addressed result cache
+  serialises the *whole* config instead of a hand-picked field subset.
 
 A :class:`RunConfig` describes either one registered experiment
 (``experiment="fig3"``) or one engine run assembled from registry names
@@ -25,19 +23,17 @@ A :class:`RunConfig` describes either one registered experiment
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from repro.errors import ConfigError
 from repro.utils.rng import derive_seed
 
-__all__ = ["RunConfig", "SweepConfig"]
+__all__ = ["RunConfig"]
 
 #: removed fields that older serialised configs still carry; a ``null``
 #: value loads (it meant "the default path"), anything else raises
 _REMOVED_FIELDS = ("engine", "select")
-#: config payload layout version (bump on incompatible change)
-CONFIG_SCHEMA = 1
 
 
 def _require(cond: bool, message: str) -> None:
@@ -63,8 +59,8 @@ class RunConfig:
     remaining fields configure a direct engine run through
     :func:`repro.api.run` and double as the experiment run's provenance
     record.  Every field is JSON-representable and the dataclass is
-    frozen, so a config can serve as a cache key, a journal record, and
-    a cross-process message without translation.
+    frozen, so a config can serve as a cache key and a cross-process
+    message without translation.
 
     Attributes
     ----------
@@ -276,127 +272,4 @@ class RunConfig:
             payload = json.loads(text)
         except ValueError as exc:
             raise ConfigError(f"RunConfig JSON does not parse: {exc}") from exc
-        return cls.from_dict(payload)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """One sweep invocation: the run list plus every harness knob.
-
-    Serialising this (``to_dict``/``to_json``) is the sweep's stable
-    schema: the journal's ``sweep_start`` record carries it, so a resumed
-    or audited sweep knows exactly what was asked for — not just how many
-    configs there were.
-    """
-
-    runs: "tuple[RunConfig, ...]" = ()
-    base_seed: int = 0
-    jobs: int = 1
-    cache_dir: "str | None" = None
-    timeout: "float | None" = None
-    retries: int = 0
-    quarantine: bool = False
-    quarantine_after: "int | None" = None
-    backoff_base: float = 0.1
-    backoff_cap: float = 5.0
-    backoff_jitter: float = 0.5
-    isolate: bool = False
-    resume: bool = False
-    #: schema version stamped into serialised payloads
-    schema: int = field(default=CONFIG_SCHEMA, compare=False)
-
-    def __post_init__(self) -> None:
-        runs = tuple(
-            run if isinstance(run, RunConfig) else self._coerce_run(run)
-            for run in self.runs
-        )
-        _require(bool(runs), "a SweepConfig needs at least one run")
-        object.__setattr__(self, "runs", runs)
-        _require(
-            isinstance(self.jobs, int) and not isinstance(self.jobs, bool)
-            and self.jobs >= 1,
-            f"jobs must be an int >= 1, got {self.jobs!r}",
-        )
-        _require(
-            isinstance(self.retries, int) and not isinstance(self.retries, bool)
-            and self.retries >= 0,
-            f"retries must be an int >= 0, got {self.retries!r}",
-        )
-        if self.timeout is not None:
-            _require(
-                isinstance(self.timeout, (int, float)) and self.timeout > 0,
-                f"timeout must be > 0 seconds, got {self.timeout!r}",
-            )
-        _opt_int(self.quarantine_after, "quarantine_after", minimum=1)
-        for name in ("backoff_base", "backoff_cap", "backoff_jitter"):
-            _require(
-                isinstance(getattr(self, name), (int, float))
-                and getattr(self, name) >= 0,
-                f"{name} must be >= 0, got {getattr(self, name)!r}",
-            )
-        _require(
-            isinstance(self.base_seed, int) and not isinstance(self.base_seed, bool),
-            f"base_seed must be an int, got {self.base_seed!r}",
-        )
-        _require(
-            self.schema == CONFIG_SCHEMA,
-            f"unsupported SweepConfig schema {self.schema!r} (this code reads {CONFIG_SCHEMA})",
-        )
-
-    @staticmethod
-    def _coerce_run(run) -> RunConfig:
-        if isinstance(run, str):
-            return RunConfig(experiment=run)
-        if isinstance(run, dict):
-            return RunConfig.from_dict(run)
-        raise ConfigError(
-            f"each run must be a RunConfig, experiment name, or dict, got {run!r}"
-        )
-
-    # -- harness adapters ----------------------------------------------
-    def policy(self):
-        """The :class:`~repro.experiments.parallel.SweepPolicy` these knobs
-        describe (import deferred: config sits below the experiments layer)."""
-        from repro.experiments.parallel import SweepPolicy
-
-        return SweepPolicy(
-            timeout=self.timeout,
-            max_retries=self.retries,
-            backoff_base=self.backoff_base,
-            backoff_cap=self.backoff_cap,
-            backoff_jitter=self.backoff_jitter,
-            quarantine=self.quarantine,
-            quarantine_after=self.quarantine_after,
-            isolate=self.isolate,
-        )
-
-    # -- serialisation --------------------------------------------------
-    def to_dict(self) -> dict:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        payload["runs"] = [run.to_dict() for run in self.runs]
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SweepConfig":
-        if not isinstance(payload, dict):
-            raise ConfigError(f"SweepConfig payload must be a dict, got {type(payload).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigError(f"unknown SweepConfig field(s): {', '.join(unknown)}")
-        data = dict(payload)
-        if "runs" in data:
-            data["runs"] = tuple(cls._coerce_run(run) for run in data["runs"])
-        return cls(**data)
-
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys, no whitespace variance)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepConfig":
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise ConfigError(f"SweepConfig JSON does not parse: {exc}") from exc
         return cls.from_dict(payload)

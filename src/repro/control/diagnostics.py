@@ -128,9 +128,8 @@ class SweepDiagnostics:
     """Sweep-harness lifecycle summary extracted from ``sweep_*`` events.
 
     Traces recorded through :func:`repro.experiments.parallel.run_sweep`
-    interleave these with engine/controller events; the counts here are
-    the sweep's whole failure story — attempts, retries, quarantines —
-    as recorded, independent of any live sweep object.
+    interleave these with engine/controller events; the counts here come
+    from the recorded events alone, independent of any live sweep object.
     """
 
     sweeps: int
@@ -138,28 +137,12 @@ class SweepDiagnostics:
     attempts: int
     completed: int
     cached: int
-    reseeded: int
-    retries: int
-    quarantined: int
-    failures_by_kind: dict[str, int]
-
-    @property
-    def failures(self) -> int:
-        return sum(self.failures_by_kind.values())
 
     def render(self) -> str:
-        kinds = ", ".join(
-            f"{kind}={count}"
-            for kind, count in sorted(self.failures_by_kind.items())
-        )
         return (
             f"  sweep: {self.sweeps} invocation(s), {self.configs} configs, "
-            f"{self.attempts} attempts\n"
-            f"  sweep outcomes: {self.completed} completed "
-            f"({self.cached} cached, {self.reseeded} reseeded), "
-            f"{self.quarantined} quarantined\n"
-            f"  sweep failures: {self.failures} ({kinds or 'none'}), "
-            f"{self.retries} retries"
+            f"{self.attempts} attempts, {self.completed} completed "
+            f"({self.cached} cached)"
         )
 
 
@@ -264,7 +247,7 @@ def diagnose_trace(events) -> TraceDiagnostics:
     type, since decision events are self-describing.
 
     Sweep-harness lifecycle events (``sweep_start``, ``sweep_task_*``,
-    …) interleaved in the same trace are summarised into the
+    ``sweep_end``) interleaved in the same trace are summarised into the
     :attr:`TraceDiagnostics.sweep` field; a sweep-only trace (no
     ``run_start`` at all) yields a diagnostics object with zero engine
     steps rather than an error.  Commit-order events (``order_decision``,
@@ -275,11 +258,9 @@ def diagnose_trace(events) -> TraceDiagnostics:
     from repro.obs.events import (
         HALO_EXCHANGE,
         ORDER_DECISION,
+        SWEEP_KINDS,
         SWEEP_START,
         SWEEP_TASK_COMPLETE,
-        SWEEP_TASK_FAILED,
-        SWEEP_TASK_QUARANTINED,
-        SWEEP_TASK_RETRY,
         SWEEP_TASK_START,
     )
 
@@ -297,10 +278,6 @@ def diagnose_trace(events) -> TraceDiagnostics:
     sweep_attempts = 0
     sweep_completed = 0
     sweep_cached = 0
-    sweep_reseeded = 0
-    sweep_retries = 0
-    sweep_quarantined = 0
-    failures_by_kind: dict[str, int] = {}
     saw_sweep = False
     saw_order = False
     order_policies: set[str] = set()
@@ -320,31 +297,16 @@ def diagnose_trace(events) -> TraceDiagnostics:
             totals[i] += int(c)
 
     for event in events:
-        if event.kind in (
-            SWEEP_START,
-            SWEEP_TASK_START,
-            SWEEP_TASK_FAILED,
-            SWEEP_TASK_RETRY,
-            SWEEP_TASK_QUARANTINED,
-            SWEEP_TASK_COMPLETE,
-        ):
+        if event.kind in SWEEP_KINDS:
             saw_sweep = True
             if event.kind == SWEEP_START:
                 sweeps += 1
                 sweep_configs += int(event.get("configs", 0))
             elif event.kind == SWEEP_TASK_START:
                 sweep_attempts += 1
-            elif event.kind == SWEEP_TASK_FAILED:
-                kind = str(event.get("failure", "unknown"))
-                failures_by_kind[kind] = failures_by_kind.get(kind, 0) + 1
-            elif event.kind == SWEEP_TASK_RETRY:
-                sweep_retries += 1
-            elif event.kind == SWEEP_TASK_QUARANTINED:
-                sweep_quarantined += 1
             elif event.kind == SWEEP_TASK_COMPLETE:
                 sweep_completed += 1
                 sweep_cached += int(bool(event.get("cached")))
-                sweep_reseeded += int(bool(event.get("reseeded")))
             continue
         if event.kind in (ORDER_DECISION, HALO_EXCHANGE):
             saw_order = True
@@ -417,10 +379,6 @@ def diagnose_trace(events) -> TraceDiagnostics:
             attempts=sweep_attempts,
             completed=sweep_completed,
             cached=sweep_cached,
-            reseeded=sweep_reseeded,
-            retries=sweep_retries,
-            quarantined=sweep_quarantined,
-            failures_by_kind=failures_by_kind,
         )
     rs = np.asarray(step_rs, dtype=float)
     percentiles = (

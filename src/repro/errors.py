@@ -23,9 +23,6 @@ __all__ = [
     "ConfigError",
     "RegistryError",
     "ExperimentError",
-    "SweepAbortedError",
-    "FaultInjectionError",
-    "InjectedFault",
     "ObservabilityError",
     "ReplayMismatchError",
 ]
@@ -104,18 +101,6 @@ class RegistryError(ReproError, ValueError):
 
 class ExperimentError(ReproError):
     """An experiment was invoked with invalid parameters."""
-
-
-class SweepAbortedError(ExperimentError):
-    """A sweep config exhausted its retry budget with quarantine disabled."""
-
-
-class FaultInjectionError(ReproError):
-    """A fault-injection plan was malformed or misused."""
-
-
-class InjectedFault(ReproError):
-    """The deliberate failure raised by a ``raise``-kind injected fault."""
 
 
 class ObservabilityError(ReproError):

@@ -114,10 +114,10 @@ class ExperimentResult:
     def canonical_json(self) -> str:
         """Canonical serialisation: sorted keys, no whitespace variance.
 
-        Two results serialise identically iff :meth:`to_dict` agrees —
-        the byte-level equality the fault-tolerance suite uses to prove
-        that an interrupted-and-resumed sweep reproduces an
-        uninterrupted one exactly.
+        Two results serialise identically iff :meth:`to_dict` agrees, so
+        comparing these strings is a byte-level equality check between
+        two runs (the sweep tests compare cached and recomputed results
+        this way).
         """
         return json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":"), default=float

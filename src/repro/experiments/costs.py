@@ -68,7 +68,7 @@ def run(
             acc = []
             for rep_rng in spawn(rng, replications):
                 workload = ConsumingGraphWorkload(base_graph.copy())
-                engine = workload.build_engine(
+                engine = workload.make_engine(
                     HybridController(rho, m_max=machine_size),
                     seed=rep_rng,
                     cost_model=ScaledAbortCostModel(factor),

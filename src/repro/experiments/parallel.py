@@ -1,238 +1,101 @@
-"""Fault-tolerant parallel experiment sweeps.
+"""Parallel experiment sweeps over a content-addressed result cache.
 
 The experiments are embarrassingly parallel — each run is a pure function
-of ``(experiment name, seed, quick)`` — and this module turns a list of
-run configs into a supervised multi-process sweep with four guarantees:
+of ``(experiment name, seed, quick)`` with no I/O — so a sweep is a plain
+process pool: pending configs run inline (``jobs=1``, or a single pending
+config) or on a :class:`~concurrent.futures.ProcessPoolExecutor` of
+``min(jobs, pending)`` workers.  Three guarantees:
 
 * **Deterministic seeds.**  A config without an explicit seed gets one
   derived via :func:`repro.utils.rng.derive_seed` from the sweep's base
   seed and the config's identity — a pure function of the config, never
   of worker scheduling, completion order, or how many runs came before.
-  Retry back-off jitter is derived the same way, so even the *failure
-  schedule* is reproducible.
-* **Content-addressed caching.**  Every completed run is stored under
-  ``<cache_dir>/<sha256(config)>.json``; the key hashes the canonical
-  JSON of the *entire* serialised :class:`~repro.config.RunConfig`
-  (``to_dict()``) plus the package version and cache schema, so a
-  re-sweep only recomputes configs whose inputs actually changed.
-  The payload records the attempt's *effective* seed, so cache hits
-  keep honest provenance even when a timeout retry reseeded the run
-  (such outcomes carry ``reseeded=True``).  Corrupted or truncated
-  entries (torn writes, disk faults) are detected, counted in the
-  ``sweep.cache.corrupt`` metric, and recomputed — never raised to
-  the caller.
-* **Fault tolerance.**  A :class:`SweepPolicy` adds per-attempt
-  timeouts, bounded retry with exponential back-off + deterministic
-  jitter, and poison-config quarantine after a failure budget is spent.
-  Attempts run in disposable worker processes (one per attempt) so a
-  hung worker can be killed on timeout and a crashed worker
-  (``os._exit``, ``SIGKILL``, OOM) surfaces as a retryable failure
-  instead of a lost sweep.  Exception/crash retries reuse the config's
-  seed (results stay reproducible); timeout retries derive a *distinct*
-  seed via ``derive_seed(seed, "retry", k)`` to escape seed-dependent
-  pathological instances.
-* **Crash-safe resume.**  With a journal
-  (:mod:`repro.experiments.journal`), every completion, failure and
-  quarantine is fsynced before the sweep proceeds; ``resume=True``
-  carries completed work, failure counts and quarantine decisions
-  across driver crashes, so an interrupted sweep finishes with results
-  identical to an uninterrupted one.
+* **Content-addressed caching.**  The parent stores every result as it
+  arrives under ``<cache_dir>/<sha256(config)>.json``; the key hashes the
+  canonical JSON of the *entire* serialised
+  :class:`~repro.config.RunConfig` (``to_dict()``) plus the package
+  version and cache schema, so a re-sweep only recomputes configs whose
+  inputs actually changed.  Corrupted or truncated entries (torn writes,
+  disk faults) are counted in the ``sweep.cache.corrupt`` metric and
+  recomputed — never raised to the caller.  The cache is also how an
+  interrupted sweep resumes: rerun it with the same ``cache_dir``.
+* **Fail fast, report in order.**  Outcomes come back in config order.
+  An experiment that raises aborts the sweep with its own exception
+  (same type and message, from a worker process too); configs still
+  queued are cancelled, and results that did arrive stay cached.
 
-Failures are observable, not silent: counters flow through the active
-:mod:`repro.obs` metrics registry under ``sweep.*`` and lifecycle events
-(``sweep_task_retry``, ``sweep_task_quarantined``, …) through the active
-trace recorder, from which :func:`sweep_failure_history` reconstructs
-the whole failure story of a recorded sweep.
-
-Deliberate failures for tests and drills come from
-:class:`repro.testing.FaultPlan` (CLI: ``--inject-faults``).
+Counters flow through the active :mod:`repro.obs` metrics registry under
+``sweep.*``, the lifecycle events ``sweep_start`` / ``sweep_task_start``
+/ ``sweep_task_complete`` / ``sweep_end`` through the active trace
+recorder, and, under an active span profiler, every computed run's
+wall-clock through ``sweep.attempt``, with a worker's own spans merged
+beneath ``sweep.worker/``.
 
 Used by ``python -m repro.experiments --jobs N --cache-dir DIR`` and
-importable directly — either with a typed :class:`~repro.config.SweepConfig`
-(the canonical form; its serialisation is what the journal records) or
-with the historical ``(configs, **knobs)`` calling convention::
+importable directly::
 
-    from repro.config import RunConfig, SweepConfig
+    from repro.config import RunConfig
     from repro.experiments.parallel import run_sweep
 
-    outcomes = run_sweep(SweepConfig(runs=("fig2", "fig3"), jobs=4,
-                                     cache_dir="~/.repro-cache",
-                                     timeout=300, retries=2,
-                                     quarantine=True))
+    outcomes = run_sweep([RunConfig("fig2"), RunConfig("fig3")], jobs=4,
+                         cache_dir="~/.repro-cache")
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _wait_connections
 from pathlib import Path
 
-from repro.config import RunConfig, SweepConfig
-from repro.errors import ExperimentError, SweepAbortedError
+from repro._version import __version__
+from repro.config import RunConfig
+from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult
-from repro.experiments.journal import DEFAULT_JOURNAL_NAME, SweepJournal
-from repro.obs.events import (
-    SWEEP_END,
-    SWEEP_START,
-    SWEEP_TASK_COMPLETE,
-    SWEEP_TASK_FAILED,
-    SWEEP_TASK_QUARANTINED,
-    SWEEP_TASK_RETRY,
-    SWEEP_TASK_START,
-)
+from repro.obs.events import SWEEP_END, SWEEP_START, SWEEP_TASK_COMPLETE, SWEEP_TASK_START
 from repro.obs.metrics import MetricsRegistry, active_metrics
 from repro.obs.recorder import active_recorder
-from repro.obs.spans import SpanProfiler, active_profiler, activate_profiler
-from repro.runtime.supervise import SupervisedProcess, mp_context
-from repro.utils.rng import derive_jitter, derive_seed
+from repro.obs.spans import SpanProfiler, activate_profiler, active_profiler
 
-__all__ = [
-    "RunConfig",
-    "SweepPolicy",
-    "SweepOutcome",
-    "config_key",
-    "run_sweep",
-    "sweep_failure_history",
-]
+__all__ = ["RunConfig", "SweepOutcome", "config_key", "run_sweep"]
 
 #: bump when the cache payload layout changes; invalidates old entries
 #: (2: the key and payload carry the whole serialised RunConfig, not the
 #: historical ``{experiment, seed, quick}`` subset)
 CACHE_SCHEMA = 2
 
-#: outcome statuses
-OK = "ok"
-QUARANTINED = "quarantined"
-
-
-@dataclass(frozen=True)
-class SweepPolicy:
-    """Fault-tolerance knobs for one sweep invocation.
-
-    The default policy is *strict* and matches the historical harness:
-    no timeout, no retries, the first failure aborts the sweep.  Turn on
-    ``quarantine`` to trade abort-on-failure for report-and-continue.
-
-    ``timeout``
-        Per-attempt wall-clock budget in seconds (``None`` disables).
-        Requires process isolation; a timed-out worker is killed.
-    ``max_retries``
-        Extra attempts per config *per sweep invocation* after the
-        first.
-    ``backoff_base`` / ``backoff_cap`` / ``backoff_jitter``
-        Retry ``k`` waits ``min(cap, base·2^(k−1))·(1 + jitter·u)``
-        seconds, with ``u`` drawn deterministically from
-        ``derive_jitter(seed, "backoff", k)`` — resumed sweeps back off
-        on the same schedule.
-    ``quarantine``
-        When ``True``, a config that spends its failure budget becomes a
-        reported ``quarantined`` outcome and the sweep continues; when
-        ``False`` the sweep aborts with :class:`SweepAbortedError`.
-    ``quarantine_after``
-        Cumulative-failure budget per config (journaled failures from
-        interrupted runs count).  Defaults to ``max_retries + 1``.
-    ``isolate``
-        Force one-process-per-attempt execution even when nothing else
-        requires it (timeouts and process-level fault plans force it
-        automatically).
-    """
-
-    timeout: "float | None" = None
-    max_retries: int = 0
-    backoff_base: float = 0.1
-    backoff_cap: float = 5.0
-    backoff_jitter: float = 0.5
-    quarantine: bool = False
-    quarantine_after: "int | None" = None
-    isolate: bool = False
-
-    def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout <= 0:
-            raise ExperimentError(f"timeout must be > 0 seconds, got {self.timeout}")
-        if self.max_retries < 0:
-            raise ExperimentError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base < 0 or self.backoff_cap < 0 or self.backoff_jitter < 0:
-            raise ExperimentError("backoff parameters must be >= 0")
-        if self.quarantine_after is not None and self.quarantine_after < 1:
-            raise ExperimentError(
-                f"quarantine_after must be >= 1, got {self.quarantine_after}"
-            )
-
-    @property
-    def failure_budget(self) -> int:
-        """Cumulative failures a config may accrue before quarantine."""
-        if self.quarantine_after is not None:
-            return self.quarantine_after
-        return self.max_retries + 1
-
-    def backoff_delay(self, seed: int, retry_number: int) -> float:
-        """Deterministic delay before retry ``retry_number`` (1-based)."""
-        if retry_number < 1:
-            return 0.0
-        base = min(self.backoff_cap, self.backoff_base * (2.0 ** (retry_number - 1)))
-        return base * (1.0 + self.backoff_jitter * derive_jitter(seed, "backoff", retry_number))
-
 
 @dataclass(frozen=True)
 class SweepOutcome:
-    """One finished config: result or quarantine report, plus provenance.
+    """One finished config: its result plus provenance.
 
-    ``status`` is ``"ok"`` (``result`` is set) or ``"quarantined"``
-    (``result`` is ``None`` and ``error`` holds the last failure).
-    ``seed`` is the *effective* seed of the successful attempt — it
-    differs from ``config.resolved_seed`` only when a timeout retry
-    reseeded the run, in which case ``reseeded`` is ``True``; cache hits
-    report the stored effective seed, so a reseeded entry keeps honest
-    provenance across sweeps.  A reseeded result is *not* a pure
-    function of the config's own seed (the timeout that triggered
-    reseeding depends on machine speed).  ``attempts`` counts attempts
-    made by this invocation (0 for cache hits and journal-carried
-    quarantines); ``failures`` is the cumulative count including
-    journaled history.
+    ``seed`` is the seed the run executed with
+    (``config.resolved_seed(base_seed)``), ``cached`` whether the result
+    was loaded from the cache, and ``key`` its :func:`config_key`.
     """
 
     config: RunConfig
     seed: int
-    result: "ExperimentResult | None"
+    result: ExperimentResult
     cached: bool
     key: str
-    status: str = OK
-    attempts: int = 1
-    failures: int = 0
-    error: "str | None" = None
-    reseeded: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.status == OK
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("repro")
-    except Exception:
-        import repro
-
-        return getattr(repro, "__version__", "unknown")
 
 
 def config_key(config: RunConfig, seed: int) -> str:
     """Content hash identifying one run: config + code version + schema.
 
-    The hash covers the *entire* serialised config (with *seed* — the
-    resolved effective seed — substituted in), canonical JSON (sorted
-    keys, no whitespace variance) through SHA-256; two configs collide
-    iff they would produce the same result.
+    The hash covers the *entire* serialised config (with *seed*
+    substituted in), canonical JSON (sorted keys, no whitespace variance)
+    through SHA-256; two configs collide iff they would produce the same
+    result.
     """
     payload = json.dumps(
         {
             "config": config.with_seed(int(seed)).to_dict(),
-            "version": _package_version(),
+            "version": __version__,
             "schema": CACHE_SCHEMA,
         },
         sort_keys=True,
@@ -245,35 +108,28 @@ def _cache_path(cache_dir: Path, key: str) -> Path:
     return cache_dir / f"{key}.json"
 
 
-def _cache_load(
-    cache_dir: Path, key: str
-) -> "tuple[ExperimentResult | None, int | None, bool]":
-    """Load a cache entry: ``(result_or_None, stored_seed, entry_was_corrupt)``.
+def _cache_load(cache_dir: Path, key: str) -> "tuple[ExperimentResult | None, bool]":
+    """Load a cache entry: ``(result_or_None, entry_was_corrupt)``.
 
-    ``stored_seed`` is the *effective* seed the cached run executed with
-    — it differs from the config's own seed when a timeout retry
-    reseeded the attempt, and cache hits must report it rather than
-    misattribute the result to the original seed.  Any failure mode of a
-    stored entry — unreadable file, torn/truncated JSON, a stale key, or
-    a payload :meth:`ExperimentResult.from_dict` rejects — is a
-    *corrupt* miss: the caller recomputes and rewrites.
+    Any failure mode of a stored entry — unreadable file, torn/truncated
+    JSON, a stale key, or a payload :meth:`ExperimentResult.from_dict`
+    rejects — is a *corrupt* miss: the caller recomputes and rewrites.
     """
     path = _cache_path(cache_dir, key)
     if not path.exists():
-        return None, None, False
+        return None, False
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         if payload.get("key") != key:
-            return None, None, True
-        seed = int(payload["config"]["seed"])
-        return ExperimentResult.from_dict(payload["result"]), seed, False
-    except (OSError, TypeError, ValueError, KeyError, ExperimentError):
-        return None, None, True
+            return None, True
+        return ExperimentResult.from_dict(payload["result"]), False
+    except (OSError, AttributeError, TypeError, ValueError, KeyError, ExperimentError):
+        return None, True
 
 
 def _cache_store(
     cache_dir: Path, key: str, config: RunConfig, seed: int, result: ExperimentResult
-) -> Path:
+) -> None:
     payload = {
         "key": key,
         "config": config.with_seed(int(seed)).to_dict(),
@@ -285,103 +141,41 @@ def _cache_store(
         json.dumps(payload, sort_keys=True, default=float), encoding="utf-8"
     )
     tmp.replace(path)  # atomic publish
-    return path
 
 
 def _execute(payload: tuple) -> dict:
-    """Inline attempt executor (top-level, hence monkeypatchable): run one config."""
+    """Run one ``(name, seed, quick)`` config (top-level, hence monkeypatchable)."""
     name, seed, quick = payload
     from repro.experiments.runner import run_experiment
 
     return run_experiment(name, seed=seed, quick=quick).to_dict()
 
 
-def _worker_main(conn, payload: dict) -> None:
-    """Isolated worker entry point: fire injected faults, run, report.
+def _worker(payload: tuple, profile: bool) -> "tuple[dict, float, dict | None]":
+    """Run one config and time it: ``(result, seconds, spans)``.
 
-    Reports ``{"ok": True, "result": ...}`` or ``{"ok": False,
-    "error": ...}`` over the pipe; a worker that dies without reporting
-    (``os._exit``, SIGKILL, OOM) is detected parent-side as EOF.
-
-    When the supervisor profiles (``payload["profile"]``), the attempt
-    runs under a fresh :class:`~repro.obs.spans.SpanProfiler` and its
-    snapshot rides along as ``"spans"`` in the report — on failures too,
-    so a crashing attempt's burned time is still attributed.
+    The pool's entry point.  With *profile* (the parent profiles) the run
+    gets a fresh :class:`~repro.obs.spans.SpanProfiler` whose snapshot
+    comes back as ``spans``; otherwise ``spans`` is ``None``.
     """
-    profiler = None
-    if payload.get("profile"):
-        profiler = activate_profiler(SpanProfiler())
-
-    def ship(message: dict) -> None:
-        if profiler is not None and len(profiler):
-            message["spans"] = profiler.snapshot()
-        conn.send(message)
-
-    try:
-        faults = payload.get("faults")
-        if faults is not None:
-            from repro.testing.faults import FaultPlan
-
-            FaultPlan.from_dict(faults).fire(payload["experiment"], payload["attempt"])
-        result = _execute((payload["experiment"], payload["seed"], payload["quick"]))
-        ship({"ok": True, "result": result})
-    except BaseException as exc:  # noqa: BLE001 - workers must never re-raise
-        try:
-            ship({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
-_mp_context = mp_context  # supervision primitives live in repro.runtime.supervise
-
-
-class _WorkerTask(SupervisedProcess):
-    """One isolated attempt: a supervised child process plus its sweep item."""
-
-    def __init__(self, item: "_WorkItem", payload: dict, timeout: "float | None", ctx):
-        self.item = item
-        super().__init__(_worker_main, payload, timeout, ctx)
-
-
-@dataclass
-class _WorkItem:
-    """One scheduled attempt of one config."""
-
-    index: int  # position in the sweep's config list
-    attempt: int  # cumulative failure count when this attempt launches
-    seed: int  # effective seed for this attempt
-    not_before: float = 0.0  # monotonic launch gate (back-off)
+    profiler = activate_profiler(SpanProfiler()) if profile else None
+    started = time.monotonic()
+    result = _execute(payload)
+    seconds = time.monotonic() - started
+    spans = profiler.snapshot() if profiler is not None and len(profiler) else None
+    return result, seconds, spans
 
 
 class _Sweep:
-    """Mutable state and event plumbing for one ``run_sweep`` invocation."""
+    """Outcome slots, cache writes and event plumbing for one ``run_sweep`` call."""
 
-    def __init__(
-        self, configs, seeds, keys, policy, cache, journal, faults, on_result,
-        monitor=None,
-    ):
+    def __init__(self, configs, seeds, keys, cache, monitor):
         self.configs = configs
         self.seeds = seeds
         self.keys = keys
-        self.policy = policy
         self.cache = cache
-        self.journal = journal
-        self.faults = faults
-        self.on_result = on_result
         self.monitor = monitor
         self.outcomes: "list[SweepOutcome | None]" = [None] * len(configs)
-        self.attempts_made = [0] * len(configs)
-        self.failures = [0] * len(configs)
-        self.timeouts = [0] * len(configs)
-        if journal is not None:
-            for i, key in enumerate(keys):
-                self.failures[i] = journal.prior_failures(key)
-                self.timeouts[i] = journal.prior_timeouts(key)
         registry = active_metrics()
         if registry is None:  # not `or`: an *empty* registry is falsy
             registry = MetricsRegistry()
@@ -390,7 +184,6 @@ class _Sweep:
         self.profiler = active_profiler()
         self._event_step = 0
 
-    # -- observability -------------------------------------------------
     def emit(self, kind: str, **data) -> None:
         if self.recorder is not None:
             self.recorder.emit(kind, self._event_step, **data)
@@ -399,519 +192,166 @@ class _Sweep:
             self.monitor.maybe_emit()
         self._event_step += 1
 
-    def count(self, name: str, n: int = 1) -> None:
-        self.metrics.counter(name).inc(n)
+    def count(self, name: str) -> None:
+        self.metrics.counter(name).inc()
 
-    def note_attempt_seconds(self, seconds: float) -> None:
-        """One attempt finished (any verdict): record its wall-clock."""
-        self.metrics.histogram("attempt_seconds").observe(seconds)
-        if self.profiler is not None:
-            self.profiler.add(("sweep.attempt",), int(seconds * 1e9))
-        if self.monitor is not None:
-            self.monitor.note_attempt_seconds(seconds)
-            self.monitor.maybe_emit()
+    def payload(self, index: int) -> tuple:
+        cfg = self.configs[index]
+        return cfg.experiment, self.seeds[index], cfg.quick
 
-    def merge_worker_spans(self, spans: "dict | None") -> None:
-        """Fold a worker's shipped span snapshot into the supervisor profiler."""
-        if spans is not None and self.profiler is not None:
-            self.profiler.merge(spans, prefix=("sweep.worker",))
-
-    # -- seeds ---------------------------------------------------------
-    def attempt_seed(self, index: int) -> int:
-        """Effective seed for the config's next attempt.
-
-        Exception/crash retries keep the config's own seed (results stay
-        a pure function of the config); once an attempt has *timed out*,
-        later attempts derive a distinct seed keyed by the timeout count
-        to steer around seed-dependent pathological instances.
-        """
-        seed0 = self.seeds[index]
-        if self.timeouts[index] == 0:
-            return seed0
-        return derive_seed(seed0, "retry", self.timeouts[index])
-
-    # -- terminal transitions ------------------------------------------
-    def finish(self, index: int, result_dict: dict, seed: int, cached: bool) -> None:
-        result = ExperimentResult.from_dict(result_dict)
-        cfg, key = self.configs[index], self.keys[index]
-        reseeded = int(seed) != self.seeds[index]
-        if self.cache is not None and not cached:
-            path = _cache_store(self.cache, key, cfg, seed, result)
-            if self.faults is not None and self.faults.corrupts_cache(
-                cfg.experiment, self.failures[index]
-            ):
-                self.faults.corrupt_cache_entry(path)
-        if self.journal is not None and not self.journal.is_completed(key):
-            self.journal.record(
-                "completed",
-                key=key,
-                experiment=cfg.experiment,
-                seed=int(seed),
-                attempt=self.failures[index],
-            )
-        self.outcomes[index] = SweepOutcome(
-            cfg,
-            int(seed),
-            result,
-            cached=cached,
-            key=key,
-            status=OK,
-            attempts=self.attempts_made[index],
-            failures=self.failures[index],
-            reseeded=reseeded,
+    def start(self, index: int) -> None:
+        """A pending config is dispatched (inline, or submitted to the pool)."""
+        self.count("attempts")
+        self.emit(
+            SWEEP_TASK_START, experiment=self.configs[index].experiment, seed=self.seeds[index]
         )
+
+    def finish(
+        self,
+        index: int,
+        result: ExperimentResult,
+        *,
+        cached: bool,
+        seconds: "float | None" = None,
+        spans: "dict | None" = None,
+    ) -> None:
+        """A config has its result; a computed one (*seconds* set) is timed and cached."""
+        cfg, seed, key = self.configs[index], self.seeds[index], self.keys[index]
+        if seconds is not None:
+            self.metrics.histogram("attempt_seconds").observe(seconds)
+            if self.profiler is not None:
+                self.profiler.add(("sweep.attempt",), int(seconds * 1e9))
+                if spans is not None:
+                    self.profiler.merge(spans, prefix=("sweep.worker",))
+            if self.monitor is not None:
+                self.monitor.note_attempt_seconds(seconds)
+            if self.cache is not None:
+                _cache_store(self.cache, key, cfg, seed, result)
+        self.outcomes[index] = SweepOutcome(cfg, seed, result, cached=cached, key=key)
         self.count("completed")
-        self.emit(
-            SWEEP_TASK_COMPLETE,
-            experiment=cfg.experiment,
-            seed=int(seed),
-            attempt=self.failures[index],
-            cached=bool(cached),
-            reseeded=bool(reseeded),
-        )
-        if self.on_result is not None:
-            self.on_result(self.outcomes[index])
-
-    def quarantine(self, index: int, error: str, journal_it: bool = True) -> None:
-        cfg, key = self.configs[index], self.keys[index]
-        if journal_it and self.journal is not None:
-            self.journal.record(
-                "quarantined",
-                key=key,
-                experiment=cfg.experiment,
-                failures=self.failures[index],
-                error=error,
-            )
-        self.outcomes[index] = SweepOutcome(
-            cfg,
-            self.seeds[index],
-            None,
-            cached=False,
-            key=key,
-            status=QUARANTINED,
-            attempts=self.attempts_made[index],
-            failures=self.failures[index],
-            error=error,
-        )
-        self.count("quarantined")
-        self.emit(
-            SWEEP_TASK_QUARANTINED,
-            experiment=cfg.experiment,
-            failures=self.failures[index],
-            error=error,
-        )
-        if self.on_result is not None:
-            self.on_result(self.outcomes[index])
-
-    # -- failure bookkeeping -------------------------------------------
-    def register_failure(self, item: _WorkItem, kind: str, error: str) -> "_WorkItem | None":
-        """Record one failed attempt; return the retry item or ``None``.
-
-        ``None`` means the config is terminal for this invocation: it
-        was quarantined (policy.quarantine) or the sweep must abort
-        (strict policy — the caller raises after cleanup).
-        """
-        index = item.index
-        cfg, key = self.configs[index], self.keys[index]
-        self.failures[index] += 1
-        if kind == "timeout":
-            self.timeouts[index] += 1
-            self.count("timeouts")
-        elif kind == "crash":
-            self.count("crashes")
-        self.count("failures")
-        if self.journal is not None:
-            self.journal.record(
-                "failed",
-                key=key,
-                experiment=cfg.experiment,
-                attempt=item.attempt,
-                kind=kind,
-                error=error,
-            )
-        self.emit(
-            SWEEP_TASK_FAILED,
-            experiment=cfg.experiment,
-            attempt=item.attempt,
-            failure=kind,
-            error=error,
-        )
-        may_retry = (
-            self.attempts_made[index] <= self.policy.max_retries
-            and self.failures[index] < self.policy.failure_budget
-        )
-        if may_retry:
-            delay = self.policy.backoff_delay(
-                self.seeds[index], self.attempts_made[index]
-            )
-            retry = _WorkItem(
-                index=index,
-                attempt=self.failures[index],
-                seed=self.attempt_seed(index),
-                not_before=time.monotonic() + delay,
-            )
-            self.count("retries")
-            self.emit(
-                SWEEP_TASK_RETRY,
-                experiment=cfg.experiment,
-                failure=kind,
-                failures=self.failures[index],
-                next_attempt=retry.attempt,
-                next_seed=int(retry.seed),
-                delay=float(delay),
-            )
-            return retry
-        if self.policy.quarantine:
-            self.quarantine(index, error)
-        return None
-
-
-def _resolve_journal(journal, resume: bool, cache: "Path | None") -> "SweepJournal | None":
-    if isinstance(journal, SweepJournal):
-        return journal
-    if journal is None and resume:
-        if cache is None:
-            raise ExperimentError(
-                "resume=True needs a journal path or a cache_dir to find one in"
-            )
-        journal = cache / DEFAULT_JOURNAL_NAME
-    if journal is None:
-        return None
-    return SweepJournal(journal, resume=resume)
+        self.emit(SWEEP_TASK_COMPLETE, experiment=cfg.experiment, seed=seed, cached=cached)
 
 
 def run_sweep(
-    configs,
+    runs,
     *,
     jobs: int = 1,
     cache_dir: "str | Path | None" = None,
     base_seed: int = 0,
-    on_result=None,
-    policy: "SweepPolicy | None" = None,
-    journal=None,
-    resume: bool = False,
-    faults=None,
     monitor=None,
 ) -> list[SweepOutcome]:
-    """Run many experiment configs, in parallel, with caching and retries.
+    """Run many experiment configs, in parallel, through the result cache.
 
     Parameters
     ----------
-    configs:
-        A :class:`~repro.config.SweepConfig` (the canonical form —
-        ``jobs``/``cache_dir``/``base_seed``/``policy``/``resume`` are
-        then taken from the config and the keyword forms must be left at
-        their defaults), or an iterable of :class:`RunConfig` / bare
-        experiment names (bare names get derived seeds and
-        ``quick=False``).
+    runs:
+        Iterable of :class:`RunConfig` or bare experiment names (bare
+        names get derived seeds and ``quick=False``).
     jobs:
-        Maximum concurrent worker processes.  ``jobs > 1`` runs pending
-        configs in isolated workers, up to ``jobs`` at a time; ``1``
-        executes inline when the policy permits (no timeout, no
-        process-level faults, no forced isolation).
+        Maximum concurrent worker processes.  ``1`` — or a single config
+        left to compute — runs inline; otherwise a process pool of
+        ``min(jobs, pending)`` workers.
     cache_dir:
         Directory for the content-hash cache; ``None`` disables caching.
     base_seed:
         Entropy root for configs without an explicit seed.
-    on_result:
-        Optional callback ``on_result(outcome)`` invoked as each config
-        reaches a terminal state (cached hits fire immediately).
-    policy:
-        :class:`SweepPolicy`; the default is strict (no retries, abort
-        on first failure) for backward compatibility.
-    journal:
-        Journal file path or :class:`SweepJournal` recording every
-        completion/failure/quarantine durably; defaults to
-        ``<cache_dir>/sweep-journal.jsonl`` when ``resume=True``.
-    resume:
-        Continue an interrupted sweep: journaled completions reload from
-        the cache, failure counts carry forward into retry budgets and
-        fault-plan attempt indices, quarantined configs stay quarantined.
-    faults:
-        Optional :class:`repro.testing.FaultPlan` of injected failures.
     monitor:
         Optional :class:`repro.obs.analysis.SweepProgress` (or anything
         with ``on_event``/``note_attempt_seconds``/``maybe_emit``): fed
-        every lifecycle event and attempt latency as the sweep runs, for
+        every lifecycle event and run latency as the sweep runs, for
         periodic live status lines.
 
     Returns
     -------
-    Outcomes in the same order as *configs*, regardless of completion
-    order — parallelism never reorders the report.  With
-    ``policy.quarantine`` enabled, failed configs come back as
-    ``status="quarantined"`` outcomes instead of aborting the sweep.
+    Outcomes in the same order as *runs*, regardless of completion
+    order.  The first experiment to raise aborts the sweep with that
+    exception.
     """
-    if isinstance(configs, SweepConfig):
-        sweep_config = configs
-    else:
-        if jobs < 1:
-            raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-        sweep_config = SweepConfig(
-            runs=tuple(
-                cfg if isinstance(cfg, RunConfig) else RunConfig(str(cfg))
-                for cfg in configs
-            ),
-            base_seed=int(base_seed),
-            jobs=int(jobs),
-            cache_dir=None if cache_dir is None else str(cache_dir),
-            resume=bool(resume),
-            **(
-                {}
-                if policy is None
-                else {
-                    "timeout": policy.timeout,
-                    "retries": policy.max_retries,
-                    "backoff_base": policy.backoff_base,
-                    "backoff_cap": policy.backoff_cap,
-                    "backoff_jitter": policy.backoff_jitter,
-                    "quarantine": policy.quarantine,
-                    "quarantine_after": policy.quarantine_after,
-                    "isolate": policy.isolate,
-                }
-            ),
-        )
-    jobs = sweep_config.jobs
-    cache_dir = sweep_config.cache_dir
-    base_seed = sweep_config.base_seed
-    resume = sweep_config.resume
-    policy = sweep_config.policy()
-    if faults is not None and not faults:
-        faults = None
-
-    normal: list[RunConfig] = list(sweep_config.runs)
-    seeds = [cfg.resolved_seed(base_seed) for cfg in normal]
-    keys = [config_key(cfg, seed) for cfg, seed in zip(normal, seeds)]
-
+    if jobs < 1:
+        raise ExperimentError(f"jobs must be >= 1, got {jobs}")
+    configs = [cfg if isinstance(cfg, RunConfig) else RunConfig(str(cfg)) for cfg in runs]
+    seeds = [cfg.resolved_seed(base_seed) for cfg in configs]
+    keys = [config_key(cfg, seed) for cfg, seed in zip(configs, seeds)]
     cache: "Path | None" = None
     if cache_dir is not None:
         cache = Path(cache_dir).expanduser()
         cache.mkdir(parents=True, exist_ok=True)
 
-    owns_journal = not isinstance(journal, SweepJournal)
-    journal_obj = _resolve_journal(journal, resume, cache)
-
-    isolate = (
-        policy.isolate
-        or policy.timeout is not None
-        or (faults is not None and faults.needs_isolation)
-    )
-
-    sweep = _Sweep(
-        normal, seeds, keys, policy, cache, journal_obj, faults, on_result,
-        monitor=monitor,
-    )
-    sweep.emit(SWEEP_START, configs=len(normal), jobs=int(jobs), resumed=bool(resume))
-    try:
-        if journal_obj is not None:
-            # the serialised SweepConfig is the journal's provenance
-            # record: a resumed or audited sweep sees exactly what was
-            # asked for, not just how many configs there were
-            journal_obj.record(
-                "sweep_start",
-                configs=len(normal),
-                base_seed=int(base_seed),
-                sweep=sweep_config.to_dict(),
-            )
-        pending: list[_WorkItem] = []
-        for i, key in enumerate(keys):
-            sweep.count("tasks")
-            if journal_obj is not None and journal_obj.is_quarantined(key):
-                entry = journal_obj.state.quarantined[key]
-                sweep.quarantine(
-                    i, str(entry.get("error", "quarantined in a previous run")),
-                    journal_it=False,
-                )
-                continue
-            hit, hit_seed, corrupt = (
-                (None, None, False) if cache is None else _cache_load(cache, key)
-            )
-            if corrupt:
-                sweep.count("cache.corrupt")
-            if hit is not None:
-                sweep.count("cache.hits")
-                # report the seed the cached run actually executed with,
-                # which differs from seeds[i] for timeout-reseeded entries
-                sweep.finish(i, hit.to_dict(), hit_seed, cached=True)
-                continue
-            if cache is not None:
-                sweep.count("cache.misses")
-            pending.append(
-                _WorkItem(index=i, attempt=sweep.failures[i], seed=sweep.attempt_seed(i))
-            )
-
-        if pending:
-            # jobs > 1 needs worker processes to actually run concurrently;
-            # a single pending config gains nothing from process spin-up
-            if isolate or (jobs > 1 and len(pending) > 1):
-                _run_isolated(sweep, pending, jobs, faults)
-            else:
-                _run_inline(sweep, pending)
-        sweep.emit(
-            SWEEP_END,
-            completed=sum(1 for o in sweep.outcomes if o is not None and o.ok),
-            quarantined=sum(
-                1 for o in sweep.outcomes if o is not None and not o.ok
-            ),
-            failures=sum(sweep.failures),
-        )
-        if monitor is not None:
-            monitor.maybe_emit(force=True)  # final line always lands
-    finally:
-        if journal_obj is not None and owns_journal:
-            journal_obj.close()
-    return [out for out in sweep.outcomes if out is not None]
-
-
-def _launch_event(sweep: _Sweep, item: _WorkItem) -> None:
-    sweep.attempts_made[item.index] += 1
-    sweep.count("attempts")
-    sweep.emit(
-        SWEEP_TASK_START,
-        experiment=sweep.configs[item.index].experiment,
-        seed=int(item.seed),
-        attempt=item.attempt,
-    )
-
-
-def _run_inline(sweep: _Sweep, pending: "list[_WorkItem]") -> None:
-    """Sequential in-process execution (no timeout support by design)."""
-    queue = list(pending)
-    while queue:
-        now = time.monotonic()
-        # FIFO among launch-ready items, so a backing-off retry never
-        # stalls work that could run during its delay
-        item = next((it for it in queue if it.not_before <= now), None)
-        if item is None:
-            # everything is backing off; sleep to the earliest gate
-            item = min(queue, key=lambda it: it.not_before)
-            time.sleep(max(0.0, item.not_before - now))
-        queue.remove(item)
-        _launch_event(sweep, item)
-        cfg = sweep.configs[item.index]
-        started = time.monotonic()
-        try:
-            if sweep.faults is not None:
-                sweep.faults.fire(cfg.experiment, item.attempt)
-            result_dict = _execute((cfg.experiment, item.seed, cfg.quick))
-        except Exception as exc:
-            sweep.note_attempt_seconds(time.monotonic() - started)
-            retry = sweep.register_failure(
-                item, "error", f"{type(exc).__name__}: {exc}"
-            )
-            if retry is not None:
-                queue.append(retry)  # its not_before gate schedules the rerun
-            elif not sweep.policy.quarantine:
-                raise  # strict policy: surface the original exception
+    sweep = _Sweep(configs, seeds, keys, cache, monitor)
+    sweep.emit(SWEEP_START, configs=len(configs), jobs=int(jobs))
+    pending: list[int] = []
+    for i, key in enumerate(keys):
+        sweep.count("tasks")
+        if cache is None:
+            pending.append(i)
             continue
-        sweep.note_attempt_seconds(time.monotonic() - started)
-        sweep.finish(item.index, result_dict, item.seed, cached=False)
+        hit, corrupt = _cache_load(cache, key)
+        if corrupt:
+            sweep.count("cache.corrupt")
+        if hit is not None:
+            sweep.count("cache.hits")
+            sweep.finish(i, hit, cached=True)
+        else:
+            sweep.count("cache.misses")
+            pending.append(i)
+
+    # a single pending config gains nothing from process spin-up
+    if jobs == 1 or len(pending) == 1:
+        _run_inline(sweep, pending)
+    elif pending:
+        _run_pool(sweep, pending, jobs)
+    sweep.emit(SWEEP_END, completed=len(configs))
+    if monitor is not None:
+        monitor.maybe_emit(force=True)  # final line always lands
+    return sweep.outcomes
 
 
-def _run_isolated(sweep: _Sweep, pending: "list[_WorkItem]", jobs: int, faults) -> None:
-    """Supervised one-process-per-attempt execution with kill-on-timeout."""
-    ctx = _mp_context()
-    todo: list[_WorkItem] = list(pending)
-    running: list[_WorkerTask] = []
-    fault_payload = None if faults is None else faults.to_dict()
-
-    def launch(item: _WorkItem) -> None:
-        cfg = sweep.configs[item.index]
-        _launch_event(sweep, item)
-        payload = {
-            "experiment": cfg.experiment,
-            "seed": int(item.seed),
-            "quick": bool(cfg.quick),
-            "attempt": int(item.attempt),
-            "faults": fault_payload,
-            "profile": sweep.profiler is not None,
-        }
-        running.append(_WorkerTask(item, payload, sweep.policy.timeout, ctx))
-
-    def abort(message: str) -> None:
-        while running:
-            running.pop().terminate()
-        raise SweepAbortedError(message)
-
-    try:
-        while todo or running:
-            now = time.monotonic()
-            ready_items = sorted(
-                (it for it in todo if it.not_before <= now),
-                key=lambda it: it.not_before,
-            )
-            for item in ready_items[: max(0, jobs - len(running))]:
-                todo.remove(item)
-                launch(item)
-            if not running:
-                # every queued item is backing off; sleep to the earliest gate
-                time.sleep(max(0.0, min(it.not_before for it in todo) - now))
-                continue
-
-            horizon = [t.deadline for t in running if t.deadline is not None]
-            if len(running) < jobs:
-                # a back-off gate only matters while a slot is free to
-                # launch into; with every slot busy, ready items waiting
-                # in todo must not collapse the wait into a busy-poll
-                horizon.extend(it.not_before for it in todo)
-            wait_for = None
-            if horizon:
-                wait_for = max(0.0, min(horizon) - time.monotonic())
-            ready_conns = set(_wait_connections([t.conn for t in running], wait_for))
-
-            now = time.monotonic()
-            for task in list(running):
-                if task.conn in ready_conns:
-                    status, payload, spans = task.harvest()
-                    sweep.merge_worker_spans(spans)
-                elif task.expired(now):
-                    task.terminate()
-                    status, payload = (
-                        "timeout",
-                        f"attempt timed out after {sweep.policy.timeout}s",
-                    )
-                else:
-                    continue
-                running.remove(task)
-                sweep.note_attempt_seconds(time.monotonic() - task.started)
-                if status == "ok":
-                    sweep.finish(task.item.index, payload, task.item.seed, cached=False)
-                    continue
-                retry = sweep.register_failure(task.item, status, str(payload))
-                if retry is not None:
-                    todo.append(retry)
-                elif not sweep.policy.quarantine:
-                    abort(
-                        f"sweep aborted: {sweep.configs[task.item.index].experiment} "
-                        f"failed {sweep.failures[task.item.index]} time(s): {payload}"
-                    )
-    except BaseException:
-        for task in running:
-            task.terminate()
-        raise
+def _run_inline(sweep: _Sweep, pending: "list[int]") -> None:
+    """Run the pending configs one after another in this process."""
+    for i in pending:
+        sweep.start(i)
+        # unprofiled: spans of an inline run land in the active profiler directly
+        result, seconds, _ = _worker(sweep.payload(i), profile=False)
+        sweep.finish(i, ExperimentResult.from_dict(result), cached=False, seconds=seconds)
 
 
-def sweep_failure_history(events) -> dict:
-    """Reconstruct a sweep's per-experiment lifecycle from trace events.
+def _run_pool(sweep: _Sweep, pending: "list[int]", jobs: int) -> None:
+    """Run the pending configs on ``min(jobs, pending)`` worker processes.
 
-    Returns ``{experiment: [(kind, data), ...]}`` in emission order, the
-    replayable failure history wired through the trace recorder: every
-    attempt, failure, retry, quarantine and completion.  Non-sweep
-    events (engine-level records interleaved in the same trace) are
-    ignored, so the function works on mixed traces and on filtered
-    golden fixtures alike.
+    Results are stored as they arrive.  The first worker exception
+    cancels the configs still waiting in the pool's queue; runs already
+    handed to a worker finish (and are cached) before that exception
+    re-raises here.  (Shutting the pool down instead can leave futures
+    that will never resolve, and ``as_completed`` then waits forever.)
     """
-    per_task_kinds = {
-        SWEEP_TASK_START,
-        SWEEP_TASK_FAILED,
-        SWEEP_TASK_RETRY,
-        SWEEP_TASK_QUARANTINED,
-        SWEEP_TASK_COMPLETE,
-    }
-    history: dict = {}
-    for event in events:
-        if event.kind in per_task_kinds:
-            history.setdefault(event.data["experiment"], []).append(
-                (event.kind, dict(event.data))
+    # fork where available: workers then see experiments registered at
+    # run time (repro.register) and skip re-importing the package
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    profile = sweep.profiler is not None
+    failure: "BaseException | None" = None
+    with ProcessPoolExecutor(min(jobs, len(pending)), mp_context=ctx) as pool:
+        futures = {}
+        for i in pending:
+            sweep.start(i)
+            futures[pool.submit(_worker, sweep.payload(i), profile)] = i
+        for future in as_completed(futures):
+            if future.cancelled():
+                continue
+            try:
+                result, seconds, spans = future.result()
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                if failure is None:
+                    failure = exc
+                    for queued in futures:
+                        queued.cancel()  # a no-op for runs already started
+                continue
+            sweep.finish(
+                futures[future],
+                ExperimentResult.from_dict(result),
+                cached=False,
+                seconds=seconds,
+                spans=spans,
             )
-    return history
+    if failure is not None:
+        raise failure

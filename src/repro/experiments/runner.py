@@ -20,12 +20,13 @@ Observability options (see :mod:`repro.obs`):
   replay*: each recorded controller is rebuilt from its traced
   configuration and must reproduce the recorded ``m_t`` trajectory
   exactly (exit code 1 otherwise).  In sweep mode the trace additionally
-  carries the sweep's lifecycle events (attempts, retries, quarantines);
-  engine events from worker *processes* cannot cross the process
-  boundary and are not recorded.
+  carries the sweep's lifecycle events (``sweep_start``,
+  ``sweep_task_start``, ``sweep_task_complete``, ``sweep_end``); engine
+  events from worker *processes* cannot cross the process boundary and
+  are not recorded.
 * ``--metrics`` — collect the runtime metrics registry during the run and
-  print it after the reports (sweep mode reports the ``sweep.*``
-  failure/retry/cache counters).
+  print it after the reports (sweep mode reports the ``sweep.*`` task
+  and cache counters).
 * ``--profile`` — activate the span profiler and print the hierarchical
   phase-timing tree (and, when a ``step`` root exists, the critical-path
   breakdown) after the reports; ``--profile-every N`` samples one step
@@ -34,22 +35,14 @@ Observability options (see :mod:`repro.obs`):
   ``BASE.prom`` (OpenMetrics text) and ``BASE.json`` (lossless snapshot)
   after the run.
 * ``--live`` — sweep mode only: print a periodic one-line progress
-  status (done/retried/quarantined, attempt EWMA, ETA) on stderr while
-  the sweep runs.
+  status (done/total, attempt EWMA, ETA) on stderr while the sweep runs.
 
-Sweep/fault-tolerance options (see :mod:`repro.experiments.parallel`):
+Sweep options (see :mod:`repro.experiments.parallel`):
 
 * ``--jobs N`` / ``--cache-dir DIR`` — process-pool fan-out and the
-  content-addressed result cache.
-* ``--timeout SECS`` / ``--retries N`` / ``--quarantine-after N`` —
-  per-attempt timeout, bounded retry with deterministic back-off, and
-  the poison-config failure budget.  Quarantined configs are reported on
-  stderr and flip the exit code to 1; they never silently disappear.
-* ``--resume`` — continue an interrupted sweep from the journal next to
-  the cache (``sweep-journal.jsonl``): completed configs reload from the
-  cache, failure counts carry forward, quarantined configs stay out.
-* ``--inject-faults SPEC`` — deliberately break the sweep for drills and
-  tests via :class:`repro.testing.FaultPlan` (e.g. ``exit:fig3:0``).
+  content-addressed result cache.  A failing experiment stops the sweep
+  with its own error (non-zero exit); rerunning the same command with
+  the same ``--cache-dir`` recomputes only what is not cached yet.
 """
 
 from __future__ import annotations
@@ -286,46 +279,7 @@ def main(argv: "list[str] | None" = None) -> int:
         default=None,
         metavar="DIR",
         help="content-hash disk cache for completed run configs; re-runs "
-        "with identical (experiment, seed, quick, version) reload instantly",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="per-attempt wall-clock budget; a hung worker is killed and "
-        "retried with a distinct derived seed (enables sweep mode)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="extra attempts per config after a failure, with exponential "
-        "back-off and deterministic jitter (sweep mode; default 2)",
-    )
-    parser.add_argument(
-        "--quarantine-after",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cumulative failures before a config is quarantined as poison "
-        "(default: retries + 1)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue an interrupted sweep from the journal in --cache-dir; "
-        "completed configs reload from the cache, failure counts carry over",
-    )
-    parser.add_argument(
-        "--inject-faults",
-        default=None,
-        metavar="SPEC",
-        help="deliberately inject failures (fault drill): "
-        "'kind[:experiment[:attempts]]' specs joined by ';', kinds "
-        "raise/hang/exit/kill/corrupt-cache, e.g. 'exit:fig3:0;raise:*:0,1' "
-        "(enables sweep mode)",
+        "with an identical config and code version reload instantly",
     )
     args = parser.parse_args(argv)
     if args.jobs < 1:
@@ -360,37 +314,14 @@ def main(argv: "list[str] | None" = None) -> int:
             if result.series:
                 result.to_svg(out_dir / f"{name}.svg")
 
-    sweep_mode = (
-        args.jobs > 1
-        or args.cache_dir is not None
-        or args.resume
-        or args.inject_faults is not None
-        or args.timeout is not None
-        or args.live
-    )
+    sweep_mode = args.jobs > 1 or args.cache_dir is not None or args.live
     if sweep_mode and workload_io:
         parser.error(
             "--record-workload/--replay-workload run inline; drop the sweep "
-            "options (--jobs/--cache-dir/--timeout/...)"
+            "options (--jobs/--cache-dir/--live)"
         )
-    if args.resume and args.cache_dir is None:
-        parser.error("--resume requires --cache-dir (the journal lives beside the cache)")
-    if args.retries < 0:
-        parser.error(f"--retries must be >= 0, got {args.retries}")
     if args.profile_every < 1:
         parser.error(f"--profile-every must be >= 1, got {args.profile_every}")
-
-    faults = None
-    if args.inject_faults is not None:
-        from repro.errors import FaultInjectionError
-        from repro.testing import FaultPlan
-
-        try:
-            faults = FaultPlan.parse(args.inject_faults)
-        except FaultInjectionError as exc:
-            parser.error(str(exc))
-
-    exit_code = 0
 
     def execute() -> None:
         for name in names:
@@ -409,68 +340,32 @@ def main(argv: "list[str] | None" = None) -> int:
             emit(name, result)
 
     def execute_sweep() -> None:
-        # sweep mode: supervised worker processes + content-hash cache +
-        # journaled fault tolerance.  Failed-then-quarantined configs are
-        # reported on stderr and flip the exit code — never dropped.
-        nonlocal exit_code
-        from pathlib import Path
-
-        from repro.config import RunConfig, SweepConfig
-        from repro.experiments.journal import DEFAULT_JOURNAL_NAME
+        # sweep mode: worker processes + content-hash cache; a failing
+        # experiment propagates its own exception
+        from repro.config import RunConfig
         from repro.experiments.parallel import run_sweep
 
-        sweep_config = SweepConfig(
-            runs=tuple(
-                RunConfig(n, seed=args.seed, quick=args.quick) for n in names
-            ),
-            base_seed=args.seed,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            timeout=args.timeout,
-            retries=args.retries,
-            quarantine=True,
-            quarantine_after=args.quarantine_after,
-            resume=args.resume,
-        )
-        journal = None
-        if args.cache_dir is not None:
-            journal = Path(args.cache_dir).expanduser() / DEFAULT_JOURNAL_NAME
         monitor = None
         if args.live:
             from repro.obs import SweepProgress
 
-            monitor = SweepProgress(len(sweep_config.runs), jobs=args.jobs)
+            monitor = SweepProgress(len(names), jobs=args.jobs)
         outcomes = run_sweep(
-            sweep_config,
-            journal=journal,
-            faults=faults,
+            [RunConfig(n, seed=args.seed, quick=args.quick) for n in names],
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            base_seed=args.seed,
             monitor=monitor,
         )
         for outcome in outcomes:
             name = outcome.config.experiment
-            if outcome.ok:
-                emit(name, outcome.result)
-                status = "cache hit" if outcome.cached else "computed"
-                retries = (
-                    f", {outcome.failures} failure(s) retried"
-                    if outcome.failures
-                    else ""
-                )
-                # a reseeded result came from a timeout retry with a derived
-                # seed — not a pure function of the config's own seed
-                reseeded = ", reseeded by timeout retry" if outcome.reseeded else ""
-                print(
-                    f"[sweep] {name}: {status} "
-                    f"(seed={outcome.seed}, key={outcome.key[:12]}{retries}{reseeded})",
-                    file=sys.stderr,
-                )
-            else:
-                print(
-                    f"[sweep] {name}: QUARANTINED after {outcome.failures} "
-                    f"failure(s): {outcome.error}",
-                    file=sys.stderr,
-                )
-                exit_code = 1
+            emit(name, outcome.result)
+            status = "cache hit" if outcome.cached else "computed"
+            print(
+                f"[sweep] {name}: {status} "
+                f"(seed={outcome.seed}, key={outcome.key[:12]})",
+                file=sys.stderr,
+            )
 
     body = execute_sweep if sweep_mode else execute
 
@@ -510,7 +405,7 @@ def main(argv: "list[str] | None" = None) -> int:
         try:
             print(profile_report(profiler).render())
         except ObservabilityError:
-            pass  # no 'step' root (e.g. isolated sweep workers only)
+            pass  # no 'step' root (e.g. pooled sweep workers only)
     if args.trace is not None:
         from repro.errors import ObservabilityError
         from repro.obs import load_jsonl_meta, verify_trace
@@ -528,7 +423,7 @@ def main(argv: "list[str] | None" = None) -> int:
             f"trace: {args.trace}: {len(events)} events{dropped_note}, "
             f"{len(reports)} runs, {total_steps} steps — deterministic replay OK"
         )
-    return exit_code
+    return 0
 
 
 if __name__ == "__main__":

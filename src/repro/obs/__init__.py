@@ -50,9 +50,6 @@ from repro.obs.events import (
     SWEEP_KINDS,
     SWEEP_START,
     SWEEP_TASK_COMPLETE,
-    SWEEP_TASK_FAILED,
-    SWEEP_TASK_QUARANTINED,
-    SWEEP_TASK_RETRY,
     SWEEP_TASK_START,
     TraceEvent,
     event_from_json,
@@ -121,9 +118,6 @@ __all__ = [
     "SWEEP_START",
     "SWEEP_END",
     "SWEEP_TASK_START",
-    "SWEEP_TASK_FAILED",
-    "SWEEP_TASK_RETRY",
-    "SWEEP_TASK_QUARANTINED",
     "SWEEP_TASK_COMPLETE",
     "SWEEP_KINDS",
     "event_to_json",

@@ -12,7 +12,7 @@ Three consumers, one per channel:
   tracking error, and decision/clamp counts.  Pure function of the
   events, so golden traces give bit-stable reports.
 * :class:`SweepProgress` — a periodic one-line live status for running
-  sweeps (completed/retried/quarantined, EWMA attempt latency, ETA),
+  sweeps (done/total, EWMA attempt latency, ETA),
   with injectable clock and sink so tests never sleep.
 """
 
@@ -30,9 +30,6 @@ from repro.obs.events import (
     RUN_START,
     STEP,
     SWEEP_TASK_COMPLETE,
-    SWEEP_TASK_FAILED,
-    SWEEP_TASK_QUARANTINED,
-    SWEEP_TASK_RETRY,
     TraceEvent,
 )
 from repro.obs.spans import SpanProfiler
@@ -307,9 +304,6 @@ class SweepProgress:
         self._sink = sink if sink is not None else _stderr_sink
         self._clock = clock if clock is not None else time.monotonic
         self.completed = 0
-        self.retried = 0
-        self.quarantined = 0
-        self.failures = 0
         self.ewma_attempt_seconds: "float | None" = None
         self._last_emit: "float | None" = None
 
@@ -318,12 +312,6 @@ class SweepProgress:
         """Count one sweep lifecycle event (unknown kinds are ignored)."""
         if kind == SWEEP_TASK_COMPLETE:
             self.completed += 1
-        elif kind == SWEEP_TASK_RETRY:
-            self.retried += 1
-        elif kind == SWEEP_TASK_QUARANTINED:
-            self.quarantined += 1
-        elif kind == SWEEP_TASK_FAILED:
-            self.failures += 1
 
     def note_attempt_seconds(self, seconds: float) -> None:
         seconds = float(seconds)
@@ -337,7 +325,7 @@ class SweepProgress:
     # -- reporting -----------------------------------------------------
     @property
     def remaining(self) -> int:
-        return max(0, self.total - self.completed - self.quarantined)
+        return max(0, self.total - self.completed)
 
     def eta_seconds(self) -> "float | None":
         """Remaining wall-clock estimate: EWMA latency × remaining / jobs."""
@@ -346,11 +334,7 @@ class SweepProgress:
         return self.ewma_attempt_seconds * self.remaining / self.jobs
 
     def status_line(self) -> str:
-        parts = [
-            f"sweep: {self.completed}/{self.total} done",
-            f"{self.retried} retried",
-            f"{self.quarantined} quarantined",
-        ]
+        parts = [f"sweep: {self.completed}/{self.total} done"]
         if self.ewma_attempt_seconds is not None:
             parts.append(f"attempt EWMA {self.ewma_attempt_seconds:.2f}s")
         eta = self.eta_seconds()

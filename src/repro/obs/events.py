@@ -56,30 +56,20 @@ Event kinds emitted by the runtime:
     sequence it executed.  Informational.
 
 The parallel sweep harness (:mod:`repro.experiments.parallel`) emits its
-own lifecycle kinds into the same trace so that a sweep's failure history
-— every retry, timeout, crash and quarantine decision — is replayable
-from the exported JSONL alongside the engine-level events:
+own lifecycle kinds into the same trace, alongside any engine-level
+events of inline runs:
 
 ``sweep_start`` / ``sweep_end``
-    One sweep invocation: config count, job count, and the final
-    completed/quarantined/failure totals.
+    One sweep invocation: config and job counts, then the completed
+    total.
 ``sweep_task_start``
-    One attempt launched: experiment, effective seed, attempt index.
-``sweep_task_failed``
-    One attempt failed: the failure kind (``error``/``crash``/
-    ``timeout``) and message.
-``sweep_task_retry``
-    A failed attempt will be retried: next attempt index, next seed
-    (timeout retries derive a fresh seed), and the back-off delay.
-``sweep_task_quarantined``
-    A config exhausted its failure budget and was quarantined.
+    One config dispatched for computation: experiment and seed.
 ``sweep_task_complete``
-    A config produced a result (fresh or from the cache), with the
-    effective seed and whether a timeout retry reseeded it.
+    A config has its result: experiment, seed, and whether it came from
+    the cache.
 
-Sweep kinds carry only deterministic payload fields (no wall-clock), so
-sweep traces can be checked in as byte-stable golden fixtures.  The
-engine replayer ignores them.
+Sweep kinds carry only deterministic payload fields (no wall-clock).
+The engine replayer ignores them.
 """
 
 from __future__ import annotations
@@ -105,9 +95,6 @@ __all__ = [
     "SWEEP_START",
     "SWEEP_END",
     "SWEEP_TASK_START",
-    "SWEEP_TASK_FAILED",
-    "SWEEP_TASK_RETRY",
-    "SWEEP_TASK_QUARANTINED",
     "SWEEP_TASK_COMPLETE",
     "SWEEP_KINDS",
     "event_to_json",
@@ -128,23 +115,10 @@ WORKLOAD_REPLAY = "workload_replay"
 SWEEP_START = "sweep_start"
 SWEEP_END = "sweep_end"
 SWEEP_TASK_START = "sweep_task_start"
-SWEEP_TASK_FAILED = "sweep_task_failed"
-SWEEP_TASK_RETRY = "sweep_task_retry"
-SWEEP_TASK_QUARANTINED = "sweep_task_quarantined"
 SWEEP_TASK_COMPLETE = "sweep_task_complete"
 
 #: kinds emitted by the sweep harness (lifecycle channel, not replayed)
-SWEEP_KINDS = frozenset(
-    {
-        SWEEP_START,
-        SWEEP_END,
-        SWEEP_TASK_START,
-        SWEEP_TASK_FAILED,
-        SWEEP_TASK_RETRY,
-        SWEEP_TASK_QUARANTINED,
-        SWEEP_TASK_COMPLETE,
-    }
-)
+SWEEP_KINDS = frozenset({SWEEP_START, SWEEP_END, SWEEP_TASK_START, SWEEP_TASK_COMPLETE})
 
 _KNOWN_KINDS = (
     frozenset(

@@ -30,9 +30,9 @@ Design points, mirroring the recorder/metrics activation pattern:
 * a span is closed in ``finally`` semantics — an operator that raises
   mid-step still gets its time attributed to the right path;
 * :meth:`SpanProfiler.snapshot` is a plain JSON-able dict that survives
-  a worker pipe, and :meth:`SpanProfiler.merge` folds such payloads into
-  the supervisor's profiler (how the parallel sweep harness aggregates
-  per-attempt spans across processes).
+  a trip between processes, and :meth:`SpanProfiler.merge` folds such
+  payloads into the parent's profiler (how the parallel sweep harness
+  aggregates per-run spans across worker processes).
 
 Span names may contain dots (``controller.decide``); ``/`` is reserved
 as the path separator in snapshots and renders.
@@ -214,7 +214,7 @@ class SpanProfiler:
         """Credit an externally measured duration to *path*.
 
         For callers that time work without opening a live span — e.g.
-        the sweep supervisor attributing a worker attempt's wall clock.
+        the sweep harness attributing a run's wall clock.
         """
         key = tuple(path.split("/")) if isinstance(path, str) else tuple(path)
         if not key or any(not part or "/" in part for part in key):
@@ -269,7 +269,7 @@ class SpanProfiler:
     def merge(self, snapshot: dict, prefix: "tuple[str, ...] | str" = ()) -> None:
         """Fold a :meth:`snapshot` payload into this profiler.
 
-        The sweep supervisor calls this with each worker's shipped span
+        The sweep harness calls this with each worker's returned span
         payload; *prefix* re-roots the merged paths (e.g. under
         ``("sweep.worker",)``) so cross-process time is distinguishable
         from spans measured in this process.

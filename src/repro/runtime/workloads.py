@@ -18,7 +18,7 @@ workload, matching the evaluation setups of §4:
   in steady state.
 
 Each workload exposes ``workset``, ``operator`` and ``policy`` and a
-:meth:`build_engine` convenience.
+:meth:`make_engine` convenience.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class GraphWorkloadBase:
                 new_tasks.extend(created)
         return new_tasks
 
-    def build_engine(
+    def make_engine(
         self,
         controller: "Controller",
         seed=None,
@@ -128,9 +128,6 @@ class GraphWorkloadBase:
             recorder=recorder,
             metrics=metrics,
         )
-
-    #: the workload-protocol spelling (``repro.apps.base.AppWorkload``)
-    make_engine = build_engine
 
 
 class ReplayGraphWorkload(GraphWorkloadBase):

@@ -13,8 +13,7 @@ idioms we need:
   a child seed/generator that is a pure function of ``(base seed, key
   path)``, independent of how much randomness anything else consumed.
   The ordered engine keys one substream per step, and the parallel sweep
-  harness keys one per run config, so results never depend on scheduling
-  or retry history.
+  harness keys one per run config, so results never depend on scheduling.
 * :func:`random_prefix` — sample a uniform random ``m``-prefix of a
   permutation of ``n`` items, the core sampling primitive of the paper's
   scheduler model (§2).
@@ -31,7 +30,6 @@ __all__ = [
     "ensure_rng",
     "spawn",
     "derive_seed",
-    "derive_jitter",
     "substream",
     "random_prefix",
     "random_permutation",
@@ -107,17 +105,6 @@ def derive_seed(seed: "int | np.random.SeedSequence | None", *key: "int | str") 
         derive_seed(0, "fig2", 3)   # always the same child seed
     """
     return int(_seed_sequence_for(seed, key).generate_state(1, np.uint64)[0])
-
-
-def derive_jitter(seed: "int | np.random.SeedSequence | None", *key: "int | str") -> float:
-    """Deterministic uniform draw in ``[0, 1)`` keyed by ``(seed, *key)``.
-
-    The sweep harness uses this to jitter retry back-off delays: the
-    jitter for attempt ``k`` of a config is a pure function of the
-    config's seed and ``k``, so an interrupted-and-resumed sweep retries
-    on exactly the schedule the uninterrupted sweep would have used.
-    """
-    return float(substream(seed, *key).random())
 
 
 def substream(seed: "int | np.random.SeedSequence | None", *key: "int | str") -> np.random.Generator:

@@ -13,7 +13,7 @@ from repro.runtime.workloads import ReplayGraphWorkload
 def run_hybrid(rho=0.2, steps=80, seed=0):
     graph = gnm_random(800, 12, seed=seed)
     ctrl = HybridController(rho, small_params=None)
-    ReplayGraphWorkload(graph).build_engine(ctrl, seed=seed + 1).run(max_steps=steps)
+    ReplayGraphWorkload(graph).make_engine(ctrl, seed=seed + 1).run(max_steps=steps)
     return ctrl
 
 

@@ -8,11 +8,14 @@ from repro.errors import ExperimentError
 from repro.experiments.parallel import (
     RunConfig,
     SweepOutcome,
-    SweepPolicy,
     config_key,
     run_sweep,
 )
 from repro.utils.rng import derive_seed
+
+
+class BrokenExperiment(RuntimeError):
+    """Raised by a deliberately failing experiment (module level: picklable)."""
 
 
 class TestRunConfig:
@@ -85,6 +88,20 @@ class TestRunSweep:
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["key"] == first.key  # ...and rewritten intact
 
+    def test_corrupt_cache_entry_is_detected_and_recomputed(self, tmp_path):
+        from repro.obs import collecting_metrics
+
+        (first,) = run_sweep([self.CFG], cache_dir=tmp_path)
+        path = tmp_path / f"{first.key}.json"
+        path.write_text(path.read_text(encoding="utf-8")[:20], encoding="utf-8")
+        with collecting_metrics() as registry:
+            (second,) = run_sweep([self.CFG], cache_dir=tmp_path)
+        assert not second.cached  # recomputed, not raised
+        assert registry.counter("sweep.cache.corrupt").value == 1
+        (third,) = run_sweep([self.CFG], cache_dir=tmp_path)
+        assert third.cached  # the recompute healed the entry
+        assert third.result.canonical_json() == first.result.canonical_json()
+
     def test_truncated_cache_entry_is_recomputed(self, tmp_path):
         # torn write: valid JSON prefix cut mid-document
         (first,) = run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
@@ -107,7 +124,7 @@ class TestRunSweep:
         assert again.cached is False
         assert again.result.to_dict() == first.result.to_dict()
 
-    def test_strict_policy_propagates_original_exception(self):
+    def test_failure_propagates_original_exception(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             run_sweep([RunConfig("no-such-experiment", seed=1)], jobs=1)
 
@@ -120,16 +137,24 @@ class TestRunSweep:
         (again,) = run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
         assert again.cached is False
 
-    def test_on_result_fires_for_fresh_and_cached(self, tmp_path):
+    def test_complete_events_report_fresh_and_cached(self, tmp_path):
+        from repro.obs import SWEEP_TASK_COMPLETE
+
         seen: list[bool] = []
-        run_sweep(
-            [self.CFG], jobs=1, cache_dir=tmp_path,
-            on_result=lambda out: seen.append(out.cached),
-        )
-        run_sweep(
-            [self.CFG], jobs=1, cache_dir=tmp_path,
-            on_result=lambda out: seen.append(out.cached),
-        )
+
+        class Spy:
+            def on_event(self, kind, data):
+                if kind == SWEEP_TASK_COMPLETE:
+                    seen.append(data["cached"])
+
+            def note_attempt_seconds(self, seconds):
+                pass
+
+            def maybe_emit(self, force=False):
+                pass
+
+        run_sweep([self.CFG], jobs=1, cache_dir=tmp_path, monitor=Spy())
+        run_sweep([self.CFG], jobs=1, cache_dir=tmp_path, monitor=Spy())
         assert seen == [False, True]
 
     def test_parallel_matches_serial_and_preserves_order(self, tmp_path):
@@ -146,8 +171,8 @@ class TestRunSweep:
             assert a.result.to_dict() == b.result.to_dict()
 
     def test_jobs_above_one_dispatch_to_isolated_workers(self, monkeypatch):
-        # regression: jobs>1 without a timeout used to fall through to the
-        # strictly sequential inline path, silently losing all parallelism
+        # regression: jobs>1 once fell through to the strictly
+        # sequential inline path, silently losing all parallelism
         import repro.experiments.parallel as par
 
         def no_inline(sweep, pending):
@@ -159,18 +184,18 @@ class TestRunSweep:
             RunConfig("fig1", seed=4, quick=True),
         ]
         outcomes = run_sweep(configs, jobs=2)
-        assert [o.ok for o in outcomes] == [True, True]
+        assert [o.seed for o in outcomes] == [3, 4]
 
     def test_single_pending_config_runs_inline_despite_jobs(self, monkeypatch):
         # one pending config gains nothing from process spin-up
         import repro.experiments.parallel as par
 
-        def no_isolated(sweep, pending, jobs, faults):
+        def no_pool(sweep, pending, jobs):
             raise AssertionError("spawned workers for a single pending config")
 
-        monkeypatch.setattr(par, "_run_isolated", no_isolated)
+        monkeypatch.setattr(par, "_run_pool", no_pool)
         (out,) = run_sweep([self.CFG], jobs=4)
-        assert out.ok
+        assert out.result.name
 
     def test_cache_hits_skip_the_pool(self, tmp_path, monkeypatch):
         run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
@@ -184,6 +209,71 @@ class TestRunSweep:
         (out,) = run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
         assert out.cached is True
 
+    def test_pool_failure_reraises_and_the_cache_resumes(self, tmp_path, monkeypatch):
+        # a worker's exception reaches the caller with its own type and
+        # message, and the result that did arrive stays cached: rerunning
+        # the fixed sweep with the same cache_dir computes only the failure
+        import repro
+        import repro.experiments.parallel as par
+        from repro.experiments.runner import run_experiment
+        from repro.registry import EXPERIMENTS
+
+        broken = [True]
+
+        def flaky(seed, quick):
+            if broken[0]:
+                raise BrokenExperiment(f"flaky failed with seed {seed}")
+            return run_experiment("fig1", seed=seed, quick=quick)
+
+        repro.register("experiment", "flaky", flaky)
+        good = RunConfig("fig1", seed=3, quick=True)
+        bad = RunConfig("flaky", seed=5, quick=True)
+        try:
+            with pytest.raises(BrokenExperiment, match="^flaky failed with seed 5$"):
+                run_sweep([good, bad], jobs=2, cache_dir=tmp_path)
+
+            broken[0] = False
+            computed = []
+            execute = par._execute
+            monkeypatch.setattr(
+                par, "_execute", lambda payload: computed.append(payload[0]) or execute(payload)
+            )
+            first, second = run_sweep([good, bad], jobs=2, cache_dir=tmp_path)
+        finally:
+            EXPERIMENTS.unregister("flaky")
+        assert (first.cached, second.cached) == (True, False)
+        assert computed == ["flaky"]
+        fresh = run_experiment("fig1", seed=3, quick=True)
+        assert first.result.canonical_json() == fresh.canonical_json()
+
+    def test_pool_failures_with_queued_configs_return(self, monkeypatch):
+        # regression: shutting the pool down on the first failure hung the
+        # sweep once further runs failed while configs were still queued
+        import threading
+        import time
+
+        import repro.experiments.parallel as par
+
+        def execute(payload):
+            time.sleep(0.1)
+            raise BrokenExperiment(f"seed {payload[1]} failed")
+
+        monkeypatch.setattr(par, "_execute", execute)
+        configs = [RunConfig("fig1", seed=s, quick=True) for s in range(8)]
+        raised = []
+
+        def sweep():
+            try:
+                run_sweep(configs, jobs=2)
+            except BrokenExperiment as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=sweep, daemon=True)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive(), "run_sweep hung after worker failures"
+        assert len(raised) == 1
+
 
 class TestSweepObservability:
     """Span aggregation and the live monitor around run_sweep."""
@@ -193,7 +283,7 @@ class TestSweepObservability:
 
         with profiling() as prof:
             (out,) = run_sweep([RunConfig("fig3", seed=3, quick=True)], jobs=1)
-        assert out.ok
+        assert out.result.name
         stats = prof.stats()
         assert stats["sweep.attempt"].count == 1
         assert stats["sweep.attempt"].total_ns > 0
@@ -208,8 +298,7 @@ class TestSweepObservability:
             RunConfig("fig3", seed=4, quick=True),
         ]
         with profiling() as prof:
-            outcomes = run_sweep(configs, jobs=2)
-        assert all(o.ok for o in outcomes)
+            run_sweep(configs, jobs=2)
         stats = prof.stats()
         # worker-side engine time arrives re-rooted under sweep.worker/
         assert stats["sweep.worker/step"].count > 0
@@ -220,21 +309,19 @@ class TestSweepObservability:
         import repro.experiments.parallel as par
 
         shipped = []
-        original = par._WorkerTask.harvest
+        original = par._Sweep.finish
 
-        def spy(self):
-            status, payload, spans = original(self)
+        def spy(self, index, result, *, cached, seconds=None, spans=None):
             shipped.append(spans)
-            return status, payload, spans
+            original(self, index, result, cached=cached, seconds=seconds, spans=spans)
 
-        monkeypatch.setattr(par._WorkerTask, "harvest", spy)
+        monkeypatch.setattr(par._Sweep, "finish", spy)
         configs = [
             RunConfig("fig1", seed=3, quick=True),
             RunConfig("fig1", seed=4, quick=True),
         ]
-        outcomes = run_sweep(configs, jobs=2)
-        assert all(o.ok for o in outcomes)
-        assert shipped and all(s is None for s in shipped)
+        run_sweep(configs, jobs=2)
+        assert shipped == [None, None]
 
     def test_monitor_sees_lifecycle_and_final_emit(self):
         from repro.obs import SweepProgress
@@ -248,28 +335,7 @@ class TestSweepObservability:
             RunConfig("fig1", seed=3, quick=True),
             RunConfig("fig1", seed=4, quick=True),
         ]
-        outcomes = run_sweep(configs, jobs=1, monitor=monitor)
-        assert all(o.ok for o in outcomes)
+        run_sweep(configs, jobs=1, monitor=monitor)
         assert monitor.completed == 2
         assert monitor.ewma_attempt_seconds is not None
         assert lines and lines[-1].startswith("sweep: 2/2 done")
-
-    def test_monitor_counts_retries_and_quarantines(self):
-        from repro.obs import SweepProgress
-        from repro.testing import FaultPlan
-
-        lines = []
-        clock = iter(float(i) for i in range(1000))
-        monitor = SweepProgress(
-            1, interval=0.0, sink=lines.append, clock=lambda: next(clock)
-        )
-        (out,) = run_sweep(
-            [RunConfig("fig1", seed=3, quick=True)],
-            jobs=1,
-            policy=SweepPolicy(max_retries=0, quarantine=True, quarantine_after=1),
-            faults=FaultPlan.parse("raise:fig1:0"),
-            monitor=monitor,
-        )
-        assert not out.ok
-        assert monitor.failures == 1 and monitor.quarantined == 1
-        assert lines[-1].startswith("sweep: 0/1 done")

@@ -71,7 +71,7 @@ class TestProfileFromRun:
         from repro.runtime.workloads import ConsumingGraphWorkload
 
         wl = ConsumingGraphWorkload(gnm_random(60, 4, seed=0))
-        res = wl.build_engine(FixedController(8), seed=1).run()
+        res = wl.make_engine(FixedController(8), seed=1).run()
         prof = profile_from_run(res)
         assert len(prof) == len(res)
         assert prof.available.sum() == res.total_committed

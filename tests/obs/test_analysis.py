@@ -16,9 +16,7 @@ from repro.obs import (
 from repro.obs.events import (
     RUN_START,
     SWEEP_TASK_COMPLETE,
-    SWEEP_TASK_FAILED,
-    SWEEP_TASK_QUARANTINED,
-    SWEEP_TASK_RETRY,
+    SWEEP_TASK_START,
 )
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_hybrid_gnm200_d8.jsonl"
@@ -76,7 +74,7 @@ class TestProfileReport:
 
         wl = ReplayGraphWorkload(gnm_random(500, 8, seed=4))
         with profiling() as prof:
-            engine = wl.build_engine(FixedController(250), seed=3)
+            engine = wl.make_engine(FixedController(250), seed=3)
             for _ in range(30):
                 engine.step()
         report = profile_report(prof)
@@ -186,13 +184,10 @@ class TestSweepProgress:
     def test_counts_lifecycle_events(self):
         prog = self._progress()
         prog.on_event(SWEEP_TASK_COMPLETE, {})
-        prog.on_event(SWEEP_TASK_RETRY, {})
-        prog.on_event(SWEEP_TASK_FAILED, {})
-        prog.on_event(SWEEP_TASK_QUARANTINED, {})
-        prog.on_event("sweep_start", {})  # unknown-to-the-counter kinds ignored
-        assert prog.completed == 1 and prog.retried == 1
-        assert prog.failures == 1 and prog.quarantined == 1
-        assert prog.remaining == 2
+        prog.on_event(SWEEP_TASK_START, {})  # unknown-to-the-counter kinds ignored
+        prog.on_event("sweep_start", {})
+        assert prog.completed == 1
+        assert prog.remaining == 3
 
     def test_ewma_and_eta(self):
         prog = self._progress(total=5, jobs=2)
@@ -224,9 +219,7 @@ class TestSweepProgress:
         prog.on_event(SWEEP_TASK_COMPLETE, {})
         prog.note_attempt_seconds(2.0)
         line = prog.status_line()
-        assert "sweep: 1/3 done" in line
-        assert "0 retried" in line and "0 quarantined" in line
-        assert "attempt EWMA 2.00s" in line and "ETA" in line
+        assert line == "sweep: 1/3 done | attempt EWMA 2.00s | ETA 4s"
 
     def test_validation(self):
         with pytest.raises(ObservabilityError):

@@ -47,7 +47,7 @@ def golden_trace(workset=None) -> TraceRecorder:
         gnm_random(200, 8, seed=GRAPH_SEED), workset=workset
     )
     controller = HybridController(0.25, m_max=64)
-    engine = workload.build_engine(controller, seed=ENGINE_SEED, recorder=rec)
+    engine = workload.make_engine(controller, seed=ENGINE_SEED, recorder=rec)
     engine.run(max_steps=MAX_STEPS)
     return rec
 

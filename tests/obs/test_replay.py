@@ -37,7 +37,7 @@ def record_run(controller, n=60, d=6, graph_seed=3, engine_seed=11, max_steps=40
     """Run *controller* on a draining gnm workload under a fresh recorder."""
     rec = TraceRecorder()
     workload = ConsumingGraphWorkload(gnm_random(n, d, seed=graph_seed))
-    engine = workload.build_engine(controller, seed=engine_seed, recorder=rec)
+    engine = workload.make_engine(controller, seed=engine_seed, recorder=rec)
     engine.run(max_steps=max_steps)
     return rec.events
 
@@ -216,20 +216,26 @@ class TestTraceDiagnostics:
         assert diag.sweep is None
         assert "sweep" not in diag.render()
 
-    def test_sweep_only_trace_diagnosed(self):
-        from pathlib import Path
+    def test_sweep_only_trace_diagnosed(self, tmp_path):
+        from repro.experiments.parallel import RunConfig, run_sweep
+        from repro.obs import SWEEP_KINDS, load_jsonl, recording
 
-        from repro.obs import load_jsonl
-
-        fixture = Path(__file__).parent / "fixtures" / "golden_sweep_fault_drill.jsonl"
-        diag = diagnose_trace(load_jsonl(fixture))
-        assert diag.steps == 0  # no engine run recorded in-process
+        cache = tmp_path / "cache"
+        warm = [RunConfig("fig1", seed=11, quick=True), RunConfig("example1", seed=12, quick=True)]
+        run_sweep(warm, cache_dir=cache)
+        trace = tmp_path / "sweep.jsonl"
+        with recording(trace):
+            run_sweep(warm + [RunConfig("fig1", seed=13, quick=True)], cache_dir=cache)
+        # keep the sweep lifecycle only: inline runs may record engine events
+        events = [e for e in load_jsonl(trace) if e.kind in SWEEP_KINDS]
+        diag = diagnose_trace(events)
+        assert diag.steps == 0
         sweep = diag.sweep
         assert sweep is not None
-        assert sweep.sweeps == 1 and sweep.configs == 2
-        assert sweep.attempts == sweep.completed + sweep.failures
-        assert sweep.failures == sweep.retries + sweep.quarantined
-        assert "sweep:" in diag.render()
+        assert sweep.sweeps == 1 and sweep.configs == 3
+        assert sweep.attempts == 1  # the two warm configs are cache hits
+        assert sweep.completed == 3 and sweep.cached == 2
+        assert "sweep: 1 invocation(s), 3 configs, 1 attempts, 3 completed (2 cached)" in diag.render()
 
     def test_mixed_engine_and_sweep_trace(self):
         """An inline sweep interleaves engine events with sweep lifecycle."""

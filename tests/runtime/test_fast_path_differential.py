@@ -100,7 +100,7 @@ def _run(workload_key: str, controller_key: str, mode: str, workset=None):
     recorder = TraceRecorder()
     workload = WORKLOADS[workload_key](workset=workset)
     controller = CONTROLLERS[controller_key]()
-    engine = workload.build_engine(controller, seed=SEED, recorder=recorder)
+    engine = workload.make_engine(controller, seed=SEED, recorder=recorder)
     with RESOLVE[mode]():
         engine.run(max_steps=MAX_STEPS)
     return recorder.to_jsonl(), [s.as_dict() for s in engine.result.steps]

@@ -126,7 +126,7 @@ class TestOneShardByteIdentity:
 
     def test_agrees_with_golden_fixture_modulo_engine_name(self):
         # the order path stamps engine="Engine" in run_start where the
-        # golden fixture's build_engine path stamped "OptimisticEngine";
+        # golden fixture's make_engine path stamped "OptimisticEngine";
         # every other byte must match the checked-in fixture
         if ENGINE_SEED != 8:
             pytest.skip("golden fixture is pinned to the seed-0 corpus")

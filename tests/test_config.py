@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.config import RunConfig, SweepConfig
+from repro.config import RunConfig
 from repro.errors import ConfigError
 
 
@@ -164,76 +164,8 @@ class TestRunConfigSerialisation:
         with pytest.raises(ConfigError, match=f"{field}='{value}' was removed"):
             RunConfig.from_dict(payload)
 
-    def test_sweep_journal_run_lists_survive_the_removal(self):
-        old = json.loads(self.PR13_JSON)
-        sweep = SweepConfig.from_dict({"runs": [old, "fig1"], "base_seed": 4})
-        assert sweep.runs[0] == RunConfig.from_json(self.PR13_JSON)
-        old["engine"] = "reference"
-        with pytest.raises(ConfigError, match="was removed"):
-            SweepConfig.from_dict({"runs": [old]})
-
     def test_bad_payload_types_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(["fig1"])
         with pytest.raises(ConfigError, match="does not parse"):
             RunConfig.from_json("{not json")
-
-
-class TestSweepConfigValidation:
-    def test_needs_at_least_one_run(self):
-        with pytest.raises(ConfigError, match="at least one run"):
-            SweepConfig(runs=())
-
-    def test_runs_coerced_from_names_and_dicts(self):
-        cfg = SweepConfig(runs=("fig1", {"experiment": "fig2", "quick": True}))
-        assert cfg.runs == (RunConfig("fig1"), RunConfig("fig2", quick=True))
-
-    @pytest.mark.parametrize("field,value", [
-        ("jobs", 0),
-        ("retries", -1),
-        ("timeout", 0),
-        ("timeout", -3.0),
-        ("quarantine_after", 0),
-        ("backoff_base", -0.1),
-        ("base_seed", None),
-        ("schema", 99),
-    ])
-    def test_bad_field_values_rejected(self, field, value):
-        with pytest.raises(ConfigError):
-            SweepConfig(runs=("fig1",), **{field: value})
-
-    def test_policy_adapter_maps_every_knob(self):
-        cfg = SweepConfig(
-            runs=("fig1",), timeout=30.0, retries=2, quarantine=True,
-            quarantine_after=5, backoff_base=0.2, backoff_cap=9.0,
-            backoff_jitter=0.0, isolate=True,
-        )
-        policy = cfg.policy()
-        assert policy.timeout == 30.0
-        assert policy.max_retries == 2
-        assert policy.quarantine is True
-        assert policy.quarantine_after == 5
-        assert policy.backoff_base == 0.2
-        assert policy.backoff_cap == 9.0
-        assert policy.backoff_jitter == 0.0
-        assert policy.isolate is True
-
-
-class TestSweepConfigSerialisation:
-    def test_round_trip_is_exact(self):
-        cfg = SweepConfig(
-            runs=(RunConfig("fig1", seed=1), RunConfig("fig2", quick=True)),
-            base_seed=7, jobs=3, cache_dir="/tmp/cache", timeout=12.5,
-            retries=1, quarantine=True, quarantine_after=4, resume=True,
-        )
-        assert SweepConfig.from_dict(cfg.to_dict()) == cfg
-        assert SweepConfig.from_json(cfg.to_json()) == cfg
-
-    def test_nested_runs_serialise_as_dicts(self):
-        payload = SweepConfig(runs=("fig1",)).to_dict()
-        assert payload["runs"] == [RunConfig("fig1").to_dict()]
-        assert json.dumps(payload)  # whole payload is JSON-able
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown SweepConfig field"):
-            SweepConfig.from_dict({"runs": ["fig1"], "warp_factor": 9})

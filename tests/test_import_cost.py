@@ -4,7 +4,7 @@
 repro`` (and ~130 MiB of RSS); the two call sites that need scipy
 (``model.noise``'s normal quantiles, the max-flow oracle) import it where
 they use it.  ``multiprocessing`` belongs to the sweep harness
-(``repro.runtime.supervise``) alone: no engine run, sharded or not,
+(``repro.experiments.parallel``) alone: no engine run, sharded or not,
 starts a process.  Each case runs in a fresh interpreter, because this
 test process has long since imported both through other tests.
 """

@@ -32,7 +32,7 @@ def _count_calls(monkeypatch, module, name) -> list:
 def _replay_steps():
     """A static graph at batches past the gather cut-over."""
     workload = ReplayGraphWorkload(gnm_random(400, 6, seed=1))
-    engine = workload.build_engine(FixedController(200), seed=3)
+    engine = workload.make_engine(FixedController(200), seed=3)
     engine.run(max_steps=6)
     return [s.as_dict() for s in engine.result.steps]
 

@@ -60,15 +60,13 @@ LAYERS: dict[str, int] = {
     # the edge-cut partitioner is graph vocabulary (its kernel use is
     # call-time only), so it shares the graph layer
     "repro.graph.partition": 2,
-    # runtime primitives every runtime module builds on; supervised
-    # child processes are such a primitive (the sweep harness uses them)
+    # runtime primitives every runtime module builds on
     "repro.runtime.task": 4,
     "repro.runtime.stats": 4,
     "repro.runtime.workset": 4,
     "repro.runtime.active_set": 4,
     "repro.runtime.costs": 4,
     "repro.runtime.conflict": 4,
-    "repro.runtime.supervise": 4,
     # the step pipeline, then the order policies plugged into it
     "repro.runtime.core": 5,
     "repro.runtime.policies": 6,
