@@ -43,8 +43,8 @@ def main() -> None:
                 label,
                 len(result),
                 round(len(reference) / len(result), 2),
-                engine.conflict_aborts_total,
-                engine.order_aborts_total,
+                engine.order.conflict_aborts_total,
+                engine.order.order_aborts_total,
             )
         )
     print(

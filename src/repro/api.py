@@ -40,8 +40,7 @@ from repro.registry import (
     workset_for,
 )
 from repro.runtime.core import Engine
-from repro.runtime.engine import OptimisticEngine
-from repro.runtime.ordered import OrderedEngine, PriorityWorkset
+from repro.runtime.policies import PriorityWorkset
 from repro.runtime.stats import RunResult
 from repro.runtime.task import Operator, Task
 
@@ -95,10 +94,9 @@ def run(
       — the applications (``workload="boruvka"`` …, which synthesise a
       seeded input) and trace replays (``workload="trace:<path>"``) —
       also run with no ``graph=`` at all;
-    * ``initial=`` + ``operator=`` given — run a task loop
-      (:class:`~repro.runtime.engine.OptimisticEngine`, or
-      :class:`~repro.runtime.ordered.OrderedEngine` when
-      ``priority_of=`` is supplied) and return its ``RunResult``.
+    * ``initial=`` + ``operator=`` given — run a task loop (in priority
+      order when ``priority_of=`` is supplied) and return its
+      ``RunResult``.
 
     ``record_workload=`` (graph/workload runs only) wraps the workload
     in a :class:`~repro.runtime.wktrace.WorkloadCapture` and saves the
@@ -107,12 +105,13 @@ def run(
 
     ``config.order`` selects the commit-order policy
     (``"unordered"``, ``"ordered"``, ``"relaxed:k"``, ``"async[:w]"`` or
-    a registered third-party name): the run then executes on the
+    a registered third-party name): every run executes on the
     step-pipeline core :class:`~repro.runtime.core.Engine` with that
     policy, over the work-set family the policy requires (graph runs
     rank tasks by node id; ordered/relaxed task loops need
-    ``priority_of=``).  ``order=None`` keeps the historical engine
-    classes.
+    ``priority_of=``).  ``order=None`` commits unordered, except task
+    loops with ``priority_of=`` and workloads that require in-order
+    commits, which commit in strict priority order.
 
     All names (``workload``, ``controller``, ``conflict``, ``order``,
     ``experiment``) resolve through :mod:`repro.registry`, so anything a
@@ -210,11 +209,12 @@ def run(
         if operator is None:
             raise ConfigError("initial= also needs operator=")
         order_spec = config.order
+        order_name, order_kwargs = None, {}
         if order_spec is not None:
             order_name, order_kwargs = parse_order_spec(order_spec)
-            family = order_family(order_name)
+        by_priority = order_name is not None and order_family(order_name) == "priority"
         if priority_of is not None:
-            if order_spec is not None and family != "priority":
+            if order_spec is not None and not by_priority:
                 raise ConfigError(
                     f"order={order_spec!r} ignores priorities; "
                     "drop priority_of= or use an ordered/relaxed order"
@@ -226,52 +226,35 @@ def run(
             for prio, item in pairs:
                 task = item if isinstance(item, Task) else Task(payload=item)
                 workset.add(task, float(prio))
-            common = dict(
-                workset=workset,
-                operator=operator,
-                controller=_controller_for(config, controller),
-                seed=seed,
-                recorder=recorder,
-                metrics=metrics,
-            )
-            if order_spec is not None:
-                # conflict_policy stays None: task loops keep the
-                # historical greedy item-lock over operator
-                # neighbourhoods, which is what makes relaxed:1 traces
-                # byte-identical to the OrderedEngine's
-                order = ORDER_POLICIES.create(
-                    order_name, priority_of=priority_of, **order_kwargs
+            # no conflict_policy: task loops keep the greedy item-lock
+            # over operator neighbourhoods, which is what makes
+            # relaxed:1 traces byte-identical to "ordered" ones
+            order_name = order_name or "ordered"
+            order_kwargs["priority_of"] = priority_of
+        else:
+            tasks = _wrap_tasks(initial)
+            if not tasks:
+                raise ReproError("for_each needs at least one initial task")
+            if by_priority:
+                raise ConfigError(
+                    f"order={order_spec!r} ranks tasks by priority; pass "
+                    "priority_of= and (priority, payload) initial pairs"
                 )
-                engine = Engine(order=order, **common)
-            else:
-                engine = OrderedEngine(priority_of=priority_of, **common)
-            return engine.run(max_steps=config.max_steps)
-        tasks = _wrap_tasks(initial)
-        if not tasks:
-            raise ReproError("for_each needs at least one initial task")
-        if order_spec is not None and family == "priority":
-            raise ConfigError(
-                f"order={order_spec!r} ranks tasks by priority; pass "
-                "priority_of= and (priority, payload) initial pairs"
+            workset = workset_for(config)
+            workset.add_all(tasks)
+            order_name = order_name or "unordered"
+            order_kwargs["conflict_policy"] = CONFLICT_POLICIES.create(
+                config.conflict, config
             )
-        workset = workset_for(config)
-        workset.add_all(tasks)
-        conflict = CONFLICT_POLICIES.create(config.conflict, config)
-        common = dict(
-            workset=workset,
-            operator=operator,
-            controller=_controller_for(config, controller),
+        engine = Engine(
+            workset,
+            operator,
+            _controller_for(config, controller),
+            ORDER_POLICIES.create(order_name, **order_kwargs),
             seed=seed,
             recorder=recorder,
             metrics=metrics,
         )
-        if order_spec is not None:
-            order = ORDER_POLICIES.create(
-                order_name, conflict_policy=conflict, **order_kwargs
-            )
-            engine = Engine(order=order, **common)
-        else:
-            engine = OptimisticEngine(policy=conflict, **common)
         return engine.run(max_steps=config.max_steps)
 
     raise ConfigError(
@@ -327,8 +310,8 @@ def for_each_ordered(
     """Run an ordered loop: *initial* is ``(priority, payload)`` pairs.
 
     Commits respect priorities globally (see
-    :class:`~repro.runtime.ordered.OrderedEngine`); *priority_of* must
-    return the priority of any task the operator creates.
+    :class:`~repro.runtime.policies.OrderedCommitOrder`); *priority_of*
+    must return the priority of any task the operator creates.
     """
     config = RunConfig(rho=rho, m_max=m_max, max_steps=max_steps, workload="consuming")
     return run(

@@ -15,8 +15,8 @@ stack speaks (``workset`` / ``operator`` / ``policy`` plus
 
 Engine classes are imported at call time only: the apps layer sits below
 the point where engines are wired together, and
-``tools/check_layers.py`` forbids module-level ``runtime.engine`` /
-``runtime.ordered`` imports from ``repro.apps``.
+``tools/check_layers.py`` forbids module-level ``runtime.engine``
+imports from ``repro.apps``.
 """
 
 from __future__ import annotations
@@ -88,11 +88,11 @@ class AppWorkload:
         recorder=None,
         metrics=None,
     ):
-        """Wire this app and *controller* into its historical engine.
+        """Wire this app and *controller* into an engine.
 
         This is the path ``repro.api.run`` uses when no explicit
-        ``order=`` is configured; explicit orders go through the core
-        :class:`~repro.runtime.core.Engine` instead.
+        ``order=`` is configured: strict priority order for
+        ``requires_order`` apps, unordered otherwise.
         """
         from repro.runtime.engine import make_engine
 

@@ -151,8 +151,8 @@ def check_order_combination(
     detects conflicts with item locks, so a multi-shard ``sharded``
     order — which partitions an explicit CC graph — has nothing to cut
     (*shards* is ``RunConfig.shards``, for specs without a ``:k``).
-    ``order=None`` is always fine — the workload then builds its own
-    historical engine (ordered for DES) via ``make_engine``.
+    ``order=None`` is always fine — the workload then picks its own
+    commit order (ordered for DES) via ``make_engine``.
     """
     if name not in APP_WORKLOADS or order is None:
         return

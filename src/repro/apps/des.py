@@ -136,7 +136,7 @@ class DiscreteEventSimulation(AppWorkload, Operator):
         return self._make_event(ev.time, target, ev.job, ev.hop + 1)
 
     # ------------------------------------------------------------------
-    # Operator interface (for OrderedEngine)
+    # Operator interface (for the ordered commit order)
     # ------------------------------------------------------------------
     def neighborhood(self, task: Task):
         ev: Event = task.payload

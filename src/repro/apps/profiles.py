@@ -34,7 +34,7 @@ from repro.runtime.task import Operator, Task
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # layering: apps sit below the engine wiring
-    from repro.runtime.engine import OptimisticEngine
+    from repro.runtime.core import Engine
 
 __all__ = [
     "Phase",
@@ -209,7 +209,7 @@ class ScheduledReplayWorkload:
         """Length of the full schedule in engine steps."""
         return sum(p.duration for p in self.phases)
 
-    def _advance(self, engine: "OptimisticEngine", stats) -> None:
+    def _advance(self, engine: "Engine", stats) -> None:
         self._steps_left -= 1
         if self._steps_left > 0 or self._phase_idx + 1 >= len(self.phases):
             return
@@ -221,7 +221,7 @@ class ScheduledReplayWorkload:
         engine.workset = self.workset
         self.transitions.append(stats.step + 1)
 
-    def make_engine(self, controller, seed=None) -> "OptimisticEngine":
+    def make_engine(self, controller, seed=None) -> "Engine":
         """Engine whose work-set and conflicts follow the schedule."""
         from repro.runtime.engine import make_engine
 

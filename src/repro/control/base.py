@@ -96,11 +96,22 @@ class Controller(abc.ABC):
         """Replay-sufficient configuration of this controller.
 
         Subclasses extend the dict with their constructor parameters; the
-        contract is that ``controller_from_config(describe())`` builds a
-        controller whose decision trajectory is identical on the same
-        observation stream.
+        contract is that :meth:`from_description` — reached through
+        ``controller_from_config(describe())`` — builds a controller whose
+        decision trajectory is identical on the same observation stream.
         """
         return {"type": type(self).__name__}
+
+    @classmethod
+    def from_description(cls, fields: dict) -> "Controller":
+        """Inverse of :meth:`describe`: a fresh controller from its fields.
+
+        *fields* is the :meth:`describe` dict without its ``type`` key.
+        The default passes them to the constructor as keywords;
+        subclasses whose description differs from their constructor
+        override this.
+        """
+        return cls(**fields)
 
     def _emit(self, kind: str, **data) -> None:
         """Send one event to the bound sink (no-op when unbound).

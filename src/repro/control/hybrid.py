@@ -197,6 +197,17 @@ class HybridController(Controller):
             "small_m_threshold": self.small_m_threshold,
         }
 
+    @classmethod
+    def from_description(cls, fields: dict) -> "HybridController":
+        small = fields.get("small_params")
+        return cls(
+            **{
+                **fields,
+                "params": HybridParams(**fields["params"]),
+                "small_params": None if small is None else HybridParams(**small),
+            }
+        )
+
     @property
     def current_m(self) -> int:
         """The allocation the next :meth:`propose` will return."""

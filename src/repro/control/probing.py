@@ -129,6 +129,14 @@ class ProbingHybridController(Controller):
             "params": self.params.as_dict(),
         }
 
+    @classmethod
+    def from_description(cls, fields: dict) -> "ProbingHybridController":
+        fields = dict(fields)
+        # only the product probe_windows x probe_window_steps matters
+        fields["probe_windows"] = fields.pop("probe_steps")
+        fields["params"] = HybridParams(**fields["params"])
+        return cls(**fields, probe_window_steps=1)
+
     @property
     def probing(self) -> bool:
         """True while still in the m = 2 estimation phase."""

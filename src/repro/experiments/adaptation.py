@@ -7,8 +7,8 @@ replay synthetic profiles with exactly controlled available parallelism
 re-tracks after every transition.
 
 Metrics per transition: *lag* — steps until the allocation re-enters the
-``±30%`` band around the new phase's oracle ``μ``; plus overall mean
-conflict-ratio error and total committed work.
+band ``μ·(1 ± TRACKING_BAND)`` around the new phase's oracle ``μ``; plus
+overall mean conflict-ratio error and total committed work.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ from repro.experiments.fig3 import default_hybrid
 from repro.utils.rng import ensure_rng, spawn
 
 __all__ = ["transition_lags", "run"]
+
+#: relative half-width of the band around each phase's oracle ``μ`` that
+#: counts as tracking it
+TRACKING_BAND = 0.4
 
 
 def transition_lags(
@@ -104,7 +108,7 @@ def run(
             wl = ScheduledReplayWorkload(phases)
             engine = wl.make_engine(factory(), seed=run_rng)
             res = engine.run(max_steps=wl.total_steps())
-            lags = transition_lags(phases, res.m_trace, mus, band=0.4)
+            lags = transition_lags(phases, res.m_trace, mus, band=TRACKING_BAND)
             rows.append(
                 (
                     name,
@@ -128,7 +132,7 @@ def run(
             rows,
         )
     result.add_note(
-        "Lag = steps until m_t re-enters ±30% of the new phase optimum; "
-        "phase duration = never tracked."
+        f"Lag = steps until m_t re-enters ±{TRACKING_BAND:.0%} of the new "
+        "phase optimum; phase duration = never tracked."
     )
     return result

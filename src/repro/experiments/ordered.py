@@ -72,8 +72,8 @@ def run(
                 m,
                 len(res),
                 round(speedup, 3),
-                engine.conflict_aborts_total,
-                engine.order_aborts_total,
+                engine.order.conflict_aborts_total,
+                engine.order.order_aborts_total,
                 round(res.mean_conflict_ratio, 4),
             )
         )
@@ -101,8 +101,8 @@ def run(
             ("speedup", round(len(reference) / len(res), 3)),
             ("mean m", round(float(res.m_trace.mean()), 2)),
             ("mean r", round(res.mean_conflict_ratio, 4)),
-            ("conflict aborts", engine.conflict_aborts_total),
-            ("order aborts", engine.order_aborts_total),
+            ("conflict aborts", engine.order.conflict_aborts_total),
+            ("order aborts", engine.order.order_aborts_total),
         ],
     )
     result.scalars["hybrid_speedup"] = len(reference) / len(res)

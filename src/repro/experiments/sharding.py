@@ -48,7 +48,6 @@ from repro.obs import (
     TraceRecorder,
     active_recorder,
     controller_from_config,
-    register_controller_builder,
     split_runs,
     verify_trace,
 )
@@ -96,6 +95,13 @@ class PerShardController(Controller):
         base["sub"] = self.subs[0].describe()
         return base
 
+    @classmethod
+    def from_description(cls, fields: dict) -> "PerShardController":
+        # replay has no live order policy: bind_replay_segment supplies
+        # the shard statistics instead
+        subs = [controller_from_config(fields["sub"]) for _ in range(fields["shards"])]
+        return cls(subs, None)
+
     def bind_replay_segment(self, events) -> None:
         """Re-source shard statistics from a recorded run segment."""
         self._replay_stats = deque(
@@ -129,14 +135,6 @@ class PerShardController(Controller):
             sub.reset()
         if self._replay_stats is not None:
             self._replay_stats = deque()
-
-
-def _build_per_shard(cfg: dict) -> PerShardController:
-    subs = [controller_from_config(cfg["sub"]) for _ in range(cfg["shards"])]
-    return PerShardController(subs, None)
-
-
-register_controller_builder("PerShardController", _build_per_shard)
 
 
 def _halo_aborts(events) -> int:

@@ -98,7 +98,6 @@ from repro.obs.replay import (
     controller_from_config,
     controller_from_trace,
     recorded_seed,
-    register_controller_builder,
     replay_decisions,
     split_runs,
     trajectory,
@@ -144,7 +143,6 @@ __all__ = [
     "recorded_seed",
     "controller_from_config",
     "controller_from_trace",
-    "register_controller_builder",
     "ReplayReport",
     "replay_decisions",
     "verify_trace",

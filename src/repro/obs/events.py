@@ -11,8 +11,10 @@ no whitespace).
 Event kinds emitted by the runtime:
 
 ``run_start``
-    Engine construction: engine class, seed (when replayable), conflict
-    policy, and the controller's full configuration
+    Engine construction: commit-order ``policy`` label (the conflict
+    policy's class name for the unordered order), seed (when
+    replayable), initial work-set size, and the controller's full
+    configuration
     (:meth:`~repro.control.base.Controller.describe`) — everything a
     replayer needs to reconstruct the decision trajectory.
 ``select``
@@ -27,9 +29,9 @@ Event kinds emitted by the runtime:
 ``order_decision``
     A relaxed/async commit-order policy drew its batch through a bounded
     window: the window size and the per-round in-window ranks chosen.
-    Strict policies (and depth-1 relaxation) emit nothing, keeping their
-    traces byte-identical to the historical engines; the replayer treats
-    the kind as informational.  The sharded policy reuses it for the
+    Strict policies (and depth-1 relaxation) emit nothing, so depth-1
+    traces stay byte-identical to strict ones; the replayer treats the
+    kind as informational.  The sharded policy reuses it for the
     per-shard launch/commit counts of one partitioned round.
 ``halo_exchange``
     A multi-shard round's phase-2 boundary resolution: locally committed

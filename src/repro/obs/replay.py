@@ -33,7 +33,6 @@ __all__ = [
     "recorded_seed",
     "controller_from_config",
     "controller_from_trace",
-    "register_controller_builder",
     "ReplayReport",
     "replay_decisions",
     "verify_trace",
@@ -81,105 +80,45 @@ def recorded_seed(events: "list[TraceEvent]") -> "int | None":
 # ----------------------------------------------------------------------
 # controller reconstruction
 # ----------------------------------------------------------------------
-def _hybrid_params(cfg: "dict | None"):
-    from repro.control.hybrid import HybridParams
+def _controller_class(name: str) -> "type[Controller] | None":
+    """The loaded :class:`Controller` subclass called *name*.
 
-    return None if cfg is None else HybridParams(**cfg)
-
-
-def _build_hybrid(cfg: dict) -> Controller:
-    from repro.control.hybrid import HybridController
-
-    return HybridController(
-        cfg["rho"],
-        m0=cfg["m0"],
-        m_min=cfg["m_min"],
-        m_max=cfg["m_max"],
-        params=_hybrid_params(cfg.get("params")),
-        small_params=_hybrid_params(cfg.get("small_params")),
-        small_m_threshold=cfg.get("small_m_threshold", 20),
-    )
-
-
-def _build_probing(cfg: dict) -> Controller:
-    from repro.control.probing import ProbingHybridController
-
-    return ProbingHybridController(
-        cfg["rho"],
-        cfg["n"],
-        # only the product probe_windows x probe_window_steps matters
-        probe_windows=cfg["probe_steps"],
-        probe_window_steps=1,
-        d_min=cfg["d_min"],
-        m_min=cfg["m_min"],
-        m_max=cfg["m_max"],
-        params=_hybrid_params(cfg.get("params")),
-    )
-
-
-def _build_fixed(cfg: dict) -> Controller:
-    from repro.control.fixed import FixedController
-
-    return FixedController(cfg["m"])
-
-
-def _build_oracle(cfg: dict) -> Controller:
-    from repro.control.oracle import OracleController
-
-    return OracleController(cfg["mu"], m_min=cfg["m_min"], m_max=cfg["m_max"])
-
-
-def _kwargs_builder(import_path: str):
-    def build(cfg: dict) -> Controller:
-        module_name, _, class_name = import_path.rpartition(".")
-        module = __import__(module_name, fromlist=[class_name])
-        return getattr(module, class_name)(**cfg)
-
-    return build
-
-
-_BUILDERS = {
-    "HybridController": _build_hybrid,
-    "ProbingHybridController": _build_probing,
-    "FixedController": _build_fixed,
-    "OracleController": _build_oracle,
-    "RecurrenceAController": _kwargs_builder("repro.control.recurrence.RecurrenceAController"),
-    "RecurrenceBController": _kwargs_builder("repro.control.recurrence.RecurrenceBController"),
-    "AIMDController": _kwargs_builder("repro.control.aimd.AIMDController"),
-    "PIController": _kwargs_builder("repro.control.pid.PIController"),
-    "AStealController": _kwargs_builder("repro.control.asteal.AStealController"),
-    "BisectionController": _kwargs_builder("repro.control.bisection.BisectionController"),
-    "NoiseAdaptiveHybridController": _kwargs_builder(
-        "repro.control.adaptive.NoiseAdaptiveHybridController"
-    ),
-}
-
-
-def register_controller_builder(name: str, builder) -> None:
-    """Register a replay builder for a controller type defined upstack.
-
-    The built-in table covers :mod:`repro.control`; controllers that live
-    in higher layers (experiments, applications) register themselves here
-    at import time so their recorded runs stay replay-verifiable.
-    *builder* receives the ``run_start`` controller config (minus the
-    ``type`` key) and returns a fresh controller.  Re-registering a name
-    replaces the previous builder.
+    Of two subclasses of one parent sharing a name, the later defined
+    wins, as a re-definition would.
     """
-    _BUILDERS[str(name)] = builder
+    found = None
+    pending = [Controller]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            if sub.__name__ == name:
+                found = sub
+            pending.append(sub)
+    return found
 
 
 def controller_from_config(config: dict) -> Controller:
-    """Rebuild a controller from a :meth:`Controller.describe` dict."""
+    """Rebuild a controller from a :meth:`Controller.describe` dict.
+
+    ``type`` names a loaded :class:`Controller` subclass, whose
+    :meth:`~Controller.from_description` rebuilds it from the remaining
+    fields.  Controllers defined outside :mod:`repro.control` must be
+    imported before their traces replay.
+    """
+    import repro.control  # noqa: F401 - defines the built-in controllers
+
     if "type" not in config:
         raise ObservabilityError("controller config has no 'type' field")
-    cfg = dict(config)
-    kind = cfg.pop("type")
-    builder = _BUILDERS.get(kind)
-    if builder is None:
+    fields = dict(config)
+    kind = fields.pop("type")
+    cls = _controller_class(kind)
+    if cls is None:
+        raise ObservabilityError(f"no Controller subclass named {kind!r} is loaded")
+    try:
+        return cls.from_description(fields)
+    except (TypeError, KeyError) as exc:
         raise ObservabilityError(
-            f"no replay builder registered for controller type {kind!r}"
-        )
-    return builder(cfg)
+            f"controller type {kind!r} cannot be rebuilt from its description: {exc}"
+        ) from exc
 
 
 def controller_from_trace(events: "list[TraceEvent]") -> Controller:
@@ -267,7 +206,7 @@ def verify_trace(events: "list[TraceEvent]") -> list[ReplayReport]:
     """Replay every run segment of a trace; raise on any divergence.
 
     Returns one :class:`ReplayReport` per segment.  Segments whose
-    controller type has no registered builder raise
+    controller cannot be rebuilt from its description raise
     :class:`~repro.errors.ObservabilityError`; a reproduced-but-different
     trajectory raises :class:`~repro.errors.ReplayMismatchError` naming
     the first diverging step.

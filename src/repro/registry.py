@@ -430,8 +430,8 @@ def _populate_workloads(reg: Registry) -> None:
         def _make(graph, config, scale=None):
             from repro.apps.catalog import ORDERED_APPS, make_app_workload
 
-            # ordered-only apps run on the historical OrderedEngine when
-            # no explicit order= is configured — their own priority
+            # ordered-only apps commit in strict priority order when no
+            # explicit order= is configured — over their own priority
             # work-set, not the unordered bag
             if app_name in ORDERED_APPS and getattr(config, "order", None) is None:
                 workset = None
@@ -461,9 +461,9 @@ def _populate_workloads(reg: Registry) -> None:
         from repro.runtime.wktrace import TraceReplayWorkload, WorkloadTrace
 
         trace = WorkloadTrace.load(path)
-        # an ordered recording replayed without an explicit order= runs
-        # on the OrderedEngine, which needs the replay's own priority
-        # work-set rather than the unordered bag
+        # an ordered recording replayed without an explicit order=
+        # commits in strict priority order, which needs the replay's own
+        # priority work-set rather than the unordered bag
         if trace.requires_order and getattr(config, "order", None) is None:
             workset = None
         else:

@@ -14,12 +14,13 @@ from repro.runtime.costs import (
     UnitCostModel,
 )
 from repro.runtime.core import Engine, OrderPolicy
-from repro.runtime.engine import OptimisticEngine, make_engine
-from repro.runtime.ordered import OrderedBatchOutcome, OrderedEngine, PriorityWorkset
+from repro.runtime.engine import make_engine
 from repro.runtime.policies import (
     ASYNC_DEFAULT_WINDOW,
     AsyncCommitOrder,
+    OrderedBatchOutcome,
     OrderedCommitOrder,
+    PriorityWorkset,
     RelaxedCommitOrder,
     ShardedCommitOrder,
     UnorderedCommitOrder,
@@ -58,11 +59,9 @@ __all__ = [
     "ItemLockPolicy",
     "Engine",
     "OrderPolicy",
-    "OptimisticEngine",
     "make_engine",
     "OrderedBatchOutcome",
     "OrderedCommitOrder",
-    "OrderedEngine",
     "PriorityWorkset",
     "RelaxedCommitOrder",
     "AsyncCommitOrder",

@@ -48,7 +48,7 @@ __all__ = ["Engine", "OrderPolicy"]
 
 
 class OrderPolicy(ABC):
-    """Commit-order plugin: everything engine variants disagree about.
+    """Commit-order plugin: everything one run varies in the loop.
 
     A policy is bound to exactly one :class:`Engine` (:meth:`bind`) and
     from then on reaches the work-set, operator, RNG and profiler
@@ -107,8 +107,8 @@ class OrderPolicy(ABC):
 
     def commit_span_name(self) -> str:
         """Name of the core-opened span wrapping :meth:`apply` and the
-        step bookkeeping (``"commit"`` historically for the unordered
-        engine, ``"record"`` for the ordered one)."""
+        step bookkeeping (``"commit"`` for the unordered order,
+        ``"record"`` for the ordered one)."""
         return "commit"
 
     @abstractmethod
@@ -225,7 +225,6 @@ class Engine:
             self.recorder.emit(
                 "run_start",
                 step=self._step,
-                engine=type(self).__name__,
                 policy=order.label(),
                 seed=describe_seed(seed),
                 workset_size=len(workset),

@@ -1,4 +1,4 @@
-"""Commit-order policies: the two engine variants as core plugins.
+"""Commit-order policies: what one run varies in the core engine.
 
 :class:`UnorderedCommitOrder` is the paper's §2 model — the batch is a
 uniform draw from the work-set and the draw order *is* the commit order
@@ -26,10 +26,9 @@ et al.'s relaxed schedulers; Atos-style async GPU scheduling):
 
 Both policies plug into :class:`repro.runtime.core.Engine`; conflicts
 always resolve through ``ConflictPolicy.resolve_fast``, which falls back
-to the ``resolve`` walk on its own.  The historical
-:class:`~repro.runtime.ordered.PriorityWorkset` and
-:class:`~repro.runtime.ordered.OrderedBatchOutcome` types live here now
-(``repro.runtime.ordered`` re-exports them).
+to the ``resolve`` walk on its own.  The ordered policies' work-set and
+outcome types, :class:`PriorityWorkset` and :class:`OrderedBatchOutcome`,
+live here too.
 """
 
 from __future__ import annotations
@@ -210,8 +209,7 @@ class UnorderedCommitOrder(OrderPolicy):
     """Random commit order over a uniform-draw work-set (§2 model).
 
     Wraps a :class:`~repro.runtime.conflict.ConflictPolicy`; the trace's
-    ``policy`` field keeps naming the conflict policy class, exactly as
-    the pre-core :class:`~repro.runtime.engine.OptimisticEngine` did.
+    ``policy`` field names the conflict policy class.
     """
 
     def __init__(self, conflict_policy: "ConflictPolicy") -> None:
@@ -390,13 +388,7 @@ class OrderedCommitOrder(OrderPolicy):
         return self.engine.workset.take_earliest(requested)
 
     def execute(self, batch: "list[tuple[float, Task]]"):
-        # route through the engine attribute so tests (and subclasses)
-        # can swap the resolution step wholesale; policies driven by the
-        # bare core Engine (no _resolve seam) resolve directly
-        resolve = getattr(self.engine, "_resolve", None)
-        if resolve is None:
-            return self.resolve(batch)  # opens resolve/commit spans
-        return resolve(batch)
+        return self.resolve(batch)  # opens resolve/commit spans
 
     def commit_span_name(self) -> str:
         return "record"
@@ -414,7 +406,7 @@ class OrderedCommitOrder(OrderPolicy):
         self.conflict_aborts_total += len(outcome.conflict_aborted)
         self.order_aborts_total += len(outcome.order_aborted)
 
-    # -- resolution (the engine delegates its ``_resolve`` here) --------
+    # -- resolution ---------------------------------------------------
     def _conflict_phase(
         self, batch: "list[tuple[float, Task]]"
     ) -> "tuple[list[tuple[float, Task]], list[tuple[float, Task]]]":
@@ -676,7 +668,7 @@ class ShardedCommitOrder(UnorderedCommitOrder):
     ``shards=1`` *is* the unordered policy: every edge is intra-shard,
     phase 1 is the plain greedy walk, phase 2 is a no-op — execution is
     delegated verbatim (label, RNG, events and all), keeping traces
-    byte-identical to the historical engine.  Multi-shard rounds emit an
+    byte-identical to the unordered policy's.  Multi-shard rounds emit an
     ``order_decision`` event (per-shard launch/commit counts) and a
     ``halo_exchange`` event (committed nodes with their shards, halo
     aborts) so a trace alone certifies the serializability claim.

@@ -37,7 +37,8 @@ if TYPE_CHECKING:  # avoid runtime<->control import cycle
 from repro.graph.ccgraph import CCGraph
 from repro.runtime.active_set import ActiveSet
 from repro.runtime.conflict import ConflictPolicy, ExplicitGraphPolicy
-from repro.runtime.engine import OptimisticEngine, make_engine
+from repro.runtime.core import Engine
+from repro.runtime.engine import make_engine
 from repro.runtime.task import Operator, Task
 from repro.runtime.workset import Workset
 from repro.utils.rng import ensure_rng
@@ -117,7 +118,7 @@ class GraphWorkloadBase:
         cost_model=None,
         recorder=None,
         metrics=None,
-    ) -> OptimisticEngine:
+    ) -> Engine:
         """Wire this workload and *controller* into an engine."""
         return make_engine(
             self,

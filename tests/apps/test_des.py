@@ -83,7 +83,8 @@ class TestParallelismStructure:
             sim = DiscreteEventSimulation(network, num_jobs=25, end_time=30.0, seed=2)
             eng = sim.make_engine(FixedController(m), seed=7)
             res = eng.run(max_steps=10**6)
-            outcomes[m] = (len(res), eng.conflict_aborts_total + eng.order_aborts_total)
+            aborts = eng.order.conflict_aborts_total + eng.order.order_aborts_total
+            outcomes[m] = (len(res), aborts)
         steps8, aborts8 = outcomes[8]
         steps64, aborts64 = outcomes[64]
         assert steps64 >= 0.8 * steps8  # no real speedup left
@@ -93,8 +94,8 @@ class TestParallelismStructure:
         sim = DiscreteEventSimulation(network, num_jobs=25, end_time=30.0, seed=2)
         eng = sim.make_engine(FixedController(16), seed=8)
         eng.run(max_steps=10**6)
-        assert eng.order_aborts_total > 0
-        assert eng.conflict_aborts_total > 0
+        assert eng.order.order_aborts_total > 0
+        assert eng.order.conflict_aborts_total > 0
 
 
 class TestValidation:

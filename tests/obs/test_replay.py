@@ -5,6 +5,7 @@ import pytest
 
 from repro.control import (
     AIMDController,
+    Controller,
     AStealController,
     BisectionController,
     FixedController,
@@ -109,10 +110,21 @@ class TestTraceHelpers:
 
 class TestControllerReconstruction:
     def test_round_trip_preserves_describe(self):
-        for controller in CONTROLLERS:
+        from repro.experiments.sharding import PerShardController
+
+        per_shard = PerShardController(
+            [HybridController(0.25, m_max=32) for _ in range(3)], None
+        )
+        for controller in CONTROLLERS + [per_shard]:
             config = controller.describe()
             rebuilt = controller_from_config(config)
-            assert type(rebuilt).__name__ == config["type"]
+            assert type(rebuilt) is type(controller)
+            assert rebuilt.describe() == config
+
+    def test_replay_controller_description_is_not_rebuildable(self):
+        # it describes only its length, not the recorded sequence
+        with pytest.raises(ObservabilityError, match="ReplayController"):
+            controller_from_config(ReplayController([2, 3]).describe())
 
     def test_missing_type_raises(self):
         with pytest.raises(ObservabilityError):
@@ -125,6 +137,43 @@ class TestControllerReconstruction:
     def test_controller_from_trace_requires_run_start(self):
         with pytest.raises(ObservabilityError):
             controller_from_trace([])
+
+
+class CountdownController(Controller):
+    """A third-party controller: m counts down from *start* to 2."""
+
+    def __init__(self, start: int = 8) -> None:
+        super().__init__()
+        self.start = start
+
+    def _next_m(self) -> int:
+        return max(2, self.start - len(self.trace.observations))
+
+    def describe(self) -> dict:
+        return {**super().describe(), "start": self.start}
+
+
+class TestRegisteredControllerReplays:
+    def test_registered_controller_replays_without_a_builder(self):
+        import repro
+
+        repro.register(
+            "controller", "countdown", lambda config: CountdownController(start=9)
+        )
+        try:
+            recorder = TraceRecorder()
+            repro.run(
+                repro.RunConfig(workload="consuming", controller="countdown"),
+                graph=gnm_random(60, 6, seed=3),
+                seed=11,
+                recorder=recorder,
+            )
+        finally:
+            repro.registry("controller").unregister("countdown")
+        (report,) = verify_trace(recorder.events)
+        assert report.controller_type == "CountdownController"
+        assert report.matches and report.steps > 0
+        assert report.m_replayed[0] == 9
 
 
 class TestMismatchDetection:

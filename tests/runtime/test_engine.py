@@ -1,4 +1,4 @@
-"""Tests for repro.runtime.engine — step semantics and invariants."""
+"""Tests for the core engine — step semantics and invariants."""
 
 import numpy as np
 import pytest
@@ -9,19 +9,22 @@ from repro.control.fixed import FixedController
 from repro.errors import RuntimeEngineError
 from repro.graph.generators import complete_graph, empty_graph, gnm_random
 from repro.runtime.conflict import ItemLockPolicy
-from repro.runtime.engine import OptimisticEngine
+from repro.runtime.core import Engine
+from repro.runtime.policies import UnorderedCommitOrder
 from repro.runtime.task import CallbackOperator, Task
 from repro.runtime.workloads import ConsumingGraphWorkload, ReplayGraphWorkload
 from repro.runtime.workset import RandomWorkset
 
 
-def simple_engine(num_tasks: int, m: int, seed=0) -> OptimisticEngine:
+def simple_engine(num_tasks: int, m: int, seed=0) -> Engine:
     """Engine over conflict-free unit tasks."""
     ws = RandomWorkset()
     for i in range(num_tasks):
         ws.add(Task(payload=i))
     op = CallbackOperator(neighborhood=lambda t: {t.payload}, apply=lambda t: [])
-    return OptimisticEngine(ws, op, ItemLockPolicy(), FixedController(m), seed=seed)
+    return Engine(
+        ws, op, FixedController(m), UnorderedCommitOrder(ItemLockPolicy()), seed=seed
+    )
 
 
 class TestStepSemantics:
@@ -92,8 +95,8 @@ class TestStepSemantics:
         ws = RandomWorkset()
         ws.add(Task(payload=0))
         op = CallbackOperator(neighborhood=lambda t: (), apply=lambda t: [])
-        eng = OptimisticEngine(
-            ws, op, ItemLockPolicy(), FixedController(1), seed=0,
+        eng = Engine(
+            ws, op, FixedController(1), UnorderedCommitOrder(ItemLockPolicy()), seed=0,
             step_hook=lambda engine, stats: seen.append(stats.step),
         )
         eng.run()
@@ -107,7 +110,9 @@ class TestStepSemantics:
             neighborhood=lambda t: (),
             apply=lambda t: [Task(payload=t.payload + 1)] if t.payload < 3 else [],
         )
-        eng = OptimisticEngine(ws, op, ItemLockPolicy(), FixedController(2), seed=0)
+        eng = Engine(
+            ws, op, FixedController(2), UnorderedCommitOrder(ItemLockPolicy()), seed=0
+        )
         res = eng.run()
         assert res.total_committed == 4  # payloads 0,1,2,3
 

@@ -38,7 +38,8 @@ from repro.graph.generators import gnm_random, union_of_cliques
 from repro.obs import TraceRecorder
 from repro.runtime.conflict import ItemLockPolicy
 from repro.runtime.active_set import ActiveSet
-from repro.runtime.engine import OptimisticEngine
+from repro.runtime.core import Engine
+from repro.runtime.policies import UnorderedCommitOrder
 from repro.runtime.task import Operator, Task
 from repro.runtime.workloads import (
     ConsumingGraphWorkload,
@@ -175,11 +176,11 @@ class TestSelectBackendSelection:
         res = for_each(range(50), DuckOp(), max_steps=400, seed=11)
         workset = RandomWorkset()
         workset.add_all([Task(payload=i) for i in range(50)])
-        oracle = OptimisticEngine(
+        oracle = Engine(
             workset=workset,
             operator=DuckOp(),
-            policy=ItemLockPolicy(),
             controller=HybridController(0.25, m_max=1024),
+            order=UnorderedCommitOrder(ItemLockPolicy()),
             seed=11,
         )
         oracle.run(max_steps=400)
@@ -217,11 +218,11 @@ class TestItemLockDifferential:
     def _run(self, workset):
         for i in range(80):
             workset.add(Task(payload=3 * i))  # windows overlap neighbours
-        engine = OptimisticEngine(
+        engine = Engine(
             workset=workset,
             operator=self._ItemOperator(),
-            policy=ItemLockPolicy(),
             controller=FixedController(16),
+            order=UnorderedCommitOrder(ItemLockPolicy()),
             seed=5,
         )
         engine.run(max_steps=25)

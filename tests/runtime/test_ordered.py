@@ -1,10 +1,11 @@
-"""Tests for repro.runtime.ordered — priority-ordered speculation."""
+"""Tests for the ordered commit order — priority-ordered speculation."""
 
 import pytest
 
 from repro.control.fixed import FixedController
 from repro.errors import RuntimeEngineError, WorksetEmptyError
-from repro.runtime.ordered import OrderedEngine, PriorityWorkset
+from repro.runtime.core import Engine
+from repro.runtime.policies import OrderedCommitOrder, PriorityWorkset
 from repro.runtime.task import CallbackOperator, Task
 
 
@@ -69,14 +70,13 @@ def make_engine(tasks, neighborhoods, children=None, m=4):
     op = CallbackOperator(
         neighborhood=lambda t: neighborhoods.get(t.payload, set()), apply=apply
     )
-    eng = OrderedEngine(
+    return Engine(
         workset=ws,
         operator=op,
         controller=FixedController(m),
-        priority_of=lambda t: prio_of[t.payload],
+        order=OrderedCommitOrder(lambda t: prio_of[t.payload]),
         seed=0,
     )
-    return eng
 
 
 class TestOrderedResolution:
@@ -90,7 +90,7 @@ class TestOrderedResolution:
         stats = eng.step()
         assert stats.committed == 1
         # the barrier also blocks nothing here beyond b itself
-        assert eng.conflict_aborts_total == 1
+        assert eng.order.conflict_aborts_total == 1
 
     def test_barrier_blocks_later_survivors(self):
         """b conflict-aborts at prio 2 -> c (prio 3, no conflict) must wait."""
@@ -100,8 +100,8 @@ class TestOrderedResolution:
         )
         stats = eng.step()
         assert stats.committed == 1  # only a
-        assert eng.conflict_aborts_total == 1  # b
-        assert eng.order_aborts_total == 1  # c blocked by the barrier
+        assert eng.order.conflict_aborts_total == 1  # b
+        assert eng.order.order_aborts_total == 1  # c blocked by the barrier
 
     def test_created_past_work_order_aborts(self):
         """a creates work at prio 1.5; c at prio 3 must not commit."""
@@ -112,7 +112,7 @@ class TestOrderedResolution:
         )
         stats = eng.step()
         assert stats.committed == 1
-        assert eng.order_aborts_total == 1
+        assert eng.order.order_aborts_total == 1
 
     def test_causality_violation_raises(self):
         eng = make_engine(
@@ -133,15 +133,17 @@ class TestOrderedResolution:
         committed_prios = []
         neigh = {i: {i % 3} for i in range(30)}  # heavy contention
         eng = make_engine([(i, float(i % 7) + i / 100.0) for i in range(30)], neigh, m=10)
-        orig = eng._resolve
+        orig = eng.order.resolve
 
         def spy(batch):
             out = orig(batch)
             committed_prios.extend(p for p, _ in out.committed)
             return out
 
-        eng._resolve = spy
-        eng.run(max_steps=500)
+        eng.order.resolve = spy
+        res = eng.run(max_steps=500)
+        # the spy must have seen every commit, or sortedness proves nothing
+        assert len(committed_prios) == res.total_committed == 30
         assert committed_prios == sorted(committed_prios)
 
     def test_empty_step_raises(self):
@@ -194,13 +196,13 @@ class TestPerStepRNGSubstreams:
         ws = PriorityWorkset()
         ws.add(Task(payload="a"), 1.0)
         gen = np.random.default_rng(3)
-        eng = OrderedEngine(
+        eng = Engine(
             workset=ws,
             operator=CallbackOperator(
                 neighborhood=lambda t: set(), apply=lambda t: []
             ),
             controller=FixedController(1),
-            priority_of=lambda t: 1.0,
+            order=OrderedCommitOrder(lambda t: 1.0),
             seed=gen,
         )
         assert eng.rng is gen  # caller-owned generators are used as-is

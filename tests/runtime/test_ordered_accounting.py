@@ -1,4 +1,4 @@
-"""Rollback accounting for the ordered engine: barrier/horizon invariants.
+"""Rollback accounting for the ordered commit order: barrier/horizon invariants.
 
 These pin down the bookkeeping of :class:`OrderedBatchOutcome` — where the
 barrier sits, how the horizon shrinks as commits create new work, and that
@@ -8,7 +8,12 @@ the engine's running abort totals stay consistent with the per-run stats.
 import math
 
 from repro.control.fixed import FixedController
-from repro.runtime.ordered import OrderedBatchOutcome, OrderedEngine, PriorityWorkset
+from repro.runtime.core import Engine
+from repro.runtime.policies import (
+    OrderedBatchOutcome,
+    OrderedCommitOrder,
+    PriorityWorkset,
+)
 from repro.runtime.task import CallbackOperator, Task
 
 from tests.runtime.test_ordered import make_engine
@@ -17,7 +22,7 @@ from tests.runtime.test_ordered import make_engine
 def resolve_one(eng):
     """Take one full batch and resolve it, returning the raw outcome."""
     batch = eng.workset.take_earliest(len(eng.workset))
-    return eng._resolve(batch)
+    return eng.order.resolve(batch)
 
 
 class TestBarrier:
@@ -99,7 +104,7 @@ class TestRollbackAccounting:
             [(i, float(i % 5) + i / 100.0) for i in range(40)], neigh, m=12
         )
         res = eng.run(max_steps=500)
-        assert eng.conflict_aborts_total + eng.order_aborts_total == res.total_aborted
+        assert eng.order.conflict_aborts_total + eng.order.order_aborts_total == res.total_aborted
         assert res.total_committed == 40
 
     def test_aborted_tasks_reenqueued_at_same_priority(self):
@@ -147,11 +152,11 @@ class TestRollbackAccounting:
             neighborhood=lambda t: {"x"} if t.payload in ("a", "b") else {"y"},
             apply=lambda t: [],
         )
-        eng = OrderedEngine(
+        eng = Engine(
             workset=ws,
             operator=op,
             controller=FixedController(3),
-            priority_of=lambda t: 0.0,
+            order=OrderedCommitOrder(lambda t: 0.0),
             seed=0,
             recorder=rec,
         )

@@ -128,6 +128,51 @@ class TestRunSeedReachesTheWorkload:
         assert runs[0] == runs[1]  # workload rewiring stays on config.seed
 
 
+class TestEntryPointsRecordTheSameTrace:
+    """Each default entry point is an explicit commit order, byte for byte."""
+
+    def test_default_order_is_unordered_on_a_graph_run(self):
+        from repro import RunConfig, run
+        from repro.obs import TraceRecorder
+
+        traces = []
+        for order in (None, "unordered"):
+            recorder = TraceRecorder()
+            run(
+                RunConfig(workload="consuming", order=order),
+                graph=gnm_random(80, 6, seed=2),
+                seed=3,
+                recorder=recorder,
+            )
+            traces.append(recorder.to_jsonl())
+        assert traces[0] == traces[1]
+
+    def test_for_each_ordered_is_the_ordered_order(self):
+        from repro import RunConfig, run
+        from repro.obs import TraceRecorder
+
+        op = CallbackOperator(
+            neighborhood=lambda t: {t.payload % 4},  # contention
+            apply=lambda t: [Task(payload=t.payload + 7)] if t.payload < 40 else [],
+        )
+        initial = [(float(i), i) for i in range(20)]
+        priority_of = lambda t: float(t.payload)  # noqa: E731
+        via_helper, via_run = TraceRecorder(), TraceRecorder()
+        for_each_ordered(
+            initial, op, priority_of=priority_of, seed=5, recorder=via_helper
+        )
+        result = run(
+            RunConfig(workload="consuming", order="ordered"),
+            initial=initial,
+            operator=op,
+            priority_of=priority_of,
+            seed=5,
+            recorder=via_run,
+        )
+        assert via_helper.to_jsonl() == via_run.to_jsonl()
+        assert result.total_aborted > 0  # the commit rules had work to do
+
+
 def test_top_level_exports():
     import repro
 

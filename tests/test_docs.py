@@ -48,9 +48,9 @@ class TestDocstringCoverage:
         """Spot-check: core classes have fully documented public methods."""
         from repro.control import HybridController
         from repro.graph import CCGraph
-        from repro.runtime import OptimisticEngine
+        from repro.runtime import Engine
 
-        for cls in (CCGraph, OptimisticEngine, HybridController):
+        for cls in (CCGraph, Engine, HybridController):
             for name, member in inspect.getmembers(cls, inspect.isfunction):
                 if name.startswith("_"):
                     continue

@@ -23,7 +23,8 @@ from repro.control import (
     RecurrenceBController,
 )
 from repro.graph.generators import gnm_random
-from repro.runtime.ordered import OrderedEngine, PriorityWorkset
+from repro.runtime.core import Engine
+from repro.runtime.policies import OrderedCommitOrder, PriorityWorkset
 from repro.runtime.task import CallbackOperator, Task
 from repro.testing.oracles import reference_paths
 from repro.control.fixed import FixedController
@@ -87,7 +88,7 @@ class TestControllerInvariantsUnderArbitrarySignals:
         assert len(ctrl.trace.observations) == len(signal)
 
 
-class TestOrderedEngineChronology:
+class TestOrderedCommitChronology:
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(
@@ -114,11 +115,11 @@ class TestOrderedEngineChronology:
             return []
 
         op = CallbackOperator(neighborhood=lambda t: {t.payload[1]}, apply=apply)
-        eng = OrderedEngine(
+        eng = Engine(
             workset=ws,
             operator=op,
             controller=FixedController(m),
-            priority_of=lambda t: prios[t.uid],
+            order=OrderedCommitOrder(lambda t: prios[t.uid]),
             seed=seed,
         )
         eng.run(max_steps=10_000)

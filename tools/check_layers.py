@@ -11,7 +11,7 @@ or lower ones.  The intended order (low to high)::
     runtime primitives (task, workset, conflict, kernels, costs, stats, ...)
     runtime.core
     runtime.policies
-    runtime (engine, ordered, workloads, ...)
+    runtime (engine, workloads, ...)
     control
     obs
     apps
@@ -29,9 +29,9 @@ at call time (e.g. the runtime attaching to an active ``repro.obs``
 recorder).
 
 A few *downward* edges are banned too (``FORBIDDEN_EDGES``): the apps
-layer may not import ``repro.runtime.engine`` / ``repro.runtime.ordered``
-at module level — apps describe workloads, and which engine family runs
-them is wired at call time by ``make_engine`` / the registry.
+layer may not import ``repro.runtime.engine`` at module level — apps
+describe workloads, and which commit order runs them is wired at call
+time by ``make_engine`` / the registry.
 
 Usage::
 
@@ -70,7 +70,7 @@ LAYERS: dict[str, int] = {
     # the step pipeline, then the order policies plugged into it
     "repro.runtime.core": 5,
     "repro.runtime.policies": 6,
-    # the rest of the runtime (engine/ordered shims, workloads, the
+    # the rest of the runtime (make_engine, workloads, the
     # run_sharded alias, whose call-time import of repro.api is the
     # sanctioned up-reach)
     "repro.runtime": 7,
@@ -90,18 +90,12 @@ LAYERS: dict[str, int] = {
 #: stack.  Each entry is (importer prefix, imported module, exact, why):
 #: with ``exact`` False the imported module's submodules are covered
 #: too; True bans only the named module (``repro.runtime`` itself is the
-#: package facade whose __init__ pulls in the engines, while its
+#: package facade whose __init__ pulls in the engine wiring, while its
 #: primitive submodules stay importable).
 FORBIDDEN_EDGES: "tuple[tuple[str, str, bool, str], ...]" = (
     (
         "repro.apps",
         "repro.runtime.engine",
-        False,
-        "apps wire engines at call time (make_engine), never at import time",
-    ),
-    (
-        "repro.apps",
-        "repro.runtime.ordered",
         False,
         "apps wire engines at call time (make_engine), never at import time",
     ),
