@@ -24,9 +24,9 @@ from repro.apps.profiles import (
     delaunay_burst_profile,
     step_profile,
 )
-from repro.control.tuning import oracle_mu
 from repro.experiments.adaptation import transition_lags
 from repro.experiments.fig3 import default_hybrid
+from repro.model.turan import mu_disjoint_cliques
 from repro.utils import format_series, format_table
 
 SEED = int(sys.argv[1]) if len(sys.argv) > 1 else 0
@@ -42,7 +42,7 @@ CONTROLLERS = repro.registry("controller")
 def run_profile(name, phases):
     print(f"--- profile: {name} ---")
     config = repro.RunConfig(rho=RHO, seed=SEED + 1)
-    mus = [oracle_mu(p.graph, RHO, grid_size=14, reps=60, seed=SEED) for p in phases]
+    mus = [mu_disjoint_cliques(p.sizes, RHO) for p in phases]
     rows = []
     for label, controller_name in [
         ("hybrid", "fig3-hybrid"),

@@ -39,8 +39,8 @@ from repro.apps.delaunay import (
 from repro.apps.profiles import (
     Phase,
     ScheduledReplayWorkload,
+    clique_sizes,
     delaunay_burst_profile,
-    graph_for_parallelism,
     ramp_profile,
     spike_profile,
     step_profile,
@@ -87,8 +87,8 @@ __all__ = [
     "random_input_mesh",
     "Phase",
     "ScheduledReplayWorkload",
+    "clique_sizes",
     "delaunay_burst_profile",
-    "graph_for_parallelism",
     "ramp_profile",
     "spike_profile",
     "step_profile",

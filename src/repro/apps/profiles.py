@@ -8,10 +8,12 @@ is a stationary CC graph held for a fixed number of steps, and at phase
 boundaries the graph (hence ``r̄(m)`` and the optimum ``μ``) switches
 instantly under the controller's feet.
 
-Phase graphs are built by :func:`graph_for_parallelism`: a union of ``p``
-cliques over ``n`` nodes has expected maximal-IS size ≈ ``p``, so ``p``
-*is* the available parallelism — the worst-case family of Thm. 2 doubling
-as a parallelism dial.
+A phase graph is ``p`` disjoint cliques (:func:`clique_sizes`): every
+maximal independent set has ``p`` nodes, so ``p`` *is* the available
+parallelism — the worst-case family of Thm. 2 doubling as a parallelism
+dial.  A phase carries only the clique sizes, never the edges: two tasks
+conflict iff they lock the same clique label, and ``μ`` follows from
+Thm. 3 (:func:`~repro.model.turan.mu_disjoint_cliques`).
 
 Profile builders return phase lists: :func:`step_profile`,
 :func:`ramp_profile`, :func:`spike_profile` and
@@ -25,11 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ApplicationError
-from repro.graph.ccgraph import CCGraph
-from repro.graph.generators import union_of_cliques
 from repro.runtime.active_set import ActiveSet
-from repro.runtime.conflict import BatchOutcome, ConflictPolicy
-from repro.runtime.task import Operator, Task
+from repro.runtime.conflict import ItemLockPolicy
+from repro.runtime.task import CallbackOperator, Task
 
 from typing import TYPE_CHECKING
 
@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # layering: apps sit below the engine wiring
 
 __all__ = [
     "Phase",
-    "graph_for_parallelism",
+    "clique_sizes",
     "step_profile",
     "ramp_profile",
     "spike_profile",
@@ -49,25 +49,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Phase:
-    """One stationary stretch of a scheduled workload."""
+    """One stationary stretch of a scheduled workload: cliques of *sizes*."""
 
     duration: int
-    graph: CCGraph
+    sizes: tuple[int, ...]
     label: str = ""
 
     def __post_init__(self) -> None:
         if self.duration < 1:
             raise ApplicationError(f"phase duration must be >= 1, got {self.duration}")
-        if self.graph.num_nodes < 1:
-            raise ApplicationError("phase graph must have at least one node")
+        if not self.sizes or min(self.sizes) < 1:
+            raise ApplicationError(f"phase needs cliques of size >= 1, got {self.sizes}")
 
 
-def graph_for_parallelism(parallelism: int, total_tasks: int) -> CCGraph:
-    """A CC graph over ``total_tasks`` nodes with ≈ *parallelism* available.
+def clique_sizes(parallelism: int, total_tasks: int) -> tuple[int, ...]:
+    """Balanced sizes of ``p`` disjoint cliques over ``total_tasks`` nodes.
 
-    ``p`` disjoint cliques of balanced sizes: every maximal independent set
-    has exactly one node per clique, so available parallelism is exactly
-    ``p`` regardless of the scheduler.
+    Every maximal independent set has exactly one node per clique, so
+    available parallelism is exactly ``p`` regardless of the scheduler.
+    The first ``total_tasks % p`` cliques hold one node more.
     """
     if parallelism < 1:
         raise ApplicationError(f"parallelism must be >= 1, got {parallelism}")
@@ -76,16 +76,8 @@ def graph_for_parallelism(parallelism: int, total_tasks: int) -> CCGraph:
             f"need at least {parallelism} tasks for parallelism {parallelism}, "
             f"got {total_tasks}"
         )
-    base = total_tasks // parallelism
-    extra = total_tasks % parallelism
-    g = CCGraph()
-    for k in range(parallelism):
-        size = base + (1 if k < extra else 0)
-        ids = [g.add_node() for _ in range(size)]
-        for i, u in enumerate(ids):
-            for v in ids[i + 1 :]:
-                g.add_edge(u, v)
-    return g
+    base, extra = divmod(total_tasks, parallelism)
+    return (base + 1,) * extra + (base,) * (parallelism - extra)
 
 
 def step_profile(
@@ -93,9 +85,9 @@ def step_profile(
 ) -> list[Phase]:
     """low → high → low parallelism, abrupt switches."""
     return [
-        Phase(steps_per_phase, graph_for_parallelism(low, total_tasks), "low"),
-        Phase(steps_per_phase, graph_for_parallelism(high, total_tasks), "high"),
-        Phase(steps_per_phase, graph_for_parallelism(low, total_tasks), "low"),
+        Phase(steps_per_phase, clique_sizes(low, total_tasks), "low"),
+        Phase(steps_per_phase, clique_sizes(high, total_tasks), "high"),
+        Phase(steps_per_phase, clique_sizes(low, total_tasks), "low"),
     ]
 
 
@@ -109,7 +101,7 @@ def ramp_profile(
         np.geomspace(max(low, 1), max(high, 1), stages).astype(int)
     )
     return [
-        Phase(steps_per_stage, graph_for_parallelism(int(p), total_tasks), f"p={int(p)}")
+        Phase(steps_per_stage, clique_sizes(int(p), total_tasks), f"p={int(p)}")
         for p in levels
     ]
 
@@ -119,9 +111,9 @@ def spike_profile(
 ) -> list[Phase]:
     """Short burst of parallelism in an otherwise serial workload."""
     return [
-        Phase(base_steps, graph_for_parallelism(base, total_tasks), "base"),
-        Phase(peak_steps, graph_for_parallelism(peak, total_tasks), "spike"),
-        Phase(base_steps, graph_for_parallelism(base, total_tasks), "base"),
+        Phase(base_steps, clique_sizes(base, total_tasks), "base"),
+        Phase(peak_steps, clique_sizes(peak, total_tasks), "spike"),
+        Phase(base_steps, clique_sizes(base, total_tasks), "base"),
     ]
 
 
@@ -130,58 +122,28 @@ def delaunay_burst_profile(
 ) -> list[Phase]:
     """The [15] Delaunay shape: ~no parallelism to *peak* in *rise_steps*.
 
-    The rise is piecewise-stationary in ~6 sub-stages (graphs cannot morph
+    The rise is piecewise-stationary in ~6 sub-stages (phases cannot morph
     continuously under replay), reaching *peak* after *rise_steps* steps.
     """
     stages = 6
     per = max(rise_steps // stages, 1)
     levels = np.unique(np.geomspace(2, peak, stages).astype(int))
     phases = [
-        Phase(per, graph_for_parallelism(int(p), total_tasks), f"rise p={int(p)}")
+        Phase(per, clique_sizes(int(p), total_tasks), f"rise p={int(p)}")
         for p in levels
     ]
-    phases.append(Phase(hold_steps, graph_for_parallelism(peak, total_tasks), "hold"))
+    phases.append(Phase(hold_steps, clique_sizes(peak, total_tasks), "hold"))
     return phases
-
-
-class _DelegatingGraphPolicy(ConflictPolicy):
-    """Resolves against the workload's *current* phase graph."""
-
-    def __init__(self, workload: "ScheduledReplayWorkload"):
-        self._workload = workload
-
-    def resolve(self, batch, operator) -> BatchOutcome:
-        graph = self._workload.graph
-        committed_nodes: set[int] = set()
-        committed: list[Task] = []
-        aborted: list[Task] = []
-        for task in batch:
-            node = task.payload
-            if committed_nodes.isdisjoint(graph.neighbors(node)):
-                committed_nodes.add(node)
-                committed.append(task)
-            else:
-                aborted.append(task)
-        return BatchOutcome(committed, aborted)
-
-
-class _ReplayOperator(Operator):
-    def __init__(self, workload: "ScheduledReplayWorkload"):
-        self._workload = workload
-
-    def neighborhood(self, task: Task):
-        return self._workload.graph.neighbors(task.payload)
-
-    def apply(self, task: Task) -> list[Task]:
-        return [task]  # stationary within a phase
 
 
 class ScheduledReplayWorkload:
     """Piecewise-stationary replay over a phase schedule.
 
-    Wire with :meth:`make_engine`; the phase clock advances through the
-    engine's ``step_hook``.  After the last phase the schedule holds the
-    final graph indefinitely (cap the run with ``max_steps``).
+    Each phase seeds one task per node, its payload the clique label;
+    item locks on the labels abort exactly what the greedy walk over the
+    phase's CC graph would.  Wire with :meth:`make_engine`; the phase
+    clock advances through the engine's ``step_hook``.  After the last phase the schedule holds the
+    final phase indefinitely (cap the run with ``max_steps``).
     """
 
     def __init__(self, phases: list[Phase]):
@@ -190,16 +152,17 @@ class ScheduledReplayWorkload:
         self.phases = list(phases)
         self._phase_idx = 0
         self._steps_left = self.phases[0].duration
-        self.graph = self.phases[0].graph
-        self.operator: Operator = _ReplayOperator(self)
-        self.policy: ConflictPolicy = _DelegatingGraphPolicy(self)
+        # commits re-enqueue the task: stationary within a phase
+        self.operator = CallbackOperator(lambda t: (t.payload,), lambda t: [t])
+        self.policy = ItemLockPolicy()
         self.transitions: list[int] = []  # engine steps where phases switched
         self._fill_workset()
 
     def _fill_workset(self) -> None:
         self.workset = ActiveSet()
-        for node in self.graph.nodes():
-            self.workset.add(Task(payload=node))
+        for label, size in enumerate(self.current_phase.sizes):
+            for _ in range(size):
+                self.workset.add(Task(payload=label))
 
     @property
     def current_phase(self) -> Phase:
@@ -214,9 +177,7 @@ class ScheduledReplayWorkload:
         if self._steps_left > 0 or self._phase_idx + 1 >= len(self.phases):
             return
         self._phase_idx += 1
-        nxt = self.phases[self._phase_idx]
-        self._steps_left = nxt.duration
-        self.graph = nxt.graph
+        self._steps_left = self.current_phase.duration
         self._fill_workset()
         engine.workset = self.workset
         self.transitions.append(stats.step + 1)

@@ -56,21 +56,15 @@ class ControllerMetrics:
         return self.steady_std_m / self.steady_mean_m if self.steady_mean_m else 0.0
 
 
-def oracle_mu(
-    graph: CCGraph,
-    rho: float,
-    m_max: int | None = None,
-    grid_size: int = 24,
-    reps: int = 100,
-    seed=None,
-) -> int:
-    """Monte-Carlo estimate of ``μ = max{m : r̄(m) ≤ ρ}`` for *graph*."""
+def oracle_mu(graph: CCGraph, rho: float, reps: int = 100, seed=None) -> int:
+    """Monte-Carlo estimate of ``μ = max{m : r̄(m) ≤ ρ}`` for *graph*.
+
+    Clique unions have it exactly: :func:`~repro.model.mu_disjoint_cliques`.
+    """
     n = graph.num_nodes
     if n < 2:
         raise ControllerError(f"need at least 2 nodes, got {n}")
-    hi = min(m_max or n, n)
-    ms = np.unique(np.geomspace(1, hi, grid_size).astype(int))
-    ms = ms[ms >= 1]
+    ms = np.unique(np.geomspace(1, n, 24).astype(int))
     curve = conflict_ratio_curve(graph, ms, reps=reps, seed=seed)
     return mu_from_curve(curve, rho)
 

@@ -7,8 +7,9 @@ replay synthetic profiles with exactly controlled available parallelism
 re-tracks after every transition.
 
 Metrics per transition: *lag* — steps until the allocation re-enters the
-band ``μ·(1 ± TRACKING_BAND)`` around the new phase's oracle ``μ``; plus
-overall mean conflict-ratio error and total committed work.
+band ``μ·(1 ± TRACKING_BAND)`` around the new phase's optimum ``μ``
+(exact, from Thm. 3's closed form for clique unions); plus overall mean
+conflict-ratio error and total committed work.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from repro.apps.profiles import (
 from repro.control.base import Controller
 from repro.control.hybrid import HybridController
 from repro.control.recurrence import RecurrenceAController
-from repro.control.tuning import oracle_mu
 from repro.experiments.base import ExperimentResult
 from repro.experiments.fig3 import default_hybrid
+from repro.model.turan import mu_disjoint_cliques
 from repro.utils.rng import ensure_rng, spawn
 
 __all__ = ["transition_lags", "run"]
@@ -39,13 +40,8 @@ __all__ = ["transition_lags", "run"]
 TRACKING_BAND = 0.4
 
 
-def transition_lags(
-    phases: list[Phase],
-    m_trace: np.ndarray,
-    mus: list[int],
-    band: float = 0.3,
-) -> list[int]:
-    """Steps after each phase start until ``m_t`` enters ``μ·(1±band)``.
+def transition_lags(phases: list[Phase], m_trace: np.ndarray, mus: list[int]) -> list[int]:
+    """Steps after each phase start until ``m_t`` enters ``μ·(1±TRACKING_BAND)``.
 
     Returns one lag per phase (the first phase's lag is the cold-start
     settling).  A lag equal to the phase duration means "never tracked".
@@ -54,7 +50,7 @@ def transition_lags(
     start = 0
     for phase, mu in zip(phases, mus):
         end = min(start + phase.duration, len(m_trace))
-        lo, hi = (1.0 - band) * mu, (1.0 + band) * mu
+        lo, hi = (1.0 - TRACKING_BAND) * mu, (1.0 + TRACKING_BAND) * mu
         window = m_trace[start:end]
         hits = np.nonzero((window >= lo) & (window <= hi))[0]
         lags.append(int(hits[0]) if hits.size else phase.duration)
@@ -98,17 +94,15 @@ def run(
     )
     for prof_name in profiles:
         phases = _profile(prof_name, total_tasks)
-        mu_rng, *run_rngs = spawn(rng, 1 + len(controllers))
-        mus = [
-            oracle_mu(ph.graph, rho, grid_size=16, reps=60, seed=mu_rng)
-            for ph in phases
-        ]
+        # stream 0 is left unused so every controller keeps its seeded stream
+        _, *run_rngs = spawn(rng, 1 + len(controllers))
+        mus = [mu_disjoint_cliques(ph.sizes, rho) for ph in phases]
         rows = []
         for (name, factory), run_rng in zip(controllers.items(), run_rngs):
             wl = ScheduledReplayWorkload(phases)
             engine = wl.make_engine(factory(), seed=run_rng)
             res = engine.run(max_steps=wl.total_steps())
-            lags = transition_lags(phases, res.m_trace, mus, band=TRACKING_BAND)
+            lags = transition_lags(phases, res.m_trace, mus)
             rows.append(
                 (
                     name,

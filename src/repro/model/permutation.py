@@ -144,14 +144,15 @@ class PrefixSampler:
     :mod:`repro.model.conflict_ratio` run entirely on this path.
     """
 
-    #: soft cap on the elements materialised per batched draw; replication
-    #: blocks beyond it are processed in chunks of this many elements
+    #: soft cap on the elements materialised per batched draw + kernel pass;
+    #: replications beyond it are processed in blocks
     MAX_BATCH_ELEMENTS = 1 << 23
 
     def __init__(self, snapshot: GraphSnapshot, rng: np.random.Generator):
         self._snapshot = snapshot
         self._rng = rng
         self._buffer = np.arange(snapshot.num_nodes, dtype=np.int64)
+        self._max_degree = int(snapshot.degrees.max()) if snapshot.num_nodes else 0
 
     def draw(self, m: int) -> np.ndarray:
         """One uniform ordered ``m``-prefix of node indices."""
@@ -183,13 +184,14 @@ class PrefixSampler:
     def committed_counts(self, m: int, reps: int) -> np.ndarray:
         """``int64[reps]`` committed counts over independent random prefixes.
 
-        Replications are drawn and resolved in vectorised blocks (bounded
-        by :attr:`MAX_BATCH_ELEMENTS` to keep the position scatter-table
-        memory flat); with the default sizes used by the estimators the
-        whole request is a single batched draw + kernel pass.
+        Per row the kernel holds an ``n``-wide position table and up to
+        ``m · max_degree`` gathered arcs, so a block gets
+        ``MAX_BATCH_ELEMENTS // max(n, m · max_degree)`` rows;
+        ``rng.permuted`` shuffles row by row, so the split never changes
+        the counts.
         """
-        n = max(1, self._snapshot.num_nodes)
-        rows_per_block = max(1, self.MAX_BATCH_ELEMENTS // n)
+        per_row = max(1, self._snapshot.num_nodes, m * self._max_degree)
+        rows_per_block = max(1, self.MAX_BATCH_ELEMENTS // per_row)
         out = np.empty(reps, dtype=np.int64)
         for start in range(0, reps, rows_per_block):
             block = min(rows_per_block, reps - start)

@@ -8,6 +8,8 @@
 
       EM_m(K_d^n) = s · (1 − Π_{i=1}^{m} (n−d−i)/(n+1−i))
 
+* :func:`mu_disjoint_cliques` — the exact optimum ``μ = max{m : r̄(m) ≤ ρ}``
+  of a disjoint union of cliques, from the closed form above.
 * :func:`worst_case_conflict_ratio` — the resulting upper bound on
   ``r̄(m)`` (Eq. 24), valid for *every* graph with the same ``n`` and
   average degree ``d`` by Thm. 2.
@@ -32,6 +34,7 @@ __all__ = [
     "turan_bound",
     "em_kdn",
     "em_disjoint_cliques",
+    "mu_disjoint_cliques",
     "worst_case_conflict_ratio",
     "worst_case_conflict_ratio_approx",
     "alpha_conflict_bound",
@@ -92,6 +95,24 @@ def em_disjoint_cliques(sizes: "list[int] | tuple[int, ...]", m: int) -> float:
     return float(
         sum(1.0 - hypergeom_miss_probability(n, int(s), m) for s in sizes)
     )
+
+
+def mu_disjoint_cliques(sizes: "list[int] | tuple[int, ...]", rho: float) -> int:
+    """Exact ``μ = max{m : 1 − EM_m/m ≤ ρ}`` for a disjoint union of cliques.
+
+    Bisection is valid as ``r̄`` is non-decreasing (Prop. 1); clamped
+    below at 2 like :func:`~repro.control.oracle.mu_from_curve`.
+    """
+    if not 0.0 < rho < 1.0:
+        raise ModelError(f"target conflict ratio must be in (0, 1), got {rho}")
+    lo, hi = 1, int(sum(sizes))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if 1.0 - em_disjoint_cliques(sizes, mid) / mid <= rho:
+            lo = mid
+        else:
+            hi = mid - 1
+    return max(lo, 2)
 
 
 def worst_case_conflict_ratio(n: int, d: int, m: int) -> float:

@@ -212,9 +212,9 @@ class TestAdaptation:
         assert lag_hybrid <= 40
 
     def test_transition_lag_helper(self):
-        from repro.apps.profiles import Phase, graph_for_parallelism
+        from repro.apps.profiles import Phase, clique_sizes
 
-        phases = [Phase(5, graph_for_parallelism(2, 10)), Phase(5, graph_for_parallelism(2, 10))]
+        phases = [Phase(5, clique_sizes(2, 10)), Phase(5, clique_sizes(2, 10))]
         m_trace = np.array([2, 2, 10, 10, 10, 3, 10, 10, 10, 10])
         lags = adaptation.transition_lags(phases, m_trace, [10, 10])
         assert lags == [2, 1]

@@ -135,3 +135,29 @@ class TestPrefixSampler:
         for _ in range(5000):
             counts[sampler.draw(1)[0]] += 1
         assert counts.min() > 800
+
+    def test_blocks_bounded_by_gathered_arcs(self, monkeypatch):
+        """Each kernel call stays under the cap, and splitting changes nothing."""
+        import repro.model.permutation as permutation
+        from repro.graph.generators import clique_plus_isolated
+
+        snap = clique_plus_isolated(100, 10).snapshot()  # max degree 99
+        m, reps, max_deg = 11, 50, 99
+        whole = PrefixSampler(snap, np.random.default_rng(7)).committed_counts(m, reps)
+
+        calls = []
+        kernel = permutation.greedy_commit_mask_batch
+
+        def spy(indptr, indices, prefixes):
+            calls.append(prefixes.shape)
+            return kernel(indptr, indices, prefixes)
+
+        cap = 4 * m * max_deg
+        monkeypatch.setattr(permutation, "greedy_commit_mask_batch", spy)
+        monkeypatch.setattr(PrefixSampler, "MAX_BATCH_ELEMENTS", cap)
+        split = PrefixSampler(snap, np.random.default_rng(7)).committed_counts(m, reps)
+
+        assert len(calls) > 1
+        assert all(rows * cols * max_deg <= cap for rows, cols in calls)
+        assert sum(rows for rows, _ in calls) == reps
+        np.testing.assert_array_equal(split, whole)
