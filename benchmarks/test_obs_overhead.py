@@ -9,7 +9,8 @@ the baseline's.  The instrumented run's span profile must also
 *explain* the step wall-clock — per-phase times summing to at least
 ``GATE_MIN_COVERAGE`` of the ``step`` span — or the profiler is lying
 about where the time goes.  Measurements land in ``BENCH_obs.json`` at
-the repo root (uploaded as a CI artifact).
+the repo root (uploaded as a CI artifact), with the absolute extra
+nanoseconds per step next to the ratio.
 
 Steps alternate baseline/instrumented and each side is judged by its
 per-step *median*, so a load spike hits a few samples on both sides
@@ -33,8 +34,8 @@ from repro.obs import (
     deactivate,
     deactivate_metrics,
     deactivate_profiler,
-    profile_report,
     profiling,
+    run_report,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.workloads import ReplayGraphWorkload
@@ -105,7 +106,7 @@ def test_obs_overhead_gate():
     instr_median = statistics.median(instr_times)
     overhead = instr_median / base_median - 1.0
 
-    report = profile_report(profiler)
+    report = run_report(profiler=profiler)
     BENCH_JSON.write_text(
         json.dumps(
             {
@@ -120,13 +121,14 @@ def test_obs_overhead_gate():
                 "baseline_median_step_ns": base_median,
                 "instrumented_median_step_ns": instr_median,
                 "overhead_fraction": overhead,
+                "extra_ns_per_step": instr_median - base_median,
                 "gate_max_overhead": GATE_MAX_OVERHEAD,
                 "span_coverage": report.coverage,
                 "gate_min_coverage": GATE_MIN_COVERAGE,
                 "critical_phase": report.critical_phase,
                 "phases": {
-                    p.name: {"total_ns": p.total_ns, "share": p.share}
-                    for p in report.phases
+                    name: {"total_ns": total, "share": total / report.step_ns}
+                    for name, _, total in report.phases
                 },
             },
             indent=2,
@@ -154,6 +156,6 @@ def test_sampled_profiling_cuts_span_cost():
         engine = wl.make_engine(FixedController(200), seed=3)
         for _ in range(100):
             engine.step()
-    report = profile_report(profiler)
-    assert report.steps == 10  # steps 0, 10, ..., 90
+    report = run_report(profiler=profiler)
+    assert report.profiled_steps == 10  # steps 0, 10, ..., 90
     assert report.phases  # sampled steps still carry their phase spans

@@ -5,15 +5,6 @@ from repro.control.aimd import AIMDController
 from repro.control.asteal import AStealController
 from repro.control.base import Controller, ControlTrace, clamp
 from repro.control.bisection import BisectionController
-from repro.control.diagnostics import (
-    HybridDiagnostics,
-    OrderDiagnostics,
-    RuleUsage,
-    SweepDiagnostics,
-    TraceDiagnostics,
-    diagnose_hybrid,
-    diagnose_trace,
-)
 from repro.control.fixed import FixedController
 from repro.control.hybrid import HybridController, HybridParams
 from repro.control.oracle import OracleController, mu_from_curve
@@ -40,13 +31,6 @@ __all__ = [
     "ControlTrace",
     "clamp",
     "BisectionController",
-    "HybridDiagnostics",
-    "OrderDiagnostics",
-    "SweepDiagnostics",
-    "RuleUsage",
-    "TraceDiagnostics",
-    "diagnose_hybrid",
-    "diagnose_trace",
     "FixedController",
     "HybridController",
     "HybridParams",

@@ -25,11 +25,10 @@ config) or on a :class:`~concurrent.futures.ProcessPoolExecutor` of
   queued are cancelled, and results that did arrive stay cached.
 
 Counters flow through the active :mod:`repro.obs` metrics registry under
-``sweep.*``, the lifecycle events ``sweep_start`` / ``sweep_task_start``
-/ ``sweep_task_complete`` / ``sweep_end`` through the active trace
-recorder, and, under an active span profiler, every computed run's
+``sweep.*`` and, under an active span profiler, every computed run's
 wall-clock through ``sweep.attempt``, with a worker's own spans merged
-beneath ``sweep.worker/``.
+beneath ``sweep.worker/``.  A :class:`SweepProgress` monitor turns the
+finished configs into a periodic one-line live status.
 
 Used by ``python -m repro.experiments --jobs N --cache-dir DIR`` and
 importable directly::
@@ -46,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -55,12 +55,10 @@ from repro._version import __version__
 from repro.config import RunConfig
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult
-from repro.obs.events import SWEEP_END, SWEEP_START, SWEEP_TASK_COMPLETE, SWEEP_TASK_START
 from repro.obs.metrics import MetricsRegistry, active_metrics
-from repro.obs.recorder import active_recorder
 from repro.obs.spans import SpanProfiler, activate_profiler, active_profiler
 
-__all__ = ["RunConfig", "SweepOutcome", "config_key", "run_sweep"]
+__all__ = ["RunConfig", "SweepOutcome", "SweepProgress", "config_key", "run_sweep"]
 
 #: bump when the cache payload layout changes; invalidates old entries
 #: (2: the key and payload carry the whole serialised RunConfig, not the
@@ -166,8 +164,96 @@ def _worker(payload: tuple, profile: bool) -> "tuple[dict, float, dict | None]":
     return result, seconds, spans
 
 
+class SweepProgress:
+    """Periodic one-line status for a running sweep.
+
+    :func:`run_sweep` reports each finished config (:meth:`note_complete`)
+    and each computed run's latency (:meth:`note_attempt_seconds`); the
+    monitor rate-limits itself to one line per *interval* seconds on
+    *sink*.  Clock and sink are injectable so tests drive it
+    deterministically without sleeping.
+    """
+
+    #: EWMA smoothing factor for attempt latency
+    ALPHA = 0.3
+
+    def __init__(
+        self,
+        total: int,
+        *,
+        jobs: int = 1,
+        interval: float = 5.0,
+        sink=None,
+        clock=None,
+    ) -> None:
+        if total < 0:
+            raise ExperimentError(f"total must be >= 0, got {total}")
+        if interval < 0:
+            raise ExperimentError(f"interval must be >= 0, got {interval}")
+        self.total = int(total)
+        self.jobs = max(1, int(jobs))
+        self.interval = float(interval)
+        self._sink = sink if sink is not None else _stderr_sink
+        self._clock = clock if clock is not None else time.monotonic
+        self.completed = 0
+        self.ewma_attempt_seconds: "float | None" = None
+        self._last_emit: "float | None" = None
+
+    # -- feeding -------------------------------------------------------
+    def note_complete(self, outcome: "SweepOutcome") -> None:
+        """One config has its result (computed or from the cache)."""
+        self.completed += 1
+
+    def note_attempt_seconds(self, seconds: float) -> None:
+        seconds = float(seconds)
+        if self.ewma_attempt_seconds is None:
+            self.ewma_attempt_seconds = seconds
+        else:
+            self.ewma_attempt_seconds = (
+                self.ALPHA * seconds + (1.0 - self.ALPHA) * self.ewma_attempt_seconds
+            )
+
+    # -- reporting -----------------------------------------------------
+    @property
+    def remaining(self) -> int:
+        return max(0, self.total - self.completed)
+
+    def eta_seconds(self) -> "float | None":
+        """Remaining wall-clock estimate: EWMA latency × remaining / jobs."""
+        if self.ewma_attempt_seconds is None or self.remaining == 0:
+            return None
+        return self.ewma_attempt_seconds * self.remaining / self.jobs
+
+    def status_line(self) -> str:
+        parts = [f"sweep: {self.completed}/{self.total} done"]
+        if self.ewma_attempt_seconds is not None:
+            parts.append(f"attempt EWMA {self.ewma_attempt_seconds:.2f}s")
+        eta = self.eta_seconds()
+        if eta is not None:
+            parts.append(f"ETA {eta:.0f}s")
+        return " | ".join(parts)
+
+    def maybe_emit(self, force: bool = False) -> "str | None":
+        """Emit a status line if *interval* elapsed (or *force*)."""
+        now = self._clock()
+        if (
+            not force
+            and self._last_emit is not None
+            and now - self._last_emit < self.interval
+        ):
+            return None
+        self._last_emit = now
+        line = self.status_line()
+        self._sink(line)
+        return line
+
+
+def _stderr_sink(line: str) -> None:
+    print(line, file=sys.stderr, flush=True)
+
+
 class _Sweep:
-    """Outcome slots, cache writes and event plumbing for one ``run_sweep`` call."""
+    """Outcome slots, cache writes and monitor calls for one ``run_sweep`` call."""
 
     def __init__(self, configs, seeds, keys, cache, monitor):
         self.configs = configs
@@ -180,17 +266,7 @@ class _Sweep:
         if registry is None:  # not `or`: an *empty* registry is falsy
             registry = MetricsRegistry()
         self.metrics = registry.scope("sweep")
-        self.recorder = active_recorder()
         self.profiler = active_profiler()
-        self._event_step = 0
-
-    def emit(self, kind: str, **data) -> None:
-        if self.recorder is not None:
-            self.recorder.emit(kind, self._event_step, **data)
-        if self.monitor is not None:
-            self.monitor.on_event(kind, data)
-            self.monitor.maybe_emit()
-        self._event_step += 1
 
     def count(self, name: str) -> None:
         self.metrics.counter(name).inc()
@@ -198,13 +274,6 @@ class _Sweep:
     def payload(self, index: int) -> tuple:
         cfg = self.configs[index]
         return cfg.experiment, self.seeds[index], cfg.quick
-
-    def start(self, index: int) -> None:
-        """A pending config is dispatched (inline, or submitted to the pool)."""
-        self.count("attempts")
-        self.emit(
-            SWEEP_TASK_START, experiment=self.configs[index].experiment, seed=self.seeds[index]
-        )
 
     def finish(
         self,
@@ -227,9 +296,11 @@ class _Sweep:
                 self.monitor.note_attempt_seconds(seconds)
             if self.cache is not None:
                 _cache_store(self.cache, key, cfg, seed, result)
-        self.outcomes[index] = SweepOutcome(cfg, seed, result, cached=cached, key=key)
+        outcome = self.outcomes[index] = SweepOutcome(cfg, seed, result, cached=cached, key=key)
         self.count("completed")
-        self.emit(SWEEP_TASK_COMPLETE, experiment=cfg.experiment, seed=seed, cached=cached)
+        if self.monitor is not None:
+            self.monitor.note_complete(outcome)
+            self.monitor.maybe_emit()
 
 
 def run_sweep(
@@ -256,9 +327,9 @@ def run_sweep(
     base_seed:
         Entropy root for configs without an explicit seed.
     monitor:
-        Optional :class:`repro.obs.analysis.SweepProgress` (or anything
-        with ``on_event``/``note_attempt_seconds``/``maybe_emit``): fed
-        every lifecycle event and run latency as the sweep runs, for
+        Optional :class:`SweepProgress` (or anything with
+        ``note_complete``/``note_attempt_seconds``/``maybe_emit``): fed
+        every finished outcome and run latency as the sweep runs, for
         periodic live status lines.
 
     Returns
@@ -278,7 +349,6 @@ def run_sweep(
         cache.mkdir(parents=True, exist_ok=True)
 
     sweep = _Sweep(configs, seeds, keys, cache, monitor)
-    sweep.emit(SWEEP_START, configs=len(configs), jobs=int(jobs))
     pending: list[int] = []
     for i, key in enumerate(keys):
         sweep.count("tasks")
@@ -300,7 +370,6 @@ def run_sweep(
         _run_inline(sweep, pending)
     elif pending:
         _run_pool(sweep, pending, jobs)
-    sweep.emit(SWEEP_END, completed=len(configs))
     if monitor is not None:
         monitor.maybe_emit(force=True)  # final line always lands
     return sweep.outcomes
@@ -309,7 +378,7 @@ def run_sweep(
 def _run_inline(sweep: _Sweep, pending: "list[int]") -> None:
     """Run the pending configs one after another in this process."""
     for i in pending:
-        sweep.start(i)
+        sweep.count("attempts")
         # unprofiled: spans of an inline run land in the active profiler directly
         result, seconds, _ = _worker(sweep.payload(i), profile=False)
         sweep.finish(i, ExperimentResult.from_dict(result), cached=False, seconds=seconds)
@@ -333,7 +402,7 @@ def _run_pool(sweep: _Sweep, pending: "list[int]", jobs: int) -> None:
     with ProcessPoolExecutor(min(jobs, len(pending)), mp_context=ctx) as pool:
         futures = {}
         for i in pending:
-            sweep.start(i)
+            sweep.count("attempts")
             futures[pool.submit(_worker, sweep.payload(i), profile)] = i
         for future in as_completed(futures):
             if future.cancelled():

@@ -11,7 +11,7 @@ on one fixed CC graph:
   how much conflict pressure each extra unit of relaxation buys off;
 * **§4 controller convergence vs k**: the ρ-targeting hybrid controller
   runs on every depth; its settling step and steady-state tracking error
-  (via :func:`repro.obs.convergence_report`) show that adaptive
+  (via :func:`repro.obs.run_report`) show that adaptive
   allocation needs only a monotone ``r̄(m)``, not strict order — it
   settles across the whole relaxation range;
 * an ``async`` staleness-window run rides along as the arrival-order
@@ -32,7 +32,7 @@ from repro.graph import random_regular
 from repro.obs import (
     TraceRecorder,
     active_recorder,
-    convergence_report,
+    run_report,
     split_runs,
     verify_trace,
 )
@@ -143,8 +143,8 @@ def run(
     events = recorder.events
     rendered_rows = []
     for (spec, lo, hi), (spec2, res) in zip(run_slices, adaptive_rows):
-        report = convergence_report(events[lo:hi], rho=rho)
-        settling = report.settling_step if report.settled else None
+        report = run_report(events[lo:hi])
+        settling = report.settling_step
         rendered_rows.append(
             (
                 spec,

@@ -19,18 +19,16 @@ Observability options (see :mod:`repro.obs`):
   the experiment performs, then reload it and *verify deterministic
   replay*: each recorded controller is rebuilt from its traced
   configuration and must reproduce the recorded ``m_t`` trajectory
-  exactly (exit code 1 otherwise).  In sweep mode the trace additionally
-  carries the sweep's lifecycle events (``sweep_start``,
-  ``sweep_task_start``, ``sweep_task_complete``, ``sweep_end``); engine
-  events from worker *processes* cannot cross the process boundary and
-  are not recorded.
+  exactly (exit code 1 otherwise).  Worker *processes* cannot record
+  into the parent's trace, so ``--trace`` with ``--jobs`` above 1 is an
+  error; with ``--cache-dir`` alone the runs are inline and recorded.
 * ``--metrics`` — collect the runtime metrics registry during the run and
   print it after the reports (sweep mode reports the ``sweep.*`` task
   and cache counters).
 * ``--profile`` — activate the span profiler and print the hierarchical
-  phase-timing tree (and, when a ``step`` root exists, the critical-path
-  breakdown) after the reports; ``--profile-every N`` samples one step
-  in N to cut overhead on long runs.
+  phase-timing tree (and, when a ``step`` root exists, the run report's
+  time per step phase) after the reports; ``--profile-every N`` samples
+  one step in N to cut overhead on long runs.
 * ``--telemetry-out BASE`` — export the metrics registry (implied) to
   ``BASE.prom`` (OpenMetrics text) and ``BASE.json`` (lossless snapshot)
   after the run.
@@ -315,6 +313,11 @@ def main(argv: "list[str] | None" = None) -> int:
                 result.to_svg(out_dir / f"{name}.svg")
 
     sweep_mode = args.jobs > 1 or args.cache_dir is not None or args.live
+    if args.trace is not None and args.jobs > 1:
+        parser.error(
+            "--trace cannot record runs in worker processes; drop --jobs "
+            "or pass --jobs 1"
+        )
     if sweep_mode and workload_io:
         parser.error(
             "--record-workload/--replay-workload run inline; drop the sweep "
@@ -347,7 +350,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
         monitor = None
         if args.live:
-            from repro.obs import SweepProgress
+            from repro.experiments.parallel import SweepProgress
 
             monitor = SweepProgress(len(names), jobs=args.jobs)
         outcomes = run_sweep(
@@ -400,10 +403,10 @@ def main(argv: "list[str] | None" = None) -> int:
     if profiler is not None:
         print(profiler.render())
         from repro.errors import ObservabilityError
-        from repro.obs import profile_report
+        from repro.obs import run_report
 
         try:
-            print(profile_report(profiler).render())
+            print(run_report(profiler=profiler).render())
         except ObservabilityError:
             pass  # no 'step' root (e.g. pooled sweep workers only)
     if args.trace is not None:

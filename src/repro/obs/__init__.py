@@ -20,23 +20,15 @@ On top of the channels:
   the original seed reproduces the entire engine run;
 * **export** (:mod:`repro.obs.export`) — OpenMetrics text exposition and
   a lossless JSON snapshot of the metrics registry;
-* **analysis** (:mod:`repro.obs.analysis`) — span-based profiling
-  reports, controller-convergence reports from traces, and a live sweep
-  progress monitor.
+* **run report** (:mod:`repro.obs.report`) — one summary of a recorded
+  run: rule usage, ρ tracking, commit-order counts and, given a span
+  profiler, where the step time went.
 
 Everything is opt-in: engines built without a recorder/registry/profiler
 (and with no active one) skip all instrumentation at the cost of one
 attribute test per step phase.
 """
 
-from repro.obs.analysis import (
-    ConvergenceReport,
-    PhaseBreakdown,
-    ProfileReport,
-    SweepProgress,
-    convergence_report,
-    profile_report,
-)
 from repro.obs.events import (
     CLAMP,
     DECISION,
@@ -44,13 +36,7 @@ from repro.obs.events import (
     ORDER_DECISION,
     RUN_END,
     RUN_START,
-    SELECT,
     STEP,
-    SWEEP_END,
-    SWEEP_KINDS,
-    SWEEP_START,
-    SWEEP_TASK_COMPLETE,
-    SWEEP_TASK_START,
     TraceEvent,
     event_from_json,
     event_to_json,
@@ -103,22 +89,17 @@ from repro.obs.replay import (
     trajectory,
     verify_trace,
 )
+from repro.obs.report import RunReport, run_report
 
 __all__ = [
     "TraceEvent",
     "RUN_START",
-    "SELECT",
     "STEP",
     "HALO_EXCHANGE",
     "ORDER_DECISION",
     "DECISION",
     "CLAMP",
     "RUN_END",
-    "SWEEP_START",
-    "SWEEP_END",
-    "SWEEP_TASK_START",
-    "SWEEP_TASK_COMPLETE",
-    "SWEEP_KINDS",
     "event_to_json",
     "event_from_json",
     "TraceRecorder",
@@ -158,10 +139,6 @@ __all__ = [
     "snapshot_registry",
     "restore_registry",
     "write_telemetry",
-    "PhaseBreakdown",
-    "ProfileReport",
-    "profile_report",
-    "ConvergenceReport",
-    "convergence_report",
-    "SweepProgress",
+    "RunReport",
+    "run_report",
 ]

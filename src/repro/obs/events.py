@@ -17,13 +17,12 @@ Event kinds emitted by the runtime:
     configuration
     (:meth:`~repro.control.base.Controller.describe`) — everything a
     replayer needs to reconstruct the decision trajectory.
-``select``
-    One scheduler draw: requested allocation ``m_t``, tasks actually
-    taken, work-set size before the draw.
 ``step``
-    Resolution of the speculative batch: commit/abort accounting plus the
-    *positions within the batch* that committed (the commit order ``π_m``
-    without process-dependent task uids, so traces stay byte-stable).
+    One temporal step: the requested allocation ``m_t``, the work-set
+    size before the draw, the ``launched`` tasks actually drawn, their
+    commit/abort accounting, and the *positions within the batch* that
+    committed (the commit order ``π_m`` without process-dependent task
+    uids, so traces stay byte-stable).
     Ordered engines add the conflict/order abort split and the
     barrier/horizon values.
 ``order_decision``
@@ -56,22 +55,6 @@ Event kinds emitted by the runtime:
     a recorded trace: source path, workload label, task/commit totals
     and fingerprint, so a run's provenance names the exact morph
     sequence it executed.  Informational.
-
-The parallel sweep harness (:mod:`repro.experiments.parallel`) emits its
-own lifecycle kinds into the same trace, alongside any engine-level
-events of inline runs:
-
-``sweep_start`` / ``sweep_end``
-    One sweep invocation: config and job counts, then the completed
-    total.
-``sweep_task_start``
-    One config dispatched for computation: experiment and seed.
-``sweep_task_complete``
-    A config has its result: experiment, seed, and whether it came from
-    the cache.
-
-Sweep kinds carry only deterministic payload fields (no wall-clock).
-The engine replayer ignores them.
 """
 
 from __future__ import annotations
@@ -85,7 +68,6 @@ from repro.errors import ObservabilityError
 __all__ = [
     "TraceEvent",
     "RUN_START",
-    "SELECT",
     "STEP",
     "ORDER_DECISION",
     "HALO_EXCHANGE",
@@ -94,17 +76,11 @@ __all__ = [
     "RUN_END",
     "WORKLOAD_CAPTURE",
     "WORKLOAD_REPLAY",
-    "SWEEP_START",
-    "SWEEP_END",
-    "SWEEP_TASK_START",
-    "SWEEP_TASK_COMPLETE",
-    "SWEEP_KINDS",
     "event_to_json",
     "event_from_json",
 ]
 
 RUN_START = "run_start"
-SELECT = "select"
 STEP = "step"
 ORDER_DECISION = "order_decision"
 HALO_EXCHANGE = "halo_exchange"
@@ -114,20 +90,9 @@ RUN_END = "run_end"
 WORKLOAD_CAPTURE = "workload_capture"
 WORKLOAD_REPLAY = "workload_replay"
 
-SWEEP_START = "sweep_start"
-SWEEP_END = "sweep_end"
-SWEEP_TASK_START = "sweep_task_start"
-SWEEP_TASK_COMPLETE = "sweep_task_complete"
-
-#: kinds emitted by the sweep harness (lifecycle channel, not replayed)
-SWEEP_KINDS = frozenset({SWEEP_START, SWEEP_END, SWEEP_TASK_START, SWEEP_TASK_COMPLETE})
-
-_KNOWN_KINDS = (
-    frozenset(
-        {RUN_START, SELECT, STEP, ORDER_DECISION, HALO_EXCHANGE,
-         DECISION, CLAMP, RUN_END, WORKLOAD_CAPTURE, WORKLOAD_REPLAY}
-    )
-    | SWEEP_KINDS
+_KNOWN_KINDS = frozenset(
+    {RUN_START, STEP, ORDER_DECISION, HALO_EXCHANGE, DECISION, CLAMP, RUN_END,
+     WORKLOAD_CAPTURE, WORKLOAD_REPLAY}
 )
 
 
@@ -184,4 +149,7 @@ def event_from_json(line: str) -> TraceEvent:
     data = payload.get("data", {})
     if not isinstance(data, dict):
         raise ObservabilityError(f"event data must be an object: {line[:80]!r}")
-    return TraceEvent(step=int(payload["step"]), kind=str(payload["kind"]), data=data)
+    step = payload["step"]
+    if isinstance(step, bool) or not isinstance(step, int):
+        raise ObservabilityError(f"event step must be an integer: {line[:80]!r}")
+    return TraceEvent(step=step, kind=str(payload["kind"]), data=data)

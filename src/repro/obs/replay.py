@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.control.base import Controller
 from repro.errors import ObservabilityError, ReplayMismatchError
-from repro.obs.events import DECISION, RUN_START, SELECT, STEP, TraceEvent
+from repro.obs.events import DECISION, RUN_START, STEP, TraceEvent
 
 __all__ = [
     "split_runs",
@@ -247,11 +247,8 @@ class ReplayController(Controller):
 
     @classmethod
     def from_trace(cls, events: "list[TraceEvent]") -> "ReplayController":
-        """Build from the ``select``/``step`` events of one segment."""
-        ms = [int(e.data["requested"]) for e in events if e.kind == SELECT]
-        if not ms:  # select events may be filtered out; fall back to steps
-            ms = trajectory(events)[0].tolist()
-        return cls(ms)
+        """Build from the ``step`` events of one segment."""
+        return cls(trajectory(events)[0].tolist())
 
     def _next_m(self) -> int:
         if self._cursor >= len(self._sequence):

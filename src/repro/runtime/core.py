@@ -24,8 +24,8 @@ and nothing else.  Otherwise the *observed* body runs the same calls in
 the same order inside the phase spans (``controller.decide``,
 ``select``, the policy's resolve spans, the
 :meth:`OrderPolicy.commit_span_name` span around ``apply`` and the
-bookkeeping, ``controller.update``), emits the ``select`` and ``step``
-events and updates the metrics.  Both yield identical stats, costs,
+bookkeeping, ``controller.update``), emits the ``step`` event and
+updates the metrics.  Both yield identical stats, costs,
 retry counts, controller traces and RNG trajectories
 (``tests/runtime/test_step_bodies.py``), and because the test is per
 step an observer attached mid-run sees every later step.
@@ -287,8 +287,8 @@ class Engine:
         )
 
     def _observed_step(self) -> StepStats:
-        """The same calls in the same order, inside spans, with events
-        and metrics — byte for byte what traces have always carried."""
+        """The same calls in the same order, inside spans, with the
+        ``step`` event and the per-step metrics."""
         before = len(self.workset)
         if before == 0:
             raise RuntimeEngineError("cannot step: work-set is empty")
@@ -307,14 +307,6 @@ class Engine:
                 )
             with prof.span("select") if prof is not None else null:
                 batch = order.select(requested)
-                if recorder is not None:
-                    recorder.emit(
-                        "select",
-                        step=self._step,
-                        requested=requested,
-                        taken=len(batch),
-                        workset_before=before,
-                    )
             outcome = order.execute(batch)  # opens the policy's resolve spans
             with prof.span(order.commit_span_name()) if prof is not None else null:
                 order.apply(outcome)

@@ -327,7 +327,12 @@ class WorkloadTrace:
                 f"trailer says {end.get('tasks')} tasks / {end.get('commits')} "
                 f"commits, file has {len(trace.tasks)} / {len(trace.commits)}"
             )
-        trace.aborts = int(end.get("aborts", 0))
+        aborts = end.get("aborts", 0)
+        if isinstance(aborts, bool) or not isinstance(aborts, int):
+            raise ObservabilityError(
+                f"workload trace trailer aborts must be an integer, got {aborts!r}"
+            )
+        trace.aborts = aborts
         expected = end.get("fingerprint")
         actual = trace.fingerprint()
         if expected != actual:

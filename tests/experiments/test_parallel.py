@@ -8,6 +8,7 @@ from repro.errors import ExperimentError
 from repro.experiments.parallel import (
     RunConfig,
     SweepOutcome,
+    SweepProgress,
     config_key,
     run_sweep,
 )
@@ -138,14 +139,11 @@ class TestRunSweep:
         assert again.cached is False
 
     def test_complete_events_report_fresh_and_cached(self, tmp_path):
-        from repro.obs import SWEEP_TASK_COMPLETE
-
         seen: list[bool] = []
 
         class Spy:
-            def on_event(self, kind, data):
-                if kind == SWEEP_TASK_COMPLETE:
-                    seen.append(data["cached"])
+            def note_complete(self, outcome):
+                seen.append(outcome.cached)
 
             def note_attempt_seconds(self, seconds):
                 pass
@@ -324,8 +322,6 @@ class TestSweepObservability:
         assert shipped == [None, None]
 
     def test_monitor_sees_lifecycle_and_final_emit(self):
-        from repro.obs import SweepProgress
-
         lines = []
         clock = iter(float(i) for i in range(1000))
         monitor = SweepProgress(
@@ -339,3 +335,62 @@ class TestSweepObservability:
         assert monitor.completed == 2
         assert monitor.ewma_attempt_seconds is not None
         assert lines and lines[-1].startswith("sweep: 2/2 done")
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+class TestSweepProgress:
+    def _progress(self, total=4, **kw):
+        self.lines = []
+        self.clock = FakeClock()
+        return SweepProgress(total, sink=self.lines.append, clock=self.clock, **kw)
+
+    def test_counts_completed_outcomes(self):
+        prog = self._progress()
+        prog.note_complete(None)
+        assert prog.completed == 1
+        assert prog.remaining == 3
+
+    def test_ewma_and_eta(self):
+        prog = self._progress(total=5, jobs=2)
+        prog.note_attempt_seconds(10.0)
+        assert prog.ewma_attempt_seconds == 10.0
+        prog.note_attempt_seconds(20.0)
+        assert prog.ewma_attempt_seconds == pytest.approx(13.0)  # 0.3*20 + 0.7*10
+        assert prog.eta_seconds() == pytest.approx(13.0 * 5 / 2)
+
+    def test_eta_none_without_latency_or_work(self):
+        prog = self._progress(total=1)
+        assert prog.eta_seconds() is None
+        prog.note_attempt_seconds(1.0)
+        prog.note_complete(None)
+        assert prog.remaining == 0 and prog.eta_seconds() is None
+
+    def test_emits_are_rate_limited(self):
+        prog = self._progress(total=2, interval=5.0)
+        assert prog.maybe_emit() is not None  # first emit always fires
+        self.clock.now = 3.0
+        assert prog.maybe_emit() is None  # too soon
+        self.clock.now = 6.0
+        assert prog.maybe_emit() is not None
+        assert prog.maybe_emit(force=True) is not None
+        assert len(self.lines) == 3
+
+    def test_status_line_contents(self):
+        prog = self._progress(total=3)
+        prog.note_complete(None)
+        prog.note_attempt_seconds(2.0)
+        line = prog.status_line()
+        assert line == "sweep: 1/3 done | attempt EWMA 2.00s | ETA 4s"
+
+    def test_validation(self):
+        with pytest.raises(ExperimentError):
+            SweepProgress(-1)
+        with pytest.raises(ExperimentError):
+            SweepProgress(1, interval=-0.1)

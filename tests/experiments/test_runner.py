@@ -124,6 +124,22 @@ class TestObservabilityFlags:
         out = capsys.readouterr().out
         assert "dropped" not in out
 
+    def test_trace_with_worker_processes_is_a_config_error(self, capsys, tmp_path):
+        # worker processes cannot record into the parent's trace
+        trace = tmp_path / "trace.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["fig1", "--quick", "--trace", str(trace), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--trace" in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_trace_with_cache_dir_records_the_inline_runs(self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        args = ["fig3", "--quick", "--trace", str(trace), "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "4 runs" in out and "deterministic replay OK" in out
+
     def test_live_enables_sweep_mode_and_emits_status(self, capsys):
         assert main(["example1", "--quick", "--live"]) == 0
         captured = capsys.readouterr()

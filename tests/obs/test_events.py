@@ -8,7 +8,6 @@ from repro.obs import (
     DECISION,
     RUN_END,
     RUN_START,
-    SELECT,
     STEP,
     TraceEvent,
     event_from_json,
@@ -32,7 +31,7 @@ class TestTraceEvent:
             TraceEvent(step=0, kind="")
 
     def test_known_kinds(self):
-        for kind in (RUN_START, SELECT, STEP, DECISION, CLAMP, RUN_END):
+        for kind in (RUN_START, STEP, DECISION, CLAMP, RUN_END):
             assert TraceEvent(step=0, kind=kind).known
         assert not TraceEvent(step=0, kind="app_custom").known
 
@@ -75,3 +74,26 @@ class TestJsonRoundTrip:
     def test_non_dict_data_raises(self):
         with pytest.raises(ObservabilityError):
             event_from_json('{"step": 0, "kind": "step", "data": [1]}')
+
+    @pytest.mark.parametrize("step", ['"x"', "null", "1.5", "true"])
+    def test_non_integer_step_raises(self, step):
+        with pytest.raises(ObservabilityError, match="step must be an integer"):
+            event_from_json(f'{{"kind": "step", "step": {step}}}')
+
+    @pytest.mark.parametrize("step", ['"x"', "null"])
+    def test_load_jsonl_names_the_line_of_a_non_integer_step(self, tmp_path, step):
+        from repro.obs import load_jsonl
+
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"kind":"run_start","step":0}\n' f'{{"kind":"step","step":{step}}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ObservabilityError, match=r"bad\.jsonl:2: "):
+            load_jsonl(path)
+
+    def test_old_select_events_still_load(self):
+        # older traces carry a select event per step: it parses as a
+        # non-standard kind, which the replayer and the report skip
+        event = event_from_json('{"data":{"requested":2},"kind":"select","step":0}')
+        assert event.kind == "select" and not event.known

@@ -89,7 +89,7 @@ class TestGoldenRelaxedTrace:
         events = load_jsonl(FIXTURE)
         kinds = [e.kind for e in events]
         assert kinds[0] == "run_start" and kinds[-1] == "run_end"
-        assert 0 < kinds.count("step") == kinds.count("select") <= MAX_STEPS
+        assert 0 < kinds.count("step") <= MAX_STEPS
         assert "decision" in kinds
         assert events[0].data["seed"] == ENGINE_SEED
         assert events[0].data["policy"] == f"relaxed:{DEPTH}"

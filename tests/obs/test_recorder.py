@@ -19,11 +19,11 @@ from repro.obs import (
 class TestRingBuffer:
     def test_emit_and_snapshot(self):
         rec = TraceRecorder()
-        rec.emit("select", step=0, requested=4)
         rec.emit("step", step=0, committed=3)
+        rec.emit("decision", step=0, rule="A")
         assert len(rec) == 2
         kinds = [e.kind for e in rec.events]
-        assert kinds == ["select", "step"]
+        assert kinds == ["step", "decision"]
 
     def test_capacity_drops_oldest(self):
         rec = TraceRecorder(capacity=3)

@@ -16,7 +16,6 @@ from repro.control import (
     ProbingHybridController,
     RecurrenceAController,
     RecurrenceBController,
-    diagnose_trace,
 )
 from repro.errors import ObservabilityError, ReplayMismatchError
 from repro.graph.generators import gnm_random
@@ -237,78 +236,3 @@ class TestReplayController:
             ReplayController([])
         with pytest.raises(ObservabilityError):
             ReplayController([0])
-
-
-class TestTraceDiagnostics:
-    def test_diagnose_recorded_hybrid_run(self):
-        events = record_run(HybridController(0.25, m_max=64))
-        diag = diagnose_trace(events)
-        assert diag.controller_type == "HybridController"
-        assert diag.steps == len(trajectory(events)[0])
-        assert sum(u.count for u in diag.rule_usage.values()) > 0
-        text = diag.render()
-        assert "HybridController" in text and "final allocation" in text
-
-    def test_multi_run_segment_rejected(self):
-        events = record_run(FixedController(4)) + record_run(FixedController(4))
-        with pytest.raises(ObservabilityError, match="split_runs"):
-            diagnose_trace(events)
-        for segment in split_runs(events):
-            diagnose_trace(segment)  # per-segment works
-
-    def test_headless_trace_rejected(self):
-        with pytest.raises(ObservabilityError):
-            diagnose_trace([])
-
-    def test_plain_engine_trace_has_no_sweep_block(self):
-        diag = diagnose_trace(record_run(FixedController(4)))
-        assert diag.sweep is None
-        assert "sweep" not in diag.render()
-
-    def test_sweep_only_trace_diagnosed(self, tmp_path):
-        from repro.experiments.parallel import RunConfig, run_sweep
-        from repro.obs import SWEEP_KINDS, load_jsonl, recording
-
-        cache = tmp_path / "cache"
-        warm = [RunConfig("fig1", seed=11, quick=True), RunConfig("example1", seed=12, quick=True)]
-        run_sweep(warm, cache_dir=cache)
-        trace = tmp_path / "sweep.jsonl"
-        with recording(trace):
-            run_sweep(warm + [RunConfig("fig1", seed=13, quick=True)], cache_dir=cache)
-        # keep the sweep lifecycle only: inline runs may record engine events
-        events = [e for e in load_jsonl(trace) if e.kind in SWEEP_KINDS]
-        diag = diagnose_trace(events)
-        assert diag.steps == 0
-        sweep = diag.sweep
-        assert sweep is not None
-        assert sweep.sweeps == 1 and sweep.configs == 3
-        assert sweep.attempts == 1  # the two warm configs are cache hits
-        assert sweep.completed == 3 and sweep.cached == 2
-        assert "sweep: 1 invocation(s), 3 configs, 1 attempts, 3 completed (2 cached)" in diag.render()
-
-    def test_mixed_engine_and_sweep_trace(self):
-        """An inline sweep interleaves engine events with sweep lifecycle."""
-        from repro.obs import TraceEvent
-
-        events = record_run(HybridController(0.25, m_max=64))
-        sweep_events = [
-            TraceEvent(step=0, kind="sweep_start", data={"configs": 1, "jobs": 1}),
-            TraceEvent(
-                step=1,
-                kind="sweep_task_start",
-                data={"experiment": "fig3", "seed": 5, "attempt": 0},
-            ),
-            TraceEvent(
-                step=2,
-                kind="sweep_task_complete",
-                data={"experiment": "fig3", "cached": False, "reseeded": False},
-            ),
-        ]
-        mixed = sweep_events[:2] + events + sweep_events[2:]
-        diag = diagnose_trace(mixed)
-        assert diag.controller_type == "HybridController"
-        assert diag.steps > 0
-        assert diag.sweep is not None
-        assert diag.sweep.attempts == 1 and diag.sweep.completed == 1
-        text = diag.render()
-        assert "HybridController" in text and "sweep:" in text

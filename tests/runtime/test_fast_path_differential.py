@@ -319,7 +319,7 @@ class TestRelaxedDifferential:
         def fields(events, kind):
             return {frozenset(e["data"]) for e in events if e["kind"] == kind}
 
-        for kind in ("run_start", "select", "step", "run_end"):
+        for kind in ("run_start", "step", "run_end"):
             assert fields(asynchronous, kind) == fields(unordered, kind)
         extra = {e["kind"] for e in asynchronous} - {e["kind"] for e in unordered}
         assert extra <= {"order_decision"}

@@ -98,7 +98,7 @@ class TestBodiesAgree:
         engine = build_engine("unordered", recorder=recorder, metrics=metrics)
         result = engine.run(max_steps=MAX_STEPS)
         kinds = [event.kind for event in recorder.events]
-        assert kinds.count("select") == kinds.count("step") == len(result)
+        assert kinds.count("step") == len(result)
         snapshot = metrics.snapshot()
         assert snapshot["engine.steps"] == len(result)
         assert snapshot["engine.commits"] == result.total_committed
@@ -128,7 +128,7 @@ class TestTheChoiceIsPerStep:
         assert [event.data["committed"] for event in steps] == [s.committed for s in later]
         engine.recorder = None
         engine.step()
-        assert len(recorder.events) == 2 * len(later)  # select + step, nothing since
+        assert len(recorder.events) == len(later)  # one step event each, nothing since
 
     def test_metrics_swapped_mid_run_rebind_their_handles(self):
         first, second = MetricsRegistry(), MetricsRegistry()

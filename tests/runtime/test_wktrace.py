@@ -90,6 +90,12 @@ class TestWorkloadTraceSerialisation:
         with pytest.raises(ObservabilityError, match="unknown task"):
             WorkloadTrace.from_jsonl(trace.to_jsonl())
 
+    @pytest.mark.parametrize("aborts", ['"many"', "null", "1.5"])
+    def test_non_integer_trailer_aborts_rejected(self, aborts):
+        text = self._tiny_trace().to_jsonl().replace('"aborts":3', f'"aborts":{aborts}')
+        with pytest.raises(ObservabilityError, match="aborts must be an integer"):
+            WorkloadTrace.from_jsonl(text)
+
     def test_load_missing_file_is_actionable(self, tmp_path):
         with pytest.raises(ObservabilityError, match="cannot read"):
             WorkloadTrace.load(tmp_path / "nope.wktrace")
