@@ -8,10 +8,13 @@ components ⇒ little parallelism), giving the controller a workload whose
 available parallelism decays over time.
 
 Implementation: union–find for components plus a per-component map of the
-lightest edge to each neighbouring component (merged small-into-large on
-contraction, so total maintenance cost is O(E log V)).  Conflict
-neighbourhood of a task = its component root and the partner component's
-root, the two items the contraction mutates.
+lightest edge to each neighbouring node (merged small-into-large on
+contraction, so total maintenance cost is O(E log V)).  A component's
+lightest outgoing edge is memoised and recomputed only after the component
+is itself a party to a union, so one table scan serves every launch, retry
+and commit in between.  Conflict neighbourhood of a task = its component
+root and the partner component's root, the two items the contraction
+mutates.
 
 Correctness oracle: with distinct edge weights the MST is unique, so the
 test suite checks the total weight against an independent Kruskal
@@ -121,14 +124,16 @@ class BoruvkaMST(AppWorkload, Operator):
         n = graph.num_nodes
         self._parent = list(range(n))
         self._rank = [0] * n
-        # lightest edge from each component to each neighbouring component:
-        # root -> {other_root: (w, u, v)}
-        self._comp_edges: list[dict[int, Edge]] = [dict() for _ in range(n)]
-        for u in range(n):
-            for v, w in graph.neighbors(u).items():
-                best = self._comp_edges[u].get(v)
-                if best is None or w < best[2]:
-                    self._comp_edges[u][v] = (u, v, w)
+        # lightest edge from each component to each outside node, keyed by
+        # the node's original id: root -> {v: (u, v, w)}.  Every entry has
+        # key == e[1] and e[0] inside the owning component; an entry whose
+        # key has since joined the owner is dead until _scan drops it.
+        self._comp_edges: list[dict[int, Edge]] = [
+            {v: (u, v, w) for v, w in graph.neighbors(u).items()} for u in range(n)
+        ]
+        # root -> its lightest live edge (None: none left); _union drops the
+        # entries of both parties, the only event that can change it
+        self._best: dict[int, Edge | None] = {}
         self.mst_edges: list[Edge] = []
         self.policy = ItemLockPolicy()
         self._init_workset(workset)
@@ -147,14 +152,21 @@ class BoruvkaMST(AppWorkload, Operator):
         return x
 
     def _lightest(self, root: int) -> Edge | None:
-        """Lightest live outgoing edge of component *root* (lazy cleanup)."""
+        """Lightest live outgoing edge of component *root*, memoised."""
+        try:
+            return self._best[root]
+        except KeyError:
+            best = self._best[root] = self._scan(root)
+            return best
+
+    def _scan(self, root: int) -> Edge | None:
+        """Scan *root*'s table for its lightest live edge (lazy cleanup)."""
         edges = self._comp_edges[root]
         parent = self._parent
         best: Edge | None = None
         dead: list[int] = []
         for other, e in edges.items():
-            # find(other), spelled out: this loop is the run's hot spot
-            # (~70 finds per launched task, each a method call)
+            # find(other), spelled out: one method call per entry otherwise
             x = other
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
@@ -171,45 +183,50 @@ class BoruvkaMST(AppWorkload, Operator):
     # ------------------------------------------------------------------
     # Operator interface
     # ------------------------------------------------------------------
+    # A live edge e of `root` has e[0] inside it and its key e[1] outside,
+    # so the partner component is find(e[1]), never `root` itself.
     def neighborhood(self, task: Task):
-        root = self.find(task.payload)
-        if root != task.payload:
+        root = task.payload
+        if self._parent[root] != root:
             return ()  # stale: this component was absorbed already
         e = self._lightest(root)
         if e is None:
             return ()
-        return (root, self.find(e[1] if self.find(e[0]) == root else e[0]))
+        return (root, self.find(e[1]))
 
     def apply(self, task: Task) -> list[Task]:
-        root = self.find(task.payload)
-        if root != task.payload:
+        root = task.payload
+        if self._parent[root] != root:
             self.stale_commits += 1
             return []
         e = self._lightest(root)
         if e is None:
             return []  # spanning complete for this component
-        u, v, w = e
-        other = self.find(v) if self.find(u) == root else self.find(u)
-        if other == root:  # raced internal edge; retry via fresh task
-            return [Task(payload=root)]
-        self.mst_edges.append((u, v, w))
-        merged = self._union(root, other)
+        self.mst_edges.append(e)
+        merged = self._union(root, self.find(e[1]))
         return [Task(payload=merged)] if self._comp_edges[merged] else []
 
     def _union(self, a: int, b: int) -> int:
         """Merge components *a*, *b*; returns the surviving root."""
         if self._rank[a] < self._rank[b]:
             a, b = b, a
-        self._parent[b] = a
+        parent = self._parent
+        parent[b] = a
         if self._rank[a] == self._rank[b]:
             self._rank[a] += 1
+        self._best.pop(a, None)
+        self._best.pop(b, None)
         # fold b's lightest-edge table into a's, keeping minima
         ea, eb = self._comp_edges[a], self._comp_edges[b]
         if len(eb) > len(ea):  # merge the smaller table
             ea, eb = eb, ea
             self._comp_edges[a] = ea
         for other, edge in eb.items():
-            if self.find(other) == a:
+            x = other  # find(other), spelled out as in _scan
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            if x == a:
                 continue
             cur = ea.get(other)
             if cur is None or edge[2] < cur[2]:

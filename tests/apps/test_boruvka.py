@@ -119,6 +119,63 @@ class TestBoruvkaCorrectness:
         assert app.total_weight == pytest.approx(0.7)
 
 
+def _root(app, x):
+    """Union–find root without path halving: leaves the app untouched."""
+    while app._parent[x] != x:
+        x = app._parent[x]
+    return x
+
+
+def _fresh_lightest(app, root):
+    """Lightest live edge of *root* by a plain scan of its table."""
+    live = [e for key, e in app._comp_edges[root].items() if _root(app, key) != root]
+    return min(live, key=lambda e: e[2], default=None)
+
+
+class TestLightestEdgeMemo:
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(2, 60), st.floats(1.0, 6.0), st.integers(0, 1000), st.integers(1, 64))
+    def test_memo_matches_a_fresh_scan_after_every_step(self, n, deg, seed, m):
+        g = random_weighted_graph(n, deg, seed=seed)
+        app = BoruvkaMST(g)
+        engine = app.make_engine(FixedController(m), seed=seed)
+        while len(app.workset) > 0:
+            engine.step()
+            roots = {x for x in range(n) if _root(app, x) == x}
+            assert set(app._best) <= roots
+            for root, best in app._best.items():
+                assert best == _fresh_lightest(app, root)
+            for owner, table in enumerate(app._comp_edges):
+                if owner not in roots:
+                    assert not table
+                for key, (u, v, _) in table.items():
+                    assert key == v
+                    assert _root(app, u) == owner
+        assert app.total_weight == pytest.approx(kruskal_weight(g), abs=1e-9)
+
+
+class TestLightestEdgeCost:
+    def test_one_table_scan_per_component_version(self, monkeypatch):
+        """By count, not by clock: a component's table is scanned once
+        when it first appears (n singletons, one merged root per union),
+        not on every launch, retry and commit of its task."""
+        scans = []
+        real = BoruvkaMST._scan
+
+        def counted(app, root):
+            scans.append(root)
+            return real(app, root)
+
+        monkeypatch.setattr(BoruvkaMST, "_scan", counted)
+        n = 200
+        g = random_weighted_graph(n, 6, seed=9)
+        app = BoruvkaMST(g)
+        result = app.make_engine(FixedController(64), seed=10).run(max_steps=5000)
+        assert result.total_aborted > 0  # aborted tasks were retried
+        assert len(app.mst_edges) == n - 1
+        assert len(scans) <= n + len(app.mst_edges)
+
+
 class TestParallelConflicts:
     def test_conflicts_occur_under_wide_allocation(self):
         g = random_weighted_graph(200, 6, seed=9)
