@@ -4,8 +4,10 @@ Bridges :mod:`repro.apps` to the ``"workload"`` registry: every app gets
 a stable name usable as ``RunConfig(workload="boruvka")`` (optionally
 with a ``":<scale>"`` suffix pinning the problem size), a seeded
 synthetic-input builder for graph-less runs, and a uniform constructor
-that threads the registry-matched work-set through.  App modules are
-imported inside the builders so ``import repro`` stays light.
+that threads the registry-matched work-set through.  Name and order
+checks read the name tables alone; app modules are imported inside the
+builders, and :mod:`repro.apps` re-exports lazily, so importing this
+module loads no app and a run loads the one app it builds.
 
 The input recipes deliberately match ``experiments/apps_eval.py`` so a
 registry run and the APPS experiment exercise the same instances.

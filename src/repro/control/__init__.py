@@ -1,49 +1,35 @@
-"""Processor-allocation controllers: Algorithm 1 and baselines."""
+"""Processor-allocation controllers: Algorithm 1 and baselines.
 
-from repro.control.adaptive import NoiseAdaptiveHybridController
-from repro.control.aimd import AIMDController
-from repro.control.asteal import AStealController
-from repro.control.base import Controller, ControlTrace, clamp
-from repro.control.bisection import BisectionController
-from repro.control.fixed import FixedController
-from repro.control.hybrid import HybridController, HybridParams
-from repro.control.oracle import OracleController, mu_from_curve
-from repro.control.pid import PIController
-from repro.control.probing import ProbingHybridController
-from repro.control.recurrence import (
-    RecurrenceAController,
-    RecurrenceBController,
-    WindowedController,
-)
-from repro.control.tuning import (
-    ControllerMetrics,
-    evaluate_controller,
-    oracle_mu,
-    summarize_sweep,
-    sweep_controllers,
-)
+Names are re-exported lazily, so a run imports only the controller it
+was configured with (and that controller's model dependencies).
+"""
 
-__all__ = [
-    "NoiseAdaptiveHybridController",
-    "AIMDController",
-    "AStealController",
-    "Controller",
-    "ControlTrace",
-    "clamp",
-    "BisectionController",
-    "FixedController",
-    "HybridController",
-    "HybridParams",
-    "OracleController",
-    "mu_from_curve",
-    "PIController",
-    "ProbingHybridController",
-    "RecurrenceAController",
-    "RecurrenceBController",
-    "WindowedController",
-    "ControllerMetrics",
-    "evaluate_controller",
-    "oracle_mu",
-    "summarize_sweep",
-    "sweep_controllers",
-]
+from repro.utils.lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "adaptive": ("NoiseAdaptiveHybridController",),
+        "aimd": ("AIMDController",),
+        "asteal": ("AStealController",),
+        "base": ("Controller", "ControlTrace", "clamp"),
+        "bisection": ("BisectionController",),
+        "fixed": ("FixedController",),
+        "hybrid": ("HybridController", "HybridParams"),
+        "oracle": ("OracleController", "mu_from_curve"),
+        "pid": ("PIController",),
+        "probing": ("ProbingHybridController",),
+        "recurrence": (
+            "RecurrenceAController",
+            "RecurrenceBController",
+            "WindowedController",
+        ),
+        "tuning": (
+            "ControllerMetrics",
+            "evaluate_controller",
+            "oracle_mu",
+            "summarize_sweep",
+            "sweep_controllers",
+        ),
+    },
+)

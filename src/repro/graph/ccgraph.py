@@ -16,6 +16,11 @@ optimistic runtime and the applications.  Design points:
 * **Set-based adjacency** for O(1) expected edge updates and O(deg) node
   removal — the access pattern of graph morphs is pointer-chasing, not
   array-scannable, which is exactly why these algorithms are "irregular".
+* **Bulk construction, one int object per node id.** :meth:`from_edges`
+  fills every neighbour set in one pass over the edges, in the order a
+  per-edge :meth:`add_edge` loop would, but stores the graph's own id
+  ints rather than the caller's endpoint objects: a G(n, M) input keeps
+  ``n`` distinct ints in its adjacency, not one per edge endpoint.
 * **Frozen CSR snapshots** (:meth:`snapshot`) for the analytic layer: the
   Monte-Carlo estimators sample hundreds of thousands of permutations of a
   *static* graph, and a packed CSR + vectorised NumPy walk is ~50× faster
@@ -145,12 +150,33 @@ class CCGraph:
     def from_edges(
         cls, num_nodes: int, edges: Iterable[tuple[int, int]]
     ) -> "CCGraph":
-        """Build a graph with nodes ``0..num_nodes-1`` and the given edges."""
+        """Build a graph with nodes ``0..num_nodes-1`` and the given edges.
+
+        Equal to :meth:`add_node` ``num_nodes`` times and then
+        :meth:`add_edge` per edge, down to each neighbour set's iteration
+        order (every set gets the same insertions in the same order) and
+        ``version == num_nodes + distinct edges``; the errors are the
+        same too.  Built in bulk, and each set stores the graph's own
+        node-id ints, not the caller's endpoint objects.
+        """
         g = cls()
-        for _ in range(num_nodes):
-            g.add_node()
+        ids = list(range(num_nodes))
+        adj = g._adj = {u: set() for u in ids}
         for u, v in edges:
-            g.add_edge(u, v)
+            if u == v:
+                raise GraphError(f"self-loop on node {u} is not a conflict")
+            # membership before indexing ids, so that -1 cannot wrap
+            au = adj.get(u)
+            av = adj.get(v)
+            if au is None:
+                raise NodeNotFoundError(u)
+            if av is None:
+                raise NodeNotFoundError(v)
+            au.add(ids[v])
+            av.add(ids[u])
+        g._next_id = len(ids)
+        g._num_edges = sum(map(len, adj.values())) // 2
+        g._version = len(ids) + g._num_edges
         return g
 
     @classmethod
@@ -163,11 +189,9 @@ class CCGraph:
         """
         nodes = sorted(nxg.nodes(), key=repr)
         index = {node: i for i, node in enumerate(nodes)}
-        g = cls.from_edges(len(nodes), [])
-        for u, v in nxg.edges():
-            if u != v:
-                g.add_edge(index[u], index[v])
-        return g
+        return cls.from_edges(
+            len(nodes), ((index[u], index[v]) for u, v in nxg.edges() if u != v)
+        )
 
     def add_node(self, data: object | None = None) -> int:
         """Create an isolated node, returning its fresh id."""

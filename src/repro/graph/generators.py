@@ -150,37 +150,33 @@ def gnm_random(n: int, avg_degree: float, seed=None) -> CCGraph:
         raise GeneratorError(
             f"requested {m} edges but K_{n} has only {max_edges}"
         )
-    g = CCGraph.from_edges(n, [])
     if m == 0:
-        return g
+        return CCGraph.from_edges(n, [])
     # Sample edge codes without replacement from the triangular index space.
     # For the sparse regimes we use (m << max_edges), rejection batching is
     # far cheaper than materialising all C(n,2) codes.
     chosen: set[int] = set()
     while len(chosen) < m:
         need = m - len(chosen)
-        codes = rng.integers(0, max_edges, size=max(64, 2 * need))
-        for code in codes:
-            chosen.add(int(code))
+        for code in rng.integers(0, max_edges, size=max(64, 2 * need)).tolist():
+            chosen.add(code)
             if len(chosen) == m:
                 break
-    for code in chosen:
-        # decode triangular index: row u such that u*(2n-u-1)/2 <= code
-        u = int(
-            math.floor(
-                (2 * n - 1 - math.sqrt((2 * n - 1) ** 2 - 8 * code)) / 2.0
-            )
-        )
-        base = u * (2 * n - u - 1) // 2
-        while base > code:  # guard float rounding at row boundaries
-            u -= 1
-            base = u * (2 * n - u - 1) // 2
-        while u + 1 < n and (u + 1) * (2 * n - (u + 1) - 1) // 2 <= code:
-            u += 1
-            base = u * (2 * n - u - 1) // 2
-        v = u + 1 + (code - base)
-        g.add_edge(u, v)
-    return g
+    # decode the triangular index in the set's iteration order: row u is
+    # the largest with base(u) = u*(2n-u-1)/2 <= code; float sqrt first,
+    # then integer fix-ups at row boundaries until no row moves
+    codes = np.fromiter(chosen, dtype=np.int64, count=m)
+    del chosen  # lowers the build's memory peak
+    b = 2 * n - 1
+    u = np.floor((b - np.sqrt(float(b * b) - 8.0 * codes)) / 2.0).astype(np.int64)
+    while True:
+        high = u * (b - u) // 2 > codes
+        low = (u + 1 < n) & ((u + 1) * (b - u - 1) // 2 <= codes)
+        if not (high.any() or low.any()):
+            break
+        u += low.astype(np.int64) - high
+    v = codes - u * (b - u) // 2 + u + 1
+    return CCGraph.from_edges(n, zip(u.tolist(), v.tolist()))
 
 
 def gnp_random(n: int, p: float, seed=None) -> CCGraph:
@@ -190,16 +186,13 @@ def gnp_random(n: int, p: float, seed=None) -> CCGraph:
         raise GeneratorError(f"negative node count {n}")
     if not 0.0 <= p <= 1.0:
         raise GeneratorError(f"edge probability p={p} outside [0, 1]")
-    g = CCGraph.from_edges(n, [])
     if p == 0.0 or n < 2:
-        return g
+        return CCGraph.from_edges(n, [])
     if p == 1.0:
-        for u in range(n):
-            for v in range(u + 1, n):
-                g.add_edge(u, v)
-        return g
+        return complete_graph(n)
     # Batagelj–Brandes skipping over the triangular edge enumeration.
     lp = math.log(1.0 - p)
+    edges: list[tuple[int, int]] = []
     v = 1
     w = -1
     while v < n:
@@ -209,8 +202,8 @@ def gnp_random(n: int, p: float, seed=None) -> CCGraph:
             w -= v
             v += 1
         if v < n:
-            g.add_edge(v, w)
-    return g
+            edges.append((v, w))
+    return CCGraph.from_edges(n, edges)
 
 
 def random_regular(n: int, d: int, seed=None, max_retries: int = 200) -> CCGraph:
@@ -234,10 +227,7 @@ def random_regular(n: int, d: int, seed=None, max_retries: int = 200) -> CCGraph
         import networkx as nx
 
         nxg = nx.random_regular_graph(d, n, seed=int(rng.integers(0, 2**31 - 1)))
-        g = CCGraph.from_edges(n, [])
-        for u, v in nxg.edges():
-            g.add_edge(int(u), int(v))
-        return g
+        return CCGraph.from_edges(n, nxg.edges())
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     for _ in range(max_retries):
         perm = rng.permutation(stubs)
@@ -249,10 +239,7 @@ def random_regular(n: int, d: int, seed=None, max_retries: int = 200) -> CCGraph
         codes = lo * n + hi
         if np.unique(codes).shape[0] != codes.shape[0]:
             continue
-        g = CCGraph.from_edges(n, [])
-        for u, v in zip(lo.tolist(), hi.tolist()):
-            g.add_edge(u, v)
-        return g
+        return CCGraph.from_edges(n, zip(lo.tolist(), hi.tolist()))
     raise GeneratorError(
         f"pairing model failed to produce a simple graph after {max_retries} tries "
         f"(n={n}, d={d})"
@@ -271,15 +258,13 @@ def random_geometric(n: int, radius: float, seed=None) -> CCGraph:
     if radius < 0:
         raise GeneratorError(f"negative radius {radius}")
     pts = rng.random((n, 2))
-    g = CCGraph.from_edges(n, [])
-    if n == 0:
-        return g
     # Cell-bucket neighbour search keeps this O(n) for constant density.
     cell = max(radius, 1e-12)
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, (x, y) in enumerate(pts):
         buckets.setdefault((int(x / cell), int(y / cell)), []).append(i)
     r2 = radius * radius
+    edges: list[tuple[int, int]] = []
     for (cx, cy), members in buckets.items():
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
@@ -291,7 +276,8 @@ def random_geometric(n: int, radius: float, seed=None) -> CCGraph:
                         if i < j:
                             diff = pts[i] - pts[j]
                             if diff[0] * diff[0] + diff[1] * diff[1] <= r2:
-                                g.add_edge(i, j)
+                                edges.append((i, j))
+    g = CCGraph.from_edges(n, edges)
     for i in range(n):
         g.set_data(i, (float(pts[i, 0]), float(pts[i, 1])))
     return g

@@ -1,91 +1,63 @@
-"""Analytic model layer: conflict ratios, Turán bounds, seating, profiles."""
+"""Analytic model layer: conflict ratios, Turán bounds, seating, profiles.
 
-from repro.model.conflict_ratio import (
-    ConflictCurve,
-    conflict_ratio_curve,
-    estimate_conflict_ratio,
-    estimate_em,
-    estimate_kbar,
-    exact_conflict_ratio,
-    exact_kbar,
-    first_come_bound,
-    first_come_probability,
-)
-from repro.model.noise import (
-    false_trigger_probability,
-    suggest_deadband,
-    suggest_period,
-    window_std,
-)
-from repro.model.parallelism import (
-    ParallelismProfile,
-    measure_profile,
-    profile_from_run,
-    profile_summary,
-)
-from repro.model.permutation import (
-    PrefixSampler,
-    committed_mask_csr,
-    committed_set,
-    conflict_count,
-    conflict_ratio_realization,
-)
-from repro.model.seating import (
-    cycle_expected_occupancy,
-    expected_mis,
-    path_expected_occupancy,
-    seating_density_limit,
-)
-from repro.model.turan import (
-    alpha_conflict_bound,
-    alpha_conflict_bound_limit,
-    em_disjoint_cliques,
-    em_kdn,
-    initial_derivative,
-    mu_disjoint_cliques,
-    predict_mu_linear,
-    safe_initial_m,
-    turan_bound,
-    worst_case_conflict_ratio,
-    worst_case_conflict_ratio_approx,
-)
+Names are re-exported lazily: ``from repro.model import turan_bound``
+imports :mod:`repro.model.turan` alone, so a run whose controller needs
+one closed form does not load the Monte-Carlo estimators.
+"""
 
-__all__ = [
-    "ConflictCurve",
-    "conflict_ratio_curve",
-    "estimate_conflict_ratio",
-    "estimate_em",
-    "estimate_kbar",
-    "exact_conflict_ratio",
-    "exact_kbar",
-    "first_come_bound",
-    "first_come_probability",
-    "false_trigger_probability",
-    "suggest_deadband",
-    "suggest_period",
-    "window_std",
-    "ParallelismProfile",
-    "measure_profile",
-    "profile_from_run",
-    "profile_summary",
-    "PrefixSampler",
-    "committed_mask_csr",
-    "committed_set",
-    "conflict_count",
-    "conflict_ratio_realization",
-    "cycle_expected_occupancy",
-    "expected_mis",
-    "path_expected_occupancy",
-    "seating_density_limit",
-    "alpha_conflict_bound",
-    "alpha_conflict_bound_limit",
-    "em_disjoint_cliques",
-    "em_kdn",
-    "initial_derivative",
-    "mu_disjoint_cliques",
-    "predict_mu_linear",
-    "safe_initial_m",
-    "turan_bound",
-    "worst_case_conflict_ratio",
-    "worst_case_conflict_ratio_approx",
-]
+from repro.utils.lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "conflict_ratio": (
+            "ConflictCurve",
+            "conflict_ratio_curve",
+            "estimate_conflict_ratio",
+            "estimate_em",
+            "estimate_kbar",
+            "exact_conflict_ratio",
+            "exact_kbar",
+            "first_come_bound",
+            "first_come_probability",
+        ),
+        "noise": (
+            "false_trigger_probability",
+            "suggest_deadband",
+            "suggest_period",
+            "window_std",
+        ),
+        "parallelism": (
+            "ParallelismProfile",
+            "measure_profile",
+            "profile_from_run",
+            "profile_summary",
+        ),
+        "permutation": (
+            "PrefixSampler",
+            "committed_mask_csr",
+            "committed_set",
+            "conflict_count",
+            "conflict_ratio_realization",
+        ),
+        "seating": (
+            "cycle_expected_occupancy",
+            "expected_mis",
+            "path_expected_occupancy",
+            "seating_density_limit",
+        ),
+        "turan": (
+            "alpha_conflict_bound",
+            "alpha_conflict_bound_limit",
+            "em_disjoint_cliques",
+            "em_kdn",
+            "initial_derivative",
+            "mu_disjoint_cliques",
+            "predict_mu_linear",
+            "safe_initial_m",
+            "turan_bound",
+            "worst_case_conflict_ratio",
+            "worst_case_conflict_ratio_approx",
+        ),
+    },
+)

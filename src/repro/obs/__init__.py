@@ -26,119 +26,74 @@ On top of the channels:
 
 Everything is opt-in: engines built without a recorder/registry/profiler
 (and with no active one) skip all instrumentation at the cost of one
-attribute test per step phase.
+attribute test per step phase.  Names are re-exported lazily, so a run
+that never replays, exports or reports does not import those modules.
 """
 
-from repro.obs.events import (
-    CLAMP,
-    DECISION,
-    HALO_EXCHANGE,
-    ORDER_DECISION,
-    RUN_END,
-    RUN_START,
-    STEP,
-    TraceEvent,
-    event_from_json,
-    event_to_json,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsScope,
-    activate_metrics,
-    active_metrics,
-    collecting_metrics,
-    deactivate_metrics,
-)
-from repro.obs.export import (
-    render_openmetrics,
-    restore_registry,
-    snapshot_registry,
-    write_telemetry,
-)
-from repro.obs.recorder import (
-    TraceRecorder,
-    activate,
-    active_recorder,
-    deactivate,
-    describe_seed,
-    load_jsonl,
-    load_jsonl_meta,
-    recording,
-)
-from repro.obs.spans import (
-    NULL_SPAN,
-    SpanProfiler,
-    SpanStat,
-    activate_profiler,
-    active_profiler,
-    deactivate_profiler,
-    profiling,
-)
+from repro.utils.lazy import lazy_exports
 
-from repro.obs.replay import (
-    ReplayController,
-    ReplayReport,
-    controller_from_config,
-    controller_from_trace,
-    recorded_seed,
-    replay_decisions,
-    split_runs,
-    trajectory,
-    verify_trace,
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "events": (
+            "TraceEvent",
+            "RUN_START",
+            "STEP",
+            "HALO_EXCHANGE",
+            "ORDER_DECISION",
+            "DECISION",
+            "CLAMP",
+            "RUN_END",
+            "event_to_json",
+            "event_from_json",
+        ),
+        "recorder": (
+            "TraceRecorder",
+            "load_jsonl",
+            "load_jsonl_meta",
+            "active_recorder",
+            "activate",
+            "deactivate",
+            "recording",
+            "describe_seed",
+        ),
+        "metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "MetricsScope",
+            "active_metrics",
+            "activate_metrics",
+            "deactivate_metrics",
+            "collecting_metrics",
+        ),
+        "replay": (
+            "split_runs",
+            "trajectory",
+            "recorded_seed",
+            "controller_from_config",
+            "controller_from_trace",
+            "ReplayReport",
+            "replay_decisions",
+            "verify_trace",
+            "ReplayController",
+        ),
+        "spans": (
+            "SpanStat",
+            "SpanProfiler",
+            "NULL_SPAN",
+            "active_profiler",
+            "activate_profiler",
+            "deactivate_profiler",
+            "profiling",
+        ),
+        "export": (
+            "render_openmetrics",
+            "snapshot_registry",
+            "restore_registry",
+            "write_telemetry",
+        ),
+        "report": ("RunReport", "run_report"),
+    },
 )
-from repro.obs.report import RunReport, run_report
-
-__all__ = [
-    "TraceEvent",
-    "RUN_START",
-    "STEP",
-    "HALO_EXCHANGE",
-    "ORDER_DECISION",
-    "DECISION",
-    "CLAMP",
-    "RUN_END",
-    "event_to_json",
-    "event_from_json",
-    "TraceRecorder",
-    "load_jsonl",
-    "load_jsonl_meta",
-    "active_recorder",
-    "activate",
-    "deactivate",
-    "recording",
-    "describe_seed",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricsScope",
-    "active_metrics",
-    "activate_metrics",
-    "deactivate_metrics",
-    "collecting_metrics",
-    "split_runs",
-    "trajectory",
-    "recorded_seed",
-    "controller_from_config",
-    "controller_from_trace",
-    "ReplayReport",
-    "replay_decisions",
-    "verify_trace",
-    "ReplayController",
-    "SpanStat",
-    "SpanProfiler",
-    "NULL_SPAN",
-    "active_profiler",
-    "activate_profiler",
-    "deactivate_profiler",
-    "profiling",
-    "render_openmetrics",
-    "snapshot_registry",
-    "restore_registry",
-    "write_telemetry",
-    "RunReport",
-    "run_report",
-]

@@ -331,46 +331,33 @@ def workset_for(config) -> "object":
 
 def _populate_controllers(reg: Registry) -> None:
     # every factory takes the RunConfig and honours (rho, m, m_min, m_max)
-    # where the controller supports them
-    from repro.control.adaptive import NoiseAdaptiveHybridController
-    from repro.control.aimd import AIMDController
-    from repro.control.asteal import AStealController
-    from repro.control.bisection import BisectionController
-    from repro.control.fixed import FixedController
-    from repro.control.hybrid import HybridController
-    from repro.control.pid import PIController
-    from repro.control.recurrence import RecurrenceAController, RecurrenceBController
+    # where the controller supports them; a factory imports its class on
+    # first use, so a run loads only the controller it configures
+    def _ranged(class_name: str) -> Callable:
+        def _make(config):
+            from repro import control
 
-    def _range_kwargs(config) -> dict:
-        kwargs = {"m_max": config.m_max}
-        if config.m_min is not None:
-            kwargs["m_min"] = config.m_min
-        return kwargs
+            kwargs = {"m_max": config.m_max}
+            if config.m_min is not None:
+                kwargs["m_min"] = config.m_min
+            return getattr(control, class_name)(config.rho, **kwargs)
 
-    reg.register("hybrid", lambda config: HybridController(config.rho, **_range_kwargs(config)))
-    reg.register("aimd", lambda config: AIMDController(config.rho, **_range_kwargs(config)))
-    reg.register("pi", lambda config: PIController(config.rho, **_range_kwargs(config)))
-    reg.register(
-        "bisection",
-        lambda config: BisectionController(config.rho, **_range_kwargs(config)),
-    )
-    reg.register(
-        "recurrence-a",
-        lambda config: RecurrenceAController(config.rho, **_range_kwargs(config)),
-    )
-    reg.register(
-        "recurrence-b",
-        lambda config: RecurrenceBController(config.rho, **_range_kwargs(config)),
-    )
-    reg.register(
-        "noise-adaptive",
-        lambda config: NoiseAdaptiveHybridController(config.rho, **_range_kwargs(config)),
-    )
-    reg.register(
-        "asteal", lambda config: AStealController(config.rho, **_range_kwargs(config))
-    )
+        return _make
+
+    for name, class_name in (
+        ("hybrid", "HybridController"),
+        ("aimd", "AIMDController"),
+        ("pi", "PIController"),
+        ("bisection", "BisectionController"),
+        ("recurrence-a", "RecurrenceAController"),
+        ("recurrence-b", "RecurrenceBController"),
+        ("noise-adaptive", "NoiseAdaptiveHybridController"),
+        ("asteal", "AStealController"),
+    ):
+        reg.register(name, _ranged(class_name))
 
     def _fixed(config):
+        from repro.control.fixed import FixedController
         from repro.errors import ConfigError
 
         if config.m is None:

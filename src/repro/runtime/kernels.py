@@ -208,8 +208,11 @@ def greedy_commit_mask(
     return greedy_commit_mask_batch(indptr, indices, prefix[None, :])[0]
 
 
-#: below this many live pairs, array rounds cost more than a Python walk
-_SEQUENTIAL_TAIL = 512
+#: below this many live pairs, array rounds cost more than a Python walk.
+#: Medians on gnm_random(10000, 8) batches (2-vCPU Xeon): walking ~36
+#: pairs ties one round (31 us either way); at ~62 pairs the rounds win
+#: (23 vs 28 us), at ~100 and ~220 pairs by 39 vs 59 and 35 vs 91 us
+_SEQUENTIAL_TAIL = 48
 
 #: below this batch size the per-task set walk resolves an explicit-graph
 #: batch faster than gather + kernel (gnm_random(10000, 8): walk 33/76/186 us

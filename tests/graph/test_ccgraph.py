@@ -275,3 +275,129 @@ class TestInvariantsPropertyBased:
         assert int(snap.indptr[-1]) == snap.indices.shape[0]
         if snap.num_nodes:
             assert np.array_equal(np.sort(np.diff(snap.indptr)), np.sort(snap.degrees))
+
+
+# ----------------------------------------------------------------------
+# frozen oracle: the per-edge ``from_edges`` the bulk build replaced
+# ----------------------------------------------------------------------
+def per_edge_from_edges(num_nodes, edges):
+    """Frozen copy of the per-edge ``CCGraph.from_edges`` loop."""
+    g = CCGraph()
+    for _ in range(num_nodes):
+        g.add_node()
+    for u, v in edges:
+        g.add_edge(u, v)
+    return g
+
+
+def graph_shape(g):
+    """Everything bulk construction must reproduce, orders included."""
+    nodes = g.nodes()
+    return (
+        nodes,
+        [list(g._adj[u]) for u in nodes],  # set iteration order per node
+        g.num_edges,
+        g.version,
+        g._next_id,
+        [g.get_data(u) for u in nodes],
+    )
+
+
+def distinct_adjacency_ints(g):
+    """Distinct int objects held across all neighbour sets."""
+    return len({id(v) for vs in g._adj.values() for v in vs})
+
+
+class TestBulkFromEdges:
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (0, []),
+            (1, []),
+            (2, [(0, 1)]),
+            (2, [(1, 0), (0, 1), (1, 0)]),  # duplicates collapse
+            (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]),
+            (40, [(u, v) for u in range(40) for v in range(u + 1, 40)]),
+            (300, [(u * 7 % 300, u * 13 % 300) for u in range(1, 300)]),
+        ],
+    )
+    def test_matches_per_edge_loop(self, n, edges):
+        edges = [(u, v) for u, v in edges if u != v]
+        assert graph_shape(CCGraph.from_edges(n, edges)) == graph_shape(
+            per_edge_from_edges(n, edges)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 60).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+                    max_size=4 * n,
+                ),
+            )
+        )
+    )
+    def test_matches_per_edge_loop_any_edge_list(self, case):
+        n, edges = case
+        edges = [(u + 300, v + 300) for u, v in edges if u != v]  # uncached ints
+        n += 300
+        assert graph_shape(CCGraph.from_edges(n, edges)) == graph_shape(
+            per_edge_from_edges(n, edges)
+        )
+
+    def test_accepts_iterators(self):
+        pairs = [(0, 1), (1, 2)]
+        assert graph_shape(CCGraph.from_edges(3, iter(pairs))) == graph_shape(
+            CCGraph.from_edges(3, pairs)
+        )
+
+    @pytest.mark.parametrize(
+        "n, edges, error",
+        [
+            (3, [(0, 1), (2, 2)], GraphError),  # self-loop
+            (3, [(0, -1)], NodeNotFoundError),  # must not wrap to node 2
+            (3, [(-1, 0)], NodeNotFoundError),
+            (3, [(0, 3)], NodeNotFoundError),
+            (3, [(5, 1)], NodeNotFoundError),
+            (0, [(0, 1)], NodeNotFoundError),
+            (3, [(7, 7)], GraphError),  # self-loop test comes first
+        ],
+    )
+    def test_error_parity(self, n, edges, error):
+        with pytest.raises(error) as bulk:
+            CCGraph.from_edges(n, edges)
+        with pytest.raises(error) as loop:
+            per_edge_from_edges(n, edges)
+        assert str(bulk.value) == str(loop.value)
+
+    def test_numpy_endpoints_store_python_ints(self):
+        lo = np.array([0, 1, 500, 2], dtype=np.int64)
+        hi = np.array([1, 700, 999, 3], dtype=np.int64)
+        g = CCGraph.from_edges(1000, zip(lo, hi))
+        oracle = per_edge_from_edges(1000, zip(lo.tolist(), hi.tolist()))
+        assert graph_shape(g) == graph_shape(oracle)
+        assert all(type(v) is int for vs in g._adj.values() for v in vs)
+
+    def test_one_int_object_per_node_id(self):
+        n = 3000
+        edges = [(u, (u * 37 + 11) % n) for u in range(n) if u != (u * 37 + 11) % n]
+        # fresh int objects per endpoint, as a decoder's tolist() hands out
+        fresh = [(int(str(u)), int(str(v))) for u, v in edges]
+        g = CCGraph.from_edges(n, fresh)
+        assert distinct_adjacency_ints(g) <= g.num_nodes
+        # the per-edge loop keeps the caller's objects: one per endpoint
+        assert distinct_adjacency_ints(per_edge_from_edges(n, fresh)) > g.num_nodes
+
+    def test_from_networkx_matches_per_edge_loop(self):
+        import networkx as nx
+
+        nxg = nx.gnm_random_graph(60, 200, seed=5)
+        nxg.add_edge(3, 3)  # dropped
+        nodes = sorted(nxg.nodes(), key=repr)
+        index = {node: i for i, node in enumerate(nodes)}
+        oracle = per_edge_from_edges(
+            len(nodes), [(index[u], index[v]) for u, v in nxg.edges() if u != v]
+        )
+        assert graph_shape(CCGraph.from_networkx(nxg)) == graph_shape(oracle)

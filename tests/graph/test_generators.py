@@ -1,11 +1,14 @@
 """Tests for repro.graph.generators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeneratorError
+from repro.graph.ccgraph import CCGraph
 from repro.graph.generators import (
     clique_plus_isolated,
     complete_graph,
@@ -21,6 +24,8 @@ from repro.graph.generators import (
     random_regular,
     union_of_cliques,
 )
+from repro.utils.rng import ensure_rng
+from tests.graph.test_ccgraph import distinct_adjacency_ints, graph_shape, per_edge_from_edges
 
 
 class TestDeterministicFamilies:
@@ -216,3 +221,110 @@ class TestRandomFamilies:
 def test_every_generator_lists_nodes_in_ascending_id_order(graph):
     """``CCGraph.nodes()`` contract: insertion order == ascending ids."""
     assert graph.nodes() == list(range(graph.num_nodes))
+
+
+# ----------------------------------------------------------------------
+# frozen oracle: every generator equals its per-edge build, orders included
+# ----------------------------------------------------------------------
+def per_edge_gnm_random(n, avg_degree, seed=None):
+    """Frozen copy of the per-edge ``gnm_random`` (scalar triangular decode)."""
+    rng = ensure_rng(seed)
+    m = int(round(n * avg_degree / 2.0))
+    max_edges = n * (n - 1) // 2
+    g = per_edge_from_edges(n, [])
+    if m == 0:
+        return g
+    chosen = set()
+    while len(chosen) < m:
+        need = m - len(chosen)
+        codes = rng.integers(0, max_edges, size=max(64, 2 * need))
+        for code in codes:
+            chosen.add(int(code))
+            if len(chosen) == m:
+                break
+    for code in chosen:
+        u = int(math.floor((2 * n - 1 - math.sqrt((2 * n - 1) ** 2 - 8 * code)) / 2.0))
+        base = u * (2 * n - u - 1) // 2
+        while base > code:
+            u -= 1
+            base = u * (2 * n - u - 1) // 2
+        while u + 1 < n and (u + 1) * (2 * n - (u + 1) - 1) // 2 <= code:
+            u += 1
+            base = u * (2 * n - u - 1) // 2
+        g.add_edge(u, u + 1 + (code - base))
+    return g
+
+
+SEEDS = (0, 1, 2)
+SEEDLESS_CASES = [
+    (empty_graph, (0,)), (empty_graph, (7,)), (complete_graph, (1,)),
+    (complete_graph, (12,)), (path_graph, (2,)), (path_graph, (9,)),
+    (cycle_graph, (9,)), (grid_graph, (3, 4)), (union_of_cliques, (3, 4)),
+    (kdn_worst_case, (12, 3)), (clique_plus_isolated, (4, 5)),
+]
+SEEDED_CASES = [
+    (gnm_random, (0, 0)), (gnm_random, (1, 0)), (gnm_random, (2, 1)),
+    (gnm_random, (400, 0)), (gnm_random, (2000, 8)), (gnm_random, (60, 40)),
+    (gnm_random, (30, 29)),
+    (gnp_random, (0, 0.5)), (gnp_random, (1, 0.5)), (gnp_random, (2, 1.0)),
+    (gnp_random, (50, 0.0)), (gnp_random, (600, 0.02)), (gnp_random, (40, 0.9)),
+    (gnp_random, (20, 1.0)),
+    (random_regular, (0, 0)), (random_regular, (2, 1)), (random_regular, (20, 0)),
+    (random_regular, (400, 4)), (random_regular, (30, 10)),
+    (random_geometric, (0, 0.1)), (random_geometric, (1, 0.1)),
+    (random_geometric, (2, 2.0)), (random_geometric, (300, 0.08)),
+    (random_geometric, (40, 1.5)),
+    (powerlaw_graph, (0, 1)), (powerlaw_graph, (2, 1)), (powerlaw_graph, (300, 3)),
+    (powerlaw_graph, (30, 10)),
+]
+ORACLE_CASES = [(gen, args, None) for gen, args in SEEDLESS_CASES] + [
+    (gen, args, seed) for gen, args in SEEDED_CASES for seed in SEEDS
+]
+
+
+def _case_id(case):
+    gen, args, seed = case
+    return f"{gen.__name__}{args}" + ("" if seed is None else f"-s{seed}")
+
+
+@pytest.fixture
+def per_edge_build(monkeypatch):
+    """Build *gen* the way it was built before the bulk ``from_edges``."""
+
+    def build(gen, args, seed):
+        if gen is gnm_random:
+            return per_edge_gnm_random(*args, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                CCGraph, "from_edges", classmethod(lambda cls, n, e: per_edge_from_edges(n, e))
+            )
+            return gen(*args) if seed is None else gen(*args, seed=seed)
+
+    return build
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=_case_id)
+def test_generator_matches_per_edge_oracle(case, per_edge_build):
+    """Nodes, per-node set iteration order, edge count, version and data."""
+    gen, args, seed = case
+    built = gen(*args) if seed is None else gen(*args, seed=seed)
+    assert graph_shape(built) == graph_shape(per_edge_build(gen, args, seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gnm_random_keeps_one_int_object_per_node_id(seed, per_edge_build):
+    g = gnm_random(4000, 8, seed=seed)
+    assert distinct_adjacency_ints(g) <= g.num_nodes
+    # the per-edge build held one int per decoded endpoint
+    assert distinct_adjacency_ints(per_edge_build(gnm_random, (4000, 8), seed)) > g.num_nodes
+
+
+@pytest.mark.parametrize(
+    "gen, args",
+    [(gnp_random, (3000, 0.003)), (random_regular, (3000, 4)),
+     (random_regular, (1000, 8)), (random_geometric, (3000, 0.03))],
+    ids=["gnp", "regular", "regular-nx", "geometric"],
+)
+def test_bulk_generators_keep_one_int_object_per_node_id(gen, args):
+    g = gen(*args, seed=0)
+    assert distinct_adjacency_ints(g) <= g.num_nodes

@@ -17,6 +17,9 @@ kernels.
 
 from __future__ import annotations
 
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 from repro.graph.ccgraph import CCGraph
 from repro.graph.generators import gnm_random, union_of_cliques
 from repro.model.turan import em_kdn
+from repro.runtime import kernels
 from repro.runtime.kernels import (
     csr_conflict_pairs,
     csr_greedy_commit_mask,
@@ -175,6 +179,26 @@ class TestCsrConflictPairs:
         # and they are what the slot-space kernel needs
         mask = greedy_commit_mask_from_slots(own, nbr, m)
         assert np.array_equal(mask, reference_commit_mask(edges, prefix))
+
+
+class TestSequentialTail:
+    """Both sides of the array-rounds / sequential-walk switch agree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_and_prefix())
+    def test_walk_only_and_rounds_only_masks_are_equal(self, case):
+        n, edges, prefix = case
+        indptr, indices = csr_from_edges(n, edges)
+        m = len(prefix)
+        pos = np.full(n, -1, dtype=np.int64)
+        pos[prefix] = np.arange(m, dtype=np.int64)
+        own, nbr = csr_conflict_pairs(indptr, indices, prefix, pos)
+        masks = []
+        for tail in (0, sys.maxsize):  # array rounds to the end / walk at once
+            with mock.patch.object(kernels, "_SEQUENTIAL_TAIL", tail):
+                masks.append(greedy_commit_mask_from_slots(own, nbr, m))
+        assert np.array_equal(masks[0], masks[1])
+        assert np.array_equal(masks[0], reference_commit_mask(edges, prefix))
 
 
 class TestCsrGreedyCommitMask:

@@ -1,12 +1,16 @@
-"""Start-up cost guard: scipy and multiprocessing stay off import and run() paths.
+"""Start-up cost guard: a run imports only what its config uses.
 
 ``import scipy.stats`` is ~0.75 s of what used to be a 1 s ``import
 repro`` (and ~130 MiB of RSS); the two call sites that need scipy
 (``model.noise``'s normal quantiles, the max-flow oracle) import it where
 they use it.  ``multiprocessing`` belongs to the sweep harness
 (``repro.experiments.parallel``) alone: no engine run, sharded or not,
-starts a process.  Each case runs in a fresh interpreter, because this
-test process has long since imported both through other tests.
+starts a process.  Within ``repro`` itself, a bare graph run loads no
+application module and none of the model, trace-replay, export or report
+modules it never calls (the package ``__init__`` files re-export
+lazily), and an app run loads that app alone.  Each case runs in a fresh
+interpreter, because this test process has long since imported all of
+them through other tests.
 """
 
 import os
@@ -37,17 +41,26 @@ CASES = {
 }
 
 
-def _assert_not_imported(module, case):
-    check = f"sys.exit({module!r} in sys.modules)\n"
-    code = "import sys, repro\n" + CASES[case] + check
+def _run_case(case, tail):
+    code = "import sys, repro\n" + CASES[case] + tail
     inherited = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), inherited]))}
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def _assert_not_imported(module, case):
+    done = _run_case(case, f"sys.exit({module!r} in sys.modules)\n")
     assert done.returncode == 0, (
         f"{module} was imported (or the run failed) in case {case!r}:\n{done.stderr}"
     )
+
+
+def _repro_modules(case):
+    done = _run_case(case, "print(*(m for m in sys.modules if m.startswith('repro.')))\n")
+    assert done.returncode == 0, f"case {case!r} failed:\n{done.stderr}"
+    return set(done.stdout.split())
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -58,3 +71,27 @@ def test_scipy_is_not_imported(case):
 @pytest.mark.parametrize("case", ["import", "replay", "sharded"])
 def test_multiprocessing_is_not_imported(case):
     _assert_not_imported("multiprocessing", case)
+
+
+#: modules no bare graph run calls into
+UNUSED_BY_GRAPH_RUNS = {
+    "repro.model.noise",
+    "repro.model.permutation",
+    "repro.model.conflict_ratio",
+    "repro.obs.export",
+    "repro.obs.replay",
+    "repro.obs.report",
+}
+
+
+@pytest.mark.parametrize("case", ["import", "replay", "sharded", "regenerating"])
+def test_bare_graph_run_loads_no_app_and_no_unused_layer(case):
+    loaded = _repro_modules(case)
+    # the catalog answers name checks; it imports no app module
+    assert {m for m in loaded if m.startswith("repro.apps.")} <= {"repro.apps.catalog"}
+    assert not loaded & UNUSED_BY_GRAPH_RUNS
+
+
+def test_app_run_loads_that_app_alone():
+    apps = {m for m in _repro_modules("maxflow") if m.startswith("repro.apps.")}
+    assert apps == {"repro.apps.base", "repro.apps.catalog", "repro.apps.maxflow"}
