@@ -28,7 +28,6 @@ from itertools import count
 from repro.apps.delaunay.geometry import (
     Point,
     circumcenter,
-    circumradius,
     in_circle,
     orient2d,
     point_in_triangle,
@@ -146,9 +145,6 @@ class Triangulation:
 
     def circumcenter_of(self, tid: int) -> Point:
         return circumcenter(*self.triangle_points(tid))
-
-    def circumradius_of(self, tid: int) -> float:
-        return circumradius(*self.triangle_points(tid))
 
     # ------------------------------------------------------------------
     # point location

@@ -12,6 +12,11 @@ The heuristic merges the two recurrences by the size of the relative error
 * ``α ≤ α₁`` (dead-band) → no change, avoiding steady-state oscillation
   that would defeat locality (tasks hopping between processors).
 
+The two recurrences on their own are presets of the same controller:
+:data:`RECURRENCE_A` never takes the B branch (``α₀ = None``) and
+:data:`RECURRENCE_B` always does (``α₀ = 0``); both have no dead-band
+(``α₁ = 0``), so only a window reading exactly ``r = ρ`` holds.
+
 Faithful to the pseudo-code with its published defaults
 (``m₀=2, m_max=1024, m_min=2, T=4, r_min=3%, α₀=25%, α₁=6%``), plus the
 two extensions the text describes but does not show:
@@ -28,13 +33,14 @@ two extensions the text describes but does not show:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.control.base import Controller, clamp
 from repro.errors import ControllerError
 from repro.model.turan import safe_initial_m
 
-__all__ = ["HybridParams", "HybridController"]
+__all__ = ["HybridParams", "HybridController", "RECURRENCE_A", "RECURRENCE_B"]
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,7 @@ class HybridParams:
 
     period: int = 4  # T: steps averaged between updates
     r_min: float = 0.03  # floor for the measured ratio in Recurrence B
-    alpha0: float = 0.25  # switch threshold: above -> Recurrence B
+    alpha0: float | None = 0.25  # switch threshold: above -> B; None: never B
     alpha1: float = 0.06  # dead-band: below -> no update
 
     def validate(self) -> None:
@@ -51,7 +57,8 @@ class HybridParams:
             raise ControllerError(f"period must be >= 1, got {self.period}")
         if not 0.0 < self.r_min < 1.0:
             raise ControllerError(f"r_min must be in (0,1), got {self.r_min}")
-        if not 0.0 <= self.alpha1 <= self.alpha0:
+        alpha0 = math.inf if self.alpha0 is None else self.alpha0
+        if not 0.0 <= self.alpha1 <= alpha0:
             raise ControllerError(
                 f"need 0 <= alpha1 <= alpha0, got alpha1={self.alpha1}, "
                 f"alpha0={self.alpha0}"
@@ -65,6 +72,12 @@ class HybridParams:
             "alpha0": self.alpha0,
             "alpha1": self.alpha1,
         }
+
+
+#: Recurrence A alone (Eq. 32): ``m ← ⌈(1 − r + ρ)·m⌉`` every window
+RECURRENCE_A = HybridParams(alpha0=None, alpha1=0.0)
+#: Recurrence B alone (Eq. 33): ``m ← ⌈(ρ / max(r, r_min))·m⌉`` every window
+RECURRENCE_B = HybridParams(alpha0=0.0, alpha1=0.0)
 
 
 class HybridController(Controller):
@@ -159,7 +172,7 @@ class HybridController(Controller):
         self._acc = 0.0
         self._count = 0
         alpha = abs(1.0 - avg / self.rho)
-        if alpha > p.alpha0:
+        if p.alpha0 is not None and alpha > p.alpha0:
             effective = max(avg, p.r_min)
             new_m = self._clamped((self.rho / effective) * self._m, self.m_min, self.m_max)
             rule = "B"

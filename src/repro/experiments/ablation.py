@@ -3,7 +3,9 @@
 Every knob the paper motivates gets switched off or varied in isolation,
 on the Fig. 3 setup (stationary random CC graph, ``ρ = 20%``):
 
-* **hybridisation** — hybrid vs A-only vs B-only (speed/stability trade);
+* **hybridisation** — hybrid vs A-only vs B-only (speed/stability trade;
+  the single recurrences are the ``RECURRENCE_A`` / ``RECURRENCE_B``
+  presets of the same controller);
 * **averaging window T** — T = 1 (raw per-step ratios) vs 4 vs 12;
 * **dead-band α₁** — 0 (always update) vs 6% vs 20%;
 * **switch threshold α₀** — when does Recurrence B stop being used;
@@ -11,7 +13,7 @@ on the Fig. 3 setup (stationary random CC graph, ``ρ = 20%``):
   explode to m_max;
 * **small-m split** — the Fig. 3 refinement;
 * **smart start** — Cor. 3 initial allocation vs cold m₀ = 2;
-* plus the external baselines (AIMD, PI, bisection, oracle).
+* plus the external baselines (AIMD, A-Steal, PI, bisection, oracle).
 
 Scored by :func:`repro.control.tuning.sweep_controllers`: settling step,
 steady-state wobble and tracking error, averaged over replications.
@@ -19,14 +21,17 @@ steady-state wobble and tracking error, averaged over replications.
 
 from __future__ import annotations
 
-from repro.control.adaptive import NoiseAdaptiveHybridController
 from repro.control.aimd import AIMDController
 from repro.control.asteal import AStealController
 from repro.control.bisection import BisectionController
-from repro.control.hybrid import HybridController, HybridParams
+from repro.control.hybrid import (
+    RECURRENCE_A,
+    RECURRENCE_B,
+    HybridController,
+    HybridParams,
+)
 from repro.control.oracle import OracleController
 from repro.control.pid import PIController
-from repro.control.recurrence import RecurrenceAController, RecurrenceBController
 from repro.control.tuning import oracle_mu, summarize_sweep, sweep_controllers
 from repro.experiments.base import ExperimentResult
 from repro.experiments.fig3 import default_hybrid
@@ -40,8 +45,8 @@ def ablation_factories(rho: float, n: int, d: float, mu: int):
     """The full named set of controller configurations under ablation."""
     return {
         "hybrid (paper)": lambda: default_hybrid(rho),
-        "A-only": lambda: RecurrenceAController(rho),
-        "B-only": lambda: RecurrenceBController(rho),
+        "A-only": lambda: HybridController(rho, params=RECURRENCE_A),
+        "B-only": lambda: HybridController(rho, params=RECURRENCE_B),
         "T=1": lambda: HybridController(rho, params=HybridParams(period=1)),
         "T=12": lambda: HybridController(rho, params=HybridParams(period=12)),
         "no dead-band": lambda: HybridController(
@@ -51,7 +56,7 @@ def ablation_factories(rho: float, n: int, d: float, mu: int):
             rho, params=HybridParams(alpha1=0.20, alpha0=0.35)
         ),
         "alpha0=inf (never B)": lambda: HybridController(
-            rho, params=HybridParams(alpha0=1e9)
+            rho, params=HybridParams(alpha0=None)
         ),
         "alpha0=alpha1 (always B)": lambda: HybridController(
             rho, params=HybridParams(alpha0=0.06)
@@ -60,7 +65,6 @@ def ablation_factories(rho: float, n: int, d: float, mu: int):
             rho, params=HybridParams(r_min=1e-6)
         ),
         "smart start": lambda: HybridController.smart_start(rho, n, d),
-        "noise-adaptive": lambda: NoiseAdaptiveHybridController(rho),
         "AIMD": lambda: AIMDController(rho),
         "A-Steal [1]": lambda: AStealController(rho),
         "PI": lambda: PIController(rho),

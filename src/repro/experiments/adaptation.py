@@ -26,8 +26,7 @@ from repro.apps.profiles import (
     step_profile,
 )
 from repro.control.base import Controller
-from repro.control.hybrid import HybridController
-from repro.control.recurrence import RecurrenceAController
+from repro.control.hybrid import RECURRENCE_A, HybridController
 from repro.experiments.base import ExperimentResult
 from repro.experiments.fig3 import default_hybrid
 from repro.model.turan import mu_disjoint_cliques
@@ -83,7 +82,7 @@ def run(
         controllers = {
             "hybrid": lambda: default_hybrid(rho),
             "hybrid(no split)": lambda: HybridController(rho),
-            "recA": lambda: RecurrenceAController(rho),
+            "recA": lambda: HybridController(rho, params=RECURRENCE_A),
         }
     result = ExperimentResult(
         name="ADAPT abrupt-profile tracking",

@@ -15,8 +15,7 @@ Paper claims checked by the benchmark:
 
 from __future__ import annotations
 
-from repro.control.hybrid import HybridController, HybridParams
-from repro.control.recurrence import RecurrenceAController
+from repro.control.hybrid import RECURRENCE_A, HybridController, HybridParams
 from repro.control.tuning import oracle_mu
 from repro.experiments.base import ExperimentResult
 from repro.graph.generators import gnm_random
@@ -63,7 +62,7 @@ def run(
             hybrid, seed=run_rng_h
         ).run(max_steps=steps)
 
-        rec_a = RecurrenceAController(rho)
+        rec_a = HybridController(rho, params=RECURRENCE_A)
         res_a = ReplayGraphWorkload(graph.copy()).make_engine(
             rec_a, seed=run_rng_a
         ).run(max_steps=steps)

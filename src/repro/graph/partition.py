@@ -140,14 +140,6 @@ class GraphPartition:
         }
         return intra, pairs[~same]
 
-    def cut_fraction(self, graph: "CCGraph") -> float:
-        """Fraction of live edges crossing a shard boundary."""
-        total = graph.num_edges
-        if total == 0:
-            return 0.0
-        _, cut = self.edge_split(graph)
-        return len(cut) / total
-
     def describe(self) -> "dict[str, object]":
         return {"type": "block", "shards": self.shards, "table": self._lookup.size}
 

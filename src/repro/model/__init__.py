@@ -21,12 +21,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "first_come_bound",
             "first_come_probability",
         ),
-        "noise": (
-            "false_trigger_probability",
-            "suggest_deadband",
-            "suggest_period",
-            "window_std",
-        ),
         "parallelism": (
             "ParallelismProfile",
             "measure_profile",

@@ -106,10 +106,6 @@ class SpanStat:
     def mean_ns(self) -> float:
         return self.total_ns / self.count if self.count else 0.0
 
-    @property
-    def total_s(self) -> float:
-        return self.total_ns * 1e-9
-
     def as_dict(self) -> dict:
         return {
             "count": self.count,

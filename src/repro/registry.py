@@ -333,28 +333,30 @@ def _populate_controllers(reg: Registry) -> None:
     # every factory takes the RunConfig and honours (rho, m, m_min, m_max)
     # where the controller supports them; a factory imports its class on
     # first use, so a run loads only the controller it configures
-    def _ranged(class_name: str) -> Callable:
+    def _ranged(class_name: str, params: str | None = None) -> Callable:
         def _make(config):
             from repro import control
 
             kwargs = {"m_max": config.m_max}
             if config.m_min is not None:
                 kwargs["m_min"] = config.m_min
+            if params is not None:
+                kwargs["params"] = getattr(control, params)
             return getattr(control, class_name)(config.rho, **kwargs)
 
         return _make
 
-    for name, class_name in (
-        ("hybrid", "HybridController"),
-        ("aimd", "AIMDController"),
-        ("pi", "PIController"),
-        ("bisection", "BisectionController"),
-        ("recurrence-a", "RecurrenceAController"),
-        ("recurrence-b", "RecurrenceBController"),
-        ("noise-adaptive", "NoiseAdaptiveHybridController"),
-        ("asteal", "AStealController"),
+    for name, class_name, params in (
+        ("hybrid", "HybridController", None),
+        ("aimd", "AIMDController", None),
+        ("pi", "PIController", None),
+        ("bisection", "BisectionController", None),
+        # recurrences A and B alone (Eq. 32-33) are Algorithm 1 presets
+        ("recurrence-a", "HybridController", "RECURRENCE_A"),
+        ("recurrence-b", "HybridController", "RECURRENCE_B"),
+        ("asteal", "AStealController", None),
     ):
-        reg.register(name, _ranged(class_name))
+        reg.register(name, _ranged(class_name, params))
 
     def _fixed(config):
         from repro.control.fixed import FixedController

@@ -70,10 +70,6 @@ class RunResult:
         return np.array([s.requested for s in self.steps], dtype=np.int64)
 
     @property
-    def launched_trace(self) -> np.ndarray:
-        return np.array([s.launched for s in self.steps], dtype=np.int64)
-
-    @property
     def r_trace(self) -> np.ndarray:
         """Realised conflict ratios ``r_t`` per step."""
         return np.array([s.conflict_ratio for s in self.steps], dtype=float)

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.control.fixed import FixedController
-from repro.control.hybrid import HybridController
+from repro.control.hybrid import RECURRENCE_A, HybridController
 from repro.control.oracle import OracleController
-from repro.control.recurrence import RecurrenceAController
 from repro.control.tuning import (
     evaluate_controller,
     oracle_mu,
@@ -63,7 +62,7 @@ class TestEvaluateController:
             HybridController(0.2), eval_graph, 0.2, steps=150, mu=mu, seed=7
         )
         ma, _ = evaluate_controller(
-            RecurrenceAController(0.2), eval_graph, 0.2, steps=150, mu=mu, seed=7
+            HybridController(0.2, params=RECURRENCE_A), eval_graph, 0.2, steps=150, mu=mu, seed=7
         )
         assert mh.settling_step < ma.settling_step
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import RunConfig, registry
 from repro.control import (
     AIMDController,
     Controller,
@@ -10,12 +11,8 @@ from repro.control import (
     BisectionController,
     FixedController,
     HybridController,
-    NoiseAdaptiveHybridController,
     OracleController,
     PIController,
-    ProbingHybridController,
-    RecurrenceAController,
-    RecurrenceBController,
 )
 from repro.errors import ObservabilityError, ReplayMismatchError
 from repro.graph.generators import gnm_random
@@ -42,24 +39,28 @@ def record_run(controller, n=60, d=6, graph_seed=3, engine_seed=11, max_steps=40
     return rec.events
 
 
-CONTROLLERS = [
-    HybridController(0.25, m_max=64),
-    ProbingHybridController(0.25, 60, probe_windows=2, probe_window_steps=2, m_max=64),
-    RecurrenceAController(0.25, m_max=64),
-    RecurrenceBController(0.25, m_max=64),
-    AIMDController(0.25, m_max=64),
-    PIController(0.25, m_max=64),
-    AStealController(0.25, m_max=64),
-    BisectionController(0.25, m_max=64),
-    NoiseAdaptiveHybridController(0.25, m_max=64),
-    FixedController(6),
-    OracleController(9, m_max=64),
-]
+CONTROLLERS = {
+    type(c).__name__: c
+    for c in [
+        HybridController(0.25, m_max=64),
+        AIMDController(0.25, m_max=64),
+        PIController(0.25, m_max=64),
+        AStealController(0.25, m_max=64),
+        BisectionController(0.25, m_max=64),
+        FixedController(6),
+        OracleController(9, m_max=64),
+    ]
+}
+# the recurrence presets, built the way a RunConfig names them
+CONTROLLERS.update(
+    (name, registry("controller").create(name, RunConfig(rho=0.25, m_max=64)))
+    for name in ("recurrence-a", "recurrence-b")
+)
 
 
 class TestReplayAcrossControllers:
     @pytest.mark.parametrize(
-        "controller", CONTROLLERS, ids=lambda c: type(c).__name__
+        "controller", CONTROLLERS.values(), ids=list(CONTROLLERS)
     )
     def test_replay_reproduces_m_trajectory(self, controller):
         events = record_run(controller)
@@ -114,7 +115,7 @@ class TestControllerReconstruction:
         per_shard = PerShardController(
             [HybridController(0.25, m_max=32) for _ in range(3)], None
         )
-        for controller in CONTROLLERS + [per_shard]:
+        for controller in [*CONTROLLERS.values(), per_shard]:
             config = controller.describe()
             rebuilt = controller_from_config(config)
             assert type(rebuilt) is type(controller)

@@ -27,15 +27,13 @@ from repro.control import (
     BisectionController,
     FixedController,
     HybridController,
-    NoiseAdaptiveHybridController,
     OracleController,
     PIController,
-    ProbingHybridController,
-    RecurrenceAController,
-    RecurrenceBController,
 )
+from repro.config import RunConfig
 from repro.graph.generators import gnm_random, union_of_cliques
 from repro.obs import TraceRecorder
+from repro.registry import registry
 from repro.runtime.conflict import ItemLockPolicy
 from repro.runtime.active_set import ActiveSet
 from repro.runtime.core import Engine
@@ -88,10 +86,13 @@ CONTROLLERS = {
     "asteal": lambda: AStealController(0.25, m_max=64),
     "bisection": lambda: BisectionController(0.25, m_max=64),
     "pi": lambda: PIController(0.25, m_max=64),
-    "recurrence_a": lambda: RecurrenceAController(0.25, m_max=64),
-    "recurrence_b": lambda: RecurrenceBController(0.25, m_max=64),
-    "adaptive": lambda: NoiseAdaptiveHybridController(0.25, m_max=64),
-    "probing": lambda: ProbingHybridController(0.25, n=N),
+    # the recurrence presets, built the way a RunConfig names them
+    "recurrence_a": lambda: registry("controller").create(
+        "recurrence-a", RunConfig(rho=0.25, m_max=64)
+    ),
+    "recurrence_b": lambda: registry("controller").create(
+        "recurrence-b", RunConfig(rho=0.25, m_max=64)
+    ),
     "oracle": lambda: OracleController(10, m_max=64),
 }
 

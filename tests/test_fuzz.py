@@ -13,14 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control import (
+    RECURRENCE_A,
+    RECURRENCE_B,
     AIMDController,
     BisectionController,
     HybridController,
-    NoiseAdaptiveHybridController,
     PIController,
-    ProbingHybridController,
-    RecurrenceAController,
-    RecurrenceBController,
 )
 from repro.graph.generators import gnm_random
 from repro.runtime.core import Engine
@@ -33,13 +31,11 @@ from repro.control.fixed import FixedController
 CONTROLLER_FACTORIES = [
     lambda: HybridController(0.2, m_max=64),
     lambda: HybridController(0.2, m_max=64, small_params=None),
-    lambda: RecurrenceAController(0.2, m_max=64),
-    lambda: RecurrenceBController(0.2, m_max=64),
+    lambda: HybridController(0.2, m_max=64, params=RECURRENCE_A),
+    lambda: HybridController(0.2, m_max=64, params=RECURRENCE_B),
     lambda: AIMDController(0.2, m_max=64),
     lambda: PIController(0.2, m_max=64),
     lambda: BisectionController(0.2, m_max=64),
-    lambda: NoiseAdaptiveHybridController(0.2, m_max=64),
-    lambda: ProbingHybridController(0.2, n=100, m_max=64),
 ]
 
 

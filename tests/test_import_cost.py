@@ -1,14 +1,15 @@
 """Start-up cost guard: a run imports only what its config uses.
 
 ``import scipy.stats`` is ~0.75 s of what used to be a 1 s ``import
-repro`` (and ~130 MiB of RSS); the two call sites that need scipy
-(``model.noise``'s normal quantiles, the max-flow oracle) import it where
-they use it.  ``multiprocessing`` belongs to the sweep harness
-(``repro.experiments.parallel``) alone: no engine run, sharded or not,
-starts a process.  Within ``repro`` itself, a bare graph run loads no
-application module and none of the model, trace-replay, export or report
-modules it never calls (the package ``__init__`` files re-export
-lazily), and an app run loads that app alone.  Each case runs in a fresh
+repro`` (and ~130 MiB of RSS); the one call site that needs scipy (the
+max-flow oracle) imports it where it uses it.  ``multiprocessing``
+belongs to the sweep harness (``repro.experiments.parallel``) alone: no
+engine run, sharded or not, starts a process.  Within ``repro`` itself, a
+bare graph run loads no application module and none of the model,
+trace-replay, export or report modules it never calls (the package
+``__init__`` files re-export lazily), an app run loads that app alone,
+and a ``recurrence-a`` run (an Algorithm 1 preset) loads the controller
+and model modules of a ``hybrid`` run.  Each case runs in a fresh
 interpreter, because this test process has long since imported all of
 them through other tests.
 """
@@ -38,6 +39,9 @@ CASES = {
     "sharded": RUN.format(workload="replay", order="sharded:2", graph=GNM),
     "regenerating": RUN.format(workload="regenerating", order=None, graph=GNM),
     "maxflow": RUN.format(workload="maxflow:40", order=None, graph="None"),
+    "recurrence-a": RUN.replace('"hybrid"', '"recurrence-a"').format(
+        workload="replay", order=None, graph=GNM
+    ),
 }
 
 
@@ -75,7 +79,6 @@ def test_multiprocessing_is_not_imported(case):
 
 #: modules no bare graph run calls into
 UNUSED_BY_GRAPH_RUNS = {
-    "repro.model.noise",
     "repro.model.permutation",
     "repro.model.conflict_ratio",
     "repro.obs.export",
@@ -95,3 +98,10 @@ def test_bare_graph_run_loads_no_app_and_no_unused_layer(case):
 def test_app_run_loads_that_app_alone():
     apps = {m for m in _repro_modules("maxflow") if m.startswith("repro.apps.")}
     assert apps == {"repro.apps.base", "repro.apps.catalog", "repro.apps.maxflow"}
+
+
+def test_recurrence_preset_loads_what_hybrid_loads():
+    def layers(case):
+        return {m for m in _repro_modules(case) if m.startswith(("repro.control", "repro.model"))}
+
+    assert layers("recurrence-a") == layers("replay")

@@ -10,8 +10,8 @@ import pytest
 
 from repro.control import (
     FixedController,
+    RECURRENCE_A,
     HybridController,
-    RecurrenceAController,
     oracle_mu,
 )
 from repro.experiments.fig3 import default_hybrid
@@ -47,7 +47,7 @@ class TestHeadlineClaims:
 
     def test_recurrence_a_is_an_order_slower(self, fig3_graph, fig3_mu):
         wl = ReplayGraphWorkload(fig3_graph.copy())
-        eng = wl.make_engine(RecurrenceAController(0.2), seed=0)
+        eng = wl.make_engine(HybridController(0.2, params=RECURRENCE_A), seed=0)
         res = eng.run(max_steps=200)
         assert res.settling_step(fig3_mu, band=0.35) >= 50
 
