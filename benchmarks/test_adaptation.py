@@ -5,6 +5,7 @@ import pytest
 from repro.apps.profiles import ScheduledReplayWorkload, delaunay_burst_profile
 from repro.control.hybrid import HybridController
 from repro.experiments import adaptation
+from repro.runtime.engine import make_engine
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +17,7 @@ def adapt_result():
 
 def _burst_run():
     wl = ScheduledReplayWorkload(delaunay_burst_profile(peak=500, total_tasks=2000))
-    eng = wl.make_engine(HybridController(0.2), seed=5)
+    eng = make_engine(wl, HybridController(0.2), seed=5, step_hook=wl.advance)
     return eng.run(max_steps=wl.total_steps())
 
 

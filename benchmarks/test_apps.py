@@ -5,6 +5,7 @@ import pytest
 from repro.apps.boruvka import BoruvkaMST, kruskal_weight, random_weighted_graph
 from repro.control.hybrid import HybridController
 from repro.experiments import apps_eval
+from repro.runtime.engine import make_engine
 
 
 APPS = ("delaunay", "boruvka", "coloring", "sp", "maxflow", "components")
@@ -25,7 +26,7 @@ def apps_result():
 def _boruvka_run():
     g = random_weighted_graph(400, 8, seed=11)
     app = BoruvkaMST(g)
-    app.make_engine(HybridController(0.25), seed=12).run(max_steps=6000)
+    make_engine(app, HybridController(0.25), seed=12).run(max_steps=6000)
     return app
 
 

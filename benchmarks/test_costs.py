@@ -7,6 +7,7 @@ from repro.control.hybrid import HybridController
 from repro.experiments import costs
 from repro.graph.generators import gnm_random
 from repro.runtime.costs import ScaledAbortCostModel
+from repro.runtime.engine import make_engine
 from repro.runtime.workloads import ConsumingGraphWorkload
 
 
@@ -17,7 +18,8 @@ def costs_result():
 
 def _one_costed_drain():
     wl = ConsumingGraphWorkload(gnm_random(3000, 16, seed=41))
-    eng = wl.make_engine(
+    eng = make_engine(
+        wl,
         HybridController(0.25, m_max=256), seed=42, cost_model=ScaledAbortCostModel(4.0)
     )
     eng.run(max_steps=10**6)

@@ -11,6 +11,7 @@ import pytest
 from repro.experiments import fig3
 from repro.experiments.fig3 import default_hybrid
 from repro.graph.generators import gnm_random
+from repro.runtime.engine import make_engine
 from repro.runtime.workloads import ReplayGraphWorkload
 
 
@@ -22,7 +23,7 @@ def fig3_result():
 def _one_hybrid_run():
     graph = gnm_random(2000, 16, seed=41)
     wl = ReplayGraphWorkload(graph)
-    return wl.make_engine(default_hybrid(0.2), seed=7).run(max_steps=120)
+    return make_engine(wl, default_hybrid(0.2), seed=7).run(max_steps=120)
 
 
 def test_fig3_regeneration(fig3_result, save_report, benchmark):

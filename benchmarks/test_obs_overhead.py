@@ -38,6 +38,7 @@ from repro.obs import (
     run_report,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime.engine import make_engine
 from repro.runtime.workloads import ReplayGraphWorkload
 
 GATE_MAX_OVERHEAD = 0.05  # instrumented may cost at most 5% extra
@@ -66,7 +67,7 @@ def _build_engine(graph, instrumented: bool, profiler=None):
         activate_profiler(profiler)
     try:
         wl = ReplayGraphWorkload(graph.copy())
-        return wl.make_engine(FixedController(GATE_M), seed=3)
+        return make_engine(wl, FixedController(GATE_M), seed=3)
     finally:
         if instrumented:
             deactivate()
@@ -153,7 +154,7 @@ def test_sampled_profiling_cuts_span_cost():
     graph = gnm_random(1000, 8, seed=5)
     with profiling(sample_every=10) as profiler:
         wl = ReplayGraphWorkload(graph.copy())
-        engine = wl.make_engine(FixedController(200), seed=3)
+        engine = make_engine(wl, FixedController(200), seed=3)
         for _ in range(100):
             engine.step()
     report = run_report(profiler=profiler)

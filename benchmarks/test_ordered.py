@@ -6,6 +6,7 @@ import pytest
 from repro.apps.des import DiscreteEventSimulation, QueueingNetwork
 from repro.control.fixed import FixedController
 from repro.experiments import ordered
+from repro.runtime.engine import make_engine
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +17,7 @@ def ord_result():
 def _one_pdes_run():
     net = QueueingNetwork(40, avg_degree=3.0, seed=21)
     sim = DiscreteEventSimulation(net, num_jobs=60, end_time=20.0, seed=22)
-    return sim.make_engine(FixedController(8), seed=23).run(max_steps=10**6)
+    return make_engine(sim, FixedController(8), seed=23).run(max_steps=10**6)
 
 
 def test_ordered_regeneration(ord_result, save_report, benchmark):

@@ -6,6 +6,7 @@ import pytest
 from repro.control.hybrid import HybridController
 from repro.experiments import pareto
 from repro.graph.generators import gnm_random
+from repro.runtime.engine import make_engine
 from repro.runtime.workloads import ConsumingGraphWorkload
 
 
@@ -16,7 +17,7 @@ def pareto_result():
 
 def _one_drain():
     wl = ConsumingGraphWorkload(gnm_random(4000, 16, seed=31))
-    return wl.make_engine(HybridController(0.25, m_max=2048), seed=32).run(max_steps=10**6)
+    return make_engine(wl, HybridController(0.25, m_max=2048), seed=32).run(max_steps=10**6)
 
 
 def test_pareto_regeneration(pareto_result, save_report, benchmark):

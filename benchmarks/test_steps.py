@@ -32,6 +32,7 @@ from pathlib import Path
 
 from repro.control.fixed import FixedController
 from repro.graph.generators import gnm_random
+from repro.runtime.engine import make_engine
 from repro.runtime.workloads import RegeneratingGraphWorkload, ReplayGraphWorkload
 from repro.runtime.workset import RandomWorkset
 from repro.testing.oracles import reference_paths
@@ -52,7 +53,7 @@ def _replay_case(oracle_workset: bool):
     workload = ReplayGraphWorkload(
         graph, workset=RandomWorkset() if oracle_workset else None
     )
-    engine = workload.make_engine(FixedController(GATE_M), seed=ENGINE_SEED)
+    engine = make_engine(workload, FixedController(GATE_M), seed=ENGINE_SEED)
     times = []
     for _ in range(GATE_STEPS):
         t0 = time.perf_counter()
@@ -130,7 +131,7 @@ def test_morphing_workload_builds_no_csr():
         workload = RegeneratingGraphWorkload(
             graph, target_degree=MORPH_D, seed=7, workset=workset
         )
-        engine = workload.make_engine(FixedController(MORPH_M), seed=ENGINE_SEED)
+        engine = make_engine(workload, FixedController(MORPH_M), seed=ENGINE_SEED)
         times = []
         for _ in range(MORPH_STEPS):
             t0 = time.perf_counter()

@@ -27,6 +27,7 @@ from repro.apps.profiles import (
 from repro.experiments.adaptation import transition_lags
 from repro.experiments.fig3 import default_hybrid
 from repro.model.turan import mu_disjoint_cliques
+from repro.runtime.engine import make_engine
 from repro.utils import format_series, format_table
 
 SEED = int(sys.argv[1]) if len(sys.argv) > 1 else 0
@@ -50,7 +51,9 @@ def run_profile(name, phases):
     ]:
         controller = CONTROLLERS.create(controller_name, config)
         workload = ScheduledReplayWorkload(phases)
-        engine = workload.make_engine(controller, seed=config.seed)
+        engine = make_engine(
+            workload, controller, seed=config.seed, step_hook=workload.advance
+        )
         result = engine.run(max_steps=workload.total_steps())
         lags = transition_lags(phases, result.m_trace, mus)
         rows.append((label, " ".join(map(str, lags))))

@@ -16,6 +16,7 @@ import sys
 
 from repro.apps.des import DiscreteEventSimulation, QueueingNetwork, sequential_history
 from repro.control import FixedController, HybridController
+from repro.runtime.engine import make_engine
 from repro.utils import format_table
 
 SEED = int(sys.argv[1]) if len(sys.argv) > 1 else 0
@@ -35,7 +36,7 @@ def main() -> None:
         ("hybrid (rho=30%)", HybridController(0.30)),
     ]:
         sim = DiscreteEventSimulation(network, num_jobs=60, end_time=30.0, seed=SEED + 1)
-        engine = sim.make_engine(controller, seed=SEED + 2)
+        engine = make_engine(sim, controller, seed=SEED + 2)
         result = engine.run(max_steps=10**7)
         assert sim.history == reference, "optimistic run diverged from the oracle!"
         rows.append(

@@ -14,6 +14,7 @@ import sys
 
 from repro.apps.delaunay import RefinementWorkload, mesh_quality, random_input_mesh
 from repro.control import FixedController, HybridController
+from repro.runtime.engine import make_engine
 from repro.utils import format_series, format_table
 
 SEED = int(sys.argv[1]) if len(sys.argv) > 1 else 0
@@ -22,7 +23,7 @@ SEED = int(sys.argv[1]) if len(sys.argv) > 1 else 0
 def refine(controller, label, svg_path=None):
     mesh = random_input_mesh(400, seed=SEED)
     workload = RefinementWorkload(mesh, min_angle=25.0, min_edge=0.02)
-    engine = workload.make_engine(controller, seed=SEED + 1)
+    engine = make_engine(workload, controller, seed=SEED + 1)
     result = engine.run(max_steps=10000)
     if svg_path:
         mesh.to_svg(svg_path)

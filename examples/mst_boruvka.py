@@ -14,6 +14,7 @@ import sys
 
 from repro.apps.boruvka import BoruvkaMST, kruskal_weight, random_weighted_graph
 from repro.control import HybridController
+from repro.runtime.engine import make_engine
 from repro.utils import format_series, format_table
 
 SEED = int(sys.argv[1]) if len(sys.argv) > 1 else 0
@@ -24,7 +25,7 @@ def main() -> None:
     print(f"weighted graph: {graph.num_nodes} nodes, {graph.num_edges} edges\n")
 
     app = BoruvkaMST(graph)
-    engine = app.make_engine(HybridController(rho=0.25, m_max=512), seed=SEED + 1)
+    engine = make_engine(app, HybridController(rho=0.25, m_max=512), seed=SEED + 1)
     result = engine.run(max_steps=20000)
 
     reference = kruskal_weight(graph)

@@ -40,6 +40,7 @@ from repro.registry import (
     workset_for,
 )
 from repro.runtime.core import Engine
+from repro.runtime.engine import make_engine
 from repro.runtime.policies import PriorityWorkset
 from repro.runtime.stats import RunResult
 from repro.runtime.task import Operator, Task
@@ -147,6 +148,7 @@ def run(
             from repro.runtime.wktrace import WorkloadCapture
 
             workload = WorkloadCapture(workload, label=workload_name)
+        order = None
         if config.order is not None:
             # explicit commit order: the workload factory already matched
             # its work-set to the order family (workset_for), so only the
@@ -184,22 +186,14 @@ def run(
             order = ORDER_POLICIES.create(
                 name, conflict_policy=workload.policy, **kwargs
             )
-            engine = Engine(
-                workset=workload.workset,
-                operator=workload.operator,
-                controller=_controller_for(config, controller),
-                order=order,
-                seed=seed,
-                recorder=recorder,
-                metrics=metrics,
-            )
-        else:
-            engine = workload.make_engine(
-                _controller_for(config, controller),
-                seed=seed,
-                recorder=recorder,
-                metrics=metrics,
-            )
+        engine = make_engine(
+            workload,
+            _controller_for(config, controller),
+            order=order,
+            seed=seed,
+            recorder=recorder,
+            metrics=metrics,
+        )
         result = engine.run(max_steps=config.max_steps)
         if record_workload is not None:
             workload.save(record_workload)

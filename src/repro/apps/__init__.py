@@ -2,7 +2,7 @@
 
 Every application is an :class:`~repro.apps.base.AppWorkload` — it
 speaks the core workload protocol (``workset`` / ``operator`` /
-``policy`` / :meth:`~repro.apps.base.AppWorkload.make_engine`) and is
+``policy``, wired by :func:`repro.runtime.engine.make_engine`) and is
 registered as a named workload (see :mod:`repro.apps.catalog`), so
 ``repro.api.run(RunConfig(workload="boruvka"))`` runs it through the
 full pipeline: any commit-order policy, selection backend, and the

@@ -1,9 +1,10 @@
 """Shared workload plumbing for the application layer.
 
 :class:`AppWorkload` puts every app on the workload protocol the core
-stack speaks (``workset`` / ``operator`` / ``policy`` plus
-:meth:`make_engine`), the same shape as
-:class:`~repro.runtime.workloads.GraphWorkloadBase`:
+stack speaks (``workset`` / ``operator`` / ``policy``), the same shape
+as :class:`~repro.runtime.workloads.GraphWorkloadBase`, so
+:func:`repro.runtime.engine.make_engine` wires either into an engine.
+Two conventions ride along:
 
 * apps accept an injected ``workset=`` (how ``repro.api.run`` hands them
   the work-set matching ``config.order``, and how tests inject the
@@ -13,8 +14,8 @@ stack speaks (``workset`` / ``operator`` / ``policy`` plus
   :meth:`priority_of`; the config/registry layer rejects unordered runs
   of such apps with an actionable error.
 
-Engine classes are imported at call time only: the apps layer sits below
-the point where engines are wired together, and
+Apps describe workloads and never wire engines at import time: the
+apps layer sits below the point where engines are wired together, and
 ``tools/check_layers.py`` forbids module-level ``runtime.engine``
 imports from ``repro.apps``.
 """
@@ -32,8 +33,8 @@ class AppWorkload:
 
     Subclasses call :meth:`_init_workset` early in ``__init__`` (before
     seeding tasks), then seed via :meth:`_seed_task`, and expose
-    ``self.policy``.  Everything else — the ``operator`` property and
-    :meth:`make_engine` — is inherited.
+    ``self.policy``.  The ``operator`` property and :meth:`priority_of`
+    are inherited.
     """
 
     #: ordered-only apps (commits must respect priorities) set this True;
@@ -77,31 +78,3 @@ class AppWorkload:
         times) override it.
         """
         return float(task.payload)
-
-    def make_engine(
-        self,
-        controller,
-        *,
-        seed=None,
-        step_hook=None,
-        cost_model=None,
-        recorder=None,
-        metrics=None,
-    ):
-        """Wire this app and *controller* into an engine.
-
-        This is the path ``repro.api.run`` uses when no explicit
-        ``order=`` is configured: strict priority order for
-        ``requires_order`` apps, unordered otherwise.
-        """
-        from repro.runtime.engine import make_engine
-
-        return make_engine(
-            self,
-            controller,
-            seed=seed,
-            step_hook=step_hook,
-            cost_model=cost_model,
-            recorder=recorder,
-            metrics=metrics,
-        )

@@ -154,7 +154,7 @@ def check_order_combination(
     order — which partitions an explicit CC graph — has nothing to cut
     (*shards* is ``RunConfig.shards``, for specs without a ``:k``).
     ``order=None`` is always fine — the workload then picks its own
-    commit order (ordered for DES) via ``make_engine``.
+    commit order (ordered for DES) in ``make_engine``.
     """
     if name not in APP_WORKLOADS or order is None:
         return

@@ -86,8 +86,10 @@ class GreedyColoring(AppWorkload, Operator):
 
 def independent_set_via_coloring(graph: CCGraph, controller, seed=None) -> set[int]:
     """Independent set: colour the graph, then take the largest colour class."""
+    from repro.runtime.engine import make_engine
+
     app = GreedyColoring(graph)
-    app.make_engine(controller, seed=seed).run()
+    make_engine(app, controller, seed=seed).run()
     if not app.colors:
         return set()
     classes: dict[int, set[int]] = {}

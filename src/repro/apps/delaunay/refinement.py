@@ -80,8 +80,8 @@ class RefinementWorkload(AppWorkload, Operator):
     """Work-set formulation of Delaunay refinement.
 
     Also the :class:`~repro.runtime.task.Operator` for its own tasks (task
-    payloads are triangle ids).  Use :meth:`make_engine` to wire it to a
-    controller, or drive the engine manually.
+    payloads are triangle ids).  Wire it to a controller with
+    :func:`repro.runtime.engine.make_engine`.
 
     Parameters
     ----------

@@ -141,9 +141,11 @@ class ScheduledReplayWorkload:
 
     Each phase seeds one task per node, its payload the clique label;
     item locks on the labels abort exactly what the greedy walk over the
-    phase's CC graph would.  Wire with :meth:`make_engine`; the phase
-    clock advances through the engine's ``step_hook``.  After the last phase the schedule holds the
-    final phase indefinitely (cap the run with ``max_steps``).
+    phase's CC graph would.  Wire with
+    ``make_engine(wl, controller, step_hook=wl.advance)``: the phase
+    clock advances through the engine's ``step_hook``.  After the last
+    phase the schedule holds the final phase indefinitely (cap the run
+    with ``max_steps``).
     """
 
     def __init__(self, phases: list[Phase]):
@@ -172,7 +174,8 @@ class ScheduledReplayWorkload:
         """Length of the full schedule in engine steps."""
         return sum(p.duration for p in self.phases)
 
-    def _advance(self, engine: "Engine", stats) -> None:
+    def advance(self, engine: "Engine", stats) -> None:
+        """Step hook: count the phase down and switch phases when it ends."""
         self._steps_left -= 1
         if self._steps_left > 0 or self._phase_idx + 1 >= len(self.phases):
             return
@@ -181,9 +184,3 @@ class ScheduledReplayWorkload:
         self._fill_workset()
         engine.workset = self.workset
         self.transitions.append(stats.step + 1)
-
-    def make_engine(self, controller, seed=None) -> "Engine":
-        """Engine whose work-set and conflicts follow the schedule."""
-        from repro.runtime.engine import make_engine
-
-        return make_engine(self, controller, seed=seed, step_hook=self._advance)

@@ -25,6 +25,7 @@ from repro.control.oracle import mu_from_curve
 from repro.errors import ControllerError
 from repro.graph.ccgraph import CCGraph
 from repro.model.conflict_ratio import conflict_ratio_curve
+from repro.runtime.engine import make_engine
 from repro.runtime.stats import RunResult
 from repro.runtime.workloads import ReplayGraphWorkload
 from repro.utils.rng import ensure_rng, spawn
@@ -88,7 +89,7 @@ def evaluate_controller(
     if mu is None:
         mu = oracle_mu(graph, rho, seed=mu_rng)
     workload = ReplayGraphWorkload(graph.copy())
-    engine = workload.make_engine(controller, seed=run_rng)
+    engine = make_engine(workload, controller, seed=run_rng)
     result = engine.run(max_steps=steps)
     settle = result.settling_step(mu, band=band)
     ms = result.m_trace

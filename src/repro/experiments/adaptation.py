@@ -30,6 +30,7 @@ from repro.control.hybrid import RECURRENCE_A, HybridController
 from repro.experiments.base import ExperimentResult
 from repro.experiments.fig3 import default_hybrid
 from repro.model.turan import mu_disjoint_cliques
+from repro.runtime.engine import make_engine
 from repro.utils.rng import ensure_rng, spawn
 
 __all__ = ["transition_lags", "run"]
@@ -99,7 +100,7 @@ def run(
         rows = []
         for (name, factory), run_rng in zip(controllers.items(), run_rngs):
             wl = ScheduledReplayWorkload(phases)
-            engine = wl.make_engine(factory(), seed=run_rng)
+            engine = make_engine(wl, factory(), seed=run_rng, step_hook=wl.advance)
             res = engine.run(max_steps=wl.total_steps())
             lags = transition_lags(phases, res.m_trace, mus)
             rows.append(

@@ -33,6 +33,7 @@ from repro.control.fixed import FixedController
 from repro.control.hybrid import HybridController
 from repro.experiments.base import ExperimentResult
 from repro.graph.generators import gnm_random
+from repro.runtime.engine import make_engine
 from repro.utils.rng import ensure_rng, spawn
 
 __all__ = ["run", "build_app"]
@@ -121,7 +122,7 @@ def run(
         for ctrl_name, factory in controllers.items():
             (run_rng,) = spawn(rng, 1)
             workload = TraceReplayWorkload.from_trace(trace, path=replay_workload)
-            engine = workload.make_engine(factory(), seed=run_rng)
+            engine = make_engine(workload, factory(), seed=run_rng)
             res = engine.run(max_steps=max_steps)
             rows.append((ctrl_name, *_measure(res)))
             result.scalars[f"trace_{ctrl_name}_steps"] = float(len(res))
@@ -149,7 +150,7 @@ def run(
                 from repro.runtime.wktrace import WorkloadCapture
 
                 app = capture = WorkloadCapture(app, label=app_name)
-            engine = app.make_engine(factory(), seed=run_rng)
+            engine = make_engine(app, factory(), seed=run_rng)
             res = engine.run(max_steps=max_steps)
             if capture is not None:
                 out_dir = Path(record_workload)

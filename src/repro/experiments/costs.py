@@ -26,6 +26,7 @@ from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult
 from repro.graph.generators import gnm_random
 from repro.runtime.costs import ScaledAbortCostModel
+from repro.runtime.engine import make_engine
 from repro.runtime.workloads import ConsumingGraphWorkload
 from repro.utils.rng import ensure_rng, spawn
 
@@ -68,7 +69,8 @@ def run(
             acc = []
             for rep_rng in spawn(rng, replications):
                 workload = ConsumingGraphWorkload(base_graph.copy())
-                engine = workload.make_engine(
+                engine = make_engine(
+                    workload,
                     HybridController(rho, m_max=machine_size),
                     seed=rep_rng,
                     cost_model=ScaledAbortCostModel(factor),

@@ -19,6 +19,7 @@ from repro.control.hybrid import RECURRENCE_A, HybridController, HybridParams
 from repro.control.tuning import oracle_mu
 from repro.experiments.base import ExperimentResult
 from repro.graph.generators import gnm_random
+from repro.runtime.engine import make_engine
 from repro.runtime.workloads import ReplayGraphWorkload
 from repro.utils.rng import ensure_rng, spawn
 
@@ -58,13 +59,13 @@ def run(
         mu = oracle_mu(graph, rho, seed=mu_rng)
 
         hybrid = default_hybrid(rho)
-        res_h = ReplayGraphWorkload(graph.copy()).make_engine(
-            hybrid, seed=run_rng_h
+        res_h = make_engine(
+            ReplayGraphWorkload(graph.copy()), hybrid, seed=run_rng_h
         ).run(max_steps=steps)
 
         rec_a = HybridController(rho, params=RECURRENCE_A)
-        res_a = ReplayGraphWorkload(graph.copy()).make_engine(
-            rec_a, seed=run_rng_a
+        res_a = make_engine(
+            ReplayGraphWorkload(graph.copy()), rec_a, seed=run_rng_a
         ).run(max_steps=steps)
 
         # "close to μ": ±40% band with 20% excursion allowance — small

@@ -26,6 +26,7 @@ from repro.control.fixed import FixedController
 from repro.control.hybrid import HybridController
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult
+from repro.runtime.engine import make_engine
 from repro.utils.rng import ensure_rng
 
 __all__ = ["run"]
@@ -61,7 +62,7 @@ def run(
     speedups = []
     for m in fixed_ms:
         sim = DiscreteEventSimulation(network, num_jobs, end_time, seed=sim_seed)
-        engine = sim.make_engine(FixedController(m), seed=int(rng.integers(0, 2**31 - 1)))
+        engine = make_engine(sim, FixedController(m), seed=int(rng.integers(0, 2**31 - 1)))
         res = engine.run(max_steps=10**7)
         if sim.history != reference:
             raise ExperimentError(f"history diverged from the oracle at m={m}")
@@ -86,8 +87,8 @@ def run(
     result.add_series("speedup vs m", [float(m) for m in fixed_ms], speedups)
 
     sim = DiscreteEventSimulation(network, num_jobs, end_time, seed=sim_seed)
-    engine = sim.make_engine(
-        HybridController(rho), seed=int(rng.integers(0, 2**31 - 1))
+    engine = make_engine(
+        sim, HybridController(rho), seed=int(rng.integers(0, 2**31 - 1))
     )
     res = engine.run(max_steps=10**7)
     if sim.history != reference:

@@ -25,6 +25,7 @@ from repro.control.hybrid import HybridController
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult
 from repro.graph.generators import gnm_random
+from repro.runtime.engine import make_engine
 from repro.runtime.workloads import ConsumingGraphWorkload
 from repro.utils.rng import ensure_rng, spawn
 
@@ -62,7 +63,7 @@ def run(
         for rep_rng in spawn(rng, replications):
             workload = ConsumingGraphWorkload(base_graph.copy())
             controller = HybridController(rho, m_max=2048)
-            engine = workload.make_engine(controller, seed=rep_rng)
+            engine = make_engine(workload, controller, seed=rep_rng)
             res = engine.run(max_steps=10**6)
             if res.total_committed != n:
                 raise ExperimentError(f"run at rho={rho} did not drain")

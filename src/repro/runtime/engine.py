@@ -1,11 +1,13 @@
 """Wire a workload into the engine.
 
 There is one engine, :class:`~repro.runtime.core.Engine`; a run varies
-only in its commit order.  :func:`make_engine` picks the order a
-workload needs — :class:`~repro.runtime.policies.OrderedCommitOrder`
-over the workload's priorities when it sets ``requires_order``, the
-paper's §2 :class:`~repro.runtime.policies.UnorderedCommitOrder` over
-its conflict policy otherwise.
+only in its commit order.  :func:`make_engine` is the one path from a
+workload to an engine.  Unless the caller passes an explicit ``order=``
+it picks the order the workload needs —
+:class:`~repro.runtime.policies.OrderedCommitOrder` over the workload's
+priorities when it sets ``requires_order``, the paper's §2
+:class:`~repro.runtime.policies.UnorderedCommitOrder` over its conflict
+policy otherwise.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ def make_engine(
     workload,
     controller: "Controller",
     *,
+    order=None,
     seed=None,
     step_hook=None,
     cost_model=None,
@@ -36,13 +39,14 @@ def make_engine(
     *workload* speaks the workload protocol: ``workset`` / ``operator``
     / ``policy``, plus ``priority_of`` when it sets ``requires_order``
     (then the run commits in priority order over its priority
-    work-set).  Every workload family's own ``make_engine`` delegates
-    here.
+    work-set).  *order* is an explicit commit-order policy; ``None``
+    picks the workload's default as above.
     """
-    if getattr(workload, "requires_order", False):
-        order = OrderedCommitOrder(workload.priority_of)
-    else:
-        order = UnorderedCommitOrder(workload.policy)
+    if order is None:
+        if getattr(workload, "requires_order", False):
+            order = OrderedCommitOrder(workload.priority_of)
+        else:
+            order = UnorderedCommitOrder(workload.policy)
     return Engine(
         workload.workset,
         workload.operator,

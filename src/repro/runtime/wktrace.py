@@ -25,9 +25,9 @@ Three layers:
 
 :class:`WorkloadCapture`
     A transparent workload wrapper (same ``workset`` / ``operator`` /
-    ``policy`` / ``make_engine`` protocol) that records the run it is
-    part of.  Tasks are keyed by their process-unique ``uid`` and
-    assigned dense trace ids in first-observation order; a
+    ``policy`` protocol) that records the run it is part of.  Tasks
+    are keyed by their process-unique ``uid`` and assigned dense trace
+    ids in first-observation order; a
     :meth:`~repro.graph.ccgraph.CCGraph.set_morph_hook` observer
     attributes graph morphs to the committing task.  Workloads whose
     conflicts come from an explicit CC graph
@@ -66,7 +66,6 @@ from repro.errors import ObservabilityError, ReplayMismatchError
 from repro.graph.ccgraph import CCGraph
 from repro.runtime.active_set import ActiveSet
 from repro.runtime.conflict import ExplicitGraphPolicy, ItemLockPolicy
-from repro.runtime.engine import make_engine as _make_engine
 from repro.runtime.policies import PriorityWorkset
 from repro.runtime.task import Operator, Task
 
@@ -429,10 +428,10 @@ class WorkloadCapture:
     """Wrap a workload so the run it powers is recorded as a trace.
 
     Speaks the full workload protocol (``workset`` / ``operator`` /
-    ``policy`` / ``requires_order`` / ``priority_of`` /
-    :meth:`make_engine`), delegating everything to the wrapped workload
-    while the interposed :class:`_CaptureOperator` records.  After the
-    run, :meth:`save` finalises and writes the trace.
+    ``policy`` / ``requires_order`` / ``priority_of``), delegating
+    everything to the wrapped workload while the interposed
+    :class:`_CaptureOperator` records.  After the run, :meth:`save`
+    finalises and writes the trace.
 
     Capture keys tasks by their process-unique ``uid``; trace ids are
     dense in first-observation order, which for the initial work-set
@@ -495,9 +494,6 @@ class WorkloadCapture:
         if inner is not None:
             return inner(task)
         return float(task.payload)
-
-    #: workload protocol: the shared wiring, bound as a method
-    make_engine = _make_engine
 
     # ------------------------------------------------------------------
     def finalize(self) -> WorkloadTrace:
@@ -638,9 +634,6 @@ class TraceReplayWorkload:
     def priority_of(self, task: Task) -> float:
         priority = self._priorities.get(task.payload)
         return float(priority) if priority is not None else float(task.payload)
-
-    #: workload protocol: the shared wiring, bound as a method
-    make_engine = _make_engine
 
     # ------------------------------------------------------------------
     def replay_complete(self) -> bool:

@@ -17,8 +17,8 @@ workload, matching the evaluation setups of §4:
   the closest synthetic analogue of a long-running irregular application
   in steady state.
 
-Each workload exposes ``workset``, ``operator`` and ``policy`` and a
-:meth:`make_engine` convenience.
+Each workload exposes ``workset``, ``operator`` and ``policy``; wire one
+into an engine with :func:`repro.runtime.engine.make_engine`.
 """
 
 from __future__ import annotations
@@ -26,19 +26,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import islice
 from operator import lt
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import RuntimeEngineError
-
-if TYPE_CHECKING:  # avoid runtime<->control import cycle
-    from repro.control.base import Controller
 from repro.graph.ccgraph import CCGraph
 from repro.runtime.active_set import ActiveSet
 from repro.runtime.conflict import ConflictPolicy, ExplicitGraphPolicy
-from repro.runtime.core import Engine
-from repro.runtime.engine import make_engine
 from repro.runtime.task import Operator, Task
 from repro.runtime.workset import Workset
 from repro.utils.rng import ensure_rng
@@ -109,26 +103,6 @@ class GraphWorkloadBase:
             if created:
                 new_tasks.extend(created)
         return new_tasks
-
-    def make_engine(
-        self,
-        controller: "Controller",
-        seed=None,
-        step_hook=None,
-        cost_model=None,
-        recorder=None,
-        metrics=None,
-    ) -> Engine:
-        """Wire this workload and *controller* into an engine."""
-        return make_engine(
-            self,
-            controller,
-            seed=seed,
-            step_hook=step_hook,
-            cost_model=cost_model,
-            recorder=recorder,
-            metrics=metrics,
-        )
 
 
 class ReplayGraphWorkload(GraphWorkloadBase):

@@ -9,6 +9,7 @@ from repro.apps.clustering import AgglomerativeClustering, random_points
 from repro.control.fixed import FixedController
 from repro.control.hybrid import HybridController
 from repro.errors import ApplicationError
+from repro.runtime.engine import make_engine
 
 
 class TestRandomPoints:
@@ -29,7 +30,7 @@ class TestClusteringRun:
     def finished(self):
         pts = random_points(300, clusters=6, spread=0.02, seed=1)
         app = AgglomerativeClustering(pts, merge_threshold=0.05)
-        res = app.make_engine(HybridController(0.25), seed=2).run(max_steps=5000)
+        res = make_engine(app, HybridController(0.25), seed=2).run(max_steps=5000)
         return pts, app, res
 
     def test_terminates(self, finished):
@@ -76,21 +77,21 @@ class TestClusteringRun:
 class TestEdgeCases:
     def test_single_point(self):
         app = AgglomerativeClustering(np.array([[0.5, 0.5]]), merge_threshold=0.1)
-        app.make_engine(FixedController(1), seed=0).run(max_steps=10)
+        make_engine(app, FixedController(1), seed=0).run(max_steps=10)
         assert app.num_clusters() == 1
 
     def test_two_distant_points_stay_apart(self):
         app = AgglomerativeClustering(
             np.array([[0.0, 0.0], [1.0, 1.0]]), merge_threshold=0.1
         )
-        app.make_engine(FixedController(2), seed=0).run(max_steps=10)
+        make_engine(app, FixedController(2), seed=0).run(max_steps=10)
         assert app.num_clusters() == 2
 
     def test_two_close_points_merge(self):
         app = AgglomerativeClustering(
             np.array([[0.5, 0.5], [0.52, 0.5]]), merge_threshold=0.1
         )
-        app.make_engine(FixedController(2), seed=0).run(max_steps=10)
+        make_engine(app, FixedController(2), seed=0).run(max_steps=10)
         assert app.num_clusters() == 1
         assert len(app.dendrogram) == 1
 

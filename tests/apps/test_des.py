@@ -8,6 +8,7 @@ from repro.apps.des import DiscreteEventSimulation, QueueingNetwork, sequential_
 from repro.control.fixed import FixedController
 from repro.control.hybrid import HybridController
 from repro.errors import ApplicationError
+from repro.runtime.engine import make_engine
 
 
 @pytest.fixture(scope="module")
@@ -43,17 +44,17 @@ class TestAgainstSequentialOracle:
         """The headline PDES invariant: any allocation yields the identical
         committed event history."""
         sim = DiscreteEventSimulation(network, num_jobs=25, end_time=30.0, seed=2)
-        sim.make_engine(FixedController(m), seed=3).run(max_steps=10**6)
+        make_engine(sim, FixedController(m), seed=3).run(max_steps=10**6)
         assert sim.history == reference
 
     def test_history_chronological(self, network):
         sim = DiscreteEventSimulation(network, num_jobs=25, end_time=30.0, seed=2)
-        sim.make_engine(FixedController(16), seed=4).run(max_steps=10**6)
+        make_engine(sim, FixedController(16), seed=4).run(max_steps=10**6)
         assert sim.check_history_ordered()
 
     def test_hybrid_controller_matches_too(self, network, reference):
         sim = DiscreteEventSimulation(network, num_jobs=25, end_time=30.0, seed=2)
-        sim.make_engine(HybridController(0.3), seed=5).run(max_steps=10**6)
+        make_engine(sim, HybridController(0.3), seed=5).run(max_steps=10**6)
         assert sim.history == reference
 
     @settings(max_examples=6, deadline=None)
@@ -62,7 +63,7 @@ class TestAgainstSequentialOracle:
         net = QueueingNetwork(8, avg_degree=2.0, seed=seed)
         ref = sequential_history(net, num_jobs=6, end_time=10.0, seed=seed)
         sim = DiscreteEventSimulation(net, num_jobs=6, end_time=10.0, seed=seed)
-        sim.make_engine(FixedController(m), seed=seed).run(max_steps=10**6)
+        make_engine(sim, FixedController(m), seed=seed).run(max_steps=10**6)
         assert sim.history == ref
 
 
@@ -71,7 +72,7 @@ class TestParallelismStructure:
         runs = {}
         for m in (1, 8):
             sim = DiscreteEventSimulation(network, num_jobs=25, end_time=30.0, seed=2)
-            res = sim.make_engine(FixedController(m), seed=6).run(max_steps=10**6)
+            res = make_engine(sim, FixedController(m), seed=6).run(max_steps=10**6)
             runs[m] = len(res)
         assert runs[8] < runs[1]
 
@@ -81,7 +82,7 @@ class TestParallelismStructure:
         outcomes = {}
         for m in (8, 64):
             sim = DiscreteEventSimulation(network, num_jobs=25, end_time=30.0, seed=2)
-            eng = sim.make_engine(FixedController(m), seed=7)
+            eng = make_engine(sim, FixedController(m), seed=7)
             res = eng.run(max_steps=10**6)
             aborts = eng.order.conflict_aborts_total + eng.order.order_aborts_total
             outcomes[m] = (len(res), aborts)
@@ -92,7 +93,7 @@ class TestParallelismStructure:
 
     def test_order_aborts_happen(self, network):
         sim = DiscreteEventSimulation(network, num_jobs=25, end_time=30.0, seed=2)
-        eng = sim.make_engine(FixedController(16), seed=8)
+        eng = make_engine(sim, FixedController(16), seed=8)
         eng.run(max_steps=10**6)
         assert eng.order.order_aborts_total > 0
         assert eng.order.conflict_aborts_total > 0

@@ -17,6 +17,7 @@ from repro.api import run
 from repro.apps import build_app_input, workload_from_input
 from repro.obs import TraceRecorder
 from repro.registry import CONTROLLERS
+from repro.runtime.engine import make_engine
 from repro.runtime.workset import RandomWorkset
 from repro.testing.oracles import reference_paths
 from repro.utils.rng import derive_seed
@@ -45,7 +46,7 @@ def _legacy_trace(name, cfg):
     app = workload_from_input(name, source, seed=seed_in, workset=workset)
     controller = CONTROLLERS.create(cfg.controller, cfg)
     rec = TraceRecorder()
-    engine = app.make_engine(controller, seed=SEED, recorder=rec)
+    engine = make_engine(app, controller, seed=SEED, recorder=rec)
     with reference_paths():
         engine.run()
     return rec.to_jsonl()

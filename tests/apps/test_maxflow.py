@@ -14,6 +14,7 @@ from repro.apps.maxflow import (
 from repro.control.fixed import FixedController
 from repro.control.hybrid import HybridController
 from repro.errors import ApplicationError
+from repro.runtime.engine import make_engine
 
 
 def oversupplied_network(n: int, seed: int, extra_arcs: int = 8) -> FlowNetwork:
@@ -65,7 +66,7 @@ class TestHandComputedFlows:
         net.add_edge(0, 1, 7)
         net.add_edge(1, 2, 4)
         app = PreflowPush(net)
-        app.make_engine(FixedController(2), seed=0).run(max_steps=10000)
+        make_engine(app, FixedController(2), seed=0).run(max_steps=10000)
         assert app.flow_value == 4
         assert app.check_conservation()
 
@@ -76,7 +77,7 @@ class TestHandComputedFlows:
         net.add_edge(0, 2, 5)
         net.add_edge(2, 3, 2)
         app = PreflowPush(net)
-        app.make_engine(FixedController(4), seed=1).run(max_steps=10000)
+        make_engine(app, FixedController(4), seed=1).run(max_steps=10000)
         assert app.flow_value == 5
 
     def test_classic_diamond(self):
@@ -88,7 +89,7 @@ class TestHandComputedFlows:
         net.add_edge(2, 3, 10)
         net.add_edge(1, 2, 1)
         app = PreflowPush(net)
-        app.make_engine(FixedController(3), seed=2).run(max_steps=10000)
+        make_engine(app, FixedController(3), seed=2).run(max_steps=10000)
         assert app.flow_value == 20
 
     def test_zero_flow_when_disconnected(self):
@@ -96,7 +97,7 @@ class TestHandComputedFlows:
         net.add_edge(0, 1, 5)
         net.add_edge(2, 3, 5)
         app = PreflowPush(net)
-        app.make_engine(FixedController(2), seed=3).run(max_steps=10000)
+        make_engine(app, FixedController(2), seed=3).run(max_steps=10000)
         assert app.flow_value == 0
         assert app.check_conservation()
 
@@ -107,7 +108,7 @@ class TestAgainstScipyOracle:
         net = random_flow_network(60, avg_out_degree=3.0, seed=seed)
         ref = reference_max_flow(net)
         app = PreflowPush(net)
-        app.make_engine(HybridController(0.25), seed=seed + 10).run(max_steps=10**6)
+        make_engine(app, HybridController(0.25), seed=seed + 10).run(max_steps=10**6)
         assert app.flow_value == ref
         assert app.check_conservation()
         assert len(app.workset) == 0
@@ -118,14 +119,14 @@ class TestAgainstScipyOracle:
         net = random_flow_network(24, avg_out_degree=2.5, seed=seed)
         ref = reference_max_flow(net)
         app = PreflowPush(net)
-        app.make_engine(FixedController(m), seed=seed).run(max_steps=10**6)
+        make_engine(app, FixedController(m), seed=seed).run(max_steps=10**6)
         assert app.flow_value == ref
         assert app.check_conservation()
 
     def test_no_frozen_nodes_on_valid_runs(self):
         net = random_flow_network(50, seed=9)
         app = PreflowPush(net)
-        app.make_engine(FixedController(8), seed=10).run(max_steps=10**6)
+        make_engine(app, FixedController(8), seed=10).run(max_steps=10**6)
         assert not app._frozen
 
 
@@ -142,7 +143,7 @@ class TestOversuppliedNetworks:
     def test_drains_to_the_max_flow_with_the_recorded_work(self, seed):
         net = oversupplied_network(40, seed)
         app = PreflowPush(net)
-        app.make_engine(HybridController(0.25, m_max=64), seed=seed + 10).run(
+        make_engine(app, HybridController(0.25, m_max=64), seed=seed + 10).run(
             max_steps=10**6
         )
         assert len(app.workset) == 0
@@ -157,6 +158,6 @@ class TestParallelStructure:
     def test_conflicts_under_wide_allocation(self):
         net = random_flow_network(120, avg_out_degree=4.0, seed=4)
         app = PreflowPush(net)
-        res = app.make_engine(FixedController(32), seed=5).run(max_steps=10**6)
+        res = make_engine(app, FixedController(32), seed=5).run(max_steps=10**6)
         assert res.total_aborted > 0
         assert app.flow_value == reference_max_flow(net)

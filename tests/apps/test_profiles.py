@@ -92,7 +92,7 @@ class TestScheduledReplay:
     def test_transitions_at_phase_boundaries(self):
         phases = step_profile(2, 40, 100, steps_per_phase=20)
         wl = ScheduledReplayWorkload(phases)
-        eng = wl.make_engine(FixedController(4), seed=0)
+        eng = make_engine(wl, FixedController(4), seed=0, step_hook=wl.advance)
         eng.run(max_steps=wl.total_steps())
         assert wl.transitions == [20, 40]
 
@@ -102,7 +102,7 @@ class TestScheduledReplay:
             Phase(3, clique_sizes(5, 25)),
         ]
         wl = ScheduledReplayWorkload(phases)
-        eng = wl.make_engine(FixedController(2), seed=1)
+        eng = make_engine(wl, FixedController(2), seed=1, step_hook=wl.advance)
         eng.run(max_steps=6)
         assert len(wl.workset) == 25  # second phase graph size
 
@@ -121,7 +121,7 @@ class TestScheduledReplay:
             Phase(30, clique_sizes(100, 100), "parallel"),
         ]
         wl = ScheduledReplayWorkload(phases)
-        eng = wl.make_engine(FixedController(20), seed=2)
+        eng = make_engine(wl, FixedController(20), seed=2, step_hook=wl.advance)
         res = eng.run(max_steps=60)
         rs = res.r_trace
         assert rs[:30].mean() > 0.9  # one big clique
@@ -130,7 +130,7 @@ class TestScheduledReplay:
     def test_controller_retracks_after_switch(self):
         phases = step_profile(4, 150, 600, steps_per_phase=50)
         wl = ScheduledReplayWorkload(phases)
-        eng = wl.make_engine(HybridController(0.2), seed=3)
+        eng = make_engine(wl, HybridController(0.2), seed=3, step_hook=wl.advance)
         res = eng.run(max_steps=wl.total_steps())
         ms = res.m_trace
         # allocation grows after the low->high switch and shrinks back
@@ -140,7 +140,7 @@ class TestScheduledReplay:
     def test_last_phase_holds(self):
         phases = [Phase(2, clique_sizes(2, 10))]
         wl = ScheduledReplayWorkload(phases)
-        eng = wl.make_engine(FixedController(2), seed=4)
+        eng = make_engine(wl, FixedController(2), seed=4, step_hook=wl.advance)
         res = eng.run(max_steps=10)  # beyond the schedule
         assert len(res) == 10
 
@@ -185,7 +185,7 @@ class _GraphBackedSchedule:
         for node in self.graph.nodes():
             self.workset.add(Task(payload=node))
 
-    def _advance(self, engine, stats):
+    def advance(self, engine, stats):
         self._steps_left -= 1
         if self._steps_left > 0 or self._phase_idx + 1 >= len(self.phases):
             return
@@ -195,12 +195,9 @@ class _GraphBackedSchedule:
         self._fill_workset()
         engine.workset = self.workset
 
-    def make_engine(self, controller, seed=None):
-        return make_engine(self, controller, seed=seed, step_hook=self._advance)
-
 
 def _step_rows(workload, controller, seed):
-    engine = workload.make_engine(controller, seed=seed)
+    engine = make_engine(workload, controller, seed=seed, step_hook=workload.advance)
     res = engine.run(max_steps=sum(p.duration for p in workload.phases))
     return [
         (s.requested, s.launched, s.committed, s.aborted, s.workset_before, s.workset_after)
@@ -242,7 +239,8 @@ class TestGraphTwin:
 
         monkeypatch.setattr(CCGraph, "add_edge", forbidden)
         wl = ScheduledReplayWorkload(_profile("burst", 2000))
-        res = wl.make_engine(HybridController(0.2), seed=0).run(max_steps=wl.total_steps())
+        eng = make_engine(wl, HybridController(0.2), seed=0, step_hook=wl.advance)
+        res = eng.run(max_steps=wl.total_steps())
         assert len(res) == wl.total_steps()
 
 

@@ -243,7 +243,7 @@ class TestBuildApp:
     def test_all_known_apps_constructible(self):
         for name in ("delaunay", "boruvka", "coloring", "sp", "maxflow", "components"):
             app = apps_eval.build_app(name, 60, seed=0)
-            assert hasattr(app, "make_engine")
+            assert hasattr(app, "policy")
             assert hasattr(app, "workset")
 
     def test_unknown_app_rejected(self):

@@ -11,6 +11,7 @@ from repro.model.parallelism import (
     profile_from_run,
     profile_summary,
 )
+from repro.runtime.engine import make_engine
 
 
 class TestProfileType:
@@ -71,7 +72,7 @@ class TestProfileFromRun:
         from repro.runtime.workloads import ConsumingGraphWorkload
 
         wl = ConsumingGraphWorkload(gnm_random(60, 4, seed=0))
-        res = wl.make_engine(FixedController(8), seed=1).run()
+        res = make_engine(wl, FixedController(8), seed=1).run()
         prof = profile_from_run(res)
         assert len(prof) == len(res)
         assert prof.available.sum() == res.total_committed

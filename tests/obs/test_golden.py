@@ -28,6 +28,7 @@ from repro.config import RunConfig
 from repro.control import HybridController
 from repro.graph.generators import gnm_random
 from repro.obs import HALO_EXCHANGE, TraceRecorder, load_jsonl, trajectory, verify_trace
+from repro.runtime.engine import make_engine
 from repro.runtime.workloads import ConsumingGraphWorkload
 from repro.runtime.workset import RandomWorkset
 from repro.testing.oracles import reference_paths
@@ -47,7 +48,7 @@ def golden_trace(workset=None) -> TraceRecorder:
         gnm_random(200, 8, seed=GRAPH_SEED), workset=workset
     )
     controller = HybridController(0.25, m_max=64)
-    engine = workload.make_engine(controller, seed=ENGINE_SEED, recorder=rec)
+    engine = make_engine(workload, controller, seed=ENGINE_SEED, recorder=rec)
     engine.run(max_steps=MAX_STEPS)
     return rec
 

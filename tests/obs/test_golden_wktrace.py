@@ -23,6 +23,7 @@ from pathlib import Path
 
 from repro.control import HybridController
 from repro.obs import TraceRecorder
+from repro.runtime.engine import make_engine
 from repro.runtime.wktrace import TraceReplayWorkload, WorkloadCapture, WorkloadTrace
 from repro.runtime.workset import RandomWorkset
 from repro.testing.oracles import reference_paths
@@ -42,7 +43,7 @@ def golden_trace(workset=None) -> WorkloadTrace:
     source = build_app_input("boruvka", SCALE, seed=GRAPH_SEED)
     app = workload_from_input("boruvka", source, seed=GRAPH_SEED, workset=workset)
     capture = WorkloadCapture(app, label="boruvka")
-    capture.make_engine(HybridController(0.25, m_max=64), seed=ENGINE_SEED).run()
+    make_engine(capture, HybridController(0.25, m_max=64), seed=ENGINE_SEED).run()
     return capture.finalize()
 
 
@@ -54,7 +55,7 @@ def golden_maxflow_trace(workset=None) -> WorkloadTrace:
     source = oversupplied_network(40, GRAPH_SEED)
     app = workload_from_input("maxflow", source, seed=GRAPH_SEED, workset=workset)
     capture = WorkloadCapture(app, label="maxflow")
-    capture.make_engine(HybridController(0.25, m_max=64), seed=ENGINE_SEED).run()
+    make_engine(capture, HybridController(0.25, m_max=64), seed=ENGINE_SEED).run()
     return capture.finalize()
 
 
@@ -90,7 +91,7 @@ class TestGoldenWorkloadTrace:
 
     def test_fixture_replays_to_completion(self):
         workload = TraceReplayWorkload.load(FIXTURE)
-        workload.make_engine(HybridController(0.25, m_max=64), seed=3).run()
+        make_engine(workload, HybridController(0.25, m_max=64), seed=3).run()
         assert workload.replay_complete()
         assert workload.unrecorded_commits == 0
 
@@ -103,7 +104,8 @@ class TestGoldenWorkloadTrace:
 
         oracle = TraceRecorder()
         workload = TraceReplayWorkload.load(FIXTURE, workset=RandomWorkset())
-        engine = workload.make_engine(
+        engine = make_engine(
+            workload,
             HybridController(0.25, m_max=1024), seed=5, recorder=oracle
         )
         with reference_paths():
@@ -129,6 +131,6 @@ class TestGoldenMaxflowTrace:
         assert trace.label == "maxflow"
         assert len(trace.commits) > 10 * 40  # relabel-to-source, not ~n commits
         workload = TraceReplayWorkload.load(MAXFLOW_FIXTURE)
-        workload.make_engine(HybridController(0.25, m_max=64), seed=3).run()
+        make_engine(workload, HybridController(0.25, m_max=64), seed=3).run()
         assert workload.replay_complete()
         assert workload.unrecorded_commits == 0

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.control import HybridController
 from repro.graph.generators import gnm_random
 from repro.obs import TraceRecorder, trajectory, verify_trace
+from repro.runtime.engine import make_engine
 from repro.runtime.workloads import ConsumingGraphWorkload
 
 # engine runs are comparatively slow; keep example counts modest
@@ -27,7 +28,7 @@ RUN_SETTINGS = settings(max_examples=15, deadline=None)
 def record_run(controller, n, d, graph_seed, engine_seed, max_steps=25):
     rec = TraceRecorder()
     workload = ConsumingGraphWorkload(gnm_random(n, d, seed=graph_seed))
-    engine = workload.make_engine(controller, seed=engine_seed, recorder=rec)
+    engine = make_engine(workload, controller, seed=engine_seed, recorder=rec)
     engine.run(max_steps=max_steps)
     return rec.events
 

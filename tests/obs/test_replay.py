@@ -27,6 +27,7 @@ from repro.obs import (
     trajectory,
     verify_trace,
 )
+from repro.runtime.engine import make_engine
 from repro.runtime.workloads import ConsumingGraphWorkload
 
 
@@ -34,7 +35,7 @@ def record_run(controller, n=60, d=6, graph_seed=3, engine_seed=11, max_steps=40
     """Run *controller* on a draining gnm workload under a fresh recorder."""
     rec = TraceRecorder()
     workload = ConsumingGraphWorkload(gnm_random(n, d, seed=graph_seed))
-    engine = workload.make_engine(controller, seed=engine_seed, recorder=rec)
+    engine = make_engine(workload, controller, seed=engine_seed, recorder=rec)
     engine.run(max_steps=max_steps)
     return rec.events
 

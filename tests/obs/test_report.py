@@ -18,6 +18,7 @@ from repro.obs import (
     split_runs,
     trajectory,
 )
+from repro.runtime.engine import make_engine
 from repro.runtime.workloads import ConsumingGraphWorkload, ReplayGraphWorkload
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -31,7 +32,7 @@ def record_run(controller, n=60, d=6, graph_seed=3, engine_seed=11, max_steps=40
     """Run *controller* on a draining gnm workload under a fresh recorder."""
     rec = TraceRecorder()
     workload = ConsumingGraphWorkload(gnm_random(n, d, seed=graph_seed))
-    engine = workload.make_engine(controller, seed=engine_seed, recorder=rec)
+    engine = make_engine(workload, controller, seed=engine_seed, recorder=rec)
     engine.run(max_steps=max_steps)
     return rec.events
 
@@ -102,7 +103,7 @@ def run_hybrid(rho=0.2, steps=80, seed=0):
     recorder = TraceRecorder()
     ctrl = HybridController(rho, small_params=None)
     workload = ReplayGraphWorkload(gnm_random(800, 12, seed=seed))
-    workload.make_engine(ctrl, seed=seed + 1, recorder=recorder).run(max_steps=steps)
+    make_engine(workload, ctrl, seed=seed + 1, recorder=recorder).run(max_steps=steps)
     return ctrl, recorder.events
 
 
@@ -279,7 +280,7 @@ class TestProfileSection:
         recorder = TraceRecorder()
         wl = ReplayGraphWorkload(gnm_random(500, 8, seed=4))
         with profiling() as prof:
-            engine = wl.make_engine(FixedController(250), seed=3, recorder=recorder)
+            engine = make_engine(wl, FixedController(250), seed=3, recorder=recorder)
             for _ in range(30):
                 engine.step()
         report = run_report(recorder.events, prof)

@@ -12,6 +12,7 @@ from repro.obs import (
     profiling,
 )
 from repro.obs.spans import SNAPSHOT_SCHEMA
+from repro.runtime.engine import make_engine
 
 
 class TestSpanNesting:
@@ -206,7 +207,7 @@ class TestEngineIntegration:
         # batches big enough for the array paths
         wl = ReplayGraphWorkload(gnm_random(400, 4, seed=1))
         with profiling() as prof:
-            engine = wl.make_engine(FixedController(160), seed=2)
+            engine = make_engine(wl, FixedController(160), seed=2)
             for _ in range(5):
                 engine.step()
         stats = prof.stats()
@@ -231,6 +232,6 @@ class TestEngineIntegration:
         from repro.runtime.workloads import ReplayGraphWorkload
 
         wl = ReplayGraphWorkload(gnm_random(60, 4, seed=1))
-        engine = wl.make_engine(FixedController(8), seed=2)
+        engine = make_engine(wl, FixedController(8), seed=2)
         assert engine.profiler is None
         engine.step()  # must not raise without any profiler

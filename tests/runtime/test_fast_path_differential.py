@@ -37,6 +37,7 @@ from repro.registry import registry
 from repro.runtime.conflict import ItemLockPolicy
 from repro.runtime.active_set import ActiveSet
 from repro.runtime.core import Engine
+from repro.runtime.engine import make_engine
 from repro.runtime.policies import UnorderedCommitOrder
 from repro.runtime.task import Operator, Task
 from repro.runtime.workloads import (
@@ -102,7 +103,7 @@ def _run(workload_key: str, controller_key: str, mode: str, workset=None):
     recorder = TraceRecorder()
     workload = WORKLOADS[workload_key](workset=workset)
     controller = CONTROLLERS[controller_key]()
-    engine = workload.make_engine(controller, seed=SEED, recorder=recorder)
+    engine = make_engine(workload, controller, seed=SEED, recorder=recorder)
     with RESOLVE[mode]():
         engine.run(max_steps=MAX_STEPS)
     return recorder.to_jsonl(), [s.as_dict() for s in engine.result.steps]
@@ -244,7 +245,7 @@ class TestOrderedDifferential:
 
         def run(mode):
             sim = DiscreteEventSimulation(network, num_jobs=25, end_time=12.0, seed=5)
-            engine = sim.make_engine(CONTROLLERS[controller_key](), seed=9)
+            engine = make_engine(sim, CONTROLLERS[controller_key](), seed=9)
             with RESOLVE[mode]():
                 result = engine.run(max_steps=10**5)
             return sim.history, [s.as_dict() for s in result.steps]

@@ -126,7 +126,7 @@ class TestOneShardByteIdentity:
 
     def test_agrees_with_golden_fixture(self):
         # the one-shard order path must reproduce the checked-in fixture
-        # that the workload's make_engine path recorded
+        # that make_engine's default-order path recorded
         if ENGINE_SEED != 8:
             pytest.skip("golden fixture is pinned to the seed-0 corpus")
         recorder, _ = _engine_run(ShardedCommitOrder, None, shards=1)

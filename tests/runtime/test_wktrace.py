@@ -17,6 +17,7 @@ from repro.control.fixed import FixedController
 from repro.errors import ConfigError, ObservabilityError, ReplayMismatchError
 from repro.graph.generators import gnm_random
 from repro.obs import TraceRecorder, recording
+from repro.runtime.engine import make_engine
 from repro.runtime.wktrace import (
     TraceReplayWorkload,
     WorkloadCapture,
@@ -114,7 +115,7 @@ class TestRecordReplayRoundTrip:
     def test_replay_complete_flag(self, tmp_path):
         path, _ = _record_boruvka(tmp_path)
         workload = TraceReplayWorkload.load(path)
-        workload.make_engine(FixedController(4), seed=1).run()
+        make_engine(workload, FixedController(4), seed=1).run()
         assert workload.replay_complete()
         assert workload.unrecorded_commits == 0
 
@@ -126,14 +127,14 @@ class TestRecordReplayRoundTrip:
 
         workload = TraceReplayWorkload.load(path)
         assert workload.requires_order
-        replayed = workload.make_engine(FixedController(3), seed=2).run()
+        replayed = make_engine(workload, FixedController(3), seed=2).run()
         assert replayed.total_committed == recorded.total_committed
         assert workload.replay_complete()
 
     def test_explicit_graph_workload_captures_morphs(self):
         graph = gnm_random(40, 6, seed=3)
         capture = WorkloadCapture(ConsumingGraphWorkload(graph), label="consuming")
-        capture.make_engine(FixedController(8), seed=5).run()
+        make_engine(capture, FixedController(8), seed=5).run()
         trace = capture.finalize()
         assert len(trace.commits) == 40  # drained
         ops = [op for rec in trace.commits for op in rec["ops"]]
@@ -143,13 +144,13 @@ class TestRecordReplayRoundTrip:
         assert any(rec["items"] for rec in trace.commits)
 
         replay = TraceReplayWorkload(trace)
-        replay.make_engine(FixedController(8), seed=5).run()
+        make_engine(replay, FixedController(8), seed=5).run()
         assert replay.replay_complete()
 
     def test_capture_detaches_morph_hook_on_save(self, tmp_path):
         graph = gnm_random(10, 2, seed=1)
         capture = WorkloadCapture(ConsumingGraphWorkload(graph))
-        capture.make_engine(FixedController(2), seed=0).run()
+        make_engine(capture, FixedController(2), seed=0).run()
         capture.save(tmp_path / "t.wktrace")
         # hook released: a second capture can install its own
         graph.set_morph_hook(lambda *op: None)
@@ -171,7 +172,8 @@ class TestReplayEquivalenceGates:
 
         oracle = TraceRecorder()
         workload = TraceReplayWorkload.load(path, workset=RandomWorkset())
-        engine = workload.make_engine(
+        engine = make_engine(
+            workload,
             HybridController(0.25, m_max=1024), seed=11, recorder=oracle
         )
         with reference_paths():

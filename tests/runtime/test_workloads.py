@@ -10,6 +10,7 @@ from repro.control.hybrid import HybridController
 from repro.errors import NodeNotFoundError, RuntimeEngineError
 from repro.graph.ccgraph import CCGraph
 from repro.graph.generators import gnm_random, union_of_cliques
+from repro.runtime.engine import make_engine
 from repro.runtime.task import Task
 from repro.runtime.workloads import (
     ConsumingGraphWorkload,
@@ -21,7 +22,7 @@ from repro.runtime.workloads import (
 class TestReplayWorkload:
     def test_workset_size_constant(self):
         wl = ReplayGraphWorkload(gnm_random(50, 4, seed=0))
-        eng = wl.make_engine(FixedController(8), seed=1)
+        eng = make_engine(wl, FixedController(8), seed=1)
         for _ in range(10):
             eng.step()
         assert len(wl.workset) == 50
@@ -30,13 +31,13 @@ class TestReplayWorkload:
         g = gnm_random(40, 4, seed=2)
         edges_before = sorted(g.edges())
         wl = ReplayGraphWorkload(g)
-        wl.make_engine(FixedController(8), seed=3).run(max_steps=20)
+        make_engine(wl, FixedController(8), seed=3).run(max_steps=20)
         assert sorted(g.edges()) == edges_before
 
     def test_stationary_conflict_ratio(self):
         """Replay keeps r̄(m) constant: halves of a long run agree."""
         wl = ReplayGraphWorkload(union_of_cliques(30, 5))
-        eng = wl.make_engine(FixedController(30), seed=4)
+        eng = make_engine(wl, FixedController(30), seed=4)
         res = eng.run(max_steps=400)
         rs = res.r_trace
         first, second = rs[:200].mean(), rs[200:].mean()
@@ -47,14 +48,14 @@ class TestConsumingWorkload:
     def test_graph_drains_completely(self):
         g = gnm_random(60, 5, seed=5)
         wl = ConsumingGraphWorkload(g)
-        res = wl.make_engine(FixedController(10), seed=6).run()
+        res = make_engine(wl, FixedController(10), seed=6).run()
         assert g.num_nodes == 0
         assert res.total_committed == 60
 
     def test_conflicts_decline_as_graph_empties(self):
         g = union_of_cliques(5, 20)  # dense: lots of early conflicts
         wl = ConsumingGraphWorkload(g)
-        res = wl.make_engine(FixedController(50), seed=7).run()
+        res = make_engine(wl, FixedController(50), seed=7).run()
         rs = res.r_trace
         assert rs[0] > rs[-1]
 
@@ -63,7 +64,7 @@ class TestRegeneratingWorkload:
     def test_size_and_degree_stationary(self):
         g = gnm_random(80, 6, seed=8)
         wl = RegeneratingGraphWorkload(g, target_degree=6, seed=9)
-        eng = wl.make_engine(FixedController(10), seed=10)
+        eng = make_engine(wl, FixedController(10), seed=10)
         eng.run(max_steps=100)
         assert g.num_nodes == 80
         assert g.average_degree == pytest.approx(6.0, abs=2.0)
@@ -71,7 +72,7 @@ class TestRegeneratingWorkload:
     def test_workset_tracks_graph(self):
         g = gnm_random(30, 4, seed=11)
         wl = RegeneratingGraphWorkload(g, target_degree=4, seed=12)
-        eng = wl.make_engine(FixedController(5), seed=13)
+        eng = make_engine(wl, FixedController(5), seed=13)
         for _ in range(20):
             eng.step()
         # every pending task refers to a live node
@@ -221,7 +222,8 @@ class TestRegeneratingMatchesScan:
             def densify(engine, stats):
                 workload.target_degree = 4 + stats.step // 3
 
-            return workload.make_engine(
+            return make_engine(
+                workload,
                 HybridController(0.2, m_max=64), seed=13, step_hook=densify
             )
 

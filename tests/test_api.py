@@ -135,17 +135,18 @@ class TestEntryPointsRecordTheSameTrace:
         from repro import RunConfig, run
         from repro.obs import TraceRecorder
 
-        traces = []
-        for order in (None, "unordered"):
-            recorder = TraceRecorder()
-            run(
-                RunConfig(workload="consuming", order=order),
-                graph=gnm_random(80, 6, seed=2),
-                seed=3,
-                recorder=recorder,
-            )
-            traces.append(recorder.to_jsonl())
-        assert traces[0] == traces[1]
+        for workload, max_steps in (("consuming", None), ("replay", 40)):
+            traces = []
+            for order in (None, "unordered"):
+                recorder = TraceRecorder()
+                run(
+                    RunConfig(workload=workload, order=order, max_steps=max_steps),
+                    graph=gnm_random(80, 6, seed=2),
+                    seed=3,
+                    recorder=recorder,
+                )
+                traces.append(recorder.to_jsonl())
+            assert traces[0] == traces[1], workload
 
     def test_for_each_ordered_is_the_ordered_order(self):
         from repro import RunConfig, run

@@ -49,10 +49,10 @@ def test_paper_end_to_end_surface():
     """The README quickstart must work: graph -> workload -> controller -> run."""
     from repro.control import HybridController
     from repro.graph import gnm_random
-    from repro.runtime import ConsumingGraphWorkload
+    from repro.runtime import ConsumingGraphWorkload, make_engine
 
     graph = gnm_random(200, 8, seed=0)
     workload = ConsumingGraphWorkload(graph)
-    engine = workload.make_engine(HybridController(rho=0.25), seed=1)
+    engine = make_engine(workload, HybridController(rho=0.25), seed=1)
     result = engine.run()
     assert result.total_committed == 200

@@ -155,6 +155,88 @@ class TestThirdPartyRoundTrip:
             run_experiment("no-such-experiment")
 
 
+class _BareWorkload:
+    """A third-party workload: ``workset``, ``operator`` and ``policy`` only.
+
+    Each node is one task that locks ``node % 5`` (heavy contention) and
+    is consumed on commit; :attr:`committed` lists payloads in commit
+    order.
+    """
+
+    def __init__(self, graph, workset):
+        from repro.runtime.conflict import ItemLockPolicy
+        from repro.runtime.task import CallbackOperator, Task
+
+        self.committed = []
+        self.operator = CallbackOperator(
+            neighborhood=lambda t: {t.payload % 5},
+            apply=lambda t: self.committed.append(t.payload) or [],
+        )
+        self.policy = ItemLockPolicy()
+        self.workset = workset
+        for node in graph.nodes():
+            task = Task(payload=node)
+            if hasattr(workset, "take_earliest"):
+                workset.add(task, self.priority_of(task))
+            else:
+                workset.add(task)
+
+    def priority_of(self, task):
+        return float(task.payload)
+
+
+class _BareOrderedWorkload(_BareWorkload):
+    """Ordered-only variant: commits must follow :meth:`priority_of`."""
+
+    requires_order = True
+
+    def priority_of(self, task):
+        return float((task.payload * 7) % 60)  # a permutation of 0..59
+
+
+class TestWorkloadProtocol:
+    """Any object with ``workset`` / ``operator`` / ``policy`` runs."""
+
+    @staticmethod
+    def _run(workload_cls, make_workset, graph, order=None):
+        from repro.registry import WORKLOADS
+
+        built = []
+
+        def _factory(graph, config):
+            built.append(workload_cls(graph, make_workset(config)))
+            return built[-1]
+
+        register("workload", "test-bare", _factory)
+        try:
+            result = repro.run(
+                RunConfig(workload="test-bare", order=order, max_steps=500, seed=0),
+                graph=graph,
+            )
+        finally:
+            WORKLOADS.unregister("test-bare")
+        return result, built[0]
+
+    @pytest.mark.parametrize("order", [None, "unordered", "ordered"])
+    def test_bare_workload_runs_under_every_order(self, small_graph, order):
+        from repro.registry import workset_for
+
+        assert not hasattr(_BareWorkload, "make_engine")
+        result, wl = self._run(_BareWorkload, workset_for, small_graph, order)
+        assert result.total_committed == 60
+        assert sorted(wl.committed) == list(range(60))
+        if order == "ordered":
+            assert wl.committed == list(range(60))
+
+    def test_requires_order_commits_in_priority_order_by_default(self, small_graph):
+        from repro.runtime.policies import PriorityWorkset
+
+        result, wl = self._run(
+            _BareOrderedWorkload, lambda config: PriorityWorkset(), small_graph
+        )
+        assert result.total_aborted > 0  # the order had contention to settle
+        assert wl.committed == sorted(range(60), key=lambda u: (u * 7) % 60)
+
 @pytest.fixture
 def small_graph():
     from repro.graph.generators import random_regular

@@ -13,6 +13,7 @@ from repro import RunConfig, run
 from repro.control import FixedController
 from repro.graph.generators import gnm_random
 from repro.runtime import conflict, kernels, policies
+from repro.runtime.engine import make_engine
 from repro.runtime.workloads import ReplayGraphWorkload
 from repro.testing.oracles import reference_paths
 
@@ -32,7 +33,7 @@ def _count_calls(monkeypatch, module, name) -> list:
 def _replay_steps():
     """A static graph at batches past the gather cut-over."""
     workload = ReplayGraphWorkload(gnm_random(400, 6, seed=1))
-    engine = workload.make_engine(FixedController(200), seed=3)
+    engine = make_engine(workload, FixedController(200), seed=3)
     engine.run(max_steps=6)
     return [s.as_dict() for s in engine.result.steps]
 

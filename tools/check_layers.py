@@ -30,8 +30,9 @@ recorder).
 
 A few *downward* edges are banned too (``FORBIDDEN_EDGES``): the apps
 layer may not import ``repro.runtime.engine`` at module level — apps
-describe workloads, and which commit order runs them is wired at call
-time by ``make_engine`` / the registry.
+describe workloads and do not wire engines; ``make_engine(workload,
+controller)`` in the runtime layer picks the commit order that runs
+them.
 
 Usage::
 
@@ -70,9 +71,9 @@ LAYERS: dict[str, int] = {
     # the step pipeline, then the order policies plugged into it
     "repro.runtime.core": 5,
     "repro.runtime.policies": 6,
-    # the rest of the runtime (make_engine, workloads, the
-    # run_sharded alias, whose call-time import of repro.api is the
-    # sanctioned up-reach)
+    # the rest of the runtime (make_engine, the one path from a
+    # workload to an Engine; the workloads; the run_sharded alias,
+    # whose call-time import of repro.api is the sanctioned up-reach)
     "repro.runtime": 7,
     "repro.runtime.sharded": 7,
     "repro.control": 8,
@@ -97,7 +98,7 @@ FORBIDDEN_EDGES: "tuple[tuple[str, str, bool, str], ...]" = (
         "repro.apps",
         "repro.runtime.engine",
         False,
-        "apps wire engines at call time (make_engine), never at import time",
+        "apps describe workloads; runtime.engine.make_engine wires them",
     ),
     (
         "repro.apps",
