@@ -46,12 +46,16 @@ def test_engine_step_throughput(benchmark, big_graph):
     wl = ReplayGraphWorkload(big_graph.copy())
     engine = make_engine(wl, HybridController(0.2), seed=3)
 
+    calls = []
+
     def hundred_steps():
+        calls.append(None)
         for _ in range(100):
             engine.step()
 
     benchmark.pedantic(hundred_steps, rounds=3, iterations=1)
-    assert engine.steps_executed >= 300
+    # --benchmark-disable runs the body once, not ``rounds`` times
+    assert calls and engine.steps_executed == 100 * len(calls)
 
 
 @pytest.mark.parametrize("m", [100, 500, 1500])

@@ -4,19 +4,23 @@
 fast kernels had already won ``resolve``/``commit``, but the reference
 :class:`~repro.runtime.workset.RandomWorkset` still walks a per-task
 Python loop of scalar RNG draws every step.  :class:`ActiveSet` is the
-same bag with the loop hoisted into one vectorised kernel call and the
+same bag with the draws fetched per batch instead of per task and the
 bookkeeping made O(delta):
 
 * **dense slot array** — tasks live in a contiguous list; slot ``i``
   holds the ``i``-th pending task, so commits/aborts re-enter via a
   single ``list.extend`` (:meth:`add_batch`) instead of per-task
   appends;
-* **vectorised prefix sampling** — :meth:`take` fetches all ``k``
-  bounded draws from :func:`~repro.runtime.kernels.sample_prefix_draws`
-  in one call and replays them through the swap loop, which is
+* **batched prefix sampling** — :meth:`take` fetches all ``k`` bounded
+  draws up front and replays them through one swap loop, which is
   *bit-identical* to ``RandomWorkset.take`` under the same seed (same
   batches, same generator state afterwards — the differential and
-  distribution suites enforce both);
+  distribution suites enforce both).  Large batches get their draws
+  from one :func:`~repro.runtime.kernels.sample_prefix_draws` call;
+  small ones, where that call's fixed cost outweighs the draws, from
+  :func:`~repro.runtime.kernels.scalar_prefix_draws`, which computes
+  NumPy's bounded draw in Python from the generator's raw 32-bit
+  stream;
 * **lazy uid ↔ slot map** — :meth:`discard` and :meth:`__contains__`
   need task-id → slot lookups, but the engine's hot path never does, so
   the map is built on first use and invalidated wholesale by
@@ -43,22 +47,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import WorksetEmptyError
-from repro.runtime.kernels import sample_prefix_draws
+from repro.runtime.kernels import sample_prefix_draws, scalar_prefix_draws
 from repro.runtime.task import Task
-from repro.runtime.workset import Workset, swap_pop_sample
+from repro.runtime.workset import Workset
 
 __all__ = ["ActiveSet"]
 
-#: below this many draws, scalar ``rng.integers`` calls beat one
-#: :func:`sample_prefix_draws` call.  Measured crossover: a scalar bounded
-#: draw costs ~1.5 µs, the vector call ~7 µs flat whatever ``k``, so a
-#: whole ``take`` reads 8.1 vs 9.1 µs at k = 5, 9.7 vs 9.1 at k = 6 and
-#: 12.5 vs 9.1 at k = 8 (scalar vs vector)
-_SCALAR_TAKE_BELOW = 6
+#: below this many draws, :func:`scalar_prefix_draws` beats one
+#: :func:`sample_prefix_draws` call.  Measured crossover: a Python-side
+#: draw from the raw 32-bit stream costs ~0.9 µs, the vector call ~10 µs
+#: flat whatever ``k``, so a whole ``take`` (and its ``add_batch``)
+#: reads 15.5 vs 16.7 µs at k = 12, 17.4 vs 17.0 at k = 14 and 19.1 vs
+#: 17.5 at k = 16 (scalar vs vector, first quartiles of 15 rounds)
+_SCALAR_TAKE_BELOW = 14
 
 
 class ActiveSet(Workset):
-    """Dense active-set work-set with O(delta) updates and vectorised take.
+    """Dense active-set work-set with O(delta) updates and batched draws.
 
     Drop-in replacement for :class:`~repro.runtime.workset.RandomWorkset`
     — same uniform m-out-of-n ``π_m`` prefix distribution, bit-identical
@@ -95,14 +100,14 @@ class ActiveSet(Workset):
     def take(self, count: int, rng: np.random.Generator) -> list[Task]:
         """Uniform batch draw, bit-identical to ``RandomWorkset.take``.
 
-        One vectorised kernel call fetches all ``k`` bounded draws; the
-        swap loop then replays the reference sampler's partial
-        Fisher–Yates walk with the pops deferred — the selected tasks
-        end up (reversed) in the tail, which is sliced off in one go.
-        Below :data:`_SCALAR_TAKE_BELOW` draws the kernel's array set-up
-        costs more than the draws, so the reference loop itself runs —
-        same values and generator state by the parity contract of
-        :func:`~repro.runtime.kernels.sample_prefix_draws`.
+        All ``k`` bounded draws are fetched first; the swap loop then
+        replays the reference sampler's partial Fisher–Yates walk with
+        the pops deferred — the selected tasks end up (reversed) in the
+        tail, which is sliced off in one go.  Below
+        :data:`_SCALAR_TAKE_BELOW` draws the vector kernel's fixed cost
+        outweighs the draws, so they come from the raw-stream helper
+        instead — same values and generator state by the parity contract
+        both kernels share.
         """
         items = self._items
         if not items:
@@ -114,16 +119,16 @@ class ActiveSet(Workset):
         if k == 0:
             return []
         if k < _SCALAR_TAKE_BELOW:
-            batch = swap_pop_sample(items, k, rng)
+            draws = scalar_prefix_draws(n, k, rng)
         else:
-            draws = sample_prefix_draws(n, k, rng)
-            last = n - 1
-            for j in draws.tolist():
-                items[j], items[last] = items[last], items[j]
-                last -= 1
-            batch = items[n - k:]
-            batch.reverse()
-            del items[n - k:]
+            draws = sample_prefix_draws(n, k, rng).tolist()
+        last = n - 1
+        for j in draws:
+            items[j], items[last] = items[last], items[j]
+            last -= 1
+        batch = items[n - k:]
+        batch.reverse()
+        del items[n - k:]
         if self._slot_of is not None:
             self._slot_of = None  # wholesale invalidation beats k deletions
         return batch

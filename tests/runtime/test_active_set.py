@@ -199,7 +199,8 @@ class TestBitParityWithRandomWorkset:
         b.add_all(tasks)
         ra = np.random.default_rng(seed)
         rb = np.random.default_rng(seed)
-        for k in [3, 40, 15, 16, 1, 17, 2, 64, 5]:
+        cut = _SCALAR_TAKE_BELOW
+        for k in [3, 40, cut - 1, cut, 1, cut + 1, 2, 64, 5]:
             ba = a.take(k, ra)
             bb = b.take(k, rb)
             assert [t.payload for t in ba] == [t.payload for t in bb]
@@ -207,3 +208,29 @@ class TestBitParityWithRandomWorkset:
             a.add_batch(ba)  # re-enqueue, as aborts and replay commits do
             b.add_all(bb)
             assert [t.payload for t in a.tasks()] == [t.payload for t in b._items]
+
+    @pytest.mark.parametrize("seed", [4, 2011])
+    def test_one_set_drawn_by_two_generators_in_turn(self, seed):
+        # the raw-stream draw reads whichever generator it is handed, so
+        # takes switching between a PCG64 and an MT19937 stream must keep
+        # both in step with the reference sampler's
+        a, b = ActiveSet(), RandomWorkset()
+        tasks = [Task(payload=i) for i in range(200)]
+        a.add_all(tasks)
+        b.add_all(tasks)
+        streams = [
+            (np.random.Generator(bg(seed)), np.random.Generator(bg(seed)))
+            for bg in (np.random.PCG64, np.random.MT19937)
+        ]
+        cut = _SCALAR_TAKE_BELOW
+        for turn, k in enumerate([1, 3, cut - 1, 2, cut, 5, 1, 40, 4, 7]):
+            ra, rb = streams[turn % 2]
+            ba = a.take(k, ra)
+            bb = b.take(k, rb)
+            assert [t.payload for t in ba] == [t.payload for t in bb]
+            a.add_batch(ba)
+            b.add_all(bb)
+        pcg_a, pcg_b = streams[0]
+        assert pcg_a.bit_generator.state == pcg_b.bit_generator.state
+        mt_a, mt_b = (rng.bit_generator.state["state"] for rng in streams[1])
+        assert np.array_equal(mt_a["key"], mt_b["key"]) and mt_a["pos"] == mt_b["pos"]

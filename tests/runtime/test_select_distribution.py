@@ -5,8 +5,10 @@ ordered sample without replacement from the n pending ones — the ``π_m``
 prefix distribution.  These tests pin that down statistically for both
 selection backends and bit-exactly for the vectorised kernel:
 
-* :func:`~repro.runtime.kernels.sample_prefix_draws` must reproduce the
-  reference scalar draw loop bit for bit (values *and* generator state);
+* :func:`~repro.runtime.kernels.sample_prefix_draws` and
+  :func:`~repro.runtime.kernels.scalar_prefix_draws` must reproduce the
+  reference scalar draw loop bit for bit (values *and* generator state),
+  the latter on every bit generator NumPy ships;
 * chi-square uniformity over all ordered m-tuples (small n, exact
   multinomial) for both ``RandomWorkset`` and ``ActiveSet``;
 * chi-square uniformity of unordered batch *membership* (every
@@ -20,13 +22,15 @@ as a chi-square statistic orders of magnitude past the threshold).
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from repro.runtime import kernels
 from repro.runtime.active_set import ActiveSet
-from repro.runtime.kernels import sample_prefix_draws
+from repro.runtime.kernels import sample_prefix_draws, scalar_prefix_draws
 from repro.runtime.task import Task
 from repro.runtime.workset import RandomWorkset
 
@@ -74,6 +78,94 @@ class TestKernelBitParity:
             sample_prefix_draws(5, -1, rng)
         with pytest.raises(ValueError):
             sample_prefix_draws(5, 6, rng)
+
+
+def same_state(a, b) -> bool:
+    """Deep equality of two ``bit_generator.state`` dicts (MT19937's key
+    is an array)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+BIT_GENERATORS = [
+    np.random.PCG64,
+    np.random.MT19937,
+    np.random.Philox,
+    np.random.SFC64,
+    np.random.PCG64DXSM,
+]
+
+
+class TestScalarDrawParity:
+    """The raw-stream draw IS ``rng.integers(0, n - i)``, bit for bit."""
+
+    @staticmethod
+    def pair(bit_generator, seed):
+        ra = np.random.Generator(bit_generator(seed))
+        rb = np.random.Generator(bit_generator(seed))
+        return ra, rb
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("seed", [0, 2011])
+    def test_matches_sequential_integers(self, bit_generator, seed):
+        ra, rb = self.pair(bit_generator, seed)
+        # n = 1 draws nothing; 2**31 + 1 rejects about half its words;
+        # 2**32 - 1 is the last bound on the 32-bit path
+        cases = [(1, 1), (2, 2), (7, 3), (100, 13), (5000, 40),
+                 (2**31 + 1, 12), (2**32 - 1, 5)]
+        for n, k in cases:
+            ra.integers(0, 3), rb.integers(0, 3)  # odd word count: a buffered half-word
+            drawn = scalar_prefix_draws(n, k, ra)
+            assert drawn == [int(rb.integers(0, n - i)) for i in range(k)], (n, k)
+            assert all(type(j) is int for j in drawn)
+            assert same_state(ra.bit_generator.state, rb.bit_generator.state), (n, k)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_a_bound_of_one_consumes_nothing(self, bit_generator):
+        rng = np.random.Generator(bit_generator(5))
+        before = rng.bit_generator.state
+        assert scalar_prefix_draws(1, 1, rng) == [0]
+        assert scalar_prefix_draws(9, 0, rng) == []
+        assert same_state(rng.bit_generator.state, before)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_bounds_of_two_to_the_32_go_to_numpy(self, bit_generator, monkeypatch):
+        routed = []
+        vector = kernels.sample_prefix_draws
+
+        def counting(n, k, rng):
+            routed.append(n)
+            return vector(n, k, rng)
+
+        monkeypatch.setattr(kernels, "sample_prefix_draws", counting)
+        ra, rb = self.pair(bit_generator, 11)
+        for n in (2**32 - 1, 2**32, 2**32 + 5, 2**40):
+            drawn = scalar_prefix_draws(n, 3, ra)
+            assert drawn == [int(rb.integers(0, n - i)) for i in range(3)]
+            assert same_state(ra.bit_generator.state, rb.bit_generator.state)
+        assert routed == [2**32, 2**32 + 5, 2**40]
+
+    def test_the_generator_lock_is_held(self):
+        rng = np.random.default_rng(3)
+        out = []
+        worker = threading.Thread(target=lambda: out.append(scalar_prefix_draws(50, 4, rng)))
+        with rng.bit_generator.lock:
+            worker.start()
+            worker.join(timeout=0.2)
+            assert worker.is_alive() and not out  # waiting for the lock
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert out == [scalar_prefix_draws(50, 4, np.random.default_rng(3))]
+
+    def test_bad_counts_raise(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            scalar_prefix_draws(5, -1, rng)
+        with pytest.raises(ValueError):
+            scalar_prefix_draws(5, 6, rng)
 
 
 @pytest.mark.parametrize("make_ws", BACKENDS)

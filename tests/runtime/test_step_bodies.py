@@ -110,6 +110,32 @@ class TestBodiesAgree:
         assert snapshot["controller.observations"] == len(result)
 
 
+class TestTheRunLoop:
+    """``Engine.run`` steps through ``Engine.step``, once per step.
+
+    A run loop that inlined the bare body would skip the one method that
+    observers outside the engine can wrap: ``benchmarks/e2e/tracer.py``
+    attributes its per-layer ``core.*`` figures through ``Engine.step``,
+    and a loop that bypassed it would read ``core.steps = 0``.
+    """
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_run_calls_step_once_per_step(self, order, monkeypatch):
+        calls = []
+        step = Engine.step
+
+        def counting_step(engine):
+            calls.append(engine.steps_executed)
+            return step(engine)
+
+        monkeypatch.setattr(Engine, "step", counting_step)
+        engine = build_engine(order)
+        result = engine.run(max_steps=MAX_STEPS)
+        assert len(result) > 5
+        assert calls == [stats.step for stats in result.steps] == list(range(len(result)))
+        assert engine.steps_executed == len(calls)
+
+
 class TestTheChoiceIsPerStep:
     def test_the_bare_body_references_no_observer(self):
         names = set()
