@@ -25,7 +25,7 @@ Public API highlights
 """
 
 from repro._version import __version__
-from repro.api import for_each, for_each_ordered, run, solve_graph
+from repro.api import for_each, run
 from repro.config import RunConfig
 from repro.registry import register, registry
 
@@ -33,8 +33,6 @@ __all__ = [
     "__version__",
     "run",
     "for_each",
-    "for_each_ordered",
-    "solve_graph",
     "RunConfig",
     "register",
     "registry",

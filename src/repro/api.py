@@ -11,11 +11,11 @@ The canonical entry point is :func:`run`, which executes a typed
     report = run(RunConfig(experiment="fig3", quick=True))
 
 For users who want the paper's machinery without a config object,
-:func:`for_each` mirrors Galois' ``for_each`` (unordered amorphous
-data-parallel loop with adaptive processor allocation),
-:func:`for_each_ordered` the ordered variant, and :func:`solve_graph`
-runs the controller over an explicit CC graph directly — all three are
-thin wrappers over :func:`run`.
+:func:`for_each` mirrors Galois' ``for_each``: an unordered amorphous
+data-parallel loop with adaptive processor allocation, built as one
+:class:`~repro.config.RunConfig` handed to :func:`run`.  Ordered loops
+and explicit-graph runs go through :func:`run` directly
+(``initial=`` + ``operator=`` + ``priority_of=``, or ``graph=``).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.runtime.policies import PriorityWorkset
 from repro.runtime.stats import RunResult
 from repro.runtime.task import Operator, Task
 
-__all__ = ["run", "for_each", "for_each_ordered", "solve_graph"]
+__all__ = ["run", "for_each"]
 
 
 def _wrap_tasks(items: Iterable[object]) -> list[Task]:
@@ -215,7 +215,10 @@ def run(
                 )
             pairs = list(initial)
             if not pairs:
-                raise ReproError("for_each_ordered needs at least one initial task")
+                raise ReproError(
+                    "run(initial=..., priority_of=...) needs at least one "
+                    "(priority, payload) pair"
+                )
             workset = PriorityWorkset()
             for prio, item in pairs:
                 task = item if isinstance(item, Task) else Task(payload=item)
@@ -228,7 +231,9 @@ def run(
         else:
             tasks = _wrap_tasks(initial)
             if not tasks:
-                raise ReproError("for_each needs at least one initial task")
+                raise ReproError(
+                    "run(initial=..., operator=...) needs at least one initial task"
+                )
             if by_priority:
                 raise ConfigError(
                     f"order={order_spec!r} ranks tasks by priority; pass "
@@ -288,66 +293,3 @@ def for_each(
         metrics=metrics,
     )
 
-
-def for_each_ordered(
-    initial: Iterable[tuple[float, object]],
-    operator: Operator,
-    priority_of: Callable[[Task], float],
-    rho: float = 0.25,
-    controller: Controller | None = None,
-    m_max: int = 1024,
-    max_steps: int | None = None,
-    seed=None,
-    recorder=None,
-    metrics=None,
-) -> RunResult:
-    """Run an ordered loop: *initial* is ``(priority, payload)`` pairs.
-
-    Commits respect priorities globally (see
-    :class:`~repro.runtime.policies.OrderedCommitOrder`); *priority_of*
-    must return the priority of any task the operator creates.
-    """
-    config = RunConfig(rho=rho, m_max=m_max, max_steps=max_steps, workload="consuming")
-    return run(
-        config,
-        initial=initial,
-        operator=operator,
-        priority_of=priority_of,
-        controller=controller,
-        seed=seed,
-        recorder=recorder,
-        metrics=metrics,
-    )
-
-
-def solve_graph(
-    graph: CCGraph,
-    rho: float = 0.25,
-    consuming: bool = True,
-    controller: Controller | None = None,
-    m_max: int = 1024,
-    max_steps: int | None = None,
-    seed=None,
-    recorder=None,
-    metrics=None,
-) -> RunResult:
-    """Run the controller directly over an explicit CC graph.
-
-    ``consuming=True`` drains the graph (committed nodes disappear);
-    ``consuming=False`` replays it as a stationary environment (cap the
-    run with *max_steps*).
-    """
-    config = RunConfig(
-        rho=rho,
-        m_max=m_max,
-        max_steps=max_steps,
-        workload="consuming" if consuming else "replay",
-    )
-    return run(
-        config,
-        graph=graph,
-        controller=controller,
-        seed=seed,
-        recorder=recorder,
-        metrics=metrics,
-    )

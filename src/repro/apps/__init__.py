@@ -34,7 +34,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "random_weighted_graph",
         ),
         "clustering": ("AgglomerativeClustering", "random_points"),
-        "coloring": ("GreedyColoring", "independent_set_via_coloring"),
+        "coloring": ("GreedyColoring",),
         "des": ("DiscreteEventSimulation", "QueueingNetwork", "sequential_history"),
         "components": ("LabelPropagation",),
         "maxflow": (
@@ -54,7 +54,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ScheduledReplayWorkload",
             "clique_sizes",
             "delaunay_burst_profile",
-            "ramp_profile",
             "spike_profile",
             "step_profile",
         ),

@@ -16,12 +16,11 @@ tests cross-check against :func:`repro.model.committed_set` semantics.
 from __future__ import annotations
 
 from repro.apps.base import AppWorkload
-from repro.errors import ApplicationError
 from repro.graph.ccgraph import CCGraph
 from repro.runtime.conflict import ItemLockPolicy
 from repro.runtime.task import Operator, Task
 
-__all__ = ["GreedyColoring", "independent_set_via_coloring"]
+__all__ = ["GreedyColoring"]
 
 
 class GreedyColoring(AppWorkload, Operator):
@@ -82,21 +81,3 @@ class GreedyColoring(AppWorkload, Operator):
             return True
         max_deg = max((self.graph.degree(u) for u in self.graph), default=0)
         return self.num_colors() <= max_deg + 1
-
-
-def independent_set_via_coloring(graph: CCGraph, controller, seed=None) -> set[int]:
-    """Independent set: colour the graph, then take the largest colour class."""
-    from repro.runtime.engine import make_engine
-
-    app = GreedyColoring(graph)
-    make_engine(app, controller, seed=seed).run()
-    if not app.colors:
-        return set()
-    classes: dict[int, set[int]] = {}
-    for node, c in app.colors.items():
-        classes.setdefault(c, set()).add(node)
-    best = max(classes.values(), key=len)
-    for u in best:
-        if not best.isdisjoint(graph.neighbors(u)):
-            raise ApplicationError("colour class is not independent")
-    return best

@@ -2,7 +2,6 @@
 
 from repro.apps.delaunay.geometry import (
     circumcenter,
-    circumradius,
     in_circle,
     min_angle_deg,
     orient2d,
@@ -18,7 +17,6 @@ from repro.apps.delaunay.triangulation import Triangulation
 
 __all__ = [
     "circumcenter",
-    "circumradius",
     "in_circle",
     "min_angle_deg",
     "orient2d",

@@ -18,7 +18,6 @@ __all__ = [
     "orient2d",
     "in_circle",
     "circumcenter",
-    "circumradius",
     "triangle_angles",
     "min_angle_deg",
     "point_in_triangle",
@@ -72,12 +71,6 @@ def circumcenter(a: Point, b: Point, c: Point) -> Point:
     ux = (a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d
     uy = (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d
     return (ux, uy)
-
-
-def circumradius(a: Point, b: Point, c: Point) -> float:
-    """Circumradius of triangle *abc*."""
-    cx, cy = circumcenter(a, b, c)
-    return math.hypot(a[0] - cx, a[1] - cy)
 
 
 def _side_lengths(a: Point, b: Point, c: Point) -> tuple[float, float, float]:

@@ -16,8 +16,8 @@ conflict iff they lock the same clique label, and ``μ`` follows from
 Thm. 3 (:func:`~repro.model.turan.mu_disjoint_cliques`).
 
 Profile builders return phase lists: :func:`step_profile`,
-:func:`ramp_profile`, :func:`spike_profile` and
-:func:`delaunay_burst_profile` (the 0 → peak in ~30 steps shape).
+:func:`spike_profile` and :func:`delaunay_burst_profile` (the 0 → peak
+in ~30 steps shape).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "Phase",
     "clique_sizes",
     "step_profile",
-    "ramp_profile",
     "spike_profile",
     "delaunay_burst_profile",
     "ScheduledReplayWorkload",
@@ -88,21 +87,6 @@ def step_profile(
         Phase(steps_per_phase, clique_sizes(low, total_tasks), "low"),
         Phase(steps_per_phase, clique_sizes(high, total_tasks), "high"),
         Phase(steps_per_phase, clique_sizes(low, total_tasks), "low"),
-    ]
-
-
-def ramp_profile(
-    low: int, high: int, total_tasks: int, stages: int = 6, steps_per_stage: int = 20
-) -> list[Phase]:
-    """Geometric staircase from *low* up to *high* parallelism."""
-    if stages < 2:
-        raise ApplicationError(f"need >= 2 ramp stages, got {stages}")
-    levels = np.unique(
-        np.geomspace(max(low, 1), max(high, 1), stages).astype(int)
-    )
-    return [
-        Phase(steps_per_stage, clique_sizes(int(p), total_tasks), f"p={int(p)}")
-        for p in levels
     ]
 
 

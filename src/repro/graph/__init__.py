@@ -1,4 +1,4 @@
-"""CC-graph substrate: dynamic conflict graphs, generators, morphs, I/O."""
+"""CC-graph substrate: dynamic conflict graphs, generators, morphs, partitions."""
 
 from repro.graph.ccgraph import CCGraph, GraphSnapshot
 from repro.graph.generators import (
@@ -15,20 +15,6 @@ from repro.graph.generators import (
     random_geometric,
     random_regular,
     union_of_cliques,
-)
-from repro.graph.io import (
-    dumps_dimacs,
-    dumps_edgelist,
-    dumps_snap,
-    loads_dimacs,
-    loads_edgelist,
-    loads_snap,
-    read_dimacs,
-    read_edgelist,
-    read_snap,
-    write_dimacs,
-    write_edgelist,
-    write_snap,
 )
 from repro.graph.morph import attach_clique, boundary, contract_nodes, replace_cavity
 from repro.graph.partition import (
@@ -53,18 +39,6 @@ __all__ = [
     "random_geometric",
     "random_regular",
     "union_of_cliques",
-    "dumps_dimacs",
-    "dumps_edgelist",
-    "dumps_snap",
-    "loads_dimacs",
-    "loads_edgelist",
-    "loads_snap",
-    "read_dimacs",
-    "read_edgelist",
-    "read_snap",
-    "write_dimacs",
-    "write_edgelist",
-    "write_snap",
     "attach_clique",
     "boundary",
     "contract_nodes",

@@ -21,12 +21,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "first_come_bound",
             "first_come_probability",
         ),
-        "parallelism": (
-            "ParallelismProfile",
-            "measure_profile",
-            "profile_from_run",
-            "profile_summary",
-        ),
         "permutation": (
             "PrefixSampler",
             "committed_mask_csr",

@@ -71,7 +71,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "replay": (
             "split_runs",
             "trajectory",
-            "recorded_seed",
             "controller_from_config",
             "controller_from_trace",
             "ReplayReport",

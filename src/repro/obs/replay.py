@@ -30,7 +30,6 @@ from repro.obs.events import DECISION, RUN_START, STEP, TraceEvent
 __all__ = [
     "split_runs",
     "trajectory",
-    "recorded_seed",
     "controller_from_config",
     "controller_from_trace",
     "ReplayReport",
@@ -66,15 +65,6 @@ def trajectory(events: "list[TraceEvent]") -> tuple[np.ndarray, np.ndarray]:
             ms.append(int(event.data["requested"]))
             rs.append(float(event.data["conflict_ratio"]))
     return np.asarray(ms, dtype=np.int64), np.asarray(rs, dtype=float)
-
-
-def recorded_seed(events: "list[TraceEvent]") -> "int | None":
-    """The engine seed stored in the segment's ``run_start`` (or None)."""
-    for event in events:
-        if event.kind == RUN_START:
-            seed = event.get("seed")
-            return None if seed is None else int(seed)
-    return None
 
 
 # ----------------------------------------------------------------------

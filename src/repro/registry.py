@@ -304,7 +304,7 @@ def order_family(name: str) -> str:
     return _ORDER_FAMILIES.get(name, "unordered")
 
 
-def workset_for(config) -> "object":
+def workset_for(config, *, requires_order: bool = False) -> "object":
     """Fresh work-set instance matching ``config.order``.
 
     The one config-driven chooser of the bag a run draws from:
@@ -312,9 +312,14 @@ def workset_for(config) -> "object":
     :class:`~repro.runtime.policies.PriorityWorkset`, arrival-family
     orders an :class:`~repro.runtime.workset.ArrivalWorkset`, and
     everything else (including ``order=None``) the dense
-    :class:`~repro.runtime.active_set.ActiveSet`.
+    :class:`~repro.runtime.active_set.ActiveSet`.  A workload that
+    *requires_order* and has no explicit ``order=`` gets ``None``: it
+    commits in strict priority order over its own priority work-set,
+    not the unordered bag.
     """
     order = getattr(config, "order", None)
+    if requires_order and order is None:
+        return None
     family = "unordered" if order is None else order_family(parse_order_spec(order)[0])
     if family == "priority":
         from repro.runtime.policies import PriorityWorkset
@@ -412,20 +417,15 @@ def _populate_workloads(reg: Registry) -> None:
 
     # the application workloads: factory source may be None (the app
     # synthesises a seeded input), and the work-set again follows
-    # config.order via workset_for
+    # config.order via workset_for (ordered-only apps keep their own
+    # priority work-set when no order= is configured)
     from repro.apps.catalog import APP_WORKLOADS
 
     def _app_factory(app_name):
         def _make(graph, config, scale=None):
             from repro.apps.catalog import ORDERED_APPS, make_app_workload
 
-            # ordered-only apps commit in strict priority order when no
-            # explicit order= is configured — over their own priority
-            # work-set, not the unordered bag
-            if app_name in ORDERED_APPS and getattr(config, "order", None) is None:
-                workset = None
-            else:
-                workset = workset_for(config)
+            workset = workset_for(config, requires_order=app_name in ORDERED_APPS)
             return make_app_workload(
                 app_name, graph, config, scale=scale, workset=workset
             )
@@ -450,13 +450,7 @@ def _populate_workloads(reg: Registry) -> None:
         from repro.runtime.wktrace import TraceReplayWorkload, WorkloadTrace
 
         trace = WorkloadTrace.load(path)
-        # an ordered recording replayed without an explicit order=
-        # commits in strict priority order, which needs the replay's own
-        # priority work-set rather than the unordered bag
-        if trace.requires_order and getattr(config, "order", None) is None:
-            workset = None
-        else:
-            workset = workset_for(config)
+        workset = workset_for(config, requires_order=trace.requires_order)
         return TraceReplayWorkload.from_trace(
             trace, path=path, workset=workset
         )

@@ -41,8 +41,6 @@ from repro.runtime.workloads import (
 )
 from repro.runtime.workset import (
     ArrivalWorkset,
-    FifoWorkset,
-    LifoWorkset,
     RandomWorkset,
     Workset,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "RegeneratingGraphWorkload",
     "ReplayGraphWorkload",
     "ArrivalWorkset",
-    "FifoWorkset",
-    "LifoWorkset",
     "RandomWorkset",
     "Workset",
 ]

@@ -3,9 +3,7 @@
 The paper treats only *unordered* algorithms: any pending task may execute
 at any time, so the work-set is a bag.  The scheduler model picks active
 tasks **uniformly at random** (§2); :class:`RandomWorkset` implements that
-with O(1) swap-removal.  FIFO/LIFO variants are provided for scheduling-
-policy comparisons (they bias which conflicts materialise, a knob the
-ablation benchmarks exercise).  :class:`ArrivalWorkset` adds the
+with O(1) swap-removal.  :class:`ArrivalWorkset` adds the
 bounded-staleness queue behind the asynchronous commit-order policy:
 arrival order with a uniform draw over the oldest ``window`` entries.
 """
@@ -21,7 +19,7 @@ from repro.errors import WorksetEmptyError
 from repro.runtime.kernels import sample_window_draws
 from repro.runtime.task import Task
 
-__all__ = ["Workset", "RandomWorkset", "FifoWorkset", "LifoWorkset", "ArrivalWorkset"]
+__all__ = ["Workset", "RandomWorkset", "ArrivalWorkset"]
 
 
 class Workset(abc.ABC):
@@ -92,26 +90,6 @@ class RandomWorkset(Workset):
         return len(self._items)
 
 
-class FifoWorkset(Workset):
-    """First-in-first-out removal (breadth-first-ish scheduling)."""
-
-    def __init__(self) -> None:
-        self._items: deque[Task] = deque()
-
-    def add(self, task: Task) -> None:
-        self._items.append(task)
-
-    def take(self, count: int, rng: np.random.Generator) -> list[Task]:
-        if not self._items:
-            raise WorksetEmptyError("take() from empty work-set")
-        if count < 0:
-            raise ValueError(f"cannot take {count} tasks")
-        return [self._items.popleft() for _ in range(min(count, len(self._items)))]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 class ArrivalWorkset(Workset):
     """Arrival-order queue with a bounded-staleness selection window.
 
@@ -168,26 +146,6 @@ class ArrivalWorkset(Workset):
             batch.append(items.popleft())
             items.rotate(j)
         return batch, [int(j) for j in draws]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-class LifoWorkset(Workset):
-    """Last-in-first-out removal (depth-first-ish, locality-friendly)."""
-
-    def __init__(self) -> None:
-        self._items: list[Task] = []
-
-    def add(self, task: Task) -> None:
-        self._items.append(task)
-
-    def take(self, count: int, rng: np.random.Generator) -> list[Task]:
-        if not self._items:
-            raise WorksetEmptyError("take() from empty work-set")
-        if count < 0:
-            raise ValueError(f"cannot take {count} tasks")
-        return [self._items.pop() for _ in range(min(count, len(self._items)))]
 
     def __len__(self) -> int:
         return len(self._items)

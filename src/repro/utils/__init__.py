@@ -1,26 +1,12 @@
-"""Shared utilities: RNG plumbing, finite differences, statistics, rendering."""
+"""Shared utilities: RNG plumbing, statistics, rendering."""
 
-from repro.utils.finite_diff import (
-    binomial_difference,
-    forward_difference,
-    forward_difference_array,
-    is_convex,
-    is_nondecreasing,
-)
-from repro.utils.rng import ensure_rng, random_permutation, random_prefix, spawn
+from repro.utils.rng import ensure_rng, random_prefix, spawn
 from repro.utils.stats import MeanCI, RunningStats, hypergeom_miss_probability, mean_ci
 from repro.utils.svgplot import LinePlot
 from repro.utils.tables import format_series, format_table, sparkline
-from repro.utils.timing import StageTimer, Timer
 
 __all__ = [
-    "binomial_difference",
-    "forward_difference",
-    "forward_difference_array",
-    "is_convex",
-    "is_nondecreasing",
     "ensure_rng",
-    "random_permutation",
     "random_prefix",
     "spawn",
     "MeanCI",
@@ -31,6 +17,4 @@ __all__ = [
     "format_series",
     "format_table",
     "sparkline",
-    "StageTimer",
-    "Timer",
 ]

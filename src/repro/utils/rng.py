@@ -32,7 +32,6 @@ __all__ = [
     "derive_seed",
     "substream",
     "random_prefix",
-    "random_permutation",
 ]
 
 RngLike = "int | np.random.Generator | np.random.SeedSequence | None"
@@ -114,12 +113,6 @@ def substream(seed: "int | np.random.SeedSequence | None", *key: "int | str") ->
     entropy mixing) and reproducible regardless of draw counts elsewhere.
     """
     return np.random.default_rng(_seed_sequence_for(seed, key))
-
-
-def random_permutation(items: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """Return a uniform random permutation of *items* as an int64 array."""
-    arr = np.asarray(items, dtype=np.int64)
-    return rng.permutation(arr)
 
 
 def random_prefix(items: Sequence[int], m: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.coloring import GreedyColoring, independent_set_via_coloring
+from repro.apps.coloring import GreedyColoring
 from repro.control.fixed import FixedController
 from repro.control.hybrid import HybridController
 from repro.graph.generators import (
@@ -65,17 +65,3 @@ class TestColoringCorrectness:
         app = GreedyColoring(empty_graph(3))
         assert app.num_colors() == 0
         assert not app.is_proper()  # nothing coloured yet
-
-
-class TestIndependentSet:
-    def test_returns_independent_set(self):
-        g = gnm_random(120, 6, seed=6)
-        iset = independent_set_via_coloring(g, FixedController(16), seed=7)
-        for u in iset:
-            assert iset.isdisjoint(g.neighbors(u))
-        assert len(iset) >= 120 / (g.average_degree + 1) * 0.8  # near Turán
-
-    def test_empty_graph(self):
-        from repro.graph.ccgraph import CCGraph
-
-        assert independent_set_via_coloring(CCGraph(), FixedController(1)) == set()

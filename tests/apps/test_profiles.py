@@ -8,7 +8,6 @@ from repro.apps.profiles import (
     ScheduledReplayWorkload,
     clique_sizes,
     delaunay_burst_profile,
-    ramp_profile,
     spike_profile,
     step_profile,
 )
@@ -60,15 +59,6 @@ class TestProfileBuilders:
         phases = step_profile(2, 50, 200, steps_per_phase=30)
         assert len(phases) == 3
         assert [p.duration for p in phases] == [30, 30, 30]
-
-    def test_ramp_is_increasing(self):
-        phases = ramp_profile(2, 100, 400, stages=5)
-        parallelism = [len(p.sizes) for p in phases]
-        assert all(b > a for a, b in zip(parallelism, parallelism[1:]))
-
-    def test_ramp_validation(self):
-        with pytest.raises(ApplicationError):
-            ramp_profile(2, 100, 400, stages=1)
 
     def test_spike_profile_shape(self):
         phases = spike_profile(2, 80, 200, base_steps=10, peak_steps=4)

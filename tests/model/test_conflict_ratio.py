@@ -23,7 +23,16 @@ from repro.model.conflict_ratio import (
     first_come_probability,
 )
 from repro.model.turan import em_kdn
-from repro.utils.finite_diff import is_convex, is_nondecreasing
+
+
+def _is_nondecreasing(values, atol=0.0):
+    """True iff the sampled sequence is non-decreasing up to *atol*."""
+    return bool(np.all(np.diff(np.asarray(values, dtype=float)) >= -atol))
+
+
+def _is_convex(values, atol=0.0):
+    """True iff the sampled sequence is discretely convex up to *atol*."""
+    return bool(np.all(np.diff(np.asarray(values, dtype=float), n=2) >= -atol))
 
 
 class TestExactEnumeration:
@@ -87,14 +96,14 @@ class TestPaperProperties:
         curve = conflict_ratio_curve(medium_random_graph, ms, reps=600, seed=2)
         # allow MC noise of two half-widths per step
         slack = 2 * curve.half_widths.max()
-        assert is_nondecreasing(curve.ratios, atol=slack)
+        assert _is_nondecreasing(curve.ratios, atol=slack)
 
     def test_lemma1_kbar_nondecreasing_convex_exact(self):
         """Lemma 1 on a tiny graph via exact enumeration."""
         g = gnm_random(7, 2.5, seed=3)
         kbars = np.array([exact_kbar(g, m) for m in range(1, 8)])
-        assert is_nondecreasing(kbars, atol=1e-12)
-        assert is_convex(kbars, atol=1e-12)
+        assert _is_nondecreasing(kbars, atol=1e-12)
+        assert _is_convex(kbars, atol=1e-12)
 
     def test_kbar_one_is_zero(self, medium_random_graph):
         assert estimate_kbar(medium_random_graph, 1, reps=50, seed=0).mean == 0.0
@@ -158,4 +167,4 @@ class TestFirstComeBound:
     def test_bound_monotone_in_m(self, n, data):
         g = gnm_random(n, min(3.0, n - 1), seed=data.draw(st.integers(0, 50)))
         values = [first_come_bound(g, m) for m in range(n + 1)]
-        assert is_nondecreasing(np.array(values), atol=1e-12)
+        assert _is_nondecreasing(np.array(values), atol=1e-12)

@@ -21,7 +21,6 @@ from repro.obs import (
     TraceRecorder,
     controller_from_config,
     controller_from_trace,
-    recorded_seed,
     replay_decisions,
     split_runs,
     trajectory,
@@ -94,11 +93,6 @@ class TestTraceHelpers:
         ms, rs = trajectory(events)
         assert ms.shape == rs.shape and ms.dtype == np.int64
         assert (ms >= 1).all() and (rs >= 0).all() and (rs <= 1).all()
-
-    def test_recorded_seed(self):
-        events = record_run(FixedController(4), engine_seed=1234)
-        assert recorded_seed(events) == 1234
-        assert recorded_seed([]) is None
 
     def test_commit_accounting_in_step_events(self):
         events = record_run(HybridController(0.25, m_max=64))

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import WorksetEmptyError
 from repro.runtime.task import Task
-from repro.runtime.workset import FifoWorkset, LifoWorkset, RandomWorkset
+from repro.runtime.workset import ArrivalWorkset, RandomWorkset
 
 
 def fill(ws, n):
@@ -14,7 +14,7 @@ def fill(ws, n):
     return tasks
 
 
-@pytest.fixture(params=[RandomWorkset, FifoWorkset, LifoWorkset])
+@pytest.fixture(params=[RandomWorkset, ArrivalWorkset])
 def workset(request):
     return request.param()
 
@@ -55,16 +55,11 @@ class TestCommonBehaviour:
 
 class TestOrderingPolicies:
     def test_fifo_order(self, rng):
-        ws = FifoWorkset()
-        tasks = fill(ws, 5)
-        batch = ws.take(3, rng)
-        assert [t.payload for t in batch] == [0, 1, 2]
-
-    def test_lifo_order(self, rng):
-        ws = LifoWorkset()
+        # ArrivalWorkset.take is the window=1 draw: strict arrival order
+        ws = ArrivalWorkset()
         fill(ws, 5)
         batch = ws.take(3, rng)
-        assert [t.payload for t in batch] == [4, 3, 2]
+        assert [t.payload for t in batch] == [0, 1, 2]
 
     def test_random_is_uniform_prefix(self):
         # first element of a batch should be uniform over items

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api import for_each, for_each_ordered, solve_graph
+from repro.api import for_each, run
+from repro.config import RunConfig
 from repro.control import FixedController
 from repro.errors import ReproError
 from repro.graph.generators import gnm_random
@@ -41,20 +42,26 @@ class TestForEach:
 
     def test_empty_input_raises(self):
         op = CallbackOperator(neighborhood=lambda t: (), apply=lambda t: [])
-        with pytest.raises(ReproError):
+        with pytest.raises(
+            ReproError,
+            match=r"^run\(initial=\.\.\., operator=\.\.\.\) needs at least one initial task$",
+        ):
             for_each([], op)
 
 
-class TestForEachOrdered:
+class TestRunOrderedLoop:
+    """``run(initial=(priority, payload) pairs, priority_of=...)``."""
+
     def test_commits_chronologically(self):
         order = []
         op = CallbackOperator(
             neighborhood=lambda t: {"shared"},  # full mutual conflict
             apply=lambda t: order.append(t.payload) or [],
         )
-        result = for_each_ordered(
-            [(3.0, "c"), (1.0, "a"), (2.0, "b")],
-            op,
+        result = run(
+            RunConfig(workload="consuming"),
+            initial=[(3.0, "c"), (1.0, "a"), (2.0, "b")],
+            operator=op,
             priority_of=lambda t: 0.0,
             seed=4,
         )
@@ -63,25 +70,36 @@ class TestForEachOrdered:
 
     def test_empty_input_raises(self):
         op = CallbackOperator(neighborhood=lambda t: (), apply=lambda t: [])
-        with pytest.raises(ReproError):
-            for_each_ordered([], op, priority_of=lambda t: 0.0)
+        with pytest.raises(
+            ReproError,
+            match=r"^run\(initial=\.\.\., priority_of=\.\.\.\) needs at least one "
+            r"\(priority, payload\) pair$",
+        ):
+            run(
+                RunConfig(workload="consuming"),
+                initial=[],
+                operator=op,
+                priority_of=lambda t: 0.0,
+            )
 
 
-class TestSolveGraph:
+class TestRunOnAGraph:
+    """``run(RunConfig(workload="consuming" | "replay"), graph=...)``."""
+
     def test_consuming_drains(self):
         g = gnm_random(100, 6, seed=5)
-        result = solve_graph(g, rho=0.25, seed=6)
+        result = run(RunConfig(workload="consuming", rho=0.25), graph=g, seed=6)
         assert result.total_committed == 100
         assert g.num_nodes == 0
 
     def test_replay_requires_max_steps(self):
         g = gnm_random(20, 2, seed=7)
         with pytest.raises(ReproError):
-            solve_graph(g, consuming=False)
+            run(RunConfig(workload="replay"), graph=g)
 
     def test_replay_runs_capped(self):
         g = gnm_random(50, 4, seed=8)
-        result = solve_graph(g, consuming=False, max_steps=15, seed=9)
+        result = run(RunConfig(workload="replay", max_steps=15), graph=g, seed=9)
         assert len(result) == 15
         assert g.num_nodes == 50
 
@@ -148,8 +166,7 @@ class TestEntryPointsRecordTheSameTrace:
                 traces.append(recorder.to_jsonl())
             assert traces[0] == traces[1], workload
 
-    def test_for_each_ordered_is_the_ordered_order(self):
-        from repro import RunConfig, run
+    def test_priority_of_without_order_is_the_ordered_order(self):
         from repro.obs import TraceRecorder
 
         op = CallbackOperator(
@@ -158,19 +175,19 @@ class TestEntryPointsRecordTheSameTrace:
         )
         initial = [(float(i), i) for i in range(20)]
         priority_of = lambda t: float(t.payload)  # noqa: E731
-        via_helper, via_run = TraceRecorder(), TraceRecorder()
-        for_each_ordered(
-            initial, op, priority_of=priority_of, seed=5, recorder=via_helper
-        )
-        result = run(
-            RunConfig(workload="consuming", order="ordered"),
-            initial=initial,
-            operator=op,
-            priority_of=priority_of,
-            seed=5,
-            recorder=via_run,
-        )
-        assert via_helper.to_jsonl() == via_run.to_jsonl()
+        traces = []
+        for order in (None, "ordered"):
+            recorder = TraceRecorder()
+            result = run(
+                RunConfig(workload="consuming", order=order),
+                initial=initial,
+                operator=op,
+                priority_of=priority_of,
+                seed=5,
+                recorder=recorder,
+            )
+            traces.append(recorder.to_jsonl())
+        assert traces[0] == traces[1]
         assert result.total_aborted > 0  # the commit rules had work to do
 
 
@@ -178,5 +195,4 @@ def test_top_level_exports():
     import repro
 
     assert repro.for_each is for_each
-    assert repro.solve_graph is solve_graph
-    assert repro.for_each_ordered is for_each_ordered
+    assert repro.run is run

@@ -107,6 +107,28 @@ class TestBuiltinRegistries:
         assert "1 entries" in repr(reg)
 
 
+class TestWorksetFor:
+    """``workset_for``: the work-set a config's commit order draws from."""
+
+    @pytest.mark.parametrize(
+        "order, requires_order, expected",
+        [
+            (None, False, "ActiveSet"),
+            (None, True, None),  # the workload's own priority work-set
+            ("unordered", True, "ActiveSet"),
+            ("ordered", False, "PriorityWorkset"),
+            ("ordered", True, "PriorityWorkset"),
+            ("relaxed:4", True, "PriorityWorkset"),
+            ("async:3", False, "ArrivalWorkset"),
+        ],
+    )
+    def test_family_and_requires_order(self, order, requires_order, expected):
+        from repro.registry import workset_for
+
+        workset = workset_for(RunConfig(order=order), requires_order=requires_order)
+        assert (None if workset is None else type(workset).__name__) == expected
+
+
 class TestThirdPartyRoundTrip:
     def test_registered_experiment_runs_through_api(self):
         calls = []

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.utils.rng import (
     derive_seed,
     ensure_rng,
-    random_permutation,
     random_prefix,
     spawn,
     substream,
@@ -93,12 +92,6 @@ class TestRandomPrefix:
         m = data.draw(st.integers(0, n))
         pre = random_prefix(list(range(n)), m, ensure_rng(0))
         assert len(set(pre.tolist())) == m
-
-
-class TestRandomPermutation:
-    def test_is_permutation(self):
-        perm = random_permutation(list(range(31)), ensure_rng(5))
-        assert sorted(perm.tolist()) == list(range(31))
 
 
 class TestDeriveSeed:
