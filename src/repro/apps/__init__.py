@@ -37,12 +37,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "coloring": ("GreedyColoring",),
         "des": ("DiscreteEventSimulation", "QueueingNetwork", "sequential_history"),
         "components": ("LabelPropagation",),
-        "maxflow": (
-            "FlowNetwork",
-            "PreflowPush",
-            "random_flow_network",
-            "reference_max_flow",
-        ),
+        "maxflow": ("FlowNetwork", "PreflowPush", "random_flow_network"),
         "delaunay": (
             "RefinementWorkload",
             "Triangulation",

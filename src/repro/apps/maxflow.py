@@ -18,12 +18,11 @@ the schedule):
   residual neighbours``.
 
 Correctness oracle: max-flow value equals scipy's
-(:func:`reference_max_flow`) and flow conservation holds exactly.
+(:func:`repro.testing.oracles.reference_max_flow`) and flow conservation
+holds exactly.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.apps.base import AppWorkload
 from repro.errors import ApplicationError
@@ -31,7 +30,7 @@ from repro.runtime.conflict import ItemLockPolicy
 from repro.runtime.task import Operator, Task
 from repro.utils.rng import ensure_rng
 
-__all__ = ["FlowNetwork", "random_flow_network", "PreflowPush", "reference_max_flow"]
+__all__ = ["FlowNetwork", "random_flow_network", "PreflowPush"]
 
 
 class FlowNetwork:
@@ -90,21 +89,6 @@ def random_flow_network(
         if u != v:
             net.add_edge(u, v, int(rng.integers(1, max_cap + 1)))
     return net
-
-
-def reference_max_flow(network: FlowNetwork) -> int:
-    """Oracle via scipy's maximum_flow on the capacity matrix."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow
-
-    n = network.num_nodes
-    rows, cols, data = [], [], []
-    for u, v, c in network.arcs():
-        rows.append(u)
-        cols.append(v)
-        data.append(int(c))
-    mat = csr_matrix((data, (rows, cols)), shape=(n, n), dtype=np.int64)
-    return int(maximum_flow(mat, network.source, network.sink).flow_value)
 
 
 class PreflowPush(AppWorkload, Operator):

@@ -10,13 +10,11 @@ a handful of NumPy segment operations.
 The kernels below all reproduce the reference semantics **bit for bit**
 (the differential suite in ``tests/runtime`` enforces this):
 
-* :func:`greedy_commit_mask` — one batch over a CSR graph: walking the
-  prefix in commit order, a slot commits iff no *earlier committed* slot
-  is a graph neighbour.
-* :func:`greedy_commit_mask_batch` — the same kernel over ``R``
-  independent prefixes at once; the Monte-Carlo estimators in
-  :mod:`repro.model` push hundreds of replications through a single
-  fixed-point iteration.
+* :func:`greedy_commit_mask_batch` — ``R`` independent prefixes over one
+  CSR graph at once: walking each prefix in commit order, a slot commits
+  iff no *earlier committed* slot is a graph neighbour.  The Monte-Carlo
+  estimators in :mod:`repro.model` push hundreds of replications through
+  a single fixed-point iteration.
 * :func:`greedy_commit_mask_from_slots` — the engine's hot path: the
   caller pre-projects its batch onto commit slots and hands over only
   the conflicting pairs, skipping all per-call graph indexing.
@@ -33,16 +31,21 @@ The kernels below all reproduce the reference semantics **bit for bit**
 * :func:`scalar_prefix_draws` — the same draws for a handful of tasks,
   computed in Python from the generator's raw 32-bit stream: NumPy's own
   bounded-integer algorithm without a Python-to-NumPy call per draw.
+* :func:`sample_choice_rows` — the regenerating workload's attachment
+  picks: ``rows`` sequential no-replacement ``Generator.choice`` calls
+  from one ``integers`` call and a vectorised Floyd pass, bit-identical
+  values and generator state.
 * :func:`sample_window_draws` — the bounded-window variant backing the
   relaxed/async commit-order policies: draw ``i`` is uniform over the
   first ``min(window, n - i)`` remaining entries, degenerating to
   :func:`sample_prefix_draws` when the window covers the whole pool.
 
-All kernels resolve fates in *rounds* of pure array arithmetic: a slot
-aborts as soon as an earlier neighbour is known to commit, and commits
-once every earlier neighbour is known not to.  The expected number of
-rounds is the longest chain of strictly decreasing commit positions
-(O(log m) on random orders), and each round is O(edges) NumPy work.
+The commit kernels resolve fates in *rounds* of pure array arithmetic: a
+slot aborts as soon as an earlier neighbour is known to commit, and
+commits once every earlier neighbour is known not to. The expected
+number of rounds is the longest chain of strictly decreasing commit
+positions (O(log m) on random orders), and each round is O(edges) NumPy
+work.
 
 Kernels validate only what they need (shape/range/duplicates) and raise
 :class:`ValueError`; callers translate into their domain error types.
@@ -55,7 +58,6 @@ import functools
 import numpy as np
 
 __all__ = [
-    "greedy_commit_mask",
     "greedy_commit_mask_batch",
     "greedy_commit_mask_from_slots",
     "csr_conflict_pairs",
@@ -63,6 +65,7 @@ __all__ = [
     "csr_two_phase_commit_mask",
     "sample_prefix_draws",
     "scalar_prefix_draws",
+    "sample_choice_rows",
     "sample_window_draws",
 ]
 
@@ -196,20 +199,6 @@ def greedy_commit_mask_batch(
         state[newly_committed] = 1
         undecided &= ~(newly_aborted | newly_committed)
     return (state == 1).reshape(num_reps, m)
-
-
-def greedy_commit_mask(
-    indptr: np.ndarray, indices: np.ndarray, prefix: np.ndarray
-) -> np.ndarray:
-    """Single-prefix form of :func:`greedy_commit_mask_batch`.
-
-    ``prefix`` is ``int64[m]`` node indices in commit order; returns
-    ``bool[m]`` with ``True`` where the slot commits.
-    """
-    prefix = np.ascontiguousarray(prefix, dtype=np.int64)
-    if prefix.ndim != 1:
-        raise ValueError(f"prefix must be 1-D, got shape {prefix.shape}")
-    return greedy_commit_mask_batch(indptr, indices, prefix[None, :])[0]
 
 
 #: below this many live pairs, array rounds cost more than a Python walk.
@@ -499,6 +488,96 @@ def scalar_prefix_draws(n: int, k: int, rng: np.random.Generator) -> list[int]:
                     low = x & 0xFFFFFFFF
             draws.append(x >> 32)
     return draws
+
+
+#: the vectorised pass of :func:`sample_choice_rows` runs for
+#: ``_CHOICE_MIN_ROWS + k // 4`` rows or more, up to ``_CHOICE_MAX_COLUMNS``
+#: columns; anything smaller or wider stays on ``choice``.  Ratios of its
+#: time to the ``choice`` loop's (pool 2999, NumPy 2.4, 2-vCPU Xeon): k = 8
+#: 0.91 at 5 rows, 0.57 at 8, 0.09 at 96; k = 32 0.83 at 12 rows, 0.32 at
+#: 96; k = 64 above 1 below 48 rows and never below 0.85
+_CHOICE_MIN_ROWS = 5
+_CHOICE_MAX_COLUMNS = 32
+
+#: above this pool size NumPy's ``choice`` tail-shuffles the whole pool
+#: once ``k > pool // 50`` instead of running Floyd's algorithm
+_CHOICE_FLOYD_POOL = 10000
+
+
+def _choice_rows_vectorised(pool: int, k: int, rows: int) -> bool:
+    """Whether :func:`sample_choice_rows` draws these rows in one call."""
+    return (
+        k <= _CHOICE_MAX_COLUMNS
+        and rows >= _CHOICE_MIN_ROWS + k // 4
+        and pool < _UINT32_BOUND
+        and not (pool > _CHOICE_FLOYD_POOL and k > pool // 50)
+    )
+
+
+def sample_choice_rows(
+    pool: int, k: int, rows: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``rows`` sequential ``rng.choice(pool, size=k, replace=False)`` calls.
+
+    NumPy's no-replacement ``choice`` is Floyd's algorithm: for
+    ``t = 0 .. k-1`` it draws ``v ~ U[0, pool-k+t]`` and keeps ``v``
+    unless the row already holds it, in which case it keeps
+    ``pool-k+t``; then it shuffles the row, swapping column ``i`` with a
+    draw ``U[0, i]`` for ``i = k-1 .. 1``.  Every draw is the bounded
+    integer ``integers`` makes, so the ``rows * (2k - 1)`` draws of all
+    rows come from one ``Generator.integers`` call over the tiled bound
+    vector ``[pool-k+1 .. pool, k .. 2]``.  Floyd's pass keeps every row
+    whose raw draws are distinct and replays the rest in Python (a
+    repeat has odds of about ``k**2 / (2 * pool)`` per row); the shuffle
+    runs column by column over all rows at once.
+
+    **Bit-parity contract**: as with :func:`sample_prefix_draws` — the
+    same values *and* the same generator state afterwards as the
+    sequential calls.  Few rows, more than ``_CHOICE_MAX_COLUMNS``
+    columns, NumPy's tail-shuffle regime and pools of ``2**32`` or more
+    make those calls themselves (:func:`_choice_rows_vectorised`).
+
+    Returns ``int64[rows, k]``.
+    """
+    if k < 0:
+        raise ValueError(f"cannot draw {k} samples")
+    if k > pool:
+        raise ValueError(f"cannot draw {k} samples from a pool of {pool}")
+    if not _choice_rows_vectorised(pool, k, rows):
+        out = np.empty((rows, k), dtype=np.int64)
+        for row in out:
+            row[:] = rng.choice(pool, size=k, replace=False)
+        return out
+    if k == 0:
+        return np.empty((rows, 0), dtype=np.int64)
+    bounds = np.concatenate(
+        (
+            np.arange(pool - k + 1, pool + 1, dtype=np.int64),
+            np.arange(k, 1, -1, dtype=np.int64),
+        )
+    )
+    draws = rng.integers(0, np.broadcast_to(bounds, (rows, 2 * k - 1)), dtype=np.int64)
+    picks = draws[:, :k]
+    ordered = np.sort(picks, axis=1)
+    for r in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)).tolist():
+        row = picks[r].tolist()
+        taken = set()
+        for t, value in enumerate(row):
+            if value in taken:
+                value = row[t] = pool - k + t
+            taken.add(value)
+        picks[r] = row
+    # column-major, so column i of every row is one contiguous slice
+    columns = draws.T.copy()
+    flat = columns.reshape(-1)
+    swap_with = columns[k:] * rows + np.arange(rows, dtype=np.int64)
+    for i in range(k - 1, 0, -1):
+        column = flat[i * rows : (i + 1) * rows]
+        other = swap_with[k - 1 - i]
+        held = column.copy()
+        column[:] = flat[other]
+        flat[other] = held
+    return columns[:k].T
 
 
 @_timed("kernel.sample_window")

@@ -33,6 +33,7 @@ from repro.errors import RuntimeEngineError
 from repro.graph.ccgraph import CCGraph
 from repro.runtime.active_set import ActiveSet
 from repro.runtime.conflict import ConflictPolicy, ExplicitGraphPolicy
+from repro.runtime.kernels import sample_choice_rows
 from repro.runtime.task import Operator, Task
 from repro.runtime.workset import Workset
 from repro.utils.rng import ensure_rng
@@ -134,13 +135,21 @@ class RegeneratingGraphWorkload(GraphWorkloadBase):
     average degree stay approximately constant while the topology churns.
 
     **Cost per commit.**  The survivors a fresh node may attach to are
-    ``graph.nodes()`` minus the node itself, indexed by one
-    ``rng.choice(len(survivors), size=k, replace=False)`` draw.  The
+    ``graph.nodes()`` minus the node itself, indexed by the row
+    ``rng.choice(len(survivors), size=k, replace=False)`` would draw.  The
     workload keeps that list itself instead of asking the graph for it:
     a commit deletes the committed id (``bisect`` + ``del``: O(log n)
     comparisons and a C ``memmove`` of the tail) and appends the fresh
     one, so its Python-level work is O(log n + target_degree) where a
-    ``graph.nodes()`` scan is O(n).
+    ``graph.nodes()`` scan is O(n).  Each commit removes one id and adds
+    one, so every commit of a batch draws from the same number of
+    survivors: :meth:`on_commit_batch` takes all its rows from one
+    :func:`~repro.runtime.kernels.sample_choice_rows` call, the values
+    and generator state of one ``choice`` call per commit, and
+    :meth:`on_commit` is a batch of one.  A batch whose task ``i`` has a
+    dead or repeated payload commits ``tasks[:i]`` and raises from
+    task ``i``'s ``remove_node`` before drawing for it, as the per-task
+    loop does.
 
     **Order contract.**  This relies on :meth:`CCGraph.nodes` returning
     insertion order, on removal keeping the order of the rest, and on
@@ -153,7 +162,7 @@ class RegeneratingGraphWorkload(GraphWorkloadBase):
     graph, not for :meth:`CCGraph.induced_subgraph`, whose order is a
     set's — otherwise the committed id is located by an exact scan.
     Either way the picks, the graph and the generator state after every
-    commit are those of the ``graph.nodes()`` scan.
+    batch are those of the ``graph.nodes()`` scan, one commit at a time.
     """
 
     def __init__(
@@ -175,23 +184,57 @@ class RegeneratingGraphWorkload(GraphWorkloadBase):
         self._live_ascending = False
         self._live_version = -1
 
-    def on_commit(self, task: Task) -> list[Task]:
+    def _live_nodes(self) -> list[int]:
+        """``graph.nodes()``, rebuilt only when another writer moved the graph."""
         g = self.graph
         if self._live_version != g.version:
             self._live = live = g.nodes()
             self._live_ascending = all(map(lt, live, islice(live, 1, None)))
-        else:
-            live = self._live
-        old = task.payload
-        g.remove_node(old)
-        at = bisect_left(live, old) if self._live_ascending else live.index(old)
-        del live[at]
-        new = g.add_node()
-        if live:
-            k = min(self.target_degree, len(live))
-            picks = self._rng.choice(len(live), size=k, replace=False)
-            for i in picks.tolist():
-                g.add_edge(new, live[i])
-        live.append(new)
-        self._live_version = g.version
-        return [Task(payload=new)]
+            self._live_version = g.version
+        return self._live
+
+    def _committable(self, tasks: "list[Task]") -> int:
+        """How many leading *tasks* commit before one would raise: the
+        first dead or repeated payload stops the count."""
+        g = self.graph
+        seen = set()
+        for i, task in enumerate(tasks):
+            payload = task.payload
+            if payload in seen or payload not in g:
+                return i
+            seen.add(payload)
+        return len(tasks)
+
+    def on_commit(self, task: Task) -> list[Task]:
+        return self.on_commit_batch([task])
+
+    def on_commit_batch(self, tasks: "list[Task]") -> list[Task]:
+        g = self.graph
+        new_tasks: list[Task] = []
+        while tasks:
+            count = self._committable(tasks)
+            if count == 0:
+                g.remove_node(tasks[0].payload)  # raises, as the loop's commit would
+            live = self._live_nodes()
+            # every commit removes one id and appends one, so each draws
+            # from the same len(live) - 1 survivors
+            pool = len(live) - 1
+            if pool:
+                k = min(self.target_degree, pool)
+                rows = sample_choice_rows(pool, k, count, self._rng).tolist()
+            else:
+                rows = [()] * count
+            ascending = self._live_ascending
+            for task, row in zip(tasks, rows):
+                old = task.payload
+                g.remove_node(old)
+                at = bisect_left(live, old) if ascending else live.index(old)
+                del live[at]
+                new = g.add_node()
+                for i in row:
+                    g.add_edge(new, live[i])
+                live.append(new)
+                new_tasks.append(Task(payload=new))
+            self._live_version = g.version
+            tasks = tasks[count:]
+        return new_tasks

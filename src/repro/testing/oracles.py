@@ -6,6 +6,8 @@ kernels are held to bit for bit, so a test needs a way to run a whole
 seeded run on them and compare.  :func:`reference_paths` is that way for
 conflict resolution; the selection oracle needs no helper — pass
 ``workset=RandomWorkset()`` to any workload constructor.
+:func:`reference_max_flow` is the sequential answer the preflow-push
+application is held to.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 
-__all__ = ["reference_paths"]
+import numpy as np
+
+__all__ = ["reference_paths", "reference_max_flow"]
 
 
 @contextmanager
@@ -36,3 +40,20 @@ def reference_paths():
         yield
     finally:
         conflict.GATHER_MIN_BATCH = saved
+
+
+def reference_max_flow(network) -> int:
+    """Max-flow value of a :class:`~repro.apps.maxflow.FlowNetwork`, by
+    scipy's ``maximum_flow`` on its capacity matrix."""
+    # call-time import: scipy stays out of ``import repro``
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    n = network.num_nodes
+    rows, cols, data = [], [], []
+    for u, v, c in network.arcs():
+        rows.append(u)
+        cols.append(v)
+        data.append(int(c))
+    mat = csr_matrix((data, (rows, cols)), shape=(n, n), dtype=np.int64)
+    return int(maximum_flow(mat, network.source, network.sink).flow_value)

@@ -5,16 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.maxflow import (
-    FlowNetwork,
-    PreflowPush,
-    random_flow_network,
-    reference_max_flow,
-)
+from repro.apps.maxflow import FlowNetwork, PreflowPush, random_flow_network
 from repro.control.fixed import FixedController
 from repro.control.hybrid import HybridController
 from repro.errors import ApplicationError
 from repro.runtime.engine import make_engine
+from repro.testing.oracles import reference_max_flow
 
 
 def oversupplied_network(n: int, seed: int, extra_arcs: int = 8) -> FlowNetwork:

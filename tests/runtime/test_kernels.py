@@ -32,7 +32,6 @@ from repro.runtime import kernels
 from repro.runtime.kernels import (
     csr_conflict_pairs,
     csr_greedy_commit_mask,
-    greedy_commit_mask,
     greedy_commit_mask_batch,
     greedy_commit_mask_from_slots,
 )
@@ -88,8 +87,13 @@ def reference_commit_mask(edges, prefix: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# greedy_commit_mask
+# greedy_commit_mask_batch
 # ---------------------------------------------------------------------------
+
+
+def one_row_mask(indptr, indices, prefix):
+    """The batch kernel on a one-row batch: ``bool[m]``."""
+    return greedy_commit_mask_batch(indptr, indices, np.asarray(prefix)[None, :])[0]
 
 
 class TestGreedyCommitMask:
@@ -98,7 +102,7 @@ class TestGreedyCommitMask:
     def test_matches_sequential_reference(self, case):
         n, edges, prefix = case
         indptr, indices = csr_from_edges(n, edges)
-        fast = greedy_commit_mask(indptr, indices, prefix)
+        fast = one_row_mask(indptr, indices, prefix)
         assert np.array_equal(fast, reference_commit_mask(edges, prefix))
 
     @settings(max_examples=150, deadline=None)
@@ -106,7 +110,7 @@ class TestGreedyCommitMask:
     def test_committed_set_is_independent(self, case):
         n, edges, prefix = case
         indptr, indices = csr_from_edges(n, edges)
-        mask = greedy_commit_mask(indptr, indices, prefix)
+        mask = one_row_mask(indptr, indices, prefix)
         committed = {int(v) for v in prefix[mask]}
         for u, v in edges:
             assert not (u in committed and v in committed)
@@ -116,7 +120,7 @@ class TestGreedyCommitMask:
     def test_abort_iff_earlier_committed_neighbor(self, case):
         n, edges, prefix = case
         indptr, indices = csr_from_edges(n, edges)
-        mask = greedy_commit_mask(indptr, indices, prefix)
+        mask = one_row_mask(indptr, indices, prefix)
         adj: dict[int, set[int]] = {}
         for u, v in edges:
             adj.setdefault(u, set()).add(v)
@@ -138,20 +142,20 @@ class TestGreedyCommitMask:
         ]
         batch = greedy_commit_mask_batch(indptr, indices, np.stack(rows))
         for row, row_mask in zip(rows, batch):
-            assert np.array_equal(row_mask, greedy_commit_mask(indptr, indices, row))
+            assert np.array_equal(row_mask, one_row_mask(indptr, indices, row))
 
     def test_rejects_duplicates_and_out_of_range(self):
         indptr, indices = csr_from_edges(3, [(0, 1)])
         with pytest.raises(ValueError):
-            greedy_commit_mask(indptr, indices, np.array([0, 0]))
+            one_row_mask(indptr, indices, np.array([0, 0]))
         with pytest.raises(ValueError):
-            greedy_commit_mask(indptr, indices, np.array([3]))
+            one_row_mask(indptr, indices, np.array([3]))
         with pytest.raises(ValueError):
-            greedy_commit_mask(indptr, indices, np.array([[0, 1]]))  # 2-D
+            greedy_commit_mask_batch(indptr, indices, np.array([0, 1]))  # 1-D
 
     def test_empty_prefix(self):
         indptr, indices = csr_from_edges(2, [(0, 1)])
-        assert greedy_commit_mask(indptr, indices, np.array([], dtype=np.int64)).shape == (0,)
+        assert one_row_mask(indptr, indices, np.array([], dtype=np.int64)).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +239,7 @@ class TestClosedFormAgreement:
         for _ in range(25):
             m = int(rng.integers(1, 61))
             prefix = rng.permutation(60)[:m].astype(np.int64)
-            mask = greedy_commit_mask(snapshot.indptr, snapshot.indices, prefix)
+            mask = one_row_mask(snapshot.indptr, snapshot.indices, prefix)
             touched = {int(v) // 6 for v in prefix}
             assert int(mask.sum()) == len(touched)
             # ...and the committed one is each clique's earliest visitor

@@ -10,10 +10,12 @@ from repro.control.hybrid import HybridController
 from repro.errors import NodeNotFoundError, RuntimeEngineError
 from repro.graph.ccgraph import CCGraph
 from repro.graph.generators import gnm_random, union_of_cliques
+from repro.runtime import kernels
 from repro.runtime.engine import make_engine
 from repro.runtime.task import Task
 from repro.runtime.workloads import (
     ConsumingGraphWorkload,
+    GraphWorkloadBase,
     RegeneratingGraphWorkload,
     ReplayGraphWorkload,
 )
@@ -98,11 +100,16 @@ def scan_commit(graph, rng, target_degree, payload):
 
 
 class ScanRegeneratingWorkload(RegeneratingGraphWorkload):
-    """The workload as it was before the live-id list: the test oracle."""
+    """The workload as it was before the live-id list: the test oracle.
+
+    A batch is the per-task loop, so every commit makes its own
+    ``choice`` call."""
 
     def on_commit(self, task):
         new = scan_commit(self.graph, self._rng, self.target_degree, task.payload)
         return [Task(payload=new)]
+
+    on_commit_batch = GraphWorkloadBase.on_commit_batch
 
 
 class ScanDifferential:
@@ -135,6 +142,30 @@ class ScanDifferential:
         assert got.payload == want.payload
         self.check_equal()
         return got.payload
+
+    def commit_batch(self, payloads):
+        """Commit *payloads* as one batch on the workload and as the
+        oracle's per-task loop; a batch the loop raises on must raise the
+        same error after the same commits."""
+        tasks = [Task(payload=p) for p in payloads]
+        try:
+            want = self.model.on_commit_batch(list(tasks))
+        except Exception as exc:  # noqa: BLE001 - the same type must come back
+            with pytest.raises(type(exc)):
+                self.workload.on_commit_batch(list(tasks))
+            self.check_equal()
+            return None
+        got = self.workload.on_commit_batch(list(tasks))
+        assert [t.payload for t in got] == [t.payload for t in want]
+        self.check_equal()
+        return [t.payload for t in got]
+
+    def batch_of_live(self, rng, high=40):
+        """Distinct live payloads in random order; sizes on both sides of
+        the vectorised draw's cut-over."""
+        nodes = self.graph.nodes()
+        size = int(rng.integers(1, min(high, len(nodes)) + 1))
+        return rng.choice(nodes, size=size, replace=False).tolist()
 
     def mutate(self, rng):
         """One random add_node/remove_node/add_edge/remove_edge on both graphs."""
@@ -242,7 +273,114 @@ class TestRegeneratingMatchesScan:
         diff.commit(4)
 
 
+class TestRegeneratingBatchMatchesLoop:
+    """One batch, its draws taken at once, is the per-task scan loop."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_external_mutations_between_batches(self, seed):
+        diff = ScanDifferential(gnm_random(60, 4, seed=seed), 4, seed=seed)
+        rng = np.random.default_rng(seed + 7)
+        for _ in range(40):
+            for _ in range(int(rng.integers(3))):  # 0 keeps the list, 1-2 force a rebuild
+                diff.mutate(rng)
+            diff.commit_batch(diff.batch_of_live(rng))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_insertion_order_not_ascending(self, seed):
+        diff = ScanDifferential(unordered_graph(seed=seed), 3, seed=seed)
+        rng = np.random.default_rng(seed)
+        for step in range(30):
+            if step % 5 == 4:
+                diff.mutate(rng)
+            diff.commit_batch(diff.batch_of_live(rng, high=12))
+            if step == 0:
+                assert not diff.workload._live_ascending
+
+    @pytest.mark.parametrize("target_degree", [0, 9, 10, 50])
+    def test_degree_edge_cases(self, target_degree):
+        diff = ScanDifferential(gnm_random(10, 2, seed=1), target_degree, seed=2)
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            for new in diff.commit_batch(diff.batch_of_live(rng)):
+                assert diff.graph.degree(new) == min(target_degree, 9)
+
+    def test_one_node_graph_never_draws(self):
+        graph = CCGraph.from_edges(1, [])
+        diff = ScanDifferential(graph, 3, seed=4)
+        before = diff.workload._rng.bit_generator.state
+        assert diff.commit_batch([0]) == [1]
+        assert diff.workload._rng.bit_generator.state == before
+
+    def test_wide_rows_and_large_batches(self):
+        """k above the column cap, and batches far past the cut-over."""
+        diff = ScanDifferential(gnm_random(300, 40, seed=6), 40, seed=7)
+        rng = np.random.default_rng(8)
+        for _ in range(6):
+            diff.commit_batch(diff.batch_of_live(rng, high=200))
+        diff.workload.target_degree = diff.model.target_degree = 8
+        for _ in range(6):
+            diff.commit_batch(diff.batch_of_live(rng, high=200))
+
+    @pytest.mark.parametrize("at", [0, 1, 9, 20])
+    def test_repeated_payload_raises_at_the_loops_task(self, at):
+        diff = ScanDifferential(gnm_random(80, 4, seed=9), 4, seed=10)
+        rng = np.random.default_rng(11)
+        batch = diff.batch_of_live(rng, high=30)
+        while len(batch) < 30:
+            batch = diff.batch_of_live(rng, high=30)
+        batch.insert(at + 1, batch[at])
+        assert diff.commit_batch(batch) is None  # raised, after tasks[:at + 1]
+        assert batch[at] not in diff.graph
+        diff.commit_batch(diff.batch_of_live(rng))  # and the list is still good
+
+    @pytest.mark.parametrize("at", [0, 1, 9, 20])
+    def test_dead_payload_raises_at_the_loops_task(self, at):
+        diff = ScanDifferential(gnm_random(80, 4, seed=12), 4, seed=13)
+        rng = np.random.default_rng(14)
+        diff.commit_batch([5])
+        batch = [p for p in diff.batch_of_live(rng, high=40) if p != 5][:30]
+        batch.insert(at, 5)
+        assert diff.commit_batch(batch) is None
+        assert all(p in diff.graph for p in batch[at + 1 :])  # nothing after it ran
+        diff.commit_batch(diff.batch_of_live(rng))
+
+    def test_payload_born_earlier_in_the_batch_commits(self):
+        """The loop commits a payload that an earlier commit of the same
+        batch created; so does the batch."""
+        diff = ScanDifferential(gnm_random(40, 4, seed=15), 4, seed=16)
+        fresh = diff.graph._next_id  # the id the batch's first commit creates
+        batch = list(range(10)) + [fresh] + list(range(10, 20))
+        assert diff.commit_batch(batch) is not None
+        assert fresh not in diff.graph
+
+
 class TestRegeneratingCommitCost:
+    def test_one_integers_call_per_step_and_no_choice(self):
+        """By count, not by clock: every step's attachment picks come from
+        one ``Generator.integers`` call, none from ``choice``."""
+        calls = {"choice": 0, "integers": 0}
+
+        class Counting(np.random.Generator):
+            def choice(self, *args, **kwargs):
+                calls["choice"] += 1
+                return super().choice(*args, **kwargs)
+
+            def integers(self, *args, **kwargs):
+                calls["integers"] += 1
+                return super().integers(*args, **kwargs)
+
+        graph = gnm_random(2000, 8, seed=17)
+        workload = RegeneratingGraphWorkload(graph, target_degree=8, seed=18)
+        workload._rng = Counting(np.random.PCG64(18))
+        engine = make_engine(workload, FixedController(64), seed=19)
+        for _ in range(30):
+            before = dict(calls)
+            stats = engine.step()
+            pool = graph.num_nodes - 1
+            assert kernels._choice_rows_vectorised(pool, 8, stats.committed)
+            assert calls["integers"] - before["integers"] == 1
+        assert calls["choice"] == 0
+
     def test_nodes_called_a_constant_number_of_times(self, monkeypatch):
         """By count, not by clock: one ``nodes()`` for the initial tasks
         and one to build the live-id list — not one per commit."""

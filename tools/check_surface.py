@@ -51,10 +51,13 @@ ALLOWED: dict[str, str] = {
     "repro.graph.morph.*": "morph helpers that drive the partition morph fuzz",
     "repro.model.*": "estimators and closed forms of the model layer, under rework",
     "repro.obs.recorder.load_jsonl": "documented trace loader (docs/observability.md)",
-    "repro.obs.replay.ReplayController": "replay driver of DESIGN.md's observability layer",
+    "repro.obs.replay.ReplayController": (
+        "replay driver of DESIGN.md's observability layer (tests/obs/test_replay.py)"
+    ),
     "repro.obs.export.restore_registry": "documented inverse of snapshot_registry",
-    "repro.apps.maxflow.reference_max_flow": "sequential max-flow oracle for PreflowPush",
-    "repro.runtime.kernels.greedy_commit_mask": "single-prefix kernel the batch kernels are held to",
+    "repro.testing.oracles.reference_max_flow": (
+        "max-flow oracle PreflowPush is held to (tests/apps/test_maxflow.py)"
+    ),
 }
 
 
