@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import replace
+from types import SimpleNamespace
 
 from repro.config import RunConfig
 from repro.control.base import Controller
 from repro.errors import ConfigError, ReproError
 from repro.graph.ccgraph import CCGraph
 from repro.registry import (
-    CONFLICT_POLICIES,
     CONTROLLERS,
     EXPERIMENTS,
     ORDER_POLICIES,
@@ -39,7 +39,7 @@ from repro.registry import (
     workload_is_self_building,
     workset_for,
 )
-from repro.runtime.core import Engine
+from repro.runtime.conflict import ItemLockPolicy
 from repro.runtime.engine import make_engine
 from repro.runtime.policies import PriorityWorkset
 from repro.runtime.stats import RunResult
@@ -48,8 +48,8 @@ from repro.runtime.task import Operator, Task
 __all__ = ["run", "for_each"]
 
 
-def _wrap_tasks(items: Iterable[object]) -> list[Task]:
-    return [item if isinstance(item, Task) else Task(payload=item) for item in items]
+def _as_task(item: object) -> Task:
+    return item if isinstance(item, Task) else Task(payload=item)
 
 
 def _coerce_config(config) -> RunConfig:
@@ -65,6 +65,57 @@ def _coerce_config(config) -> RunConfig:
 def _controller_for(config: RunConfig, controller: "Controller | None") -> Controller:
     return controller if controller is not None else CONTROLLERS.create(
         config.controller, config
+    )
+
+
+def _task_loop(config: RunConfig, initial, operator, priority_of) -> SimpleNamespace:
+    """The workload of ``run(initial=..., operator=..., [priority_of=...])``.
+
+    Item locks over *operator*'s neighbourhoods decide conflicts.  With
+    *priority_of* the loop requires in-order commits over a
+    :class:`PriorityWorkset` seeded from ``(priority, payload)`` pairs;
+    otherwise *initial* seeds the work-set ``config.order`` draws from.
+    """
+    if operator is None:
+        raise ConfigError("initial= also needs operator=")
+    by_priority = (
+        config.order is not None
+        and order_family(parse_order_spec(config.order)[0]) == "priority"
+    )
+    if priority_of is not None:
+        if config.order is not None and not by_priority:
+            raise ConfigError(
+                f"order={config.order!r} ignores priorities; "
+                "drop priority_of= or use an ordered/relaxed order"
+            )
+        pairs = list(initial)
+        if not pairs:
+            raise ReproError(
+                "run(initial=..., priority_of=...) needs at least one "
+                "(priority, payload) pair"
+            )
+        workset = PriorityWorkset()
+        for prio, item in pairs:
+            workset.add(_as_task(item), float(prio))
+    else:
+        tasks = [_as_task(item) for item in initial]
+        if not tasks:
+            raise ReproError(
+                "run(initial=..., operator=...) needs at least one initial task"
+            )
+        if by_priority:
+            raise ConfigError(
+                f"order={config.order!r} ranks tasks by priority; pass "
+                "priority_of= and (priority, payload) initial pairs"
+            )
+        workset = workset_for(config)
+        workset.add_all(tasks)
+    return SimpleNamespace(
+        workset=workset,
+        operator=operator,
+        policy=ItemLockPolicy(),
+        requires_order=priority_of is not None,
+        priority_of=priority_of,
     )
 
 
@@ -97,12 +148,16 @@ def run(
       also run with no ``graph=`` at all;
     * ``initial=`` + ``operator=`` given — run a task loop (in priority
       order when ``priority_of=`` is supplied) and return its
-      ``RunResult``.
+      ``RunResult``.  A task loop is a workload like any other: item
+      locks over the operator's neighbourhoods decide its conflicts.
 
-    ``record_workload=`` (graph/workload runs only) wraps the workload
-    in a :class:`~repro.runtime.wktrace.WorkloadCapture` and saves the
-    recorded :class:`~repro.runtime.wktrace.WorkloadTrace` to that path
-    after the run, for later ``workload="trace:<path>"`` replays.
+    Every engine run then takes one path: the optional workload capture,
+    the commit order, and :func:`~repro.runtime.engine.make_engine`.
+    ``record_workload=`` wraps the workload — graph, application, trace
+    or task loop — in a :class:`~repro.runtime.wktrace.WorkloadCapture`
+    and saves the recorded :class:`~repro.runtime.wktrace.WorkloadTrace`
+    to that path after the run, for later ``workload="trace:<path>"``
+    replays.
 
     ``config.order`` selects the commit-order policy
     (``"unordered"``, ``"ordered"``, ``"relaxed:k"``, ``"async[:w]"`` or
@@ -114,9 +169,9 @@ def run(
     loops with ``priority_of=`` and workloads that require in-order
     commits, which commit in strict priority order.
 
-    All names (``workload``, ``controller``, ``conflict``, ``order``,
-    ``experiment``) resolve through :mod:`repro.registry`, so anything a
-    third party has :func:`repro.register`-ed is accepted.  An explicit
+    All names (``workload``, ``controller``, ``order``, ``experiment``)
+    resolve through :mod:`repro.registry`, so anything a third party has
+    :func:`repro.register`-ed is accepted.  An explicit
     *controller* instance overrides ``config.controller``; an explicit
     int *seed* overrides ``config.seed`` everywhere — engine draws and
     whatever the workload factory seeds from the config — so the same
@@ -144,122 +199,63 @@ def run(
         if workload_name == "replay" and config.max_steps is None:
             raise ReproError("replay workloads never drain; pass max_steps")
         workload = WORKLOADS.create(workload_name, graph, config, **workload_kwargs)
-        if record_workload is not None:
-            from repro.runtime.wktrace import WorkloadCapture
-
-            workload = WorkloadCapture(workload, label=workload_name)
-        order = None
-        if config.order is not None:
-            # explicit commit order: the workload factory already matched
-            # its work-set to the order family (workset_for), so only the
-            # policy itself is built here.  Priority-family policies rank
-            # tasks by the workload's own priority (event times for DES;
-            # node id — the canonical graph priority — otherwise), and
-            # every family shares the workload's conflict policy, so
-            # ordered, relaxed and unordered runs detect the same
-            # conflicts.
-            name, kwargs = parse_order_spec(config.order)
-            if record_workload is not None and name == "sharded":
-                raise ConfigError(
-                    "record_workload= is not supported under the sharded "
-                    "commit order; record unsharded, then replay the trace "
-                    "with shards=N"
-                )
-            if getattr(workload, "requires_order", False) and order_family(name) != "priority":
-                raise ConfigError(
-                    f"workload {workload_name!r} requires in-order commits "
-                    f'(order="ordered" or "relaxed:k"), got order={config.order!r}'
-                )
-            if order_family(name) == "priority":
-                priority_fn = getattr(workload, "priority_of", None)
-                kwargs["priority_of"] = (
-                    priority_fn
-                    if priority_fn is not None
-                    else (lambda task: float(task.payload))
-                )
-            if (
-                name == "sharded"
-                and "shards" not in kwargs
-                and config.shards is not None
-            ):
-                kwargs["shards"] = config.shards
-            order = ORDER_POLICIES.create(
-                name, conflict_policy=workload.policy, **kwargs
-            )
-        engine = make_engine(
-            workload,
-            _controller_for(config, controller),
-            order=order,
-            seed=seed,
-            recorder=recorder,
-            metrics=metrics,
+        label = workload_name
+    elif initial is not None:
+        workload = _task_loop(config, initial, operator, priority_of)
+        label = "task-loop"
+    else:
+        raise ConfigError(
+            "run() needs an experiment in the config, a graph=, initial=/operator=, "
+            "or a self-building workload (an application name or trace:<path>)"
         )
-        result = engine.run(max_steps=config.max_steps)
-        if record_workload is not None:
-            workload.save(record_workload)
-        return result
+    if record_workload is not None:
+        from repro.runtime.wktrace import WorkloadCapture
 
-    if initial is not None:
-        if operator is None:
-            raise ConfigError("initial= also needs operator=")
-        order_spec = config.order
-        order_name, order_kwargs = None, {}
-        if order_spec is not None:
-            order_name, order_kwargs = parse_order_spec(order_spec)
-        by_priority = order_name is not None and order_family(order_name) == "priority"
-        if priority_of is not None:
-            if order_spec is not None and not by_priority:
-                raise ConfigError(
-                    f"order={order_spec!r} ignores priorities; "
-                    "drop priority_of= or use an ordered/relaxed order"
-                )
-            pairs = list(initial)
-            if not pairs:
-                raise ReproError(
-                    "run(initial=..., priority_of=...) needs at least one "
-                    "(priority, payload) pair"
-                )
-            workset = PriorityWorkset()
-            for prio, item in pairs:
-                task = item if isinstance(item, Task) else Task(payload=item)
-                workset.add(task, float(prio))
-            # no conflict_policy: task loops keep the greedy item-lock
-            # over operator neighbourhoods, which is what makes
-            # relaxed:1 traces byte-identical to "ordered" ones
-            order_name = order_name or "ordered"
-            order_kwargs["priority_of"] = priority_of
-        else:
-            tasks = _wrap_tasks(initial)
-            if not tasks:
-                raise ReproError(
-                    "run(initial=..., operator=...) needs at least one initial task"
-                )
-            if by_priority:
-                raise ConfigError(
-                    f"order={order_spec!r} ranks tasks by priority; pass "
-                    "priority_of= and (priority, payload) initial pairs"
-                )
-            workset = workset_for(config)
-            workset.add_all(tasks)
-            order_name = order_name or "unordered"
-            order_kwargs["conflict_policy"] = CONFLICT_POLICIES.create(
-                config.conflict, config
+        workload = WorkloadCapture(workload, label=label)
+    order = None
+    if config.order is not None:
+        # explicit commit order: the workload already matched its
+        # work-set to the order family (workset_for), so only the policy
+        # itself is built here.  Priority-family policies rank tasks by
+        # the workload's own priority (event times for DES, priority_of=
+        # for task loops; node id — the canonical graph priority —
+        # otherwise), and every family shares the workload's conflict
+        # policy, so ordered, relaxed and unordered runs detect the same
+        # conflicts.
+        name, kwargs = parse_order_spec(config.order)
+        if record_workload is not None and name == "sharded":
+            raise ConfigError(
+                "record_workload= is not supported under the sharded "
+                "commit order; record unsharded, then replay the trace "
+                "with shards=N"
             )
-        engine = Engine(
-            workset,
-            operator,
-            _controller_for(config, controller),
-            ORDER_POLICIES.create(order_name, **order_kwargs),
-            seed=seed,
-            recorder=recorder,
-            metrics=metrics,
-        )
-        return engine.run(max_steps=config.max_steps)
-
-    raise ConfigError(
-        "run() needs an experiment in the config, a graph=, initial=/operator=, "
-        "or a self-building workload (an application name or trace:<path>)"
+        if getattr(workload, "requires_order", False) and order_family(name) != "priority":
+            raise ConfigError(
+                f"workload {label!r} requires in-order commits "
+                f'(order="ordered" or "relaxed:k"), got order={config.order!r}'
+            )
+        if order_family(name) == "priority":
+            priority_fn = getattr(workload, "priority_of", None)
+            kwargs["priority_of"] = (
+                priority_fn
+                if priority_fn is not None
+                else (lambda task: float(task.payload))
+            )
+        if name == "sharded" and "shards" not in kwargs and config.shards is not None:
+            kwargs["shards"] = config.shards
+        order = ORDER_POLICIES.create(name, conflict_policy=workload.policy, **kwargs)
+    engine = make_engine(
+        workload,
+        _controller_for(config, controller),
+        order=order,
+        seed=seed,
+        recorder=recorder,
+        metrics=metrics,
     )
+    result = engine.run(max_steps=config.max_steps)
+    if record_workload is not None:
+        workload.save(record_workload)
+    return result
 
 
 def for_each(

@@ -16,7 +16,7 @@ harness.  :class:`RunConfig` replaces that:
 
 A :class:`RunConfig` describes either one registered experiment
 (``experiment="fig3"``) or one engine run assembled from registry names
-(``workload=``, ``controller=``, ``conflict=`` — resolved against
+(``workload=``, ``controller=``, ``order=`` — resolved against
 :mod:`repro.registry` by :func:`repro.api.run`).
 """
 
@@ -30,11 +30,6 @@ from repro.errors import ConfigError
 from repro.utils.rng import derive_seed
 
 __all__ = ["RunConfig"]
-
-#: removed fields that older serialised configs still carry; a ``null``
-#: value loads (it meant "the default path"), anything else raises
-_REMOVED_FIELDS = ("engine", "select")
-
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -84,9 +79,6 @@ class RunConfig:
     controller:
         Registered controller factory name (default ``"hybrid"``,
         the paper's Algorithm 1).
-    conflict:
-        Registered conflict-policy name for task-loop runs
-        (``"item-lock"``, ``"explicit-graph"``).
     rho:
         Target conflict ratio in ``(0, 1)``.
     m:
@@ -122,7 +114,6 @@ class RunConfig:
     quick: bool = False
     workload: str = "replay"
     controller: str = "hybrid"
-    conflict: str = "item-lock"
     rho: float = 0.25
     m: "int | None" = None
     m_min: "int | None" = None
@@ -138,7 +129,7 @@ class RunConfig:
                 f"experiment must be a non-empty string or None, got {self.experiment!r}",
             )
         _opt_int(self.seed, "seed")
-        for name in ("workload", "controller", "conflict"):
+        for name in ("workload", "controller"):
             value = getattr(self, name)
             _require(
                 isinstance(value, str) and bool(value),
@@ -240,22 +231,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        """Rebuild a config from :meth:`to_dict` output; rejects unknown keys.
-
-        Payloads written before the ``engine``/``select`` fields were
-        removed still load while those keys are ``null``.
-        """
+        """Rebuild a config from :meth:`to_dict` output; rejects unknown keys."""
         if not isinstance(payload, dict):
             raise ConfigError(f"RunConfig payload must be a dict, got {type(payload).__name__}")
-        payload = dict(payload)
-        for name in _REMOVED_FIELDS:
-            value = payload.pop(name, None)
-            if value is not None:
-                raise ConfigError(
-                    f"RunConfig field {name}={value!r} was removed: every run takes "
-                    "the default path (array kernels where they win, chosen from "
-                    "batch size and graph version); drop the key"
-                )
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:

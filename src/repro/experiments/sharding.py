@@ -52,7 +52,7 @@ from repro.obs import (
     verify_trace,
 )
 from repro.registry import WORKLOADS
-from repro.runtime.core import Engine
+from repro.runtime.engine import make_engine
 from repro.runtime.policies import ShardedCommitOrder
 from repro.utils.rng import ensure_rng
 
@@ -250,13 +250,8 @@ def run(
         ]
         controller = PerShardController(subs, order)
         start = len(recorder.events)
-        engine = Engine(
-            workset=workload.workset,
-            operator=workload.operator,
-            controller=controller,
-            order=order,
-            seed=run_seed,
-            recorder=recorder,
+        engine = make_engine(
+            workload, controller, order=order, seed=run_seed, recorder=recorder
         )
         res = engine.run(max_steps=max_steps)
         halo = _halo_aborts(recorder.events[start:])

@@ -1,7 +1,7 @@
 """Plugin registry: named factories for every pluggable layer.
 
 One :class:`Registry` per extension point — order policies,
-controllers, conflict policies, workloads, experiments — each mapping a
+controllers, workloads, experiments — each mapping a
 stable string name to a factory callable.  The built-in entries populate
 lazily on first lookup (keeping this module import-light and cycle-free);
 third parties add their own with :func:`register`::
@@ -22,7 +22,6 @@ registry                  factory signature
 ========================  ==================================================
 ``"experiment"``          ``factory(seed, quick) -> ExperimentResult``
 ``"controller"``          ``factory(config: RunConfig) -> Controller``
-``"conflict-policy"``     ``factory(config: RunConfig) -> ConflictPolicy``
 ``"workload"``            ``factory(graph, config: RunConfig) -> workload``
 ``"order-policy"``        ``factory(**kwargs) -> OrderPolicy``
 ========================  ==================================================
@@ -50,7 +49,6 @@ __all__ = [
     "workset_for",
     "ORDER_POLICIES",
     "CONTROLLERS",
-    "CONFLICT_POLICIES",
     "WORKLOADS",
     "EXPERIMENTS",
 ]
@@ -374,13 +372,6 @@ def _populate_controllers(reg: Registry) -> None:
     reg.register("fixed", _fixed)
 
 
-def _populate_conflict_policies(reg: Registry) -> None:
-    from repro.runtime.conflict import ExplicitGraphPolicy, ItemLockPolicy
-
-    reg.register("item-lock", lambda config: ItemLockPolicy())
-    reg.register("explicit-graph", lambda config: ExplicitGraphPolicy())
-
-
 def _populate_workloads(reg: Registry) -> None:
     from repro.runtime.workloads import (
         ConsumingGraphWorkload,
@@ -467,14 +458,12 @@ def _populate_experiments(reg: Registry) -> None:
 
 ORDER_POLICIES = Registry("order policy", _populate_order_policies)
 CONTROLLERS = Registry("controller", _populate_controllers)
-CONFLICT_POLICIES = Registry("conflict policy", _populate_conflict_policies)
 WORKLOADS = Registry("workload", _populate_workloads)
 EXPERIMENTS = Registry("experiment", _populate_experiments)
 
 _REGISTRIES: dict[str, Registry] = {
     "order-policy": ORDER_POLICIES,
     "controller": CONTROLLERS,
-    "conflict-policy": CONFLICT_POLICIES,
     "workload": WORKLOADS,
     "experiment": EXPERIMENTS,
 }

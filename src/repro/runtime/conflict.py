@@ -22,9 +22,9 @@ suites enforce it) and by default *is* that walk.  Only
 :class:`ExplicitGraphPolicy` overrides it, with a CSR gather that wins
 on large batches over a graph that held still.  Item locks have no array
 form — neighbourhoods come through the scalar operator API either way —
-so their walk, :func:`item_lock_walk`, is what every app runs; it is
-shared with the ordered policies' default conflict phase and copies a
-neighbourhood only when the operator did not already hand it a set.
+so their walk, :func:`item_lock_walk`, is what every app runs under
+every commit order; it copies a neighbourhood only when the operator
+did not already hand it a set.
 """
 
 from __future__ import annotations
@@ -139,12 +139,10 @@ class ConflictPolicy(abc.ABC):
         )
 
 
-def item_lock_walk(entries: Sequence, tasks: Sequence[Task], neighborhood):
-    """Commit-order lock acquisition: split *entries* into (kept, dropped).
+def item_lock_walk(tasks: Sequence[Task], neighborhood):
+    """Commit-order lock acquisition: split *tasks* into (kept, dropped).
 
-    ``tasks[i]`` is the task behind ``entries[i]`` (the same list for bare
-    batches; the ordered policies pass ``(priority, task)`` entries).  A
-    task takes every item of ``neighborhood(task)`` unless a task kept
+    A task takes every item of ``neighborhood(task)`` unless a task kept
     earlier holds one of them; a dropped task holds nothing.  A ``set`` /
     ``frozenset`` neighbourhood is read in place — unioned *into* the
     held set, never aliased or mutated: it is the operator's object —
@@ -153,15 +151,15 @@ def item_lock_walk(entries: Sequence, tasks: Sequence[Task], neighborhood):
     held: set = set()
     kept: list = []
     dropped: list = []
-    for entry, task in zip(entries, tasks):
+    for task in tasks:
         items = neighborhood(task)
         if not isinstance(items, (set, frozenset)):
             items = set(items)
         if held.isdisjoint(items):
             held.update(items)
-            kept.append(entry)
+            kept.append(task)
         else:
-            dropped.append(entry)
+            dropped.append(task)
     return kept, dropped
 
 
@@ -180,7 +178,7 @@ class ItemLockPolicy(ConflictPolicy):
             seen: set[int] = set()
             first = next(uid for uid in uids if uid in seen or seen.add(uid))
             raise ConflictDetectionError(f"task {first} appears twice in batch")
-        return BatchOutcome(*item_lock_walk(batch, batch, operator.neighborhood))
+        return BatchOutcome(*item_lock_walk(batch, operator.neighborhood))
 
 
 class ExplicitGraphPolicy(ConflictPolicy):

@@ -3,11 +3,10 @@
 There is one engine, :class:`~repro.runtime.core.Engine`; a run varies
 only in its commit order.  :func:`make_engine` is the one path from a
 workload to an engine.  Unless the caller passes an explicit ``order=``
-it picks the order the workload needs —
-:class:`~repro.runtime.policies.OrderedCommitOrder` over the workload's
+it picks the order the workload needs over the workload's conflict
+policy — :class:`~repro.runtime.policies.OrderedCommitOrder` over its
 priorities when it sets ``requires_order``, the paper's §2
-:class:`~repro.runtime.policies.UnorderedCommitOrder` over its conflict
-policy otherwise.
+:class:`~repro.runtime.policies.UnorderedCommitOrder` otherwise.
 """
 
 from __future__ import annotations
@@ -44,7 +43,9 @@ def make_engine(
     """
     if order is None:
         if getattr(workload, "requires_order", False):
-            order = OrderedCommitOrder(workload.priority_of)
+            order = OrderedCommitOrder(
+                workload.priority_of, conflict_policy=workload.policy
+            )
         else:
             order = UnorderedCommitOrder(workload.policy)
     return Engine(

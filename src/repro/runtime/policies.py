@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.errors import RuntimeEngineError, WorksetEmptyError
 from repro.graph.partition import partition_graph, two_phase_commit_mask
-from repro.runtime.conflict import item_lock_walk
+from repro.runtime.conflict import ItemLockPolicy
 from repro.runtime.core import OrderPolicy
 from repro.runtime.kernels import csr_two_phase_commit_mask, sample_window_draws
 from repro.runtime.task import Operator
@@ -350,13 +350,14 @@ class OrderedCommitOrder(OrderPolicy):
         conflict_policy: "ConflictPolicy | None" = None,
     ) -> None:
         self.priority_of = priority_of
-        #: optional :class:`~repro.runtime.conflict.ConflictPolicy`
-        #: deciding the conflict phase; ``None`` keeps the historical
-        #: greedy item-lock semantics over operator neighbourhoods.
-        #: Graph runs pass their ``ExplicitGraphPolicy`` here so ordered
-        #: and unordered engines detect the *same* conflicts — the
-        #: precondition for the relaxed theory bridge.
-        self.conflict_policy = conflict_policy
+        #: the :class:`~repro.runtime.conflict.ConflictPolicy` deciding the
+        #: conflict phase; ``None`` means item locks over operator
+        #: neighbourhoods.  Graph runs pass their ``ExplicitGraphPolicy``
+        #: here so ordered and unordered engines detect the *same*
+        #: conflicts — the precondition for the relaxed theory bridge.
+        self.conflict_policy = (
+            conflict_policy if conflict_policy is not None else ItemLockPolicy()
+        )
         self.conflict_aborts_total = 0
         self.order_aborts_total = 0
         self._seed: "int | None" = None
@@ -410,25 +411,19 @@ class OrderedCommitOrder(OrderPolicy):
     def _conflict_phase(
         self, batch: "list[tuple[float, Task]]"
     ) -> "tuple[list[tuple[float, Task]], list[tuple[float, Task]]]":
-        """Greedy item-lock partition of *batch* into (survivors, aborted)."""
-        eng = self.engine
-        if self.conflict_policy is not None:
-            # delegate to the pluggable policy (graph-edge semantics for
-            # graph runs); positions map straight back because resolve
-            # slots are ascending within the walked order
-            tasks = [task for _, task in batch]
-            outcome = self.conflict_policy.resolve_fast(tasks, eng.operator)
-            if outcome.commit_slots is not None:
-                survivors = [batch[i] for i in outcome.commit_slots]
-                aborted = [batch[i] for i in outcome.abort_slots]
-                return survivors, aborted
-            committed_uids = {task.uid for task in outcome.committed}
-            survivors = [entry for entry in batch if entry[1].uid in committed_uids]
-            aborted = [entry for entry in batch if entry[1].uid not in committed_uids]
-            return survivors, aborted
-        # batch is already earliest-first
+        """Partition *batch* into (survivors, aborted) through the conflict policy."""
+        # positions map straight back because resolve slots are ascending
+        # within the walked order
         tasks = [task for _, task in batch]
-        return item_lock_walk(batch, tasks, eng.operator.neighborhood)
+        outcome = self.conflict_policy.resolve_fast(tasks, self.engine.operator)
+        if outcome.commit_slots is not None:
+            survivors = [batch[i] for i in outcome.commit_slots]
+            aborted = [batch[i] for i in outcome.abort_slots]
+            return survivors, aborted
+        committed_uids = {task.uid for task in outcome.committed}
+        survivors = [entry for entry in batch if entry[1].uid in committed_uids]
+        aborted = [entry for entry in batch if entry[1].uid not in committed_uids]
+        return survivors, aborted
 
     def resolve(self, batch: "list[tuple[float, Task]]") -> OrderedBatchOutcome:
         """Conflict phase + barrier/horizon commit walk over *batch*."""

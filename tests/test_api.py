@@ -5,9 +5,11 @@ import pytest
 from repro.api import for_each, run
 from repro.config import RunConfig
 from repro.control import FixedController
-from repro.errors import ReproError
+from repro.errors import ConflictDetectionError, ReproError
 from repro.graph.generators import gnm_random
+from repro.runtime.engine import make_engine
 from repro.runtime.task import CallbackOperator, Task
+from repro.runtime.wktrace import TraceReplayWorkload, WorkloadTrace
 
 
 class TestForEach:
@@ -81,6 +83,64 @@ class TestRunOrderedLoop:
                 operator=op,
                 priority_of=lambda t: 0.0,
             )
+
+    @pytest.mark.parametrize("order", ["ordered", "relaxed:2"])
+    def test_a_task_queued_twice_in_one_batch_is_rejected(self, order):
+        # the priority orders resolve through the same item-lock policy
+        # as the unordered one, so a batch holding one task twice fails
+        # instead of applying that task's operator twice
+        applied = []
+        op = CallbackOperator(
+            neighborhood=lambda t: (), apply=lambda t: applied.append(t) or []
+        )
+        twice = Task(payload="t")
+        with pytest.raises(ConflictDetectionError, match=r"appears twice in batch"):
+            run(
+                RunConfig(controller="fixed", m=4, order=order),
+                initial=[(0.0, twice), (1.0, twice), (2.0, 2)],
+                operator=op,
+                priority_of=lambda t: 0.0,
+                seed=0,
+            )
+        assert applied == []
+
+
+class TestRunRecordsATaskLoop:
+    """``run(initial=..., operator=..., record_workload=path)``."""
+
+    @staticmethod
+    def _operator():
+        return CallbackOperator(
+            neighborhood=lambda t: {t.payload % 6},
+            apply=lambda t: [Task(payload=t.payload + 11)] if t.payload < 40 else [],
+        )
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_recording_replays_to_completion(self, tmp_path, ordered):
+        path = tmp_path / "loop.wktrace"
+        initial = range(20)
+        extra = {}
+        if ordered:
+            initial = [(float(i), i) for i in initial]
+            extra = {"priority_of": lambda t: float(t.payload)}
+        recorded = run(
+            RunConfig(seed=1),
+            initial=initial,
+            operator=self._operator(),
+            record_workload=str(path),
+            **extra,
+        )
+        trace = WorkloadTrace.load(path)
+        assert trace.label == "task-loop"
+        assert trace.requires_order is ordered
+        assert len(trace.commits) == recorded.total_committed > 20
+        assert trace.aborts == recorded.total_aborted > 0
+
+        replayed = run(RunConfig(workload=f"trace:{path}", seed=2))
+        assert replayed.total_committed == recorded.total_committed
+        workload = TraceReplayWorkload.load(path)
+        make_engine(workload, FixedController(4), seed=3).run()
+        assert workload.replay_complete()
 
 
 class TestRunOnAGraph:

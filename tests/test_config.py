@@ -42,7 +42,6 @@ class TestRunConfigValidation:
         ("experiment", ""),
         ("workload", ""),
         ("controller", None),
-        ("conflict", ""),
     ])
     def test_bad_field_values_rejected(self, field, value):
         with pytest.raises(ConfigError):
@@ -127,7 +126,7 @@ class TestRunConfigSerialisation:
     def test_round_trip_is_exact(self):
         cfg = RunConfig(
             "fig3", seed=11, quick=True, workload="consuming",
-            controller="aimd", conflict="explicit-graph", rho=0.4,
+            controller="aimd", rho=0.4,
             m_min=2, m_max=256, max_steps=50, order="async:8",
         )
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
@@ -142,26 +141,30 @@ class TestRunConfigSerialisation:
             RunConfig.from_dict({"experiment": "fig1", "warp_factor": 9})
 
     #: RunConfig(workload="consuming", order="relaxed:8", seed=3).to_json()
-    #: as PR 13 wrote it, with the since-removed engine/select fields
-    PR13_JSON = (
+    #: as an early version wrote it, with the since-removed conflict,
+    #: engine and select fields
+    OLD_JSON = (
         '{"conflict":"item-lock","controller":"hybrid","engine":null,'
         '"experiment":null,"m":null,"m_max":1024,"m_min":null,"max_steps":null,'
         '"order":"relaxed:8","quick":false,"rho":0.25,"seed":3,"select":null,'
         '"shards":null,"workload":"consuming"}'
     )
 
-    def test_configs_written_before_the_field_removal_still_load(self):
-        cfg = RunConfig.from_json(self.PR13_JSON)
-        assert cfg == RunConfig(workload="consuming", order="relaxed:8", seed=3)
-        assert "engine" not in cfg.to_dict() and "select" not in cfg.to_dict()
+    def test_pre_removal_payloads_are_rejected(self):
+        with pytest.raises(
+            ConfigError,
+            match=r"^unknown RunConfig field\(s\): conflict, engine, select$",
+        ):
+            RunConfig.from_json(self.OLD_JSON)
+        assert "conflict" not in RunConfig().to_dict()
 
     @pytest.mark.parametrize(
         "field,value", [("engine", "reference"), ("select", "workset")]
     )
     def test_pinned_removed_fields_name_the_removal(self, field, value):
-        payload = json.loads(self.PR13_JSON)
+        payload = json.loads(self.OLD_JSON)
         payload[field] = value
-        with pytest.raises(ConfigError, match=f"{field}='{value}' was removed"):
+        with pytest.raises(ConfigError, match=f"unknown RunConfig field\\(s\\): .*{field}"):
             RunConfig.from_dict(payload)
 
     def test_bad_payload_types_rejected(self):

@@ -92,10 +92,9 @@ class TestBuiltinRegistries:
         assert "hybrid" in CONTROLLERS
         assert "fig1" in EXPERIMENTS
         assert "unordered" in registry("order-policy")
-        assert "item-lock" in registry("conflict-policy")
         assert "replay" in registry("workload")
 
-    @pytest.mark.parametrize("kind", ["engine", "select-backend"])
+    @pytest.mark.parametrize("kind", ["engine", "select-backend", "conflict-policy"])
     def test_removed_registries_are_gone(self, kind):
         with pytest.raises(RegistryError, match="unknown registry kind"):
             registry(kind)
