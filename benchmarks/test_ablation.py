@@ -3,11 +3,12 @@
 import pytest
 
 from repro.experiments import ablation
+from repro.experiments.runner import run_experiment
 
 
 @pytest.fixture(scope="module")
 def abl_result():
-    return ablation.run(n=2000, d=16, rho=0.20, steps=160, replications=4, seed=0)
+    return run_experiment("ablation", seed=0)
 
 
 def _settles(result):
@@ -18,13 +19,12 @@ def _settles(result):
     }
 
 
-def test_ablation_regeneration(abl_result, save_report, benchmark):
+def test_ablation_regeneration(abl_result, benchmark):
     benchmark.pedantic(
         lambda: ablation.run(n=800, d=12, steps=80, replications=1, seed=1),
         rounds=1,
         iterations=1,
     )
-    save_report("ablation", abl_result)
 
 
 def test_hybridisation_pays(abl_result):

@@ -4,15 +4,13 @@ import pytest
 
 from repro.apps.profiles import ScheduledReplayWorkload, delaunay_burst_profile
 from repro.control.hybrid import HybridController
-from repro.experiments import adaptation
+from repro.experiments.runner import run_experiment
 from repro.runtime.engine import make_engine
 
 
 @pytest.fixture(scope="module")
 def adapt_result():
-    return adaptation.run(
-        profiles=("step", "spike", "burst"), total_tasks=2000, rho=0.20, seed=0
-    )
+    return run_experiment("adaptation", seed=0)
 
 
 def _burst_run():
@@ -21,9 +19,8 @@ def _burst_run():
     return eng.run(max_steps=wl.total_steps())
 
 
-def test_adaptation_regeneration(adapt_result, save_report, benchmark):
+def test_adaptation_regeneration(adapt_result, benchmark):
     benchmark.pedantic(_burst_run, rounds=3, iterations=1)
-    save_report("adaptation", adapt_result)
 
     for profile in ("step", "spike", "burst"):
         hybrid_lag = adapt_result.scalars[f"{profile}_hybrid_mean_lag"]

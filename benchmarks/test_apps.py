@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.boruvka import BoruvkaMST, kruskal_weight, random_weighted_graph
 from repro.control.hybrid import HybridController
-from repro.experiments import apps_eval
+from repro.experiments.runner import run_experiment
 from repro.runtime.engine import make_engine
 
 
@@ -13,14 +13,7 @@ APPS = ("delaunay", "boruvka", "coloring", "sp", "maxflow", "components")
 
 @pytest.fixture(scope="module")
 def apps_result():
-    return apps_eval.run(
-        apps=APPS,
-        scale=400,
-        rho=0.25,
-        fixed_ms=(2, 16, 128),
-        max_steps=6000,
-        seed=0,
-    )
+    return run_experiment("apps", seed=0)
 
 
 def _boruvka_run():
@@ -30,10 +23,9 @@ def _boruvka_run():
     return app
 
 
-def test_apps_regeneration(apps_result, save_report, benchmark):
+def test_apps_regeneration(apps_result, benchmark):
     app = benchmark.pedantic(_boruvka_run, rounds=3, iterations=1)
     assert app.total_weight == pytest.approx(kruskal_weight(app.graph), abs=1e-9)
-    save_report("apps", apps_result)
 
 
 @pytest.mark.parametrize("app", APPS)

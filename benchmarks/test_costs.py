@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.control.hybrid import HybridController
-from repro.experiments import costs
+from repro.experiments.runner import run_experiment
 from repro.graph.generators import gnm_random
 from repro.runtime.costs import ScaledAbortCostModel
 from repro.runtime.engine import make_engine
@@ -13,7 +13,7 @@ from repro.runtime.workloads import ConsumingGraphWorkload
 
 @pytest.fixture(scope="module")
 def costs_result():
-    return costs.run(n=3000, d=16, replications=2, seed=0)
+    return run_experiment("costs", seed=0)
 
 
 def _one_costed_drain():
@@ -26,10 +26,9 @@ def _one_costed_drain():
     return eng
 
 
-def test_costs_regeneration(costs_result, save_report, benchmark):
+def test_costs_regeneration(costs_result, benchmark):
     eng = benchmark.pedantic(_one_costed_drain, rounds=2, iterations=1)
     assert eng.costs.total > 0
-    save_report("costs", costs_result)
 
     s = costs_result.scalars
     # the optimal target never increases as rollback gets pricier...

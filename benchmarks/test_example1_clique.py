@@ -2,20 +2,19 @@
 
 import pytest
 
-from repro.experiments import example1
+from repro.experiments.runner import run_experiment
 from repro.graph.generators import clique_plus_isolated
 from repro.model.conflict_ratio import estimate_em
 
 
 @pytest.fixture(scope="module")
 def ex1_result():
-    return example1.run(sizes=(10, 20, 40), reps=2000, seed=0)
+    return run_experiment("example1", seed=0)
 
 
-def test_example1_regeneration(ex1_result, save_report, benchmark):
+def test_example1_regeneration(ex1_result, benchmark):
     g = clique_plus_isolated(40 * 40, 40)
     benchmark(estimate_em, g, 41, 200, 3)
-    save_report("example1", ex1_result)
 
     _, _, rows = ex1_result.tables[0]
     for n, max_is, exact, mc, half, bm in rows:

@@ -3,16 +3,16 @@
 import pytest
 
 from repro.experiments import fig1
+from repro.experiments.runner import run_experiment
 
 
 @pytest.fixture(scope="module")
 def fig1_result():
-    return fig1.run(n=16, d=2.5, m=8, panels=3, seed=0)
+    return run_experiment("fig1", seed=0)
 
 
-def test_fig1_regeneration(fig1_result, save_report, benchmark):
+def test_fig1_regeneration(fig1_result, benchmark):
     benchmark(fig1.panel, 16, 2.5, 8, 7)
-    save_report("fig1", fig1_result)
     assert fig1_result.scalars["all_panels_valid"] == 1.0
 
 

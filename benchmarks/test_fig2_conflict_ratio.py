@@ -1,14 +1,14 @@
 """FIG2 — regenerate the conflict-ratio curves of paper Fig. 2.
 
 Timed kernel: one Monte-Carlo conflict-ratio estimate at the paper's size
-(n = 2000, d = 16).  The full-figure regeneration runs once, its shape is
-asserted, and the rendered table goes to ``bench_reports/fig2.txt``.
+(n = 2000, d = 16).  The full figure is computed once through
+``run_experiment("fig2")`` and its shape is asserted.
 """
 
 import numpy as np
 import pytest
 
-from repro.experiments import fig2
+from repro.experiments.runner import run_experiment
 from repro.graph.generators import gnm_random
 from repro.model.conflict_ratio import estimate_conflict_ratio
 from repro.model.turan import initial_derivative
@@ -16,18 +16,13 @@ from repro.model.turan import initial_derivative
 
 @pytest.fixture(scope="module")
 def fig2_result():
-    return fig2.run(n=2000, d=16, grid_size=25, reps=100, seed=0)
+    return run_experiment("fig2", seed=0)
 
 
-def test_fig2_regeneration(fig2_result, save_report, benchmark):
+def test_fig2_regeneration(fig2_result, benchmark):
     graph = gnm_random(2000, 16, seed=99)
     benchmark(estimate_conflict_ratio, graph, 500, 20, 7)
 
-    save_report(
-        "fig2",
-        fig2_result,
-        svg_kwargs={"xlabel": "m (active nodes)", "ylabel": "conflict ratio r̄(m)"},
-    )
     series = {name: np.asarray(ys) for name, _, ys in fig2_result.series}
     ms = np.asarray(fig2_result.series[0][1])
 

@@ -8,8 +8,8 @@ hybrid ≈ 15 steps to converge, Recurrence-A-only much slower, stable tail.
 import numpy as np
 import pytest
 
-from repro.experiments import fig3
 from repro.experiments.fig3 import default_hybrid
+from repro.experiments.runner import run_experiment
 from repro.graph.generators import gnm_random
 from repro.runtime.engine import make_engine
 from repro.runtime.workloads import ReplayGraphWorkload
@@ -17,7 +17,7 @@ from repro.runtime.workloads import ReplayGraphWorkload
 
 @pytest.fixture(scope="module")
 def fig3_result():
-    return fig3.run(n=2000, degrees=(16, 48), rho=0.20, steps=120, seed=0)
+    return run_experiment("fig3", seed=0)
 
 
 def _one_hybrid_run():
@@ -26,13 +26,8 @@ def _one_hybrid_run():
     return make_engine(wl, default_hybrid(0.2), seed=7).run(max_steps=120)
 
 
-def test_fig3_regeneration(fig3_result, save_report, benchmark):
+def test_fig3_regeneration(fig3_result, benchmark):
     benchmark.pedantic(_one_hybrid_run, rounds=3, iterations=1)
-    save_report(
-        "fig3",
-        fig3_result,
-        svg_kwargs={"xlabel": "temporal step t", "ylabel": "allocation m_t"},
-    )
 
     # Paper: hybrid converges close to μ in ~15 steps (we allow 2x)
     assert fig3_result.scalars["settle_hybrid_d16"] <= 30

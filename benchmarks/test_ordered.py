@@ -5,13 +5,13 @@ import pytest
 
 from repro.apps.des import DiscreteEventSimulation, QueueingNetwork
 from repro.control.fixed import FixedController
-from repro.experiments import ordered
+from repro.experiments.runner import run_experiment
 from repro.runtime.engine import make_engine
 
 
 @pytest.fixture(scope="module")
 def ord_result():
-    return ordered.run(num_stations=40, num_jobs=60, end_time=40.0, seed=0)
+    return run_experiment("ordered", seed=0)
 
 
 def _one_pdes_run():
@@ -20,9 +20,8 @@ def _one_pdes_run():
     return make_engine(sim, FixedController(8), seed=23).run(max_steps=10**6)
 
 
-def test_ordered_regeneration(ord_result, save_report, benchmark):
+def test_ordered_regeneration(ord_result, benchmark):
     benchmark.pedantic(_one_pdes_run, rounds=3, iterations=1)
-    save_report("ordered", ord_result)
 
     # ordered speedup saturates: octupling m from 16 to 128 buys < 40%
     s16 = ord_result.scalars["speedup_m16"]

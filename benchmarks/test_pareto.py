@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.control.hybrid import HybridController
-from repro.experiments import pareto
+from repro.experiments.runner import run_experiment
 from repro.graph.generators import gnm_random
 from repro.runtime.engine import make_engine
 from repro.runtime.workloads import ConsumingGraphWorkload
@@ -12,7 +12,7 @@ from repro.runtime.workloads import ConsumingGraphWorkload
 
 @pytest.fixture(scope="module")
 def pareto_result():
-    return pareto.run(n=4000, d=16, replications=3, seed=0)
+    return run_experiment("pareto", seed=0)
 
 
 def _one_drain():
@@ -20,10 +20,9 @@ def _one_drain():
     return make_engine(wl, HybridController(0.25, m_max=2048), seed=32).run(max_steps=10**6)
 
 
-def test_pareto_regeneration(pareto_result, save_report, benchmark):
+def test_pareto_regeneration(pareto_result, benchmark):
     res = benchmark.pedantic(_one_drain, rounds=2, iterations=1)
     assert res.total_committed == 4000
-    save_report("pareto", pareto_result)
 
     s = pareto_result.scalars
     # higher targets buy speed...

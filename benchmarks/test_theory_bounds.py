@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import theory
+from repro.experiments.runner import run_experiment
 from repro.model.turan import (
     alpha_conflict_bound_limit,
     em_kdn,
@@ -12,13 +12,11 @@ from repro.model.turan import (
 
 @pytest.fixture(scope="module")
 def theory_result():
-    # n = 2040 is the Fig. 2 size rounded to a multiple of d+1 = 17
-    return theory.run(n=2040, d=16, reps=400, seed=0)
+    return run_experiment("theory", seed=0)
 
 
-def test_theory_regeneration(theory_result, save_report, benchmark):
+def test_theory_regeneration(theory_result, benchmark):
     benchmark(em_kdn, 2040, 16, 500)
-    save_report("theory", theory_result)
 
     assert theory_result.scalars["thm2_violations"] == 0.0
     assert theory_result.scalars["cor3_alpha_half_bound"] == pytest.approx(0.213, abs=5e-4)

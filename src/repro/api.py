@@ -8,7 +8,9 @@ The canonical entry point is :func:`run`, which executes a typed
 
     result = run(RunConfig(workload="consuming", rho=0.25, seed=0),
                  graph=my_graph)
-    report = run(RunConfig(experiment="fig3", quick=True))
+
+Experiments are not engine runs: run one by name with
+:func:`repro.experiments.runner.run_experiment`.
 
 For users who want the paper's machinery without a config object,
 :func:`for_each` mirrors Galois' ``for_each``: an unordered amorphous
@@ -21,7 +23,6 @@ and explicit-graph runs go through :func:`run` directly
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import replace
 from types import SimpleNamespace
 
 from repro.config import RunConfig
@@ -30,7 +31,6 @@ from repro.errors import ConfigError, ReproError
 from repro.graph.ccgraph import CCGraph
 from repro.registry import (
     CONTROLLERS,
-    EXPERIMENTS,
     ORDER_POLICIES,
     WORKLOADS,
     order_family,
@@ -78,10 +78,17 @@ def _task_loop(config: RunConfig, initial, operator, priority_of) -> SimpleNames
     """
     if operator is None:
         raise ConfigError("initial= also needs operator=")
-    by_priority = (
-        config.order is not None
-        and order_family(parse_order_spec(config.order)[0]) == "priority"
+    order_name, order_kwargs = (
+        parse_order_spec(config.order) if config.order is not None else (None, {})
     )
+    if order_name == "sharded" and order_kwargs.get("shards", 1) > 1:
+        raise ConfigError(
+            f"order={config.order!r} partitions an explicit CC graph, but a "
+            "task loop detects conflicts with item locks; run it under "
+            'order="unordered", or pass graph= with a graph workload '
+            '("replay", "consuming", "regenerating")'
+        )
+    by_priority = order_name is not None and order_family(order_name) == "priority"
     if priority_of is not None:
         if config.order is not None and not by_priority:
             raise ConfigError(
@@ -131,14 +138,12 @@ def run(
     recorder=None,
     metrics=None,
     record_workload: "str | None" = None,
-):
-    """Execute one :class:`~repro.config.RunConfig`.
+) -> RunResult:
+    """Execute one :class:`~repro.config.RunConfig` and return its
+    :class:`~repro.runtime.stats.RunResult`.
 
-    Three mutually exclusive shapes, selected by the config and the
-    keyword inputs:
+    Two mutually exclusive shapes, selected by the keyword inputs:
 
-    * ``config.experiment`` set — run that registered experiment and
-      return its :class:`~repro.experiments.base.ExperimentResult`;
     * ``graph=`` given — build the configured workload
       (``config.workload``) over the graph, wire the configured
       controller, and return the engine's
@@ -169,10 +174,10 @@ def run(
     loops with ``priority_of=`` and workloads that require in-order
     commits, which commit in strict priority order.
 
-    All names (``workload``, ``controller``, ``order``, ``experiment``)
-    resolve through :mod:`repro.registry`, so anything a third party has
-    :func:`repro.register`-ed is accepted.  An explicit
-    *controller* instance overrides ``config.controller``; an explicit
+    All names (``workload``, ``controller``, ``order``) resolve through
+    :mod:`repro.registry`, so anything a third party has
+    :func:`repro.register`-ed is accepted.  An explicit *controller*
+    instance overrides ``config.controller``; an explicit
     int *seed* overrides ``config.seed`` everywhere — engine draws and
     whatever the workload factory seeds from the config — so the same
     ``(config, seed=)`` always reproduces the same run.  Unlike
@@ -186,9 +191,7 @@ def run(
     elif isinstance(seed, int) and not isinstance(seed, bool) and seed != config.seed:
         # workload factories seed their own RNGs (rewiring, synthetic
         # inputs) from the config: hand them the seed this run really uses
-        config = replace(config, seed=seed)
-    if config.experiment is not None:
-        return EXPERIMENTS.create(config.experiment, seed, config.quick)
+        config = config.with_seed(seed)
 
     workload_name, workload_kwargs = parse_workload_spec(config.workload)
     if graph is not None or (
@@ -205,8 +208,9 @@ def run(
         label = "task-loop"
     else:
         raise ConfigError(
-            "run() needs an experiment in the config, a graph=, initial=/operator=, "
-            "or a self-building workload (an application name or trace:<path>)"
+            "run() needs a graph=, initial=/operator=, or a self-building "
+            "workload (an application name or trace:<path>); run experiments "
+            "with repro.experiments.runner.run_experiment(name)"
         )
     if record_workload is not None:
         from repro.runtime.wktrace import WorkloadCapture
@@ -227,7 +231,7 @@ def run(
             raise ConfigError(
                 "record_workload= is not supported under the sharded "
                 "commit order; record unsharded, then replay the trace "
-                "with shards=N"
+                'with order="sharded:N"'
             )
         if getattr(workload, "requires_order", False) and order_family(name) != "priority":
             raise ConfigError(
@@ -241,8 +245,6 @@ def run(
                 if priority_fn is not None
                 else (lambda task: float(task.payload))
             )
-        if name == "sharded" and "shards" not in kwargs and config.shards is not None:
-            kwargs["shards"] = config.shards
         order = ORDER_POLICIES.create(name, conflict_policy=workload.policy, **kwargs)
     engine = make_engine(
         workload,

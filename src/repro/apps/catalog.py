@@ -144,15 +144,12 @@ def workload_from_input(name: str, source, *, seed=None, workset=None):
     raise _unknown(name)
 
 
-def check_order_combination(
-    name: str, order: "str | None", shards: "int | None" = None
-) -> None:
+def check_order_combination(name: str, order: "str | None") -> None:
     """Reject commit orders an app workload cannot run under.
 
     ``requires_order`` apps need a priority-family order; every app
     detects conflicts with item locks, so a multi-shard ``sharded``
-    order — which partitions an explicit CC graph — has nothing to cut
-    (*shards* is ``RunConfig.shards``, for specs without a ``:k``).
+    order — which partitions an explicit CC graph — has nothing to cut.
     ``order=None`` is always fine — the workload then picks its own
     commit order (ordered for DES) in ``make_engine``.
     """
@@ -168,7 +165,7 @@ def check_order_combination(
             f"workload {name!r} requires in-order commits "
             f'(order="ordered" or "relaxed:k"), got order={order!r}'
         )
-    if order_name == "sharded" and (kwargs.get("shards") or shards or 1) > 1:
+    if order_name == "sharded" and kwargs.get("shards", 1) > 1:
         raise ConfigError(
             f"workload {name!r} detects conflicts with item locks; a "
             f"multi-shard order={order!r} needs an explicit-graph workload "
@@ -184,9 +181,7 @@ def make_app_workload(name: str, source, config, *, scale=None, workset=None):
     ``run(RunConfig(workload="boruvka", seed=7))`` is self-contained and
     reproducible.
     """
-    check_order_combination(
-        name, getattr(config, "order", None), getattr(config, "shards", None)
-    )
+    check_order_combination(name, getattr(config, "order", None))
     seed = derive_seed(getattr(config, "seed", None) or 0, "workload", name)
     if source is None:
         source = build_app_input(

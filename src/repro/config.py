@@ -14,10 +14,11 @@ harness.  :class:`RunConfig` replaces that:
   wrappers) are exact inverses, so the content-addressed result cache
   serialises the *whole* config instead of a hand-picked field subset.
 
-A :class:`RunConfig` describes either one registered experiment
-(``experiment="fig3"``) or one engine run assembled from registry names
-(``workload=``, ``controller=``, ``order=`` — resolved against
-:mod:`repro.registry` by :func:`repro.api.run`).
+A :class:`RunConfig` describes one engine run assembled from registry
+names (``workload=``, ``controller=``, ``order=`` — resolved against
+:mod:`repro.registry` by :func:`repro.api.run`).  Experiments are not
+configs: :func:`repro.experiments.runner.run_experiment` runs one by
+name, seed and size.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from repro.errors import ConfigError
-from repro.utils.rng import derive_seed
 
 __all__ = ["RunConfig"]
 
@@ -48,24 +48,16 @@ def _opt_int(value: "Any", name: str, minimum: "int | None" = None) -> "int | No
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run: a registered experiment, or an engine assembled by name.
+    """One engine run, assembled by name through :func:`repro.api.run`.
 
-    ``experiment`` selects a registered experiment (``"fig1"`` …); the
-    remaining fields configure a direct engine run through
-    :func:`repro.api.run` and double as the experiment run's provenance
-    record.  Every field is JSON-representable and the dataclass is
-    frozen, so a config can serve as a cache key and a cross-process
-    message without translation.
+    Every field is JSON-representable and the dataclass is frozen, so a
+    config can serve as a cache key and a cross-process message without
+    translation.
 
     Attributes
     ----------
-    experiment:
-        Registered experiment name, or ``None`` for a direct engine run.
     seed:
-        Explicit RNG seed; ``None`` derives one (see
-        :meth:`resolved_seed` for sweeps).
-    quick:
-        Reduced problem sizes (experiment runs only).
+        Explicit RNG seed; ``None`` seeds the engine from fresh entropy.
     workload:
         Registered workload factory name: a synthetic graph workload
         (``"replay"``, ``"consuming"``, ``"regenerating"`` — these need
@@ -93,25 +85,19 @@ class RunConfig:
         relaxation, ``k >= 1``), ``"async"`` / ``"async:w"``
         (arrival order with staleness window ``w``),
         ``"sharded"`` / ``"sharded:s"`` (partitioned two-phase
-        resolution with halo exchange over ``s`` shards), or ``None``
+        resolution with halo exchange over ``s`` shards, default 1;
+        ``s > 1`` needs an explicit-graph workload), or ``None``
         to infer the policy from the run inputs (the historical
         behaviour).  The base name is validated **eagerly** against the
         ``"order-policy"`` registry — an unknown name raises
         :class:`~repro.errors.RegistryError` listing every available
         policy at construction time, not steps later inside an engine.
-    shards:
-        Shard count for ``order="sharded"`` (equivalent to the
-        ``"sharded:s"`` spec suffix; both given must agree).  Any other
-        order spec rejects it — a silently ignored shard count would
-        misreport what actually ran.
     max_steps:
         Step cap for engine runs (required by replay workloads, which
         never drain).
     """
 
-    experiment: "str | None" = None
     seed: "int | None" = None
-    quick: bool = False
     workload: str = "replay"
     controller: str = "hybrid"
     rho: float = 0.25
@@ -119,15 +105,9 @@ class RunConfig:
     m_min: "int | None" = None
     m_max: int = 1024
     order: "str | None" = None
-    shards: "int | None" = None
     max_steps: "int | None" = None
 
     def __post_init__(self) -> None:
-        if self.experiment is not None:
-            _require(
-                isinstance(self.experiment, str) and bool(self.experiment),
-                f"experiment must be a non-empty string or None, got {self.experiment!r}",
-            )
         _opt_int(self.seed, "seed")
         for name in ("workload", "controller"):
             value = getattr(self, name)
@@ -140,7 +120,6 @@ class RunConfig:
             f"target conflict ratio rho must be in (0,1), got {self.rho!r}",
         )
         object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "quick", bool(self.quick))
         _opt_int(self.m, "m", minimum=1)
         # missing, m would only fail inside run(); elsewhere it is ignored
         _require(
@@ -182,43 +161,13 @@ class RunConfig:
         from repro.registry import parse_workload_spec
 
         workload_name, _ = parse_workload_spec(self.workload)
-        _opt_int(self.shards, "shards", minimum=1)
         if self.order is not None:
             from repro.apps.catalog import check_order_combination
 
-            check_order_combination(workload_name, self.order, self.shards)
-        if self.shards is not None:
-            # shards only means something to the sharded commit order;
-            # anywhere else a silently ignored count would be a footgun
-            from repro.registry import parse_order_spec
-
-            name, kwargs = (
-                parse_order_spec(self.order) if self.order is not None else (None, {})
-            )
-            if name != "sharded":
-                raise ConfigError(
-                    f'shards={self.shards} requires order="sharded", '
-                    f"got order={self.order!r}"
-                )
-            spec_shards = kwargs.get("shards")
-            if spec_shards is not None and spec_shards != self.shards:
-                raise ConfigError(
-                    f"order={self.order!r} and shards={self.shards} disagree"
-                )
+            check_order_combination(workload_name, self.order)
         _opt_int(self.max_steps, "max_steps", minimum=0)
 
     # -- seeds ----------------------------------------------------------
-    def resolved_seed(self, base_seed: int) -> int:
-        """The seed this run actually uses.
-
-        Explicit seeds pass through; otherwise one is derived from
-        ``(base_seed, experiment name)`` — stable across sweeps, worker
-        counts, and config ordering.
-        """
-        if self.seed is not None:
-            return int(self.seed)
-        return derive_seed(base_seed, "sweep", self.experiment or "run")
-
     def with_seed(self, seed: int) -> "RunConfig":
         """A copy of this config pinned to an explicit *seed*."""
         return replace(self, seed=int(seed))

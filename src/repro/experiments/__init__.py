@@ -6,6 +6,6 @@ See DESIGN.md §4 for the experiment index.  Run them via::
 """
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.parallel import RunConfig, SweepOutcome, run_sweep
+from repro.experiments.parallel import SweepOutcome, run_sweep
 
-__all__ = ["ExperimentResult", "RunConfig", "SweepOutcome", "run_sweep"]
+__all__ = ["ExperimentResult", "SweepOutcome", "run_sweep"]

@@ -2,8 +2,9 @@
 
 Each experiment module produces an :class:`ExperimentResult`: named tables
 and series plus free-form notes, renderable as plain text (we run
-headless, so "figures" are emitted as tables + sparklines).  The benchmark
-harness and the CLI runner both consume this type.
+headless, so "figures" are emitted as tables + sparklines, and as SVG
+line charts of the series).  The CLI runner writes the artefacts, and the
+sweep cache round-trips the type through :meth:`ExperimentResult.to_dict`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ __all__ = ["ExperimentResult"]
 
 @dataclass
 class ExperimentResult:
-    """Data produced by one experiment run."""
+    """Data produced by one experiment run.
+
+    ``xlabel`` / ``ylabel`` label the axes of :meth:`to_svg`'s chart of
+    the series.
+    """
 
     name: str
     description: str
@@ -34,6 +39,8 @@ class ExperimentResult:
     )
     notes: list[str] = field(default_factory=list)
     scalars: dict[str, float] = field(default_factory=dict)
+    xlabel: str = ""
+    ylabel: str = ""
 
     def add_table(
         self, title: str, headers: Sequence[str], rows: list[Sequence[object]]
@@ -68,8 +75,9 @@ class ExperimentResult:
     # export
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-serialisable dump of all tables/series/scalars."""
-        return {
+        """JSON-serialisable dump of all tables/series/scalars (and the
+        axis labels, when set)."""
+        payload = {
             "name": self.name,
             "description": self.description,
             "tables": [
@@ -87,6 +95,10 @@ class ExperimentResult:
             "scalars": dict(self.scalars),
             "notes": list(self.notes),
         }
+        for key in ("xlabel", "ylabel"):
+            if getattr(self, key):
+                payload[key] = getattr(self, key)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentResult":
@@ -95,6 +107,8 @@ class ExperimentResult:
             result = cls(
                 name=str(payload["name"]),
                 description=str(payload["description"]),
+                xlabel=str(payload.get("xlabel", "")),
+                ylabel=str(payload.get("ylabel", "")),
             )
             for table in payload.get("tables", []):
                 result.add_table(
@@ -129,25 +143,11 @@ class ExperimentResult:
             json.dumps(self.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
         )
 
-    def to_svg(
-        self,
-        path: "str | Path",
-        series: "Sequence[str] | None" = None,
-        xlabel: str = "",
-        ylabel: str = "",
-        log_x: bool = False,
-    ) -> None:
-        """Render (selected) series as one SVG line chart at *path*."""
-        chosen = [
-            (name, xs, ys)
-            for name, xs, ys in self.series
-            if series is None or name in series
-        ]
-        if not chosen:
-            raise ExperimentError(
-                f"no matching series to plot (asked for {series!r})"
-            )
-        plot = LinePlot(title=self.name, xlabel=xlabel, ylabel=ylabel, log_x=log_x)
-        for name, xs, ys in chosen:
+    def to_svg(self, path: "str | Path") -> None:
+        """Render every series as one SVG line chart at *path*."""
+        if not self.series:
+            raise ExperimentError(f"{self.name}: no series to plot")
+        plot = LinePlot(title=self.name, xlabel=self.xlabel, ylabel=self.ylabel)
+        for name, xs, ys in self.series:
             plot.add_series(name, xs, ys)
         plot.save(path)

@@ -73,6 +73,8 @@ def run(
             f"r̄(m) for n={n}, d={d}: Cor.2 worst-case bound vs random graph "
             f"vs cliques∪isolated (MC, {reps} reps/point)."
         ),
+        xlabel="m (active nodes)",
+        ylabel="conflict ratio r̄(m)",
     )
     rows = [
         (

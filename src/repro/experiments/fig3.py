@@ -51,6 +51,8 @@ def run(
             f"m_t for hybrid Algorithm 1 vs Recurrence-A-only; n={n}, "
             f"d∈{degrees}, ρ={rho:.0%}, m₀=2, {steps} steps."
         ),
+        xlabel="temporal step t",
+        ylabel="allocation m_t",
     )
     rows = []
     for d in degrees:

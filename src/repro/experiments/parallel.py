@@ -1,25 +1,25 @@
 """Parallel experiment sweeps over a content-addressed result cache.
 
 The experiments are embarrassingly parallel — each run is a pure function
-of ``(experiment name, seed, quick)`` with no I/O — so a sweep is a plain
-process pool: pending configs run inline (``jobs=1``, or a single pending
-config) or on a :class:`~concurrent.futures.ProcessPoolExecutor` of
-``min(jobs, pending)`` workers.  Three guarantees:
+of its config ``(experiment name, seed, quick)`` with no I/O — so a sweep
+is a plain process pool: pending configs run inline (``jobs=1``, or a
+single pending config) or on a
+:class:`~concurrent.futures.ProcessPoolExecutor` of ``min(jobs, pending)``
+workers.  Three guarantees:
 
-* **Deterministic seeds.**  A config without an explicit seed gets one
-  derived via :func:`repro.utils.rng.derive_seed` from the sweep's base
-  seed and the config's identity — a pure function of the config, never
-  of worker scheduling, completion order, or how many runs came before.
+* **Deterministic seeds.**  Without an explicit ``seed=`` each experiment
+  gets one derived via :func:`repro.utils.rng.derive_seed` from the
+  sweep's base seed and the experiment name — never a function of worker
+  scheduling, completion order, or how many runs came before.
 * **Content-addressed caching.**  The parent stores every result as it
   arrives under ``<cache_dir>/<sha256(config)>.json``; the key hashes the
-  canonical JSON of the *entire* serialised
-  :class:`~repro.config.RunConfig` (``to_dict()``) plus the package
-  version and cache schema, so a re-sweep only recomputes configs whose
-  inputs actually changed.  Corrupted or truncated entries (torn writes,
-  disk faults) are counted in the ``sweep.cache.corrupt`` metric and
+  canonical JSON of ``{name, seed, quick}`` plus the package version and
+  cache schema, so a re-sweep only recomputes configs whose inputs
+  actually changed.  Corrupted or truncated entries (torn writes, disk
+  faults) are counted in the ``sweep.cache.corrupt`` metric and
   recomputed — never raised to the caller.  The cache is also how an
   interrupted sweep resumes: rerun it with the same ``cache_dir``.
-* **Fail fast, report in order.**  Outcomes come back in config order.
+* **Fail fast, report in order.**  Outcomes come back in name order.
   An experiment that raises aborts the sweep with its own exception
   (same type and message, from a worker process too); configs still
   queued are cancelled, and results that did arrive stay cached.
@@ -33,11 +33,9 @@ finished configs into a periodic one-line live status.
 Used by ``python -m repro.experiments --jobs N --cache-dir DIR`` and
 importable directly::
 
-    from repro.config import RunConfig
     from repro.experiments.parallel import run_sweep
 
-    outcomes = run_sweep([RunConfig("fig2"), RunConfig("fig3")], jobs=4,
-                         cache_dir="~/.repro-cache")
+    outcomes = run_sweep(["fig2", "fig3"], jobs=4, cache_dir="~/.repro-cache")
 """
 
 from __future__ import annotations
@@ -52,47 +50,51 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro._version import __version__
-from repro.config import RunConfig
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult
 from repro.obs.metrics import MetricsRegistry, active_metrics
 from repro.obs.spans import SpanProfiler, activate_profiler, active_profiler
+from repro.utils.rng import derive_seed
 
-__all__ = ["RunConfig", "SweepOutcome", "SweepProgress", "config_key", "run_sweep"]
+__all__ = ["SweepOutcome", "SweepProgress", "config_key", "run_sweep"]
 
 #: bump when the cache payload layout changes; invalidates old entries
-#: (2: the key and payload carry the whole serialised RunConfig, not the
-#: historical ``{experiment, seed, quick}`` subset)
-CACHE_SCHEMA = 2
+#: (3: the key and payload carry ``{name, seed, quick}``, the three inputs
+#: of an experiment, not a serialised RunConfig)
+CACHE_SCHEMA = 3
 
 
 @dataclass(frozen=True)
 class SweepOutcome:
-    """One finished config: its result plus provenance.
+    """One finished experiment: its result plus provenance.
 
-    ``seed`` is the seed the run executed with
-    (``config.resolved_seed(base_seed)``), ``cached`` whether the result
-    was loaded from the cache, and ``key`` its :func:`config_key`.
+    ``seed`` is the seed the run executed with, ``cached`` whether the
+    result was loaded from the cache, and ``key`` its :func:`config_key`.
     """
 
-    config: RunConfig
+    name: str
+    quick: bool
     seed: int
     result: ExperimentResult
     cached: bool
     key: str
 
 
-def config_key(config: RunConfig, seed: int) -> str:
+def _config(name: str, seed: int, quick: bool) -> dict:
+    return {"name": name, "seed": int(seed), "quick": bool(quick)}
+
+
+def config_key(name: str, seed: int, quick: bool) -> str:
     """Content hash identifying one run: config + code version + schema.
 
-    The hash covers the *entire* serialised config (with *seed*
-    substituted in), canonical JSON (sorted keys, no whitespace variance)
-    through SHA-256; two configs collide iff they would produce the same
-    result.
+    The hash covers ``{name, seed, quick}`` — the inputs that decide an
+    experiment's result — as canonical JSON (sorted keys, no whitespace
+    variance) through SHA-256; two configs collide iff they would
+    produce the same result.
     """
     payload = json.dumps(
         {
-            "config": config.with_seed(int(seed)).to_dict(),
+            "config": _config(name, seed, quick),
             "version": __version__,
             "schema": CACHE_SCHEMA,
         },
@@ -125,14 +127,8 @@ def _cache_load(cache_dir: Path, key: str) -> "tuple[ExperimentResult | None, bo
         return None, True
 
 
-def _cache_store(
-    cache_dir: Path, key: str, config: RunConfig, seed: int, result: ExperimentResult
-) -> None:
-    payload = {
-        "key": key,
-        "config": config.with_seed(int(seed)).to_dict(),
-        "result": result.to_dict(),
-    }
+def _cache_store(cache_dir: Path, key: str, config: dict, result: ExperimentResult) -> None:
+    payload = {"key": key, "config": config, "result": result.to_dict()}
     path = _cache_path(cache_dir, key)
     tmp = path.with_suffix(".tmp")
     tmp.write_text(
@@ -255,13 +251,14 @@ def _stderr_sink(line: str) -> None:
 class _Sweep:
     """Outcome slots, cache writes and monitor calls for one ``run_sweep`` call."""
 
-    def __init__(self, configs, seeds, keys, cache, monitor):
-        self.configs = configs
+    def __init__(self, names, quick, seeds, keys, cache, monitor):
+        self.names = names
+        self.quick = quick
         self.seeds = seeds
         self.keys = keys
         self.cache = cache
         self.monitor = monitor
-        self.outcomes: "list[SweepOutcome | None]" = [None] * len(configs)
+        self.outcomes: "list[SweepOutcome | None]" = [None] * len(names)
         registry = active_metrics()
         if registry is None:  # not `or`: an *empty* registry is falsy
             registry = MetricsRegistry()
@@ -272,8 +269,7 @@ class _Sweep:
         self.metrics.counter(name).inc()
 
     def payload(self, index: int) -> tuple:
-        cfg = self.configs[index]
-        return cfg.experiment, self.seeds[index], cfg.quick
+        return self.names[index], self.seeds[index], self.quick
 
     def finish(
         self,
@@ -285,7 +281,7 @@ class _Sweep:
         spans: "dict | None" = None,
     ) -> None:
         """A config has its result; a computed one (*seconds* set) is timed and cached."""
-        cfg, seed, key = self.configs[index], self.seeds[index], self.keys[index]
+        name, seed, key = self.names[index], self.seeds[index], self.keys[index]
         if seconds is not None:
             self.metrics.histogram("attempt_seconds").observe(seconds)
             if self.profiler is not None:
@@ -295,8 +291,10 @@ class _Sweep:
             if self.monitor is not None:
                 self.monitor.note_attempt_seconds(seconds)
             if self.cache is not None:
-                _cache_store(self.cache, key, cfg, seed, result)
-        outcome = self.outcomes[index] = SweepOutcome(cfg, seed, result, cached=cached, key=key)
+                _cache_store(self.cache, key, _config(name, seed, self.quick), result)
+        outcome = self.outcomes[index] = SweepOutcome(
+            name, self.quick, seed, result, cached=cached, key=key
+        )
         self.count("completed")
         if self.monitor is not None:
             self.monitor.note_complete(outcome)
@@ -304,20 +302,26 @@ class _Sweep:
 
 
 def run_sweep(
-    runs,
+    names,
     *,
+    quick: bool = False,
+    seed: "int | None" = None,
     jobs: int = 1,
     cache_dir: "str | Path | None" = None,
     base_seed: int = 0,
     monitor=None,
 ) -> list[SweepOutcome]:
-    """Run many experiment configs, in parallel, through the result cache.
+    """Run many experiments, in parallel, through the result cache.
 
     Parameters
     ----------
-    runs:
-        Iterable of :class:`RunConfig` or bare experiment names (bare
-        names get derived seeds and ``quick=False``).
+    names:
+        Iterable of registered experiment names.
+    quick:
+        Reduced problem sizes for every experiment of the sweep.
+    seed:
+        One explicit seed for every experiment; ``None`` derives each
+        experiment's seed from ``(base_seed, name)``.
     jobs:
         Maximum concurrent worker processes.  ``1`` — or a single config
         left to compute — runs inline; otherwise a process pool of
@@ -325,7 +329,7 @@ def run_sweep(
     cache_dir:
         Directory for the content-hash cache; ``None`` disables caching.
     base_seed:
-        Entropy root for configs without an explicit seed.
+        Entropy root of the derived seeds (unused with *seed*).
     monitor:
         Optional :class:`SweepProgress` (or anything with
         ``note_complete``/``note_attempt_seconds``/``maybe_emit``): fed
@@ -334,21 +338,28 @@ def run_sweep(
 
     Returns
     -------
-    Outcomes in the same order as *runs*, regardless of completion
+    Outcomes in the same order as *names*, regardless of completion
     order.  The first experiment to raise aborts the sweep with that
     exception.
     """
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-    configs = [cfg if isinstance(cfg, RunConfig) else RunConfig(str(cfg)) for cfg in runs]
-    seeds = [cfg.resolved_seed(base_seed) for cfg in configs]
-    keys = [config_key(cfg, seed) for cfg, seed in zip(configs, seeds)]
+    names = list(names)
+    for name in names:
+        if not isinstance(name, str) or not name:
+            raise ExperimentError(f"run_sweep takes experiment names, got {name!r}")
+    quick = bool(quick)
+    seeds = [
+        int(seed) if seed is not None else derive_seed(base_seed, "sweep", name)
+        for name in names
+    ]
+    keys = [config_key(name, s, quick) for name, s in zip(names, seeds)]
     cache: "Path | None" = None
     if cache_dir is not None:
         cache = Path(cache_dir).expanduser()
         cache.mkdir(parents=True, exist_ok=True)
 
-    sweep = _Sweep(configs, seeds, keys, cache, monitor)
+    sweep = _Sweep(names, quick, seeds, keys, cache, monitor)
     pending: list[int] = []
     for i, key in enumerate(keys):
         sweep.count("tasks")

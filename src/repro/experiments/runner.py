@@ -3,6 +3,9 @@
 Runs one or all experiments and prints their rendered reports.  Every
 experiment accepts ``--seed`` for reproducibility and ``--quick`` for a
 reduced-size run (used by the test suite; the benchmarks run full size).
+``--output-dir DIR`` saves each report as ``<name>.txt`` / ``.json`` /
+``.svg``; ``all --output-dir bench_reports`` regenerates every checked-in
+report, and nothing else writes that directory.
 
 Workload record/replay (``apps`` experiment only, see
 :mod:`repro.runtime.wktrace`):
@@ -183,8 +186,12 @@ DEFAULT_EXPERIMENTS: dict[str, Callable[[object, bool], ExperimentResult]] = {
 }
 
 
-def run_experiment(name: str, seed=None, quick: bool = False) -> ExperimentResult:
-    """Run one experiment by registry name."""
+def run_experiment(name: str, *, seed=None, quick: bool = False) -> ExperimentResult:
+    """Run one experiment by registry name, at full size or *quick*.
+
+    The one way to run an experiment: the CLI, the sweep workers and the
+    benchmarks all call this.
+    """
     # RegistryError subclasses ValueError, so unknown names keep raising
     # the historical exception type (with every available entry listed)
     return EXPERIMENTS.create(name, seed, quick)
@@ -345,7 +352,6 @@ def main(argv: "list[str] | None" = None) -> int:
     def execute_sweep() -> None:
         # sweep mode: worker processes + content-hash cache; a failing
         # experiment propagates its own exception
-        from repro.config import RunConfig
         from repro.experiments.parallel import run_sweep
 
         monitor = None
@@ -354,18 +360,18 @@ def main(argv: "list[str] | None" = None) -> int:
 
             monitor = SweepProgress(len(names), jobs=args.jobs)
         outcomes = run_sweep(
-            [RunConfig(n, seed=args.seed, quick=args.quick) for n in names],
+            names,
+            quick=args.quick,
+            seed=args.seed,
             jobs=args.jobs,
             cache_dir=args.cache_dir,
-            base_seed=args.seed,
             monitor=monitor,
         )
         for outcome in outcomes:
-            name = outcome.config.experiment
-            emit(name, outcome.result)
+            emit(outcome.name, outcome.result)
             status = "cache hit" if outcome.cached else "computed"
             print(
-                f"[sweep] {name}: {status} "
+                f"[sweep] {outcome.name}: {status} "
                 f"(seed={outcome.seed}, key={outcome.key[:12]})",
                 file=sys.stderr,
             )

@@ -38,8 +38,12 @@ from repro.utils.rng import ensure_rng, spawn
 __all__ = ["run"]
 
 
-def run(n: int = 510, d: int = 16, reps: int = 1500, seed=None) -> ExperimentResult:
-    """All four §3 checks at one (n, d) (defaults need (d+1) | n)."""
+def run(n: int = 2040, d: int = 16, reps: int = 400, seed=None) -> ExperimentResult:
+    """All four §3 checks at one (n, d); needs (d+1) | n.
+
+    The default n = 2040 is Fig. 2's n = 2000 rounded to a multiple of
+    d + 1 = 17.
+    """
     rng = ensure_rng(seed)
     if n % (d + 1) != 0:
         raise ValueError(f"need (d+1) | n for K_d^n, got n={n}, d={d}")

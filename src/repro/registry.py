@@ -15,7 +15,9 @@ third parties add their own with :func:`register`::
     repro.run(repro.RunConfig(workload="consuming", controller="my-controller"),
               graph=my_graph)
 
-Factory calling conventions (what ``repro.api.run`` passes):
+Factory calling conventions (what ``repro.api.run`` passes; experiment
+factories are called by
+:func:`~repro.experiments.runner.run_experiment` instead):
 
 ========================  ==================================================
 registry                  factory signature

@@ -9,7 +9,7 @@ The trace is then a **workload in its own right**:
 deterministically through any engine configuration, which is what makes
 cross-cutting equivalence claims testable — the same recorded Boruvka
 run replayed over a ``RandomWorkset`` vs an ``ActiveSet``, or under
-``shards=1`` vs ``shards=2``, must commit the same work.
+``order="sharded:1"`` vs ``"sharded:2"``, must commit the same work.
 
 Three layers:
 

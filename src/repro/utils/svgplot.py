@@ -2,7 +2,7 @@
 
 The benchmark harness runs headless with no plotting stack, yet the
 paper's artefacts are *figures*.  This small renderer produces clean SVG
-line charts (axes, 1–2–5 ticks, grid, legend, optional log-x) from pure
+line charts (axes, 1–2–5 ticks, grid, legend) from pure
 string assembly, so ``bench_reports/fig2.svg`` etc. can be opened in any
 browser.  It is deliberately minimal — polylines only, no markers beyond
 small circles — but fully tested (the output parses as XML and the
@@ -66,7 +66,6 @@ class LinePlot:
         ylabel: str = "",
         width: int = 640,
         height: int = 400,
-        log_x: bool = False,
     ) -> None:
         if width < 100 or height < 80:
             raise ReproError(f"canvas {width}×{height} too small to draw axes")
@@ -75,7 +74,6 @@ class LinePlot:
         self.ylabel = ylabel
         self.width = width
         self.height = height
-        self.log_x = log_x
         self._series: list[tuple[str, list[float], list[float], str, bool]] = []
 
     # ------------------------------------------------------------------
@@ -94,14 +92,8 @@ class LinePlot:
             raise ReproError(f"series {name!r}: {len(xs)} x vs {len(ys)} y values")
         if not xs:
             raise ReproError(f"series {name!r} is empty")
-        if self.log_x and min(xs) <= 0:
-            raise ReproError(f"series {name!r} has non-positive x on a log axis")
         color = color or _PALETTE[len(self._series) % len(_PALETTE)]
         self._series.append((name, xs, ys, color, dashed))
-
-    # ------------------------------------------------------------------
-    def _x_transform(self, x: float) -> float:
-        return math.log10(x) if self.log_x else x
 
     def render(self) -> str:
         """Assemble the SVG document."""
@@ -111,8 +103,7 @@ class LinePlot:
         plot_w = self.width - margin_l - margin_r
         plot_h = self.height - margin_t - margin_b
 
-        tx = self._x_transform
-        all_x = [tx(x) for _, xs, _, _, _ in self._series for x in xs]
+        all_x = [x for _, xs, _, _, _ in self._series for x in xs]
         all_y = [y for _, _, ys, _, _ in self._series for y in ys]
         x_lo, x_hi = min(all_x), max(all_x)
         y_lo, y_hi = min(all_y), max(all_y)
@@ -125,7 +116,7 @@ class LinePlot:
         y_hi += y_pad
 
         def px(x: float) -> float:
-            return margin_l + (tx(x) - x_lo) / (x_hi - x_lo) * plot_w
+            return margin_l + (x - x_lo) / (x_hi - x_lo) * plot_w
 
         def py(y: float) -> float:
             return margin_t + (y_hi - y) / (y_hi - y_lo) * plot_h
@@ -143,16 +134,10 @@ class LinePlot:
             )
 
         # ticks + grid
-        if self.log_x:
-            lo_exp = math.floor(x_lo)
-            hi_exp = math.ceil(x_hi)
-            x_ticks = [10.0**e for e in range(int(lo_exp), int(hi_exp) + 1)]
-            x_ticks = [t for t in x_ticks if x_lo - 1e-9 <= math.log10(t) <= x_hi + 1e-9]
-        else:
-            x_ticks = _nice_ticks(x_lo, x_hi)
+        x_ticks = _nice_ticks(x_lo, x_hi)
         y_ticks = _nice_ticks(y_lo, y_hi)
         for t in x_ticks:
-            xpix = margin_l + ((math.log10(t) if self.log_x else t) - x_lo) / (x_hi - x_lo) * plot_w
+            xpix = px(t)
             parts.append(
                 f'<line x1="{xpix:.1f}" y1="{margin_t}" x2="{xpix:.1f}" '
                 f'y2="{margin_t + plot_h}" stroke="#ddd"/>'

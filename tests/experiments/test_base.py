@@ -49,25 +49,31 @@ class TestJsonExport:
     def test_to_dict_is_json_safe(self, result):
         json.dumps(result.to_dict())  # must not raise
 
+    def test_axis_labels_round_trip_and_are_omitted_when_empty(self, result):
+        assert "xlabel" not in result.to_dict() and "ylabel" not in result.to_dict()
+        result.xlabel = "m"
+        payload = result.to_dict()
+        assert payload["xlabel"] == "m" and "ylabel" not in payload
+        back = ExperimentResult.from_dict(payload)
+        assert (back.xlabel, back.ylabel) == ("m", "")
+        assert back.canonical_json() == result.canonical_json()
+
 
 class TestSvgExport:
     def test_all_series_plotted(self, result, tmp_path):
         out = tmp_path / "fig.svg"
-        result.to_svg(out, xlabel="x", ylabel="y")
+        result.to_svg(out)
         root = ET.fromstring(out.read_text())
         ns = "{http://www.w3.org/2000/svg}"
         assert len(root.findall(f".//{ns}polyline")) == 2
 
-    def test_series_selection(self, result, tmp_path):
+    def test_axis_labels_come_from_the_result(self, result, tmp_path):
+        result.xlabel, result.ylabel = "step t", "m_t"
         out = tmp_path / "fig.svg"
-        result.to_svg(out, series=["curve2"])
+        ExperimentResult.from_dict(result.to_dict()).to_svg(out)
         root = ET.fromstring(out.read_text())
-        ns = "{http://www.w3.org/2000/svg}"
-        assert len(root.findall(f".//{ns}polyline")) == 1
-
-    def test_no_matching_series_raises(self, result, tmp_path):
-        with pytest.raises(ExperimentError):
-            result.to_svg(tmp_path / "fig.svg", series=["nope"])
+        texts = {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
+        assert {"step t", "m_t"} <= texts
 
     def test_empty_result_raises(self, tmp_path):
         r = ExperimentResult(name="x", description="y")

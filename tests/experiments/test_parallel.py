@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.parallel import (
-    RunConfig,
     SweepOutcome,
     SweepProgress,
     config_key,
@@ -20,71 +19,81 @@ class BrokenExperiment(RuntimeError):
 
 
 class TestRunConfig:
+    """A sweep run's config is ``(name, seed, quick)``; its seed is explicit
+    or derived from ``(base_seed, name)``."""
+
     def test_explicit_seed_passes_through(self):
-        assert RunConfig("fig1", seed=123).resolved_seed(base_seed=0) == 123
+        (out,) = run_sweep(["fig1"], quick=True, seed=123)
+        assert out.seed == 123
 
     def test_derived_seed_matches_derive_seed(self):
-        cfg = RunConfig("fig2")
-        assert cfg.resolved_seed(7) == derive_seed(7, "sweep", "fig2")
+        (out,) = run_sweep(["fig1"], quick=True, base_seed=7)
+        assert out.seed == derive_seed(7, "sweep", "fig1")
 
     def test_derived_seed_is_stable_and_name_keyed(self):
-        a = RunConfig("fig2").resolved_seed(0)
-        assert a == RunConfig("fig2").resolved_seed(0)
-        assert a != RunConfig("fig3").resolved_seed(0)
-        assert a != RunConfig("fig2").resolved_seed(1)
+        a, b = run_sweep(["fig1", "example1"], quick=True)
+        assert a.seed == run_sweep(["fig1"], quick=True)[0].seed
+        assert a.seed != b.seed
+        assert a.seed != run_sweep(["fig1"], quick=True, base_seed=1)[0].seed
 
 
 class TestConfigKey:
     def test_stable(self):
-        cfg = RunConfig("fig1", quick=True)
-        assert config_key(cfg, 5) == config_key(cfg, 5)
+        assert config_key("fig1", 5, True) == config_key("fig1", 5, True)
 
     def test_sensitive_to_every_field(self):
-        base = config_key(RunConfig("fig1", quick=True), 5)
-        assert config_key(RunConfig("fig1", quick=True), 6) != base
-        assert config_key(RunConfig("fig1", quick=False), 5) != base
-        assert config_key(RunConfig("fig2", quick=True), 5) != base
+        base = config_key("fig1", 5, True)
+        assert config_key("fig1", 6, True) != base
+        assert config_key("fig1", 5, False) != base
+        assert config_key("fig2", 5, True) != base
 
     def test_is_hex_sha256(self):
-        key = config_key(RunConfig("fig1"), 0)
+        key = config_key("fig1", 0, False)
         assert len(key) == 64
         int(key, 16)  # raises if not hex
 
 
 class TestRunSweep:
-    CFG = RunConfig("fig1", seed=3, quick=True)
+    NAMES = ["fig1"]
+    KW = {"seed": 3, "quick": True}
 
     def test_jobs_below_one_raises(self):
         with pytest.raises(ExperimentError):
-            run_sweep([self.CFG], jobs=0)
+            run_sweep(self.NAMES, jobs=0, **self.KW)
+
+    def test_names_only(self):
+        from repro.config import RunConfig
+
+        with pytest.raises(ExperimentError, match="experiment names"):
+            run_sweep([RunConfig()], **self.KW)
 
     def test_inline_run_and_outcome_fields(self):
-        (out,) = run_sweep([self.CFG], jobs=1)
+        (out,) = run_sweep(self.NAMES, jobs=1, **self.KW)
         assert isinstance(out, SweepOutcome)
-        assert out.config == self.CFG
-        assert out.seed == 3
+        assert (out.name, out.quick, out.seed) == ("fig1", True, 3)
         assert out.cached is False
-        assert out.key == config_key(self.CFG, 3)
+        assert out.key == config_key("fig1", 3, True)
         assert out.result.name
 
     def test_bare_names_are_normalised(self):
+        # no seed= and no quick=: derived seeds at full size
         (out,) = run_sweep(["fig1"], jobs=1, base_seed=9)
-        assert out.config == RunConfig("fig1")
+        assert (out.name, out.quick) == ("fig1", False)
         assert out.seed == derive_seed(9, "sweep", "fig1")
 
     def test_cache_roundtrip(self, tmp_path):
-        (first,) = run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
+        (first,) = run_sweep(self.NAMES, jobs=1, cache_dir=tmp_path, **self.KW)
         assert first.cached is False
         assert (tmp_path / f"{first.key}.json").exists()
-        (second,) = run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
+        (second,) = run_sweep(self.NAMES, jobs=1, cache_dir=tmp_path, **self.KW)
         assert second.cached is True
         assert second.result.to_dict() == first.result.to_dict()
 
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
-        (first,) = run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
+        (first,) = run_sweep(self.NAMES, jobs=1, cache_dir=tmp_path, **self.KW)
         path = tmp_path / f"{first.key}.json"
         path.write_text("{not json", encoding="utf-8")
-        (again,) = run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
+        (again,) = run_sweep(self.NAMES, jobs=1, cache_dir=tmp_path, **self.KW)
         assert again.cached is False  # corrupt entry treated as a miss...
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["key"] == first.key  # ...and rewritten intact
@@ -92,50 +101,50 @@ class TestRunSweep:
     def test_corrupt_cache_entry_is_detected_and_recomputed(self, tmp_path):
         from repro.obs import collecting_metrics
 
-        (first,) = run_sweep([self.CFG], cache_dir=tmp_path)
+        (first,) = run_sweep(self.NAMES, cache_dir=tmp_path, **self.KW)
         path = tmp_path / f"{first.key}.json"
         path.write_text(path.read_text(encoding="utf-8")[:20], encoding="utf-8")
         with collecting_metrics() as registry:
-            (second,) = run_sweep([self.CFG], cache_dir=tmp_path)
+            (second,) = run_sweep(self.NAMES, cache_dir=tmp_path, **self.KW)
         assert not second.cached  # recomputed, not raised
         assert registry.counter("sweep.cache.corrupt").value == 1
-        (third,) = run_sweep([self.CFG], cache_dir=tmp_path)
+        (third,) = run_sweep(self.NAMES, cache_dir=tmp_path, **self.KW)
         assert third.cached  # the recompute healed the entry
         assert third.result.canonical_json() == first.result.canonical_json()
 
     def test_truncated_cache_entry_is_recomputed(self, tmp_path):
         # torn write: valid JSON prefix cut mid-document
-        (first,) = run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
+        (first,) = run_sweep(self.NAMES, jobs=1, cache_dir=tmp_path, **self.KW)
         path = tmp_path / f"{first.key}.json"
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
-        (again,) = run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
+        (again,) = run_sweep(self.NAMES, jobs=1, cache_dir=tmp_path, **self.KW)
         assert again.cached is False
         assert again.result.to_dict() == first.result.to_dict()
 
     def test_malformed_result_payload_is_recomputed(self, tmp_path):
         # valid JSON, right key, but a payload ExperimentResult.from_dict
         # rejects — this used to raise out of the sweep instead of healing
-        (first,) = run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
+        (first,) = run_sweep(self.NAMES, jobs=1, cache_dir=tmp_path, **self.KW)
         path = tmp_path / f"{first.key}.json"
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["result"] = {"bogus": True}
         path.write_text(json.dumps(payload), encoding="utf-8")
-        (again,) = run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
+        (again,) = run_sweep(self.NAMES, jobs=1, cache_dir=tmp_path, **self.KW)
         assert again.cached is False
         assert again.result.to_dict() == first.result.to_dict()
 
     def test_failure_propagates_original_exception(self):
         with pytest.raises(ValueError, match="unknown experiment"):
-            run_sweep([RunConfig("no-such-experiment", seed=1)], jobs=1)
+            run_sweep(["no-such-experiment"], seed=1, jobs=1)
 
     def test_key_mismatch_is_a_miss(self, tmp_path):
-        (first,) = run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
+        (first,) = run_sweep(self.NAMES, jobs=1, cache_dir=tmp_path, **self.KW)
         path = tmp_path / f"{first.key}.json"
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["key"] = "0" * 64
         path.write_text(json.dumps(payload), encoding="utf-8")
-        (again,) = run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
+        (again,) = run_sweep(self.NAMES, jobs=1, cache_dir=tmp_path, **self.KW)
         assert again.cached is False
 
     def test_complete_events_report_fresh_and_cached(self, tmp_path):
@@ -151,18 +160,15 @@ class TestRunSweep:
             def maybe_emit(self, force=False):
                 pass
 
-        run_sweep([self.CFG], jobs=1, cache_dir=tmp_path, monitor=Spy())
-        run_sweep([self.CFG], jobs=1, cache_dir=tmp_path, monitor=Spy())
+        run_sweep(self.NAMES, jobs=1, cache_dir=tmp_path, monitor=Spy(), **self.KW)
+        run_sweep(self.NAMES, jobs=1, cache_dir=tmp_path, monitor=Spy(), **self.KW)
         assert seen == [False, True]
 
     def test_parallel_matches_serial_and_preserves_order(self, tmp_path):
-        configs = [
-            RunConfig("fig1", seed=3, quick=True),
-            RunConfig("fig1", seed=4, quick=True),
-        ]
-        serial = run_sweep(configs, jobs=1)
-        parallel = run_sweep(configs, jobs=2)
-        assert [o.config for o in parallel] == configs
+        names = ["fig1", "example1"]
+        serial = run_sweep(names, quick=True, jobs=1)
+        parallel = run_sweep(names, quick=True, jobs=2)
+        assert [o.name for o in parallel] == names
         for a, b in zip(serial, parallel):
             assert a.seed == b.seed
             assert a.key == b.key
@@ -177,12 +183,11 @@ class TestRunSweep:
             raise AssertionError("inline path used despite jobs>1")
 
         monkeypatch.setattr(par, "_run_inline", no_inline)
-        configs = [
-            RunConfig("fig1", seed=3, quick=True),
-            RunConfig("fig1", seed=4, quick=True),
+        outcomes = run_sweep(["fig1", "example1"], quick=True, jobs=2)
+        assert [o.seed for o in outcomes] == [
+            derive_seed(0, "sweep", "fig1"),
+            derive_seed(0, "sweep", "example1"),
         ]
-        outcomes = run_sweep(configs, jobs=2)
-        assert [o.seed for o in outcomes] == [3, 4]
 
     def test_single_pending_config_runs_inline_despite_jobs(self, monkeypatch):
         # one pending config gains nothing from process spin-up
@@ -192,11 +197,11 @@ class TestRunSweep:
             raise AssertionError("spawned workers for a single pending config")
 
         monkeypatch.setattr(par, "_run_pool", no_pool)
-        (out,) = run_sweep([self.CFG], jobs=4)
+        (out,) = run_sweep(self.NAMES, jobs=4, **self.KW)
         assert out.result.name
 
     def test_cache_hits_skip_the_pool(self, tmp_path, monkeypatch):
-        run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
+        run_sweep(self.NAMES, jobs=1, cache_dir=tmp_path, **self.KW)
 
         import repro.experiments.parallel as par
 
@@ -204,7 +209,7 @@ class TestRunSweep:
             raise AssertionError("worker ran despite a warm cache")
 
         monkeypatch.setattr(par, "_execute", boom)
-        (out,) = run_sweep([self.CFG], jobs=1, cache_dir=tmp_path)
+        (out,) = run_sweep(self.NAMES, jobs=1, cache_dir=tmp_path, **self.KW)
         assert out.cached is True
 
     def test_pool_failure_reraises_and_the_cache_resumes(self, tmp_path, monkeypatch):
@@ -224,11 +229,10 @@ class TestRunSweep:
             return run_experiment("fig1", seed=seed, quick=quick)
 
         repro.register("experiment", "flaky", flaky)
-        good = RunConfig("fig1", seed=3, quick=True)
-        bad = RunConfig("flaky", seed=5, quick=True)
+        names = ["fig1", "flaky"]
         try:
             with pytest.raises(BrokenExperiment, match="^flaky failed with seed 5$"):
-                run_sweep([good, bad], jobs=2, cache_dir=tmp_path)
+                run_sweep(names, seed=5, quick=True, jobs=2, cache_dir=tmp_path)
 
             broken[0] = False
             computed = []
@@ -236,12 +240,12 @@ class TestRunSweep:
             monkeypatch.setattr(
                 par, "_execute", lambda payload: computed.append(payload[0]) or execute(payload)
             )
-            first, second = run_sweep([good, bad], jobs=2, cache_dir=tmp_path)
+            first, second = run_sweep(names, seed=5, quick=True, jobs=2, cache_dir=tmp_path)
         finally:
             EXPERIMENTS.unregister("flaky")
         assert (first.cached, second.cached) == (True, False)
         assert computed == ["flaky"]
-        fresh = run_experiment("fig1", seed=3, quick=True)
+        fresh = run_experiment("fig1", seed=5, quick=True)
         assert first.result.canonical_json() == fresh.canonical_json()
 
     def test_pool_failures_with_queued_configs_return(self, monkeypatch):
@@ -257,12 +261,12 @@ class TestRunSweep:
             raise BrokenExperiment(f"seed {payload[1]} failed")
 
         monkeypatch.setattr(par, "_execute", execute)
-        configs = [RunConfig("fig1", seed=s, quick=True) for s in range(8)]
+        names = ["fig1"] * 8
         raised = []
 
         def sweep():
             try:
-                run_sweep(configs, jobs=2)
+                run_sweep(names, quick=True, jobs=2)
             except BrokenExperiment as exc:
                 raised.append(exc)
 
@@ -280,7 +284,7 @@ class TestSweepObservability:
         from repro.obs import profiling
 
         with profiling() as prof:
-            (out,) = run_sweep([RunConfig("fig3", seed=3, quick=True)], jobs=1)
+            (out,) = run_sweep(["fig3"], seed=3, quick=True, jobs=1)
         assert out.result.name
         stats = prof.stats()
         assert stats["sweep.attempt"].count == 1
@@ -291,12 +295,8 @@ class TestSweepObservability:
     def test_isolated_sweep_merges_worker_spans(self):
         from repro.obs import profiling
 
-        configs = [
-            RunConfig("fig3", seed=3, quick=True),
-            RunConfig("fig3", seed=4, quick=True),
-        ]
         with profiling() as prof:
-            run_sweep(configs, jobs=2)
+            run_sweep(["fig3", "ordered"], seed=3, quick=True, jobs=2)
         stats = prof.stats()
         # worker-side engine time arrives re-rooted under sweep.worker/
         assert stats["sweep.worker/step"].count > 0
@@ -314,11 +314,7 @@ class TestSweepObservability:
             original(self, index, result, cached=cached, seconds=seconds, spans=spans)
 
         monkeypatch.setattr(par._Sweep, "finish", spy)
-        configs = [
-            RunConfig("fig1", seed=3, quick=True),
-            RunConfig("fig1", seed=4, quick=True),
-        ]
-        run_sweep(configs, jobs=2)
+        run_sweep(["fig1", "example1"], quick=True, jobs=2)
         assert shipped == [None, None]
 
     def test_monitor_sees_lifecycle_and_final_emit(self):
@@ -327,11 +323,7 @@ class TestSweepObservability:
         monitor = SweepProgress(
             2, jobs=1, interval=0.0, sink=lines.append, clock=lambda: next(clock)
         )
-        configs = [
-            RunConfig("fig1", seed=3, quick=True),
-            RunConfig("fig1", seed=4, quick=True),
-        ]
-        run_sweep(configs, jobs=1, monitor=monitor)
+        run_sweep(["fig1", "example1"], quick=True, jobs=1, monitor=monitor)
         assert monitor.completed == 2
         assert monitor.ewma_attempt_seconds is not None
         assert lines and lines[-1].startswith("sweep: 2/2 done")

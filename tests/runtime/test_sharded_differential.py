@@ -58,7 +58,7 @@ def _graph():
 
 
 def _api_trace(
-    order, *, workload="consuming", mode=None, shards=None, seed=None, **overrides
+    order, *, workload="consuming", mode=None, seed=None, **overrides
 ):
     """One recorded ``api.run`` over the shared corpus; returns (jsonl, result)."""
     from repro.api import run as api_run
@@ -69,7 +69,6 @@ def _api_trace(
         rho=0.25,
         m_max=64,
         order=order,
-        shards=shards,
         max_steps=MAX_STEPS,
     )
     config = RunConfig(**{**fields, **overrides})
@@ -109,7 +108,7 @@ class TestOneShardByteIdentity:
     @pytest.mark.parametrize("mode", ["reference", "fast"])
     @pytest.mark.parametrize("workload", ["consuming", "replay"])
     def test_trace_identical_to_unordered(self, mode, workload):
-        sharded, _ = _api_trace("sharded", workload=workload, mode=mode, shards=1)
+        sharded, _ = _api_trace("sharded:1", workload=workload, mode=mode)
         unordered, _ = _api_trace("unordered", workload=workload, mode=mode)
         assert sharded.to_jsonl() == unordered.to_jsonl()
 
@@ -164,11 +163,6 @@ class TestMultiShardEquivalence:
         assert fast.to_jsonl() == ref.to_jsonl()
         assert res.steps[0].launched == 160 >= GATHER_MIN_BATCH
         assert res.total_aborted > 0
-
-    def test_config_field_equals_spec_param(self):
-        spec, _ = _api_trace("sharded:4")
-        field, _ = _api_trace("sharded", shards=4)
-        assert spec.to_jsonl() == field.to_jsonl()
 
     def test_not_degenerate(self):
         recorder, res = _api_trace("sharded:4")
@@ -266,8 +260,7 @@ class TestProcessBackedRuntime:
             workload="consuming",
             rho=0.25,
             m_max=64,
-            order="sharded",
-            shards=1,
+            order="sharded:1",
             max_steps=25,
         )
         rec = TraceRecorder()

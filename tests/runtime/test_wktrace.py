@@ -5,7 +5,7 @@ integrity checking, :class:`WorkloadCapture` recording through live
 engine runs, :class:`TraceReplayWorkload` deterministic re-execution —
 plus the two cross-cutting equivalence gates the substrate exists for:
 a recorded trace replays *byte-identically* on the default and the oracle paths,
-and commits the *same work* under ``shards=1`` vs ``shards=2``.
+and commits the *same work* under ``sharded:1`` vs ``sharded:2``.
 """
 
 import pytest
@@ -182,8 +182,8 @@ class TestReplayEquivalenceGates:
 
     def test_sharded_replay_commits_the_same_work(self, tmp_path):
         path = self._trace_path(tmp_path)
-        r1 = run(RunConfig(workload=f"trace:{path}", seed=11, order="sharded", shards=1))
-        r2 = run(RunConfig(workload=f"trace:{path}", seed=11, order="sharded", shards=2))
+        r1 = run(RunConfig(workload=f"trace:{path}", seed=11, order="sharded:1"))
+        r2 = run(RunConfig(workload=f"trace:{path}", seed=11, order="sharded:2"))
         recorded = WorkloadTrace.load(path)
         assert r1.total_committed == r2.total_committed == len(recorded.commits)
 
@@ -210,8 +210,10 @@ class TestObsIntegration:
         assert capture_event.data["path"] == str(path)
 
     def test_record_under_sharded_order_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="sharded"):
+        # one shard: a multi-shard order is rejected for an app before
+        # record_workload= is looked at
+        with pytest.raises(ConfigError, match="record_workload=.*sharded"):
             run(
-                RunConfig(workload="boruvka:20", seed=1, order="sharded", shards=2),
+                RunConfig(workload="boruvka:20", seed=1, order="sharded:1"),
                 record_workload=str(tmp_path / "x.wktrace"),
             )

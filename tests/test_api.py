@@ -51,6 +51,34 @@ class TestForEach:
             for_each([], op)
 
 
+class TestRunTaskLoopOrders:
+    """An unprioritised task loop under the orders that do not rank tasks."""
+
+    OP = CallbackOperator(neighborhood=lambda t: {t.payload % 3}, apply=lambda t: [])
+
+    def test_a_multi_shard_order_is_a_config_error(self):
+        from repro.errors import ConfigError
+        from repro.obs import TraceRecorder
+
+        recorder = TraceRecorder()
+        with pytest.raises(ConfigError, match=r"'sharded:2'.*item locks.*unordered"):
+            run(RunConfig(order="sharded:2"), initial=range(10), operator=self.OP,
+                recorder=recorder)
+        assert recorder.events == []  # rejected before the engine was built
+
+    @pytest.mark.parametrize("order", ["sharded", "sharded:1"])
+    def test_one_shard_is_the_unordered_order(self, order):
+        def trace(order):
+            from repro.obs import TraceRecorder
+
+            recorder = TraceRecorder()
+            run(RunConfig(order=order), initial=range(10), operator=self.OP,
+                seed=4, recorder=recorder)
+            return recorder.to_jsonl()
+
+        assert trace(order) == trace("unordered")
+
+
 class TestRunOrderedLoop:
     """``run(initial=(priority, payload) pairs, priority_of=...)``."""
 

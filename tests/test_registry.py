@@ -137,8 +137,10 @@ class TestThirdPartyRoundTrip:
             calls.append((seed, quick))
             return {"seed": seed, "quick": quick}
 
+        from repro.experiments.runner import run_experiment
+
         try:
-            out = repro.run(RunConfig(experiment="test-registry-exp", seed=7, quick=True))
+            out = run_experiment("test-registry-exp", seed=7, quick=True)
         finally:
             EXPERIMENTS.unregister("test-registry-exp")
         assert calls == [(7, True)]

@@ -52,24 +52,6 @@ class TestLinePlot:
                 x, y = map(float, pair.split(","))
                 assert 0 <= x <= 400 and 0 <= y <= 300
 
-    def test_log_x_axis(self):
-        plot = LinePlot(log_x=True)
-        plot.add_series("s", [1, 10, 100, 1000], [1.0, 2.0, 3.0, 4.0])
-        svg = plot.render()
-        root = parse(svg)
-        labels = {t.text for t in root.findall(f".//{SVG_NS}text")}
-        assert {"1", "10", "100", "1000"} <= labels
-        # equal spacing between decades
-        poly = root.find(f".//{SVG_NS}polyline")
-        xs = [float(p.split(",")[0]) for p in poly.get("points").split()]
-        gaps = [b - a for a, b in zip(xs, xs[1:])]
-        assert max(gaps) - min(gaps) < 0.5
-
-    def test_log_x_rejects_nonpositive(self):
-        plot = LinePlot(log_x=True)
-        with pytest.raises(ReproError):
-            plot.add_series("s", [0, 1], [1.0, 2.0])
-
     def test_empty_plot_rejected(self):
         with pytest.raises(ReproError):
             LinePlot().render()
