@@ -9,7 +9,7 @@ the :class:`OrderPolicy` seam (concrete policies:
 :mod:`repro.runtime.policies`).  One ``step()``::
 
     controller.propose -> order.select -> order.execute -> order.apply
-        -> retry / cost / stats bookkeeping -> controller.observe
+        -> cost / stats bookkeeping -> controller.observe
 
 ``order.execute`` only *resolves* the batch into an outcome;
 ``order.apply`` mutates the work-set (commits applied, aborts rolled
@@ -25,16 +25,17 @@ the same order inside the phase spans (``controller.decide``,
 ``select``, the policy's resolve spans, the
 :meth:`OrderPolicy.commit_span_name` span around ``apply`` and the
 bookkeeping, ``controller.update``), emits the ``step`` event and
-updates the metrics.  Both yield identical stats, costs,
-retry counts, controller traces and RNG trajectories
-(``tests/runtime/test_step_bodies.py``), and because the test is per
-step an observer attached mid-run sees every later step.
+updates the metrics.  Both yield identical stats, costs, controller
+traces and RNG trajectories (``tests/runtime/test_step_bodies.py``),
+and because the test is per step an observer attached mid-run sees
+every later step.  The bookkeeping both bodies share
+(:meth:`Engine._account`) walks no task: the model counts commits and
+aborts, so no per-task record rides the loop.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import Counter
 from typing import TYPE_CHECKING
 
 from repro.errors import RuntimeEngineError
@@ -199,10 +200,6 @@ class Engine:
         self.cost_model = cost_model or UnitCostModel()
         self.costs = CostTotals()
         self.result = RunResult()
-        # per-task abort counts: starvation diagnostics (optimistic
-        # runtimes can in principle retry one unlucky task forever);
-        # a Counter so batched increments run at C speed
-        self.retry_counts: Counter[int] = Counter()
         self._step = 0
         self.recorder = recorder if recorder is not None else active_recorder()
         registry = metrics if metrics is not None else active_metrics()
@@ -266,15 +263,9 @@ class Engine:
         return stats
 
     def _account(self, order, outcome, requested: int, before: int) -> StepStats:
-        """Retry tracking, cost accounting and the step's stats record."""
+        """Cost accounting and the step's stats record."""
         committed = order.committed_tasks(outcome)
         aborted = order.aborted_tasks(outcome)
-        retries = self.retry_counts
-        if aborted:
-            retries.update([task.uid for task in aborted])
-        if retries:  # nothing tracked: nothing to stop tracking
-            for task in committed:
-                retries.pop(task.uid, None)  # made it; stop tracking
         self.cost_model.charge(self.costs, committed, aborted)
         return StepStats(
             step=self._step,
@@ -371,12 +362,3 @@ class Engine:
     @property
     def steps_executed(self) -> int:
         return self._step
-
-    def max_pending_retries(self) -> int:
-        """Largest abort count among tasks that have not yet committed.
-
-        A starvation indicator: with the random-permutation scheduler each
-        pending task eventually wins its conflicts w.p. 1, but heavy
-        contention shows up here long before it shows in the ratios.
-        """
-        return max(self.retry_counts.values(), default=0)

@@ -118,32 +118,6 @@ class TestStepSemantics:
         assert res.total_committed == 4  # payloads 0,1,2,3
 
 
-class TestRetryTracking:
-    def test_no_conflicts_no_retries(self):
-        eng = simple_engine(10, 4)
-        eng.run()
-        assert eng.max_pending_retries() == 0
-        assert eng.retry_counts == {}
-
-    def test_retries_counted_and_cleared(self):
-        g = complete_graph(5)
-        wl = ConsumingGraphWorkload(g)
-        eng = make_engine(wl, FixedController(5), seed=0)
-        eng.step()  # 1 commit, 4 aborts
-        assert eng.max_pending_retries() == 1
-        assert len(eng.retry_counts) == 4
-        eng.run()  # drain: everyone eventually commits
-        assert eng.retry_counts == {}
-
-    def test_heavy_contention_grows_retries(self):
-        g = complete_graph(20)
-        wl = ReplayGraphWorkload(g)
-        eng = make_engine(wl, FixedController(20), seed=1)
-        for _ in range(10):
-            eng.step()
-        assert eng.max_pending_retries() >= 2
-
-
 class TestEngineInvariantsPropertyBased:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(5, 60), st.floats(0, 6), st.integers(1, 32), st.integers(0, 100))

@@ -4,12 +4,16 @@
 registry is attached and an *observed* one otherwise.  Observation must
 never perturb the simulation: for every commit order, the same
 ``(workload, seed)`` run bare, with recorder + metrics, and under a
-``SpanProfiler`` has to produce equal step records, costs, retry counts,
-controller traces and final generator state — and the hooks and errors
-both bodies share must behave identically.
+``SpanProfiler`` has to produce equal step records, costs, controller
+traces and final generator state — and the hooks and errors both bodies
+share must behave identically.  The bookkeeping both bodies share walks
+no task: no per-task record rides the bare path.
 """
 
 from __future__ import annotations
+
+import dis
+import types
 
 import pytest
 
@@ -53,12 +57,6 @@ def build_engine(order: str, controller=None, workload: str = "consuming", **kwa
 
 def run_leg(order: str, leg: str, workload: str = "consuming") -> dict:
     engine = build_engine(order, workload=workload, **LEGS[leg]())
-    retried: "dict[int, None]" = {}  # uids in order of first abort
-
-    def note_aborts(eng, stats):
-        retried.update(dict.fromkeys(eng.retry_counts))
-
-    engine.step_hook = note_aborts
     observed = leg != "bare"
     assert (
         engine.profiler is not None
@@ -70,10 +68,6 @@ def run_leg(order: str, leg: str, workload: str = "consuming") -> dict:
     return {
         "steps": result.steps,
         "costs": engine.costs,
-        # uids come from a process-wide counter, so compare the counts by
-        # rank of first abort, which is the same task in every leg
-        "retries": [engine.retry_counts.get(uid, 0) for uid in retried],
-        "max_pending_retries": engine.max_pending_retries(),
         "controller": (trace.proposals, trace.observations, trace.launched),
         "rng": engine.rng.bit_generator.state,
         "steps_executed": engine.steps_executed,
@@ -85,7 +79,7 @@ class TestBodiesAgree:
     def test_observation_never_perturbs_the_run(self, order):
         bare = run_leg(order, "bare")
         assert len(bare["steps"]) > 5
-        assert sum(s.aborted for s in bare["steps"]) > 0  # retries were tracked
+        assert sum(s.aborted for s in bare["steps"]) > 0  # aborts were charged
         for leg in ("recorded", "profiled"):
             assert run_leg(order, leg) == bare, f"{leg} leg diverged under {order}"
 
@@ -142,6 +136,15 @@ class TestTheChoiceIsPerStep:
         for body in (Engine._bare_step, Engine._account):
             names.update(body.__code__.co_names)
         assert not names & {"profiler", "recorder", "metrics", "_null_span", "phase_span"}
+
+    def test_the_shared_bookkeeping_walks_no_task(self):
+        # a loop or comprehension in ``_account`` would be a per-task
+        # walk on every bare step
+        code = Engine._account.__code__
+        assert not [i for i in dis.get_instructions(code) if i.opname == "FOR_ITER"]
+        assert not [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        # nor does the engine keep per-task retry counts under any name
+        assert not [name for name in dir(build_engine("unordered")) if "retr" in name]
 
     def test_recorder_attached_mid_run_sees_every_later_step(self):
         engine = build_engine("unordered")
